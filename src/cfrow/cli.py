@@ -2,8 +2,9 @@
 
 Subcommands: expand, contract, cfe, orbit, entropy, region-info,
 sweep-alpha.  Structured results are JSON (sorted keys), orbit and
-sweep tracks are CSV.  Stochastic runs read their default seed from
-CFROW_SEED and always record seed and sample count in the output.
+sweep tracks are CSV.  Stochastic runs without --seed read their seed
+from CFROW_SEED (default 0), only when they run, and always record seed
+and sample count in the output.
 Exit codes: 0 success, 2 domain/usage errors.
 """
 
@@ -28,7 +29,16 @@ from .reals import parse_real, rcf_digits
 from .regions import region_from_spec
 from .shift_space import tau_orbit
 
-DEFAULT_SEED = int(os.environ.get("CFROW_SEED", "0"))
+
+def _seed(args) -> int:
+    """--seed, or else CFROW_SEED, read only by the subcommands that sample."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("CFROW_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CfrowError(f"CFROW_SEED={text!r} is not an integer") from None
 
 
 def _enc_digit(v):
@@ -201,7 +211,7 @@ def cmd_entropy(args) -> int:
         region,
         tol=args.tol,
         method=args.method,
-        seed=args.seed,
+        seed=_seed(args),
         samples=args.samples,
     )
     out = {"measure": est.value, "entropy": ent}
@@ -220,15 +230,16 @@ def cmd_sweep_alpha(args) -> int:
     from .regions import build_alpha_region
 
     alphas = [s for s in args.alphas.split(",") if s]
+    seed = _seed(args)
     rows = []
     for i, atext in enumerate(alphas):
         alpha = parse_real(atext)
         region = build_alpha_region(alpha)
-        est = measure.measure_of(region, seed=args.seed + i, samples=args.samples)
+        est = measure.measure_of(region, seed=seed + i, samples=args.samples)
         ent = math.pi**2 / (6 * est.value)
         ent_err = ent * est.error_bound / est.value
         rows.append(
-            (atext, est.value, est.error_bound, ent, ent_err, args.seed + i)
+            (atext, est.value, est.error_bound, ent, ent_err, seed + i)
         )
     _write_csv(
         args.csv,
@@ -275,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--region", required=True)
     pn.add_argument("--tol", type=float, default=1e-8)
     pn.add_argument("--method", default="auto")
-    pn.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    pn.add_argument("--seed", type=int, default=None)
     pn.add_argument("--samples", type=int, default=200_000)
     pn.set_defaults(func=cmd_entropy)
 
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sweep-alpha", help="measure/entropy sweep over alphas")
     ps.add_argument("--alphas", required=True)
     ps.add_argument("--samples", type=int, default=100_000)
-    ps.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--csv", default="-")
     ps.set_defaults(func=cmd_sweep_alpha)
 

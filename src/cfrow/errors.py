@@ -42,6 +42,10 @@ class OutOfDomain(CfrowError):
     pass
 
 
+class BadRegionSpec(CfrowError):
+    """A region spec names no builder, lacks a parameter or does not parse."""
+
+
 class ZeroInput(CfrowError):
     """Orbit terminated: the map fixes 0."""
 

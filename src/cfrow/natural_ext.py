@@ -1,9 +1,7 @@
 """Planar natural extensions on the unit square.
 
 Points carry the partial-quotient streams of both coordinates; the maps
-act symbolically on digits (one O(1) edit per coordinate per step),
-with optional exact coordinate values carried along for enclosure-free
-arithmetic on quadratic inputs.
+act symbolically on digits (one O(1) edit per coordinate per step).
 
 Slow map (first coordinate is the tent map):
 
@@ -14,6 +12,20 @@ Its invariant density is 1/(x + y - xy)^2 (infinite mass at the origin).
 The fast (two-sided shift) map moves one whole partial quotient:
 ([0;a1,a2,...],[0;b1,...]) -> ([0;a2,...],[0;a1,b1,...]) with invariant
 probability density 1/(log2 (1+xy)^2).
+
+Exact coordinate values (Fraction or Surd) are optional and lazy.  Every
+step moves the point by one integer branch matrix C: the slow map's
+A0 = ((1,0),(1,1)) or A1 = ((0,1),(1,1)), their inverses for the
+backward step, and ((0,1),(1,a1)) for the fast map.  It acts as
+
+    x' = C^-1 . x,      y' = C . y,
+
+so a point keeps base values (x0, y0), its launch values or the last
+values read on its way, and two products, P with x = P^-1 . x0 and Q
+with y = Q . y0, updated by P' = P C and Q' = C Q.
+A step is then a digit edit plus two constant 2x2 integer products; no
+Fraction or Surd is built until `x_val` or `y_val` is read, which
+applies the product once and caches the value.
 """
 
 from __future__ import annotations
@@ -25,18 +37,32 @@ from fractions import Fraction
 from .digits import Cons, DigitStream
 from .errors import OutOfDomain
 from .exact import INF, RationalInterval
-from .reals import RealRep, as_real, is_rational, rcf_digits
+from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
+
+# Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
+_ID = (1, 0, 0, 1)
+_A0 = (1, 0, 1, 1)
+_A1 = (0, 1, 1, 1)
+_A0_INV = (1, 0, -1, 1)
+_A1_INV = (-1, 1, 1, 0)
+
+_PENDING = object()  # value not yet computed from the base value
 
 
-def _exact_fraction(v):
-    """Fraction value of v when it is exactly rational, else None."""
-    if v is None:
-        return None
-    if isinstance(v, Fraction):
-        return v
-    if is_rational(v):
-        return v.as_fraction()
-    return None
+def _mul(m, n):
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _mobius(m, v):
+    """(a*v + b)/(c*v + d), exact, with v a Fraction, int or Surd."""
+    a, b, c, d = m
+    if isinstance(v, Surd):
+        return as_real(v.mobius(a, b, c, d))
+    v = Fraction(v)
+    n, k = v.numerator, v.denominator
+    return Fraction(a * n + b * k, c * n + d * k)
 
 
 @dataclass(frozen=True)
@@ -52,20 +78,26 @@ class OmegaPoint:
     """A point of the square as a pair of digit streams.
 
     `x_val`/`y_val` are optional exact coordinate values (Fraction or
-    Surd) kept in sync by the symbolic maps; enclosures fall back to the
-    streams when absent.  The y-stream is whatever the symbolic dynamics
+    Surd), None when the point was built from streams alone.  The point
+    stores a base value per coordinate and the integer matrix from it to
+    the current point (see the module docstring); the first read applies
+    the matrix and caches the value, and steps taken from a point whose
+    value was read start from that value.  A value is rational iff its
+    base is, so enclosures of irrational points read the streams without
+    building a value.  The y-stream is whatever the symbolic dynamics
     produced and is deliberately NOT re-canonicalised: a trailing
     [...,1, inf] tail encodes a boundary point of the cell the orbit
     logic needs it to be in.
     """
 
-    __slots__ = ("xd", "yd", "x_val", "y_val")
+    __slots__ = ("xd", "yd", "_x0", "_y0", "_px", "_qy", "_x", "_y")
 
     def __init__(self, xd: DigitStream, yd: DigitStream, x_val=None, y_val=None):
         self.xd = xd
         self.yd = yd
-        self.x_val = x_val
-        self.y_val = y_val
+        self._x0 = self._x = x_val
+        self._y0 = self._y = y_val
+        self._px = self._qy = _ID
 
     @staticmethod
     def from_values(x: RealRep, y: RealRep) -> "OmegaPoint":
@@ -75,16 +107,58 @@ class OmegaPoint:
     def from_streams(xd, yd) -> "OmegaPoint":
         return OmegaPoint(xd, yd)
 
+    @property
+    def x_val(self):
+        v = self._x
+        if v is _PENDING:
+            a, b, c, d = self._px
+            v = self._x = _mobius((d, -b, -c, a), self._x0)  # P^-1, up to det = +-1
+        return v
+
+    @property
+    def y_val(self):
+        v = self._y
+        if v is _PENDING:
+            v = self._y = _mobius(self._qy, self._y0)
+        return v
+
+    def _moved(self, xd: DigitStream, yd: DigitStream, c) -> "OmegaPoint":
+        """The point with streams (xd, yd) reached by the branch matrix c."""
+        w = OmegaPoint.__new__(OmegaPoint)
+        w.xd = xd
+        w.yd = yd
+        x = self._x
+        if x is None:
+            w._x0 = w._x = None
+        else:
+            w._x = _PENDING
+            if x is _PENDING:
+                w._x0, w._px = self._x0, _mul(self._px, c)
+            else:
+                w._x0, w._px = x, c
+        y = self._y
+        if y is None:
+            w._y0 = w._y = None
+        else:
+            w._y = _PENDING
+            if y is _PENDING:
+                w._y0, w._qy = self._y0, _mul(c, self._qy)
+            else:
+                w._y0, w._qy = y, c
+        return w
+
     def cell(self) -> CellIndex:
         return CellIndex(self.xd.head(), self.yd.head())
 
     def x_enclosure(self, depth: int = 40) -> RationalInterval:
-        v = _exact_fraction(self.x_val)
-        return RationalInterval.point(v) if v is not None else self.xd.enclosure(depth)
+        if self._x is not None and is_rational(self._x0):
+            return RationalInterval.point(Fraction(self.x_val))
+        return self.xd.enclosure(depth)
 
     def y_enclosure(self, depth: int = 40) -> RationalInterval:
-        v = _exact_fraction(self.y_val)
-        return RationalInterval.point(v) if v is not None else self.yd.enclosure(depth)
+        if self._y is not None and is_rational(self._y0):
+            return RationalInterval.point(Fraction(self.y_val))
+        return self.yd.enclosure(depth)
 
     def __repr__(self):
         return f"OmegaPoint(x~{self.xd.prefix(4)}, y~{self.yd.prefix(4)})"
@@ -95,42 +169,23 @@ def ito_step(z: OmegaPoint) -> OmegaPoint:
     a1 = z.xd.head()
     if a1 is INF:
         # x = 0 line: x fixed, y |-> y/(1+y), i.e. leading y-digit bumps
-        yd = Cons(z.yd.head() + 1, z.yd.tail())
-        y_val = None if z.y_val is None else as_real(z.y_val / (1 + z.y_val))
-        return OmegaPoint(z.xd, yd, z.x_val, y_val)
+        return z._moved(z.xd, Cons(z.yd.head() + 1, z.yd.tail()), _A0)
     if a1 > 1:
-        xd = Cons(a1 - 1, z.xd.tail())
-        yd = Cons(z.yd.head() + 1, z.yd.tail())
-        x_val = None if z.x_val is None else as_real(z.x_val / (1 - z.x_val))
-        y_val = None if z.y_val is None else as_real(z.y_val / (1 + z.y_val))
-        return OmegaPoint(xd, yd, x_val, y_val)
-    xd = z.xd.tail()
-    yd = Cons(1, z.yd)
-    x_val = None if z.x_val is None else as_real((1 - z.x_val) / z.x_val)
-    y_val = None if z.y_val is None else as_real(1 / (1 + z.y_val))
-    return OmegaPoint(xd, yd, x_val, y_val)
+        return z._moved(Cons(a1 - 1, z.xd.tail()), Cons(z.yd.head() + 1, z.yd.tail()), _A0)
+    return z._moved(z.xd.tail(), Cons(1, z.yd), _A1)
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:
     """The inverse step; total on the symbolic representation."""
     b1 = z.yd.head()
     if b1 == 1:
-        xd = Cons(1, z.xd)
-        yd = z.yd.tail()
-        x_val = None if z.x_val is None else as_real(1 / (1 + z.x_val))
-        y_val = None if z.y_val is None else as_real(1 / z.y_val - 1)
-        return OmegaPoint(xd, yd, x_val, y_val)
+        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV)
+    a1 = z.xd.head()
+    xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
     if b1 is INF:
         # y = 0 line: x |-> x/(1+x) keeps y at 0
-        a1 = z.xd.head()
-        xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
-        x_val = None if z.x_val is None else as_real(z.x_val / (1 + z.x_val))
-        return OmegaPoint(xd, z.yd, x_val, z.y_val)
-    xd = Cons(z.xd.head() + 1, z.xd.tail()) if z.xd.head() is not INF else z.xd
-    yd = Cons(b1 - 1, z.yd.tail())
-    x_val = None if z.x_val is None else as_real(z.x_val / (1 + z.x_val))
-    y_val = None if z.y_val is None else as_real(z.y_val / (1 - z.y_val))
-    return OmegaPoint(xd, yd, x_val, y_val)
+        return z._moved(xd, z.yd, _A0_INV)
+    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV)
 
 
 def epsilon_of(z: OmegaPoint) -> int:
@@ -153,15 +208,7 @@ def gauss_ne_step(w: OmegaPoint) -> OmegaPoint:
     a1 = w.xd.head()
     if a1 is INF:
         return w
-    xd = w.xd.tail()
-    yd = Cons(a1, w.yd)
-    x_val = None
-    y_val = None
-    if w.x_val is not None:
-        x_val = as_real(1 / w.x_val - a1)
-    if w.y_val is not None:
-        y_val = as_real(1 / (a1 + w.y_val))
-    return OmegaPoint(xd, yd, x_val, y_val)
+    return w._moved(w.xd.tail(), Cons(a1, w.yd), (0, 1, 1, a1))
 
 
 def gauss_ne_orbit(w: OmegaPoint, n: int):

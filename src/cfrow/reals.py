@@ -8,6 +8,7 @@ digit extraction below is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -16,9 +17,15 @@ from .digits import DigitStream, LazyDigits, from_fraction
 from .errors import OutOfDomain
 
 
+@functools.lru_cache(maxsize=4096)
 def _square_free_split(d: int):
     """(s, d0) with d = s^2 d0 and d0 square-free up to trial-division
-    bound (complete for any square factor below 10^5)."""
+    bound (complete for any square factor below 10^5).
+
+    Memoised: every surd of a field shares its d, so the trial division
+    runs once per distinct d rather than once per construction.  Two
+    fields whose d's this bound leaves apart are still identified by
+    `_common`."""
     s = 1
     f = 2
     while f * f <= min(d, 10**10):
@@ -59,6 +66,13 @@ class Surd:
 
     def is_rational(self) -> bool:
         return self.q == 0
+
+    def mobius(self, a: int, b: int, c: int, d: int) -> "Surd":
+        """(a*x + b)/(c*x + d) for integers a, b, c, d, as one construction."""
+        p, q, r, dd = self.p, self.q, self.r, self.d
+        # ((A + B sqrt(dd)) / (C + E sqrt(dd)), times the conjugate of the denominator
+        A, B, C, E = a * p + b * r, a * q, c * p + d * r, c * q
+        return Surd(A * C - B * E * dd, B * C - A * E, C * C - E * E * dd, dd)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -157,7 +171,9 @@ class Surd:
     def __hash__(self):
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash((self.p, self.q, self.r, self.d))
+        # (p/r, q^2 d/r^2, sign q) fixes the value whatever d's square part
+        return hash((Fraction(self.p, self.r), Fraction(self.q * self.q * self.d, self.r * self.r),
+                     self.q > 0))
 
     def floor(self) -> int:
         """Exact floor via integer square-root bounds (no floats)."""
@@ -190,7 +206,14 @@ def _common(a: Surd, b):
             return Surd(a.p, 0, a.r, b.d), b
         if b.q == 0:
             return a, Surd(b.p, 0, b.r, a.d)
-        raise ValueError(f"mixed surd fields sqrt({a.d}) and sqrt({b.d})")
+        # one field iff d1*d2 is a square k^2; then sqrt(d1) = (k/d2) sqrt(d2),
+        # and both are written over the smaller d
+        k = math.isqrt(a.d * b.d)
+        if k * k != a.d * b.d:
+            raise ValueError(f"mixed surd fields sqrt({a.d}) and sqrt({b.d})")
+        if a.d < b.d:
+            return a, Surd(b.p * a.d, b.q * k, b.r * a.d, a.d)
+        return Surd(a.p * b.d, a.q * k, a.r * b.d, b.d), b
     if isinstance(b, (int, Fraction)):
         return a, Surd.from_rational(b, a.d)
     return NotImplemented

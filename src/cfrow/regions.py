@@ -27,6 +27,7 @@ from fractions import Fraction
 from .digits import Cons, DigitStream, from_digits
 from .errors import (
     BackwardCapExceeded,
+    BadRegionSpec,
     InvalidSingularisationArea,
     OutOfDomain,
 )
@@ -344,13 +345,31 @@ def region_from_spec(spec) -> Region:
 
     Shorthands: "omega", "h1", "h:2", "v:3", "cell:3,1", "alpha:1/2",
     or inline JSON like {"builder": "alpha", "params": {"alpha": "1/4"}}.
+    A spec that does not parse, names no known builder or lacks one of
+    its parameters raises BadRegionSpec.
     """
     if isinstance(spec, Region):
         return spec
+    try:
+        return _region_from_spec(spec)
+    except KeyError as exc:
+        raise BadRegionSpec(f"region spec {spec!r} lacks the key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise BadRegionSpec(f"bad region spec {spec!r}: {exc}") from exc
+
+
+def _rects(items):
+    return [
+        (_parse_frac(r["x"][0]), _parse_frac(r["x"][1]), _parse_frac(r["y"][0]), _parse_frac(r["y"][1]))
+        for r in items
+    ]
+
+
+def _region_from_spec(spec) -> Region:
     if isinstance(spec, str):
         s = spec.strip()
         if s.startswith("{"):
-            return region_from_spec(json.loads(s))
+            return _region_from_spec(json.loads(s))
         if s == "omega":
             return region_omega()
         if s == "h1":
@@ -364,7 +383,7 @@ def region_from_spec(spec) -> Region:
             return region_cell(int(a), int(lam))
         if s.startswith("alpha:"):
             return build_alpha_region(_parse_frac(s[6:]))
-        raise ValueError(f"unknown region spec {spec!r}")
+        raise BadRegionSpec(f"unknown region spec {spec!r}")
     obj = dict(spec)
     builder = obj.get("builder")
     params = obj.get("params", {})
@@ -379,20 +398,14 @@ def region_from_spec(spec) -> Region:
     if builder == "alpha":
         return build_alpha_region(_parse_frac(params["alpha"]))
     if builder == "s_expansion":
-        rects = [
-            (_parse_frac(r["x"][0]), _parse_frac(r["x"][1]), _parse_frac(r["y"][0]), _parse_frac(r["y"][1]))
-            for r in params["rects"]
-        ]
-        return build_s_expansion_region(rects)
+        return build_s_expansion_region(_rects(params["rects"]))
     if builder == "omega":
         return region_omega()
+    if builder is not None:
+        raise BadRegionSpec(f"unknown region builder {builder!r}")
     if "cells" in obj and obj["cells"]:
         cells = [(c.get("a"), c.get("b")) for c in obj["cells"]]
         return CellRegion(cells, name="cells", altered=bool(obj.get("altered", False)))
     if "rects" in obj and obj["rects"]:
-        rects = [
-            (_parse_frac(r["x"][0]), _parse_frac(r["x"][1]), _parse_frac(r["y"][0]), _parse_frac(r["y"][1]))
-            for r in obj["rects"]
-        ]
-        return RectRegion(rects)
-    raise ValueError(f"unintelligible region spec: {spec!r}")
+        return RectRegion(_rects(obj["rects"]))
+    raise BadRegionSpec(f"unintelligible region spec: {spec!r}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FixedRay, NullSetPoint
-from .induced import Region, backward_induced_step, induced_step
+from .induced import InducedRecord, Region, backward_induced_step, induced_step
 from .natural_ext import OmegaPoint
 from .reals import as_real
 
@@ -38,13 +38,21 @@ def _require_unit_s(region: Region):
 
 @dataclass
 class ShiftPoint:
-    """Image of a region point under the coordinate change, with its
-    provenance kept so the dynamics can be driven exactly."""
+    """Image of a region point z under the coordinate change, with its
+    provenance kept so the dynamics can be driven exactly: `rec` is the
+    induced record of z itself (the walk from z to its next visit), so
+    the next shift step reuses it and walks only once more.  A shift
+    point belongs to the region it was built for."""
 
     X: object
     Y: object
     z: OmegaPoint
-    u: int
+    rec: InducedRecord
+
+    @property
+    def u(self) -> int:
+        """Branch of the coordinate change at z: the top-left entry of its record."""
+        return self.rec.u
 
 
 def digit_pair_at(region: Region, z: OmegaPoint, cap: int = 100000):
@@ -61,13 +69,12 @@ def phi(region: Region, z: OmegaPoint, cap: int = 100000) -> ShiftPoint:
     if z.x_val is None or z.y_val is None:
         raise ValueError("shift coordinates need exact point values")
     rec = induced_step(region, z, cap)
-    u = rec.u
     x, y = z.x_val, z.y_val
-    if u == 0:
+    if rec.u == 0:
         if y == 0:
             raise NullSetPoint("y = 0 has no shift image on the u = 0 branch")
-        return ShiftPoint(as_real(x), as_real((1 - y) / y), z, 0)
-    return ShiftPoint(as_real(x - 1), as_real(1 - y), z, 1)
+        return ShiftPoint(as_real(x), as_real((1 - y) / y), z, rec)
+    return ShiftPoint(as_real(x - 1), as_real(1 - y), z, rec)
 
 
 def phi_inverse(region: Region, X, Y) -> OmegaPoint:
@@ -83,17 +90,18 @@ def phi_inverse(region: Region, X, Y) -> OmegaPoint:
 
 
 def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
-    """One shift step: exact on quadratic/rational coordinates."""
+    """One shift step: exact on quadratic/rational coordinates.  One
+    induced walk, from w's landing point; w's own walk is w.rec."""
     _require_unit_s(region)
     if w.X == 0:
         raise FixedRay("X = 0 is fixed")
-    rec0 = induced_step(region, w.z, cap)
+    rec0 = w.rec
     rec1 = induced_step(region, rec0.z_next, cap)
     alpha = -rec0.A.det()
     beta = rec0.r + rec1.u
     X1 = as_real(alpha / w.X - beta)
     Y1 = as_real(1 / (beta + alpha * w.Y))
-    return ShiftPoint(X1, Y1, rec0.z_next, rec1.u)
+    return ShiftPoint(X1, Y1, rec0.z_next, rec1)
 
 
 def tau_orbit(region: Region, z: OmegaPoint, n: int, cap: int = 100000):

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
+
+import pytest
 
 from cfrow.cli import main
 
@@ -146,6 +149,51 @@ def test_cfe_with_json_region_spec(capsys):
     obj = json.loads(out)
     assert code == 0 and obj["verified"] is True
     assert all(a in (1, -1) for a in obj["alpha"])  # semi-regular output
+
+
+def test_bad_seed_env_only_breaks_sampling(capsys, monkeypatch):
+    monkeypatch.setenv("CFROW_SEED", "abc")
+    code, out, _ = run_cli(["expand", "--kind", "rcf", "--x", "1/3", "--n", "2"], capsys)
+    assert code == 0 and json.loads(out)["digits"] == [3, "inf"]
+    for args in (["entropy", "--region", "alpha:1/2", "--samples", "100"],
+                 ["sweep-alpha", "--alphas", "1/2", "--samples", "100"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: CFROW_SEED='abc' is not an integer\n"
+    # an explicit --seed needs no environment
+    code, out, _ = run_cli(
+        ["entropy", "--region", "alpha:1/2", "--samples", "100", "--seed", "5"], capsys
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
+def test_seed_env_read_when_sampling(capsys, monkeypatch):
+    monkeypatch.setenv("CFROW_SEED", "7")
+    code, out, _ = run_cli(["entropy", "--region", "alpha:1/2", "--samples", "100"], capsys)
+    assert code == 0 and json.loads(out)["seed"] == 7
+    code, out, _ = run_cli(["sweep-alpha", "--alphas", "1/2,7/10", "--samples", "100"], capsys)
+    assert code == 0 and [r.split(",")[-1] for r in out.split()[1:]] == ["7", "8"]
+
+
+def test_bad_seed_env_subprocess_has_no_traceback():
+    env = dict(os.environ, CFROW_SEED="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cfrow.cli", "entropy", "--region", "alpha:1/2",
+         "--samples", "100"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == ["error: CFROW_SEED='abc' is not an integer"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"builder":"alpha"}', '{"builder":"beta","params":{}}', "cell:3", "h:x", "{oops"],
+)
+def test_region_info_malformed_spec_exits_2(capsys, spec):
+    code, out, err = run_cli(["region-info", "--region", spec], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_console_entry_point():

@@ -20,7 +20,7 @@ from cfrow.natural_ext import (
     nu_g_density,
     orbit_csv_rows,
 )
-from cfrow.reals import golden_fraction, parse_real, rcf_digits
+from cfrow.reals import as_real, golden_fraction, parse_real, rcf_digits
 
 from conftest import random_surd
 
@@ -212,3 +212,92 @@ def test_orbit_csv_rows():
     assert len(rows) == 5
     assert rows[0][5] == 2 and rows[0][6] == 1
     assert all(r[1] <= r[2] and r[3] <= r[4] for r in rows)
+
+
+def _eager_move(move, z, x, y):
+    """Coordinates after `move`, by the per-step formulas applied to the
+    values (x, y) of z; the branch is read off z's streams."""
+    a1, b1 = z.xd.head(), z.yd.head()
+    if move is ito_step:
+        if a1 is INF:
+            return x, as_real(y / (1 + y))
+        if a1 > 1:
+            return as_real(x / (1 - x)), as_real(y / (1 + y))
+        return as_real((1 - x) / x), as_real(1 / (1 + y))
+    if move is ito_backstep:
+        if b1 == 1:
+            return as_real(1 / (1 + x)), as_real(1 / y - 1)
+        if b1 is INF:
+            return as_real(x / (1 + x)), y
+        return as_real(x / (1 + x)), as_real(y / (1 - y))
+    if a1 is INF:
+        return x, y
+    return as_real(1 / x - a1), as_real(1 / (a1 + y))
+
+
+def test_lazy_values_match_eager_formulas():
+    # 2660 mixed moves from surd and rational starts, the axes included;
+    # values are read at random moments, so both long unread matrix
+    # chains and chains restarted from a read value are compared
+    rng = random.Random(4242)
+    moves = (ito_step, ito_step, ito_backstep, gauss_ne_step)
+    starts = [(Fraction(0), Fraction(1, 3)), (Fraction(2, 5), Fraction(0))]
+    for _ in range(12):
+        starts.append((random_surd(rng), Fraction(rng.randint(0, 12), 12)))
+        starts.append((random_surd(rng, 7), random_surd(rng, 7)))
+        starts.append((Fraction(rng.randint(0, 50), 50), Fraction(rng.randint(0, 9), 9)))
+    checked = 0
+    for x, y in starts:
+        z = OmegaPoint.from_values(x, y)
+        for _ in range(70):
+            move = rng.choice(moves)
+            x, y = _eager_move(move, z, x, y)
+            z = move(z)
+            if rng.random() < 0.3:
+                assert z.x_val == x and z.y_val == y
+                assert type(z.x_val) is type(x) and type(z.y_val) is type(y)
+                checked += 1
+        assert z.x_val == x and z.y_val == y
+    assert checked > 300
+
+
+def test_stream_points_carry_no_values():
+    z = OmegaPoint.from_streams(from_digits([3, 1, 4]), from_digits([1, 2]))
+    for move in (ito_step, ito_backstep, gauss_ne_step):
+        w = move(z)
+        assert w.x_val is None and w.y_val is None
+
+
+def test_walk_builds_no_surd_until_read(rng, monkeypatch):
+    from cfrow import reals
+    from cfrow.farey_maps import gauss_step
+    from cfrow.induced import induced_records
+    from cfrow.regions import build_alpha_region, region_h1
+
+    built = []
+    init = reals.Surd.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    for region in (region_h1(), build_alpha_region(Fraction(1, 2))):
+        x = random_surd(rng)
+        y = as_real(random_surd(rng) / 2 + Fraction(1, 2))
+        z = OmegaPoint.from_values(x, y)
+        z.xd.prefix(400)  # digits come from surd arithmetic; pull them first
+        z.yd.prefix(400)
+        monkeypatch.setattr(reals.Surd, "__init__", counting_init)
+        recs = induced_records(region, z, 12, 10**6)
+        assert built == []
+        last = recs[-1].z_next
+        xv = last.x_val
+        assert len(built) == 1
+        monkeypatch.setattr(reals.Surd, "__init__", init)
+        if region.name == "h1":
+            want = x
+            for _ in recs:
+                _, want = gauss_step(want)
+            assert xv == want
+        assert last.x_val is xv  # cached
+        built.clear()

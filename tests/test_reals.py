@@ -108,3 +108,26 @@ def test_enclosure_shrinks(rng):
         assert cur.lo >= prev.lo and cur.hi <= prev.hi
         assert cur.contains(Fraction(float(x)).limit_denominator(10**12)) or cur.width < Fraction(1, 10**10)
         prev = cur
+
+
+def test_field_identity_beyond_trial_division():
+    # 100003 is a prime above the trial-division bound, so the first d
+    # keeps its square factor; d1*d2 a square still makes one field
+    a = Surd(0, 1, 1, 2 * 100003**2)
+    b = Surd(0, 100003, 1, 2)
+    assert a.d != b.d
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a - b == 0 and b - a == 0
+    assert a + b == 2 * b and a * b == 2 * 100003**2
+    with pytest.raises(ValueError, match="mixed surd fields"):
+        Surd(0, 1, 1, 2) + Surd(0, 1, 1, 3)
+
+
+def test_mobius_matches_field_arithmetic(rng):
+    for _ in range(30):
+        x = random_surd(rng)
+        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
+        if a * d == b * c:
+            continue
+        assert x.mobius(a, b, c, d) == (a * x + b) / (c * x + d)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cfrow.cfe import cfe_direct
-from cfrow.errors import InvalidSingularisationArea, OutOfDomain
+from cfrow.errors import BadRegionSpec, InvalidSingularisationArea, OutOfDomain
 from cfrow.exact import Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
@@ -341,3 +341,35 @@ def test_alpha_region_shift_is_natural_extension(rng):
             for w in orb:
                 assert alpha - 1 <= w.X < alpha
                 assert 0 <= w.Y <= 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"builder": "alpha"},
+        '{"builder": "alpha"}',
+        '{"builder": "h", "params": {}}',
+        {"builder": "cell", "params": {"a": 3}},
+        {"builder": "s_expansion", "params": {"rects": [{"x": ["1/2", "1"]}]}},
+    ],
+)
+def test_region_spec_missing_params(spec):
+    with pytest.raises(BadRegionSpec, match="lacks the key"):
+        region_from_spec(spec)
+
+
+def test_region_spec_unknown_builder():
+    with pytest.raises(BadRegionSpec, match="unknown region builder 'beta'"):
+        region_from_spec({"builder": "beta", "params": {}})
+    with pytest.raises(BadRegionSpec, match="unintelligible"):
+        region_from_spec({"params": {}})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["h:x", "v:", "cell:3", "cell:a,b", "beta:1/2", "{not json", "[1]",
+     {"rects": [{"x": ["1/3"], "y": ["1/3", "1/2"]}]}, {"cells": [3]}],
+)
+def test_region_spec_malformed(spec):
+    with pytest.raises(BadRegionSpec):
+        region_from_spec(spec)

@@ -225,3 +225,32 @@ def test_digit_pair_helper(rng):
         from cfrow.reals import rcf_digits
 
         assert digit_pair_at(h1, top(x)) == (1, rcf_digits(x).head())
+
+
+def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
+    import cfrow.shift_space as shift_space
+
+    walks = []
+
+    def counting_step(region, z, cap):
+        walks.append(z)
+        return induced_step(region, z, cap)
+
+    n = 8
+    for region in (region_h1(), build_alpha_region(Fraction(1, 2)),
+                   build_alpha_region(Fraction(1, 4))):
+        for _ in range(3):
+            z = OmegaPoint.from_values(random_surd(rng), Fraction(3, 4))
+            monkeypatch.setattr(shift_space, "induced_step", counting_step)
+            orb = tau_orbit(region, z, n)
+            monkeypatch.setattr(shift_space, "induced_step", induced_step)
+            assert len(walks) == n + 1
+            walks.clear()
+            # the shift conjugates the induced map: tau^k(phi(z)) = phi(T_R^k(z))
+            cur = z
+            for w in orb:
+                ref = phi(region, cur)
+                assert (w.X, w.Y, w.u) == (ref.X, ref.Y, ref.u)
+                assert w.z.xd.prefix(20) == cur.xd.prefix(20)
+                assert w.rec.A == ref.rec.A
+                cur = ref.rec.z_next
