@@ -5,7 +5,9 @@ Finite expansions are padded with INF: x = [0; a1, ..., an, inf, inf, ...],
 so 0 = [0; inf, ...] and 1 = [0; 1, inf, ...].  Streams are immutable;
 the symbolic interval maps only ever need three O(1) edits (replace the
 head, drop the head, push a new head), so a cons-cell view over a shared
-memoised source is the natural representation.
+memoised source is the natural representation.  `prefix` reads a run of
+digits as a list without a head/tail step per digit: cons cells are
+walked directly and a memoised view slices its buffer.
 """
 
 from __future__ import annotations
@@ -104,6 +106,19 @@ class Cons(DigitStream):
             return self  # INF-padding is absorbing
         return self._tail
 
+    def prefix(self, n: int):
+        out = []
+        s = self
+        while type(s) is Cons:
+            if len(out) >= n:
+                return out
+            h = s._head
+            if h is INF:
+                return out + [INF] * (n - len(out))
+            out.append(h)
+            s = s._tail
+        return out + s.prefix(n - len(out))
+
 
 class _Memo:
     """Shared memoised buffer over a one-shot digit iterator."""
@@ -143,6 +158,15 @@ class LazyDigits(DigitStream):
             return self
         return LazyDigits(None, self._start + 1, _memo=self._memo)
 
+    def prefix(self, n: int):
+        if n <= 0:
+            return []
+        i = self._start
+        memo = self._memo
+        memo.at(i + n - 1)  # fills the buffer, or stops where the source ends
+        out = memo.buf[i : i + n]
+        return out + [INF] * (n - len(out)) if len(out) < n else out
+
 
 def _make_zero():
     z = Cons.__new__(Cons)
@@ -162,11 +186,9 @@ def from_digits(seq) -> DigitStream:
     return out
 
 
-def from_fraction(x) -> DigitStream:
-    """Canonical partial quotients of a rational x in [0, 1]."""
-    x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise ValueError(f"{x} outside [0, 1]")
+def fraction_digits(x: Fraction):
+    """Canonical partial quotients [a1, ..., an] of a rational x in [0, 1],
+    as a list of ints (empty for 0)."""
     digits = []
     p, q = x.numerator, x.denominator
     # [0; a1, a2, ...] by the Euclidean algorithm on q/p, p/q', ...
@@ -174,7 +196,15 @@ def from_fraction(x) -> DigitStream:
         a, r = divmod(q, p)
         digits.append(a)
         p, q = r, p
-    return from_digits(digits)
+    return digits
+
+
+def from_fraction(x) -> DigitStream:
+    """Canonical partial quotients of a rational x in [0, 1]."""
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError(f"{x} outside [0, 1]")
+    return from_digits(fraction_digits(x))
 
 
 def compare(xs: DigitStream, ys: DigitStream, cap: int = 4000) -> int:

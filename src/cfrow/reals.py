@@ -25,7 +25,7 @@ def _square_free_split(d: int):
     Memoised: every surd of a field shares its d, so the trial division
     runs once per distinct d rather than once per construction.  Two
     fields whose d's this bound leaves apart are still identified by
-    `_common`."""
+    `_operands`."""
     s = 1
     f = 2
     while f * f <= min(d, 10**10):
@@ -59,11 +59,6 @@ class Surd:
             p, q, r = p // g, q // g, r // g
         self.p, self.q, self.r, self.d = p, q, r, d
 
-    @staticmethod
-    def from_rational(v, d: int) -> "Surd":
-        v = Fraction(v)
-        return Surd(v.numerator, 0, v.denominator, d)
-
     def is_rational(self) -> bool:
         return self.q == 0
 
@@ -82,11 +77,11 @@ class Surd:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        pair = _common(self, other)
-        if pair is NotImplemented:
+        ops = _operands(self, other)
+        if ops is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return Surd(a.p * b.r + b.p * a.r, a.q * b.r + b.q * a.r, a.r * b.r, a.d)
+        d, ap, aq, ar, bp, bq, br = ops
+        return Surd(ap * br + bp * ar, aq * br + bq * ar, ar * br, d)
 
     __radd__ = __add__
 
@@ -94,21 +89,25 @@ class Surd:
         return Surd(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
-        pair = _common(self, other)
-        if pair is NotImplemented:
+        ops = _operands(self, other)
+        if ops is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return a + (-b)
+        d, ap, aq, ar, bp, bq, br = ops
+        return Surd(ap * br - bp * ar, aq * br - bq * ar, ar * br, d)
 
     def __rsub__(self, other):
-        return (-self) + other
+        ops = _operands(self, other)
+        if ops is NotImplemented:
+            return NotImplemented
+        d, ap, aq, ar, bp, bq, br = ops
+        return Surd(bp * ar - ap * br, bq * ar - aq * br, ar * br, d)
 
     def __mul__(self, other):
-        pair = _common(self, other)
-        if pair is NotImplemented:
+        ops = _operands(self, other)
+        if ops is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return Surd(a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.r * b.r, a.d)
+        d, ap, aq, ar, bp, bq, br = ops
+        return Surd(ap * bp + aq * bq * d, ap * bq + aq * bp, ar * br, d)
 
     __rmul__ = __mul__
 
@@ -120,36 +119,29 @@ class Surd:
         return Surd(self.r * self.p, -self.r * self.q, n, self.d)
 
     def __truediv__(self, other):
-        pair = _common(self, other)
-        if pair is NotImplemented:
+        ops = _operands(self, other)
+        if ops is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        return _quotient(*ops)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        ops = _operands(self, other)
+        if ops is NotImplemented:
+            return NotImplemented
+        d, ap, aq, ar, bp, bq, br = ops
+        return _quotient(d, bp, bq, br, ap, aq, ar)
 
     # -- order -------------------------------------------------------------
 
     def sign(self) -> int:
-        p, q = self.p, self.q  # r > 0
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if (p > 0) == (q > 0):
-            return 1 if p > 0 else -1
-        lhs, rhs = p * p, q * q * self.d
-        if p > 0:  # q < 0: sign of p^2 - q^2 d
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _sign(self.p, self.q, self.d)  # r > 0
 
     def _cmp(self, other) -> int:
-        pair = _common(self, other)
-        if pair is NotImplemented:
+        ops = _operands(self, other)
+        if ops is NotImplemented:
             return NotImplemented
-        a, b = pair
-        return (a - b).sign()
+        d, ap, aq, ar, bp, bq, br = ops
+        return _sign(ap * br - bp * ar, aq * br - bq * ar, d)  # ar * br > 0
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -197,26 +189,52 @@ class Surd:
         return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
 
 
-def _common(a: Surd, b):
-    """Coerce operands into one quadratic field, or NotImplemented."""
+def _sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d), exactly."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if p == 0:
+        return (q > 0) - (q < 0)
+    if (p > 0) == (q > 0):
+        return 1 if p > 0 else -1
+    lhs, rhs = p * p, q * q * d
+    if p > 0:  # q < 0: sign of p^2 - q^2 d
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def _operands(a: Surd, b):
+    """(d, p, q, r, p', q', r'): a = (p + q sqrt(d))/r and b = (p' + q' sqrt(d))/r'
+    over one field, or NotImplemented.  Builds no Surd."""
     if isinstance(b, Surd):
         if a.d == b.d:
-            return a, b
+            return a.d, a.p, a.q, a.r, b.p, b.q, b.r
         if a.q == 0:
-            return Surd(a.p, 0, a.r, b.d), b
+            return b.d, a.p, 0, a.r, b.p, b.q, b.r
         if b.q == 0:
-            return a, Surd(b.p, 0, b.r, a.d)
+            return a.d, a.p, a.q, a.r, b.p, 0, b.r
         # one field iff d1*d2 is a square k^2; then sqrt(d1) = (k/d2) sqrt(d2),
         # and both are written over the smaller d
         k = math.isqrt(a.d * b.d)
         if k * k != a.d * b.d:
             raise ValueError(f"mixed surd fields sqrt({a.d}) and sqrt({b.d})")
         if a.d < b.d:
-            return a, Surd(b.p * a.d, b.q * k, b.r * a.d, a.d)
-        return Surd(a.p * b.d, a.q * k, a.r * b.d, b.d), b
-    if isinstance(b, (int, Fraction)):
-        return a, Surd.from_rational(b, a.d)
+            return a.d, a.p, a.q, a.r, b.p * a.d, b.q * k, b.r * a.d
+        return b.d, a.p * b.d, a.q * k, a.r * b.d, b.p, b.q, b.r
+    if isinstance(b, int):
+        return a.d, a.p, a.q, a.r, b, 0, 1
+    if isinstance(b, Fraction):
+        return a.d, a.p, a.q, a.r, b.numerator, 0, b.denominator
     return NotImplemented
+
+
+def _quotient(d, ap, aq, ar, bp, bq, br) -> Surd:
+    """((ap + aq sqrt(d))/ar) / ((bp + bq sqrt(d))/br), as one construction."""
+    n = bp * bp - bq * bq * d
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero surd")
+    # times the conjugate (bp - bq sqrt(d)) of the divisor
+    return Surd(br * (ap * bp - aq * bq * d), br * (aq * bp - ap * bq), ar * n, d)
 
 
 #: Exact real input: Fraction or Surd.
@@ -250,6 +268,12 @@ def rcf_digits(x: RealRep) -> DigitStream:
     Rational inputs terminate (INF padding); irrational quadratic inputs
     yield the eventually periodic expansion lazily and exactly.  The
     rational tie-break keeps the shorter form, e.g. 1/2 -> [0; 2].
+
+    An irrational x is written (P + sqrt(D))/Q with Q | D - P^2, and the
+    digits come from the classical integer recurrence (Perron): the
+    reciprocal of (P + sqrt(D))/Q is (-P + sqrt(D))/((D - P^2)/Q), its
+    floor needs only isqrt(D), and subtracting the digit a is P -= a*Q.
+    No Surd and no float is made per digit.
     """
     if is_rational(x):
         xf = x.as_fraction() if isinstance(x, Surd) else Fraction(x)
@@ -258,15 +282,22 @@ def rcf_digits(x: RealRep) -> DigitStream:
         return from_fraction(xf)
     if x < 0 or x > 1:
         raise OutOfDomain(f"{x} outside [0, 1]")
+    # (p + q sqrt(d))/r = (P + sqrt(D))/Q with D = q^2 d, P = +-p, Q = +-r
+    D = x.q * x.q * x.d
+    P, Q = (x.p, x.r) if x.q > 0 else (-x.p, -x.r)
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    return LazyDigits(_quadratic_digits(P, Q, D))
 
-    def gen(cur: Surd):
-        while True:
-            y = cur.inverse()
-            a = y.floor()
-            yield a
-            cur = y - a
 
-    return LazyDigits(gen(x))
+def _quadratic_digits(P: int, Q: int, D: int):
+    """Partial quotients of (P + sqrt(D))/Q in (0, 1), with Q | D - P^2."""
+    s = math.isqrt(D)  # s < sqrt(D) < s + 1, D not a square
+    while True:
+        P, Q = -P, (D - P * P) // Q  # the reciprocal; Q still divides D - P^2
+        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        yield a
+        P -= a * Q
 
 
 def fractional_part(x: RealRep) -> RealRep:

@@ -16,7 +16,9 @@ Three families:
   a point of the top strip belongs iff the number of backward top-strip
   steps needed to see an x-coordinate below alpha is odd, and for
   alpha <= 1/2 the part of that set with x >= alpha is additionally
-  slid down-right through its full cell range.
+  slid down-right through its full cell range.  One walker decides this
+  for digit streams and for exact rationals alike, comparing int lists
+  of digits with alpha's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .digits import Cons, DigitStream, from_digits
+from .digits import Cons, DigitStream, fraction_digits
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
@@ -34,7 +36,7 @@ from .errors import (
 from .exact import INF
 from .induced import CellRegion, OmegaRegion, RectRegion, Region
 from .natural_ext import OmegaPoint
-from .reals import RealRep, is_rational, rcf_digits
+from .reals import RealRep, as_real, is_rational, rcf_digits
 
 
 def region_omega() -> Region:
@@ -165,41 +167,29 @@ def build_s_expansion_region(area) -> Region:
 # -- alpha regions ----------------------------------------------------------
 
 
-def _cf_list(x: Fraction):
-    """Canonical partial quotients of a rational in [0, 1], as ints."""
-    digits = []
-    p, q = x.numerator, x.denominator
-    while p:
-        a, r = divmod(q, p)
-        digits.append(a)
-        p, q = r, p
-    return digits
+def _read(src: DigitStream, n: int):
+    """The first n digits of src as ints, cut where src terminates, and
+    the stream they continue from: src, or None once it has terminated."""
+    got = src.prefix(n)
+    if got[-1] is INF:
+        while got and got[-1] is INF:
+            got.pop()
+        return got, None
+    return got, src
 
 
-def _lt_alpha_lists(bs, j, xd, alist) -> bool:
-    """Is [0; bs[j-1], ..., bs[0], xd...] < [0; alist...]?
+class _Read:
+    """Digits of x read so far, as ints, and the stream they continue
+    from (None when they are complete); a read that runs short is
+    enlarged geometrically."""
 
-    Alternating lexicographic order on canonical digit sequences; None
-    plays the infinite digit.  Both sequences here terminate or differ
-    within the rational one's length, so the loop always decides.
-    """
-    i = 0
-    while True:
-        if i < j:
-            da = bs[j - 1 - i]
-        elif i - j < len(xd):
-            da = xd[i - j]
-        else:
-            da = None
-        db = alist[i] if i < len(alist) else None
-        if da == db:
-            if da is None:
-                return False  # equal values
-            i += 1
-            continue
-        da_big = db is not None and (da is None or da > db)
-        # 0-based even position = odd partial quotient: bigger digit, smaller value
-        return da_big if i % 2 == 0 else not da_big
+    __slots__ = ("got", "src")
+
+    def __init__(self, got: list, src: DigitStream = None):
+        self.got, self.src = got, src
+
+    def more(self):
+        self.got, self.src = _read(self.src, max(4, 2 * len(self.got)))
 
 
 class AlphaRegion(Region):
@@ -211,6 +201,14 @@ class AlphaRegion(Region):
     parity of the least j making that value < alpha.  Points below the
     top strip belong iff sliding them back up-left lands in the part of
     the member set with x >= alpha (only possible when alpha <= 1/2).
+
+    One walker decides both `contains` (digit streams) and
+    `contains_rational` (exact rationals): it compares the pulled-back
+    digits with alpha's digit list as int lists, in the alternating
+    lexicographic order of canonical expansions.  A stream's digits are
+    read once per call and the read is enlarged only when a comparison
+    runs off its end.  An irrational alpha is compared through its
+    first 300 partial quotients.
     """
 
     unit_s = True
@@ -220,108 +218,102 @@ class AlphaRegion(Region):
         if not (0 < alpha <= 1):
             raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
         self.alpha = alpha
-        self.alpha_digits = rcf_digits(alpha) if alpha != 1 else from_digits([1])
         if is_rational(alpha):
-            av = alpha.as_fraction() if hasattr(alpha, "as_fraction") else Fraction(alpha)
-            self.alpha_list = _cf_list(av)
+            self.alpha_list = fraction_digits(as_real(alpha))
         else:
-            self.alpha_list = self.alpha_digits.prefix(300)
+            self.alpha_list = rcf_digits(alpha).prefix(300)
+        self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
         self.name = name or f"alpha:{alpha}"
-        self.half = Fraction(1, 2)
 
-    def _x_lt_alpha(self, bs, j, xd: DigitStream) -> bool:
-        """Is the j-th pulled-back x-coordinate below alpha?
+    def _below(self, bs, j: int, x: _Read) -> bool:
+        """Is [0; bs[j-1], ..., bs[0], x...] below alpha?
 
-        Its digits are bs[j-1], ..., bs[0] followed by xd; both sides are
-        canonical, so the alternating lexicographic walk is exact.
+        Reads more of x only when the comparison runs off its end.  Past
+        `back_cap` equal leading digits the comparison raises.  None
+        plays the infinite digit of a terminated expansion.
         """
-        alist = self.alpha_list
+        al = self.alpha_list
+        na = len(al)
+        xs = x.got
         i = 0
-        s = xd
         while True:
             if i < j:
                 da = bs[j - 1 - i]
-            else:
-                da = s.head()
-                if da is INF:
-                    da = None
-                else:
-                    s = s.tail()
-            db = alist[i] if i < len(alist) else None
-            if da == db:
-                if da is None:
-                    return False
-                i += 1
-                if i > self.back_cap:
-                    raise BackwardCapExceeded(
-                        f"{self.name}: comparison against alpha undecided"
-                    )
+            elif i - j < len(xs):
+                da = xs[i - j]
+            elif x.src is not None:
+                x.more()
+                xs = x.got
                 continue
-            da_big = db is not None and (da is None or da > db)
-            return da_big if i % 2 == 0 else not da_big
+            else:
+                da = None
+            db = al[i] if i < na else None
+            if da != db or da is None:
+                break
+            i += 1
+        if i > self.back_cap:
+            raise BackwardCapExceeded(f"{self.name}: comparison against alpha undecided")
+        if da is None and db is None:
+            return False  # equal values
+        da_big = db is not None and (da is None or da > db)
+        # 0-based even position = odd partial quotient: bigger digit, smaller value
+        return da_big == (i % 2 == 0)
 
-    def _k_parity_odd(self, z: OmegaPoint) -> bool:
-        """Parity of the least backward depth whose x-coordinate is < alpha."""
-        ys = z.yd.tail()
-        bs = []
+    def _odd_depth(self, x: _Read, bs: list, ysrc: DigitStream = None) -> bool:
+        """Parity of the least backward depth j whose pulled-back
+        x-coordinate is < alpha.  bs holds b2, b3, ... as read so far and
+        ysrc the stream they continue from, None when bs is complete."""
+        a1 = self.alpha_list[0]
         for j in range(1, self.back_cap + 1):
-            b = ys.head()
-            bs.append(b)
-            if b is INF:
-                # preimage x-coordinate is 0 < alpha
-                return j % 2 == 1
-            ys = ys.tail()
-            if self._x_lt_alpha(bs, j, z.xd):
+            if len(bs) < j:
+                if ysrc is not None:
+                    bs, ysrc = _read(ysrc, max(4, 2 * len(bs)))
+                if len(bs) < j:
+                    return j % 2 == 1  # preimage x-coordinate is 0 < alpha
+            b = bs[j - 1]
+            if b != a1:  # decided at the first digit, as _below would
+                if b > a1:
+                    return j % 2 == 1
+            elif self._below(bs, j, x):
                 return j % 2 == 1
         raise BackwardCapExceeded(
             f"parity search for {self.name} exceeded {self.back_cap} backward steps"
         )
 
+    def _slid(self, c, x: _Read, bs: list, ysrc: DigitStream = None) -> bool:
+        """Membership of a point below the top strip, slid back up-left
+        to the top-strip point with digits x = (c, ...) and (1, b2, ...):
+        its source cell must sit at or right of alpha."""
+        a1 = self.alpha_list[0]
+        if c > a1 or (c == a1 and self._below([], 0, x)):
+            return False
+        return self._odd_depth(x, bs, ysrc)
+
     def contains(self, z: OmegaPoint) -> bool:
         b1 = z.yd.head()
         a1 = z.xd.head()
         if b1 == 1:
-            return self._k_parity_odd(z)
-        if b1 is INF or a1 is INF:
+            return self._odd_depth(_Read([], z.xd), [], z.yd.tail())
+        if b1 is INF or a1 is INF or not self.slides:
             return False
-        if self.alpha > self.half:
-            return False
-        # slide the point back up-left to the top strip
-        lam = b1 - 1
-        w = OmegaPoint.from_streams(Cons(a1 + lam, z.xd.tail()), Cons(1, z.yd.tail()))
-        # source cell must sit at or right of alpha
-        if self._x_lt_alpha([], 0, w.xd):
-            return False
-        return self._k_parity_odd(w)
+        c = a1 + b1 - 1
+        return self._slid(c, _Read([], Cons(c, z.xd.tail())), [], z.yd.tail())
 
-    # fast membership for exact rational points (Monte Carlo path);
-    # same digit logic as contains(), specialised to int lists
     def contains_rational(self, x: Fraction, y: Fraction) -> bool:
+        """contains() for the point with exact rational coordinates x, y
+        (the Monte Carlo path): the same walker over complete digit lists."""
         if x <= 0 or y <= 0:
             return False
-        xd = _cf_list(x)
-        yd = _cf_list(y)
-        b1 = yd[0] if yd else None
+        xd = fraction_digits(x)
+        yd = fraction_digits(y)
+        b1 = yd[0]
         if b1 == 1:
-            return self._k_parity_lists(yd[1:], xd)
-        if b1 is None or not xd:
+            return self._odd_depth(_Read(xd), yd[1:])
+        if not self.slides:
             return False
-        if self.alpha > self.half:
-            return False
-        lam = b1 - 1
-        wxd = [xd[0] + lam] + xd[1:]
-        if _lt_alpha_lists([], 0, wxd, self.alpha_list):
-            return False
-        return self._k_parity_lists(yd[1:], wxd)
-
-    def _k_parity_lists(self, bs, xd) -> bool:
-        for j in range(1, len(bs) + 2):
-            if j - 1 >= len(bs):
-                return j % 2 == 1  # preimage hit the left edge: 0 < alpha
-            if _lt_alpha_lists(bs, j, xd, self.alpha_list):
-                return j % 2 == 1
-        raise BackwardCapExceeded("unreachable for terminating digit lists")
+        c = xd[0] + b1 - 1
+        return self._slid(c, _Read([c] + xd[1:]), yd[1:])
 
     def describe(self) -> dict:
         return {"name": self.name, "altered": True, "alpha": str(self.alpha)}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import FixedRay, NullSetPoint
 from .induced import InducedRecord, Region, backward_induced_step, induced_step
-from .natural_ext import OmegaPoint
+from .natural_ext import OmegaPoint, _mobius
 from .reals import as_real
 
 
@@ -91,7 +91,9 @@ def phi_inverse(region: Region, X, Y) -> OmegaPoint:
 
 def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
     """One shift step: exact on quadratic/rational coordinates.  One
-    induced walk, from w's landing point; w's own walk is w.rec."""
+    induced walk, from w's landing point; w's own walk is w.rec.  The
+    new coordinates X' = (-beta X + alpha)/X and Y' = 1/(alpha Y + beta)
+    are one Moebius map each, so a surd coordinate costs one construction."""
     _require_unit_s(region)
     if w.X == 0:
         raise FixedRay("X = 0 is fixed")
@@ -99,8 +101,8 @@ def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
     rec1 = induced_step(region, rec0.z_next, cap)
     alpha = -rec0.A.det()
     beta = rec0.r + rec1.u
-    X1 = as_real(alpha / w.X - beta)
-    Y1 = as_real(1 / (beta + alpha * w.Y))
+    X1 = _mobius((-beta, alpha, 1, 0), w.X)
+    Y1 = _mobius((0, 1, alpha, beta), w.Y)
     return ShiftPoint(X1, Y1, rec0.z_next, rec1)
 
 

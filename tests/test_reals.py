@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -131,3 +133,141 @@ def test_mobius_matches_field_arithmetic(rng):
         if a * d == b * c:
             continue
         assert x.mobius(a, b, c, d) == (a * x + b) / (c * x + d)
+
+
+# -- the integer digit recurrence and construction-free comparisons -----------
+
+
+def reference_digits(x: Surd, n: int):
+    """Partial quotients by field arithmetic: invert, floor, subtract."""
+    out = []
+    cur = x
+    for _ in range(n):
+        y = cur.inverse()
+        a = y.floor()
+        out.append(a)
+        cur = y - a
+    return out
+
+
+def engine_surd(rng, d_max=10**7):
+    """Random irrational in (0, 1) over d up to d_max, often with square
+    factors in d, with either sign of q and a wide range of p and r."""
+    while True:
+        d = rng.randint(2, d_max)
+        if rng.random() < 0.4:
+            s = rng.randint(2, 60)
+            d = s * s * rng.randint(2, max(2, d_max // (s * s)))
+        if math.isqrt(d) ** 2 == d:
+            continue
+        q = rng.choice([1, -1]) * rng.randint(1, 40)
+        x = Surd(rng.randint(-10**6, 10**6), q, rng.randint(1, 5000), d)
+        x = x - x.floor()
+        if 0 < x < 1:
+            return x
+
+
+class SurdCount:
+    """Counts Surd constructions while installed."""
+
+    def __init__(self, monkeypatch):
+        self.n = 0
+        init = Surd.__init__
+
+        def counted(s, *args):
+            self.n += 1
+            init(s, *args)
+
+        monkeypatch.setattr(Surd, "__init__", counted)
+
+
+def test_rcf_digits_match_field_arithmetic():
+    rng = random.Random(2031)
+    signs = set()
+    for i in range(2000):
+        x = engine_surd(rng, 10**7 if i % 2 else 10**3)
+        signs.add(x.q > 0)
+        assert rcf_digits(x).prefix(80) == reference_digits(x, 80), x
+    assert signs == {True, False}
+
+
+def test_rcf_digits_square_factors_and_both_signs():
+    for x in (Surd(-4, 2, 1, 8), Surd(7, -3, 5, 45), Surd(1, 1, 2, 12),
+              Surd(-3000, 1, 1, 9 * 10**6 + 7), Surd(4, -1, 7, 2 * 49)):
+        x = x - x.floor()
+        assert rcf_digits(x).prefix(120) == reference_digits(x, 120)
+    # (P + sqrt(D))/Q with Q = P^2 - D: the reciprocal has denominator -1,
+    # where the floor needs the Q < 0 rule
+    seen = 0
+    for D in range(2, 80):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for P in range(math.isqrt(D) + 1, math.isqrt(D) + 8):
+            x = Surd(P, 1, P * P - D, D)
+            if 0 < x < 1:
+                seen += 1
+                assert rcf_digits(x).prefix(40) == reference_digits(x, 40)
+                assert rcf_digits(Surd(-P, -1, D - P * P, D)).prefix(40) == reference_digits(x, 40)
+    assert seen > 100
+
+
+def test_rcf_digits_build_no_surd(monkeypatch):
+    rng = random.Random(5)
+    xs = [engine_surd(rng) for _ in range(20)]
+    count = SurdCount(monkeypatch)
+    for x in xs:
+        rcf_digits(x).prefix(100)
+    assert count.n == 0
+
+
+def reference_sign(p, q, d):
+    """Sign of p + q sqrt(d) by squaring each side of p = -q sqrt(d)."""
+    if q == 0:
+        return (p > 0) - (p < 0)
+    # p + q sqrt(d) > 0 iff q sqrt(d) > -p
+    if q > 0:
+        return 1 if -p < 0 or q * q * d > p * p else -1
+    return 1 if p > 0 and p * p > q * q * d else -1
+
+
+def test_cmp_and_sub_match_negated_sum():
+    rng = random.Random(11)
+    for i in range(2000):
+        a = engine_surd(rng, 10**5)
+        b = rng.choice([
+            Surd(rng.randint(-10**6, 10**6), rng.randint(-40, 40) or 1, rng.randint(1, 5000), a.d),
+            Surd(rng.randint(-9, 9), rng.randint(-9, 9) or 1, rng.randint(1, 9), a.d),
+            a + Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+            a,
+            rng.randint(-3, 3),
+            Fraction(rng.randint(-30, 30), rng.randint(1, 30)),
+        ])
+        if i % 40 == 0:  # the same field written over d * 100003^2, beyond trial division
+            b = Surd(rng.randint(-9, 9), rng.randint(-9, 9) or 1, rng.randint(1, 9),
+                     a.d * 100003**2)
+        old = a + (-b)
+        new = a - b
+        assert (new.p, new.q, new.r, new.d) == (old.p, old.q, old.r, old.d)
+        assert a._cmp(b) == old.sign() == reference_sign(old.p, old.q, old.d)
+        assert (b - a) == -old
+        assert (a < b) == (old.sign() < 0) and (a == b) == (old.sign() == 0)
+
+
+def test_comparisons_build_no_surd(monkeypatch):
+    rng = random.Random(3)
+    xs = [engine_surd(rng) for _ in range(50)]
+    ys = [Surd(rng.randint(-50, 50), rng.randint(1, 9), rng.randint(1, 50), x.d) for x in xs]
+    count = SurdCount(monkeypatch)
+    for x, y in zip(xs, ys):
+        x < Fraction(1, 3), x >= 0, x > 1, x == Fraction(2, 5), x <= 7
+        x < y, x == y, x.floor(), y.floor(), x.sign()
+    assert count.n == 0
+
+
+def test_sub_is_one_construction(monkeypatch):
+    rng = random.Random(4)
+    x, y = engine_surd(rng), engine_surd(rng)
+    y = Surd(y.p, y.q, y.r, x.d)
+    count = SurdCount(monkeypatch)
+    x - y, x - 3, x - Fraction(1, 7), 2 - x
+    assert count.n == 4

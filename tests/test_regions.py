@@ -1,18 +1,21 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from cfrow.cfe import cfe_direct
-from cfrow.errors import BadRegionSpec, InvalidSingularisationArea, OutOfDomain
-from cfrow.exact import Mat2Z
+from cfrow.digits import ZERO_STREAM, Cons, from_fraction
+from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisationArea, OutOfDomain
+from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
 from cfrow.induced import induced_records, induced_step
-from cfrow.natural_ext import OmegaPoint
+from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
     SingularisationArea,
+    _Read,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -22,7 +25,7 @@ from cfrow.regions import (
     region_omega,
     region_v,
 )
-from cfrow.reals import golden_fraction, parse_real, rcf_digits
+from cfrow.reals import Surd, golden_fraction, parse_real, rcf_digits
 from cfrow.shift_space import phi, tau_orbit
 
 from conftest import random_surd
@@ -373,3 +376,227 @@ def test_region_spec_unknown_builder():
 def test_region_spec_malformed(spec):
     with pytest.raises(BadRegionSpec):
         region_from_spec(spec)
+
+
+# -- the alpha walker against the stream walker it replaced ---------------------
+
+
+def oracle_alpha_list(alpha):
+    """alpha's digits as the walker's reference: Euclid for a rational,
+    300 field-arithmetic digits (invert, floor, subtract) otherwise."""
+    if not isinstance(alpha, Surd):
+        v = Fraction(alpha)
+        p, q, out = v.numerator, v.denominator, []
+        while p:
+            out.append(q // p)
+            p, q = q % p, p
+        return out
+    out, cur = [], alpha
+    for _ in range(300):
+        y = cur.inverse()
+        a = y.floor()
+        out.append(a)
+        cur = y - a
+    return out
+
+
+def oracle_x_lt_alpha(alist, back_cap, bs, j, xd) -> bool:
+    """Is [0; bs[j-1], ..., bs[0], xd...] < [0; alist...]?  A head/tail walk
+    over the stream xd in alternating lexicographic order."""
+    i = 0
+    s = xd
+    while True:
+        if i < j:
+            da = bs[j - 1 - i]
+        else:
+            da = s.head()
+            if da is INF:
+                da = None
+            else:
+                s = s.tail()
+        db = alist[i] if i < len(alist) else None
+        if da == db:
+            if da is None:
+                return False
+            i += 1
+            if i > back_cap:
+                raise BackwardCapExceeded("comparison against alpha undecided")
+            continue
+        da_big = db is not None and (da is None or da > db)
+        return da_big if i % 2 == 0 else not da_big
+
+
+def oracle_k_parity_odd(alist, back_cap, z) -> bool:
+    ys = z.yd.tail()
+    bs = []
+    for j in range(1, back_cap + 1):
+        b = ys.head()
+        bs.append(b)
+        if b is INF:
+            return j % 2 == 1
+        ys = ys.tail()
+        if oracle_x_lt_alpha(alist, back_cap, bs, j, z.xd):
+            return j % 2 == 1
+    raise BackwardCapExceeded("parity search exceeded")
+
+
+def oracle_contains(alpha, alist, z, back_cap=2000) -> bool:
+    b1 = z.yd.head()
+    a1 = z.xd.head()
+    if b1 == 1:
+        return oracle_k_parity_odd(alist, back_cap, z)
+    if b1 is INF or a1 is INF or alpha > Fraction(1, 2):
+        return False
+    w = OmegaPoint.from_streams(Cons(a1 + b1 - 1, z.xd.tail()), Cons(1, z.yd.tail()))
+    if oracle_x_lt_alpha(alist, back_cap, [], 0, w.xd):
+        return False
+    return oracle_k_parity_odd(alist, back_cap, w)
+
+
+WALKER_ALPHAS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(7, 10), S2, G,
+                 Fraction(1)]
+
+
+def agree(R, alist, z, back_cap=2000):
+    """R.contains(z) equals the oracle, raising included."""
+    try:
+        want = oracle_contains(R.alpha, alist, z, back_cap)
+    except BackwardCapExceeded:
+        with pytest.raises(BackwardCapExceeded):
+            R.contains(z)
+        return None
+    assert R.contains(z) == want
+    return want
+
+
+def stream(digits, tail=None):
+    """Digits followed by INF, or by the stream `tail`."""
+    s = ZERO_STREAM if tail is None else tail
+    for d in reversed(digits):
+        s = Cons(d, s)
+    return s
+
+
+def digits_near(rng, alist, n):
+    """Small random digits, drawn half the time from alpha's own."""
+    return [rng.choice(alist) if rng.random() < 0.5 else rng.randint(1, 5) for _ in range(n)]
+
+
+def test_alpha_walker_on_stream_points(rng):
+    for alpha in WALKER_ALPHAS:
+        R = build_alpha_region(alpha)
+        alist = oracle_alpha_list(alpha)
+        seen = set()
+        for _ in range(600):
+            xs = digits_near(rng, alist, rng.randint(0, 12))
+            ys = digits_near(rng, alist, rng.randint(0, 12))
+            b1 = rng.choice([1, 1, 1, 2, 3, 5])
+            tail = rcf_digits(random_surd(rng)) if rng.random() < 0.5 else None
+            z = OmegaPoint.from_streams(stream(xs, tail), stream([b1] + ys))
+            seen.add(agree(R, alist, z))
+        assert seen >= {True, False}
+
+
+def test_alpha_walker_on_surd_orbits(rng):
+    for alpha in WALKER_ALPHAS:
+        R = build_alpha_region(alpha)
+        alist = oracle_alpha_list(alpha)
+        for _ in range(6):
+            y = rng.choice([Fraction(1), Fraction(rng.randint(1, 30), 31), random_surd(rng)])
+            z = OmegaPoint.from_values(random_surd(rng), y)
+            for _ in range(60):
+                agree(R, alist, z)
+                z = ito_step(z)
+
+
+def boundary_surd(rng, alpha, hit_step):
+    """A surd whose alpha-orbit lands exactly on alpha - 1 at `hit_step`:
+    alpha - 1 pulled back through random branches of the alpha-map."""
+    y = alpha - 1
+    for _ in range(hit_step):
+        while True:
+            x = rng.choice((1, -1)) * (y + rng.randint(1, 8)).inverse()
+            if alpha - 1 <= x < alpha:
+                break
+        y = x
+    return y - y.floor()
+
+
+def test_alpha_walker_on_boundary_surds(rng):
+    for alpha in (S2, G):
+        R = build_alpha_region(alpha)
+        alist = oracle_alpha_list(alpha)
+        for hit in (1, 4, 15):
+            z = top(boundary_surd(rng, alpha, hit))
+            for _ in range(100):
+                agree(R, alist, z)
+                z = ito_step(z)
+
+
+def test_alpha_walker_on_long_shared_prefixes(rng):
+    """Pulled-back digits that share 50-300 digits with alpha (or all of a
+    rational alpha's) at a chosen backward depth j, or after a slide."""
+    for alpha in WALKER_ALPHAS:
+        R = build_alpha_region(alpha)
+        alist = oracle_alpha_list(alpha)
+        small = build_alpha_region(alpha, back_cap=40)
+        for _ in range(60):
+            m = min(len(alist), rng.randint(50, 300))
+            after = rng.choice([[], [rng.randint(1, 6)], digits_near(rng, alist, 5)])
+            tail = rcf_digits(random_surd(rng)) if rng.random() < 0.5 else None
+            pulled = alist[:m] + after
+            j = rng.randint(0, min(4, m))
+            if j == 0:  # slide a point of a lower strip up onto the pulled-back x
+                c = pulled[0]
+                b1 = rng.randint(2, c) if c >= 2 else 2
+                xd = [max(1, c - b1 + 1)] + pulled[1:]
+                yd = [b1] + digits_near(rng, alist, 4)
+            else:
+                xd = pulled[j:]
+                yd = [1] + pulled[:j][::-1] + digits_near(rng, alist, rng.randint(0, 4))
+            z = OmegaPoint.from_streams(stream(xd, tail), stream(yd))
+            agree(R, alist, z)
+            agree(small, alist, z, back_cap=40)
+            if j:
+                bs = yd[1 : j + 1]
+                x = _Read([], z.xd)
+                assert R._below(bs, j, x) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
+
+
+def test_alpha_walker_cap_edge(rng):
+    """A first difference at index back_cap decides; one past it raises."""
+    for alpha in (S2, G):
+        alist = oracle_alpha_list(alpha)
+        R = build_alpha_region(alpha, back_cap=40)
+        outcomes = set()
+        for m in (38, 39, 40, 41, 42) * 4:
+            pulled = alist[:m] + [alist[m] + rng.randint(1, 3)]
+            j = rng.randint(1, 4)
+            xd = stream(pulled[j:], rcf_digits(random_surd(rng)))
+            z = OmegaPoint.from_streams(xd, stream([1] + pulled[:j][::-1]))
+            outcomes.add(agree(R, alist, z, back_cap=40))
+        assert None in outcomes and len(outcomes) > 1
+
+
+def test_contains_rational_matches_oracle_on_sampler_points():
+    from cfrow.measure import _sample_strip
+
+    rng = random.Random(17)
+    for alpha in WALKER_ALPHAS:
+        R = build_alpha_region(alpha)
+        alist = oracle_alpha_list(alpha)
+        hits = 0
+        for _ in range(1500):
+            x, y = _sample_strip(rng, Fraction(1, 5))
+            got = R.contains_rational(x, y)
+            if x > 0:
+                z = OmegaPoint.from_streams(from_fraction(x), from_fraction(y))
+                assert got == oracle_contains(alpha, alist, z)
+            hits += got
+        assert 0 < hits < 1500
+
+
+def test_alpha_list_keeps_300_digit_truncation():
+    for alpha in WALKER_ALPHAS:
+        assert build_alpha_region(alpha).alpha_list == oracle_alpha_list(alpha)
+    assert len(build_alpha_region(G).alpha_list) == 300
