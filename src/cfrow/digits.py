@@ -199,6 +199,50 @@ def fraction_digits(x: Fraction):
     return digits
 
 
+def digits_fraction(ds) -> Fraction:
+    """The rational [0; a1, ..., an] of a finite digit list: the inverse
+    of fraction_digits (0 for the empty list)."""
+    p, q = 0, 1
+    for a in reversed(ds):
+        p, q = q, a * q + p
+    return Fraction(p, q)
+
+
+def snapped_digits(t: float, max_den: int = 10**12) -> list:
+    """fraction_digits(Fraction(t).limit_denominator(max_den)) for a float
+    t >= 0, by one Euclidean loop on t's exact integer ratio.
+
+    Convergents are followed while their denominator stays within
+    max_den; then the last convergent p1/q1 or the semiconvergent
+    (p0 + k*p1)/(q0 + k*q1) with the largest allowed k is kept,
+    whichever is nearer to t, the convergent on a tie (as the stdlib
+    does).  t lies between the two, at distance d/(q1*den) from the
+    convergent, so the test is one integer comparison.  Only
+    denominators are tracked; no Fraction is made.
+    """
+    n, den = t.as_integer_ratio()
+    a0, d = divmod(n, den)
+    # t = [a0; a1, ...]; fraction_digits lists [0, a0, a1, ...] when a0 > 0
+    ds = [0, a0] if a0 else []
+    n = den
+    q0, q1 = 0, 1  # denominators of the last two convergents
+    while d:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            k = (max_den - q0) // q1
+            if 2 * d * (q0 + k * q1) > den:
+                ds.append(k)
+            break
+        ds.append(a)
+        q0, q1 = q1, q2
+        n, d = d, n - a * d
+    if len(ds) > 1 and ds[-1] == 1:  # canonical form: [..., b, 1] is [..., b + 1]
+        ds.pop()
+        ds[-1] += 1
+    return ds
+
+
 def from_fraction(x) -> DigitStream:
     """Canonical partial quotients of a rational x in [0, 1]."""
     x = Fraction(x)

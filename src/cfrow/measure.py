@@ -9,6 +9,10 @@ over rectangles:
 so cell regions get exact values (and a quadrature path for
 cross-checking); oracle regions get seeded Monte Carlo under the
 restriction of the measure to a covering union of horizontal strips.
+Each sample is drawn in floats and snapped to the rational that
+`Fraction.limit_denominator(10**12)` gives, as its canonical digit
+list, by one integer Euclid loop per coordinate (`snapped_digits`);
+membership is decided on those lists, with no Fraction per sample.
 Entropy is pi^2 / (6 m(R)) by definition; orbit growth statistics are a
 separate observable used to cross-check it.
 """
@@ -20,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digits import digits_fraction, snapped_digits
 from .errors import NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
@@ -159,21 +164,22 @@ def _strip_union_mass(y_min: Fraction) -> float:
 
 def _sample_strip(rng: random.Random, y_min: Fraction):
     """One sample from the invariant measure restricted to y > y_min,
-    by inverse CDF in x then in y, snapped to exact rationals."""
+    by inverse CDF in x then in y, as the canonical digit lists (xd, yd)
+    of its coordinates snapped to the rationals with denominator at
+    most 10**12 that `limit_denominator` would give (`snapped_digits`:
+    integers only)."""
     y0 = float(y_min)
     u = rng.random()
     # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
     x = y0 * ((1.0 / y0) ** u - 1.0) / (1.0 - y0)
     v = rng.random()
-    # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised
+    # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
+    # at y = 1 the denominator x + (1-x) is 1
     a = x + y0 * (1 - x)
     inv_a = 1.0 / a
-    inv_b = 1.0 / 1.0  # at y = 1 the denominator is x + (1-x) = 1
-    t = inv_a + v * (inv_b - inv_a)
+    t = inv_a + v * (1.0 - inv_a)
     y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-    fx = Fraction(x).limit_denominator(10**12)
-    fy = Fraction(min(max(y, y0), 1.0)).limit_denominator(10**12)
-    return fx, fy
+    return snapped_digits(x), snapped_digits(min(max(y, y0), 1.0))
 
 
 def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
@@ -186,7 +192,8 @@ def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        fx, fy = _sample_strip(rng, y_min)
+        xd, yd = _sample_strip(rng, y_min)
+        fx, fy = digits_fraction(xd), digits_fraction(yd)
         if any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects):
             hits += 1
     p = hits / samples
@@ -194,17 +201,24 @@ def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
     return MeasureEstimate(w_mass * p, 3 * sigma, "monte-carlo", seed=seed, samples=samples)
 
 
+def _alpha_window(region: AlphaRegion) -> Fraction:
+    """y_min of the strips H_1, ..., H_a the region reaches: those with
+    a < 1/alpha.  The largest such a is ceil(1/alpha) - 1, read exactly
+    off alpha's digits: the first one, a1 = floor(1/alpha), less one
+    when alpha is 1/a1."""
+    al = region.alpha_list
+    a_max = al[0] if len(al) > 1 else al[0] - 1
+    return Fraction(1, max(1, a_max) + 1)
+
+
 def _alpha_measure_mc(region: AlphaRegion, seed: int, samples: int) -> MeasureEstimate:
-    # the region only reaches strips with index below 1/alpha
-    alpha = region.alpha
-    a_max = max(1, math.ceil(1 / float(alpha)) - 1)
-    y_min = min(Fraction(1, 2), Fraction(1, a_max + 1))
+    y_min = _alpha_window(region)
     rng = random.Random(seed)
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        fx, fy = _sample_strip(rng, y_min)
-        if region.contains_rational(fx, fy):
+        xd, yd = _sample_strip(rng, y_min)
+        if region.contains_rational(xd, yd):
             hits += 1
     p = hits / samples
     value = w_mass * p

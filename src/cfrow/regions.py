@@ -203,8 +203,8 @@ class AlphaRegion(Region):
     the member set with x >= alpha (only possible when alpha <= 1/2).
 
     One walker decides both `contains` (digit streams) and
-    `contains_rational` (exact rationals): it compares the pulled-back
-    digits with alpha's digit list as int lists, in the alternating
+    `contains_rational` (digit lists of rationals): it compares the
+    pulled-back digits with alpha's digit list as int lists, in the alternating
     lexicographic order of canonical expansions.  A stream's digits are
     read once per call and the read is enlarged only when a comparison
     runs off its end.  An irrational alpha is compared through its
@@ -300,13 +300,14 @@ class AlphaRegion(Region):
         c = a1 + b1 - 1
         return self._slid(c, _Read([], Cons(c, z.xd.tail())), [], z.yd.tail())
 
-    def contains_rational(self, x: Fraction, y: Fraction) -> bool:
-        """contains() for the point with exact rational coordinates x, y
-        (the Monte Carlo path): the same walker over complete digit lists."""
-        if x <= 0 or y <= 0:
+    def contains_rational(self, xd: list, yd: list) -> bool:
+        """contains() for the point with rational coordinates given by
+        their canonical digit lists xd, yd (as `fraction_digits` makes
+        them; the Monte Carlo path): the same walker over complete
+        digit lists.  An empty list is the coordinate 0, which no
+        member has."""
+        if not xd or not yd:
             return False
-        xd = fraction_digits(x)
-        yd = fraction_digits(y)
         b1 = yd[0]
         if b1 == 1:
             return self._odd_depth(_Read(xd), yd[1:])

@@ -11,9 +11,11 @@ from cfrow.digits import (
     Cons,
     DigitStream,
     LazyDigits,
+    digits_fraction,
     fraction_digits,
     from_digits,
     from_fraction,
+    snapped_digits,
 )
 from cfrow.exact import INF
 from cfrow.reals import rcf_digits
@@ -102,3 +104,67 @@ def test_fraction_digits_is_euclid():
     assert fraction_digits(Fraction(13, 31)) == [2, 2, 1, 1, 2]
     for x in (Fraction(0), Fraction(1, 2), Fraction(355, 1130)):
         assert from_fraction(x).prefix(8) == walk(from_digits(fraction_digits(x)), 8)
+    rng = random.Random(3)
+    for x in [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)] + [
+        Fraction(rng.randrange(0, 10**k + 1), 10**k) for k in range(1, 30)
+    ]:
+        assert digits_fraction(fraction_digits(x)) == x
+
+
+def limited(t, max_den=10**12):
+    """The stdlib snap: the nearest rational with denominator <= max_den."""
+    return fraction_digits(Fraction(t).limit_denominator(max_den))
+
+
+def test_snapped_digits_equals_limit_denominator_on_seeded_floats():
+    rng = random.Random(2024)
+    floats = [rng.random() for _ in range(100_000)]
+    while len(floats) < 200_000:
+        t = rng.random() ** rng.randint(2, 60)
+        if t >= 1e-30:
+            floats.append(t)
+    for t in floats:
+        assert snapped_digits(t) == limited(t), t
+
+
+@pytest.mark.parametrize("max_den", [1, 2, 7, 1000, 2**20, 10**6, 10**15])
+def test_snapped_digits_other_bounds(max_den):
+    rng = random.Random(max_den)
+    for _ in range(3000):
+        t = rng.random() ** rng.choice([1, 1, 3, 20])
+        assert snapped_digits(t, max_den) == limited(t, max_den), t
+
+
+def test_snapped_digits_edge_floats():
+    cases = [0.0, 1.0, 1 - 2**-53, 1e-300, 4e-13, 2.5e-13, 6e-13, 1 + 2**-52, 2.0, 2.5]
+    rng = random.Random(5)
+    # floats whose own denominator is within the bound snap to themselves
+    dyadic = [0.5, 0.375, 2**-39] + [rng.randrange(1, 2**39) / 2**39 for _ in range(200)]
+    for t in cases + dyadic:
+        assert snapped_digits(t) == limited(t), t
+    for t in dyadic:
+        assert snapped_digits(t) == fraction_digits(Fraction(t))
+    assert snapped_digits(0.0) == []
+    assert snapped_digits(1.0) == [1]
+    assert snapped_digits(1 - 2**-53) == [1]
+    assert snapped_digits(2.5e-13) == []  # below 1/(2*10**12): the nearest is 0
+    assert snapped_digits(6e-13) == [10**12]
+
+
+def test_snapped_digits_semiconvergent_fold_and_tie():
+    # the semiconvergent ends in 3 where t's own expansion has 5
+    t = 0.4494910647887381
+    got, full = snapped_digits(t), fraction_digits(Fraction(t))
+    assert got == limited(t)
+    assert got[:-1] == full[: len(got) - 1] and (got[-1], full[len(got) - 1]) == (3, 5)
+    # the kept rational ends [..., 3, 1], written canonically [..., 4]
+    t = 0.13436424411240122
+    got, full = snapped_digits(t), fraction_digits(Fraction(t))
+    assert got == limited(t)
+    n = len(got)
+    assert got[:-1] == full[: n - 1] and full[n - 1 : n + 1] == [3, 1] and got[-1] == 4
+    # ties keep the convergent: 3/4 is as near to 1 as to 1/2, 2^-(j+1) to 0 as to 2^-j
+    assert snapped_digits(0.75, 2) == limited(0.75, 2) == [1]
+    assert snapped_digits(0.5, 1) == limited(0.5, 1) == []
+    for j in range(1, 60):
+        assert snapped_digits(2.0 ** -(j + 1), 2**j) == limited(2.0 ** -(j + 1), 2**j) == []

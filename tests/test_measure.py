@@ -1,11 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from cfrow.digits import fraction_digits
 from cfrow.errors import NonIntegrable
 from cfrow.induced import RectRegion
 from cfrow.measure import (
+    MeasureEstimate,
+    _alpha_window,
+    _cell_rects,
+    _sample_strip,
     empirical_denominator_growth,
     entropy_of,
     gauss_rect_mass,
@@ -23,7 +29,7 @@ from cfrow.regions import (
     region_omega,
     region_v,
 )
-from cfrow.reals import golden_fraction, parse_real
+from cfrow.reals import Surd, golden_fraction, parse_real
 
 G = golden_fraction()
 LOG_GOLDEN_PLUS_1 = math.log(1 + (math.sqrt(5) - 1) / 2)
@@ -159,3 +165,76 @@ def test_log_of_big():
     assert abs(log_of_big(n) - 5000 * math.log(2)) < 1e-9
     with pytest.raises(ValueError):
         log_of_big(0)
+
+
+def reference_sample(rng, y_min):
+    """The sampler's float draws, snapped by Fraction.limit_denominator."""
+    y0 = float(y_min)
+    u = rng.random()
+    x = y0 * ((1.0 / y0) ** u - 1.0) / (1.0 - y0)
+    v = rng.random()
+    inv_a = 1.0 / (x + y0 * (1 - x))
+    t = inv_a + v * (1.0 - inv_a)
+    y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
+    return (Fraction(x).limit_denominator(10**12),
+            Fraction(min(max(y, y0), 1.0)).limit_denominator(10**12))
+
+
+def reference_mc(hit, y_min, seed, samples):
+    rng = random.Random(seed)
+    w_mass = rect_mass_exact(0, 1, y_min, 1)
+    hits = sum(1 for _ in range(samples) if hit(*reference_sample(rng, y_min)))
+    p = hits / samples
+    sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
+    return MeasureEstimate(w_mass * p, 3 * sigma, "monte-carlo", seed=seed, samples=samples)
+
+
+def test_sampler_draws_the_reference_samples():
+    for y_min in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
+        rng, ref = random.Random(12), random.Random(12)
+        for _ in range(4000):
+            fx, fy = reference_sample(ref, y_min)
+            assert _sample_strip(rng, y_min) == (fraction_digits(fx), fraction_digits(fy))
+
+
+@pytest.mark.parametrize("alpha", ["1/4", "2/5", "1/2", "g", "7/10", "1"])
+def test_alpha_measure_matches_reference_samples(alpha):
+    R = build_alpha_region(parse_real(alpha))
+    y_min = Fraction(1, max(1, math.ceil(1 / float(R.alpha)) - 1) + 1)
+
+    def hit(fx, fy):
+        return fx > 0 and R.contains_rational(fraction_digits(fx), fraction_digits(fy))
+
+    for seed in (1, 8, 30):
+        assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)
+
+
+def test_cell_monte_carlo_matches_reference_samples():
+    region = region_cell(3, 1)
+    rects = _cell_rects(region)
+
+    def hit(fx, fy):
+        return any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects)
+
+    y_min = min(y0 for _, _, y0, _ in rects)
+    for seed in (2, 9):
+        est = measure_of(region, method="monte-carlo", seed=seed, samples=3000)
+        assert est == reference_mc(hit, y_min, seed, 3000)
+        assert 0 < est.value < measure_of(region_h(2)).value
+
+
+def test_alpha_window_is_exact():
+    def window(alpha):
+        return _alpha_window(build_alpha_region(alpha))
+
+    # float(1/k - 10^-30) rounds to 1/k; the strip H_k is still reached
+    for k in range(2, 7):
+        assert window(Fraction(1, k) - Fraction(1, 10**30)) == Fraction(1, k + 1)
+        assert window(Fraction(1, k)) == Fraction(1, k)
+        tiny = Surd(-1, 1, 10**30, 2)  # (sqrt(2) - 1) / 10^30
+        assert window(1 / (k + tiny)) == Fraction(1, k + 1)
+        assert window(1 / (k - tiny)) == Fraction(1, k)
+    for alpha, y_min in (("2/5", Fraction(1, 3)), ("1/2", Fraction(1, 2)), ("g", Fraction(1, 2)),
+                         ("7/10", Fraction(1, 2)), ("1", Fraction(1, 2)), ("1/4", Fraction(1, 4)),
+                         ("sqrt(2)-1", Fraction(1, 3))):
+        assert window(parse_real(alpha)) == y_min

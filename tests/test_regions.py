@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cfrow.cfe import cfe_direct
-from cfrow.digits import ZERO_STREAM, Cons, from_fraction
+from cfrow.digits import ZERO_STREAM, Cons, from_digits
 from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisationArea, OutOfDomain
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
@@ -587,13 +587,21 @@ def test_contains_rational_matches_oracle_on_sampler_points():
         alist = oracle_alpha_list(alpha)
         hits = 0
         for _ in range(1500):
-            x, y = _sample_strip(rng, Fraction(1, 5))
-            got = R.contains_rational(x, y)
-            if x > 0:
-                z = OmegaPoint.from_streams(from_fraction(x), from_fraction(y))
+            xd, yd = _sample_strip(rng, Fraction(1, 5))
+            got = R.contains_rational(xd, yd)
+            if xd:
+                z = OmegaPoint.from_streams(from_digits(xd), from_digits(yd))
                 assert got == oracle_contains(alpha, alist, z)
             hits += got
         assert 0 < hits < 1500
+
+
+def test_contains_rational_zero_coordinate_is_outside():
+    for alpha in WALKER_ALPHAS:
+        R = build_alpha_region(alpha)
+        assert not R.contains_rational([], [1])
+        assert not R.contains_rational([3], [])
+        assert not R.contains_rational([], [])
 
 
 def test_alpha_list_keeps_300_digit_truncation():

@@ -184,6 +184,7 @@ def test_density_invariance_monte_carlo():
 def test_alpha_region_shift_invariance_monte_carlo():
     # the closed-form shift over the alpha(1/2) region preserves the
     # empirical rectangle frequencies of region samples
+    from cfrow.digits import from_digits
     from cfrow.measure import _sample_strip
     from cfrow.regions import build_alpha_region
 
@@ -193,9 +194,9 @@ def test_alpha_region_shift_invariance_monte_carlo():
     X, Y = [], []
     target = 120_000
     while len(X) < target:
-        fx, fy = _sample_strip(rng, Fraction(1, 2))
-        if R.contains_rational(fx, fy):
-            x, y = float(fx), float(fy)
+        xd, yd = _sample_strip(rng, Fraction(1, 2))
+        if R.contains_rational(xd, yd):
+            x, y = (float(from_digits(ds).exact_value()) for ds in (xd, yd))
             if x < alpha:
                 X.append(x)
                 Y.append((1 - y) / y)
