@@ -127,12 +127,7 @@ def lehner_expansion(x, n: int) -> Gcf:
     belong to x + 1; translating back (b0 lowered by one) gives exactly
     the Farey expansion of x, which is what is returned.
     """
-    eps = epsilon_stream(x)
-    es = eps.prefix(n + 1)
-    pairs = [(1, (2 - es[0]) - 1)]
-    for k in range(1, n + 1):
-        pairs.append((2 * es[k - 1] - 1, 2 - es[k]))
-    return Gcf(pairs)
+    return farey_expansion(x, n)
 
 
 def lehner_pairs(x, n: int):

@@ -10,6 +10,11 @@ preceding index.  Convergents P_n/Q_n follow
     Q_{n+1} = b_{n+1} Q_n + a_{n+1} Q_{n-1},   (Q_-2, Q_-1) = (1, 0),
 
 and are not reduced automatically.
+
+Pairs are buffered as they are read; a buffered pair is served straight
+from the buffer, and the block recurrences (`partial_pq`,
+`partial_det`) fill the buffer once and run over a slice of it.  Plain
+int digits stay ints throughout.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .exact import INF, Mat2Z, mobius_apply
 
 
 def _num(v):
-    if v is INF:
-        return INF
+    if type(v) is int or v is INF:
+        return v
     f = Fraction(v)
     return int(f) if f.denominator == 1 else f
 
@@ -78,7 +83,11 @@ class Gcf:
         return Gcf(pairs)
 
     def _fill(self, n: int) -> bool:
-        """Ensure pair n is buffered; False if the expansion is shorter."""
+        """Ensure pair n is buffered; False if the expansion is shorter.
+
+        The buffer never holds a pair past the truncation index: neither
+        the constructor nor the lazy fill buffers a pair whose b is INF.
+        """
         if self._truncated_at is not None and n > self._truncated_at:
             return False
         while len(self._buf) <= n:
@@ -103,22 +112,31 @@ class Gcf:
                 self._finite_len = len(self._buf)
                 return False
             self._buf.append((a, b))
-        a, b = self._buf[n]
-        if b is INF:
-            t = n - 1 if self._truncated_at is None else min(self._truncated_at, n - 1)
-            self._truncated_at = t
-            return False
         return True
 
+    def _through(self, m: int, n: int) -> list:
+        """The buffered pairs of indices max(m, 0)..n, filled once;
+        raises IndexBeyondExpansion at the first index of [m, n] that
+        `pair` would reject."""
+        if m < -1:
+            raise IndexBeyondExpansion(f"no digit pair at index {m}")
+        buf = self._buf
+        if n >= len(buf) and not self._fill(n):
+            raise IndexBeyondExpansion(f"no digit pair at index {max(m, len(buf))}")
+        return buf[max(m, 0):n + 1]
+
     def pair(self, n: int):
+        buf = self._buf
+        if 0 <= n < len(buf):
+            return buf[n]
         if n == -1:
             return (1, 0)
         if n < -1 or not self._fill(n):
             raise IndexBeyondExpansion(f"no digit pair at index {n}")
-        return self._buf[n]
+        return buf[n]
 
     def has_pair(self, n: int) -> bool:
-        if n == -1:
+        if 0 <= n < len(self._buf) or n == -1:
             return True
         return n >= 0 and self._fill(n)
 
@@ -132,12 +150,10 @@ class Gcf:
 
     def pairs(self, n: int):
         """Pairs for indices 0..n-1 (at most; stops at truncation)."""
-        out = []
-        for k in range(n):
-            if not self.has_pair(k):
-                break
-            out.append(self.pair(k))
-        return out
+        if n <= 0:
+            return []
+        self._fill(n - 1)
+        return self._buf[:n]
 
     def b_matrix(self, n: int) -> Mat2Z:
         a, b = self.pair(n)
@@ -216,12 +232,10 @@ def partial_pq(g: Gcf, m: int, n: int):
         raise BadRange(f"range [{m}, {n}] shorter than empty")
     if n == m - 1:
         return (0, 1)
-    # local recurrence with seeds P_[m,m-1] = 0, P_[m,m] = a_m and Q likewise
-    a, b = g.pair(m)
-    P_prev, P_cur = 0, a
-    Q_prev, Q_cur = 1, b
-    for k in range(m + 1, n + 1):
-        a, b = g.pair(k)
+    # local recurrence seeded so that P_[m,m] = a_m, Q_[m,m] = b_m; for
+    # m = -1 the seeds already include the pair (1, 0) of index -1
+    P_prev, P_cur, Q_prev, Q_cur = (0, 1, 1, 0) if m == -1 else (1, 0, 0, 1)
+    for a, b in g._through(m, n):
         P_prev, P_cur = P_cur, b * P_cur + a * P_prev
         Q_prev, Q_cur = Q_cur, b * Q_cur + a * Q_prev
     return (_num(P_cur), _num(Q_cur))
@@ -235,9 +249,11 @@ def partial_det(g: Gcf, m: int, n: int):
     """det B_[m,n] = (-1)^(n-m+1) a_m ... a_n; empty range gives 1."""
     if n < m - 1:
         raise BadRange(f"range [{m}, {n}] shorter than empty")
-    out = 1
-    for k in range(m, n + 1):
-        out *= -g.pair(k)[0]
+    if n == m - 1:
+        return 1
+    out = -1 if m == -1 else 1  # a_{-1} = 1
+    for a, _ in g._through(m, n):
+        out *= -a
     return _num(out)
 
 

@@ -6,7 +6,10 @@ enclosure refinement with a budget (three-valued internally; an
 unresolved boundary raises).  The induced engine walks the slow map,
 accumulates the branch-matrix product A_R between visits, and exposes
 hitting times, induced steps, accumulated products and the three
-integer digit maps built from consecutive matrices.
+integer digit maps built from consecutive matrices.  A walk keeps A_R
+as four plain integers, updated per slow step by the column moves of
+A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) (on the left for backward
+walks); each record builds its one `Mat2Z` at the visit.
 
 The boundary fix for orbits launched on the top edge is structural
 here: points evolve symbolically, and the non-canonical tails the
@@ -21,8 +24,7 @@ from fractions import Fraction
 
 from .errors import BackwardCapExceeded, BoundaryUndecidable, CapExceeded
 from .exact import INF, IDENTITY, Mat2Z
-from .natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_step
-from .farey_maps import A0, A1
+from .natural_ext import OmegaPoint, ito_backstep, ito_step
 
 
 class Region:
@@ -84,14 +86,17 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     Works for z inside the region (return-time semantics) and outside
     it (hitting semantics) alike.
     """
+    contains = region.contains
     cur = z
-    mat = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for n in range(1, cap + 1):
-        eps = epsilon_of(cur)
-        mat = mat @ (A1 if eps else A0)
+        if cur.xd.head() == 1:  # branch digit 1, as in epsilon_of
+            a, b, c, d = b, a + b, d, c + d  # A_R @ A1
+        else:
+            a, b, c, d = a + b, b, c + d, d  # A_R @ A0
         cur = ito_step(cur)
-        if region.contains(cur):
-            return InducedRecord(n, mat, cur)
+        if contains(cur):
+            return InducedRecord(n, Mat2Z(a, b, c, d), cur)
     raise CapExceeded(f"orbit did not enter {region.name} within {cap} steps")
 
 
@@ -125,20 +130,22 @@ def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
     """Preimage under the induced map: (record, z_prev), or None when the
     backward orbit certifiably never visits the region (it is stuck on
     the y = 0 line and the region avoids it)."""
+    contains = region.contains
     cur = z
-    mats = []
-    for _ in range(cap):
-        if cur.yd.head() is INF and not region.meets_y_zero:
+    a, b, c, d = 1, 0, 0, 1
+    for n in range(1, cap + 1):
+        b1 = cur.yd.head()
+        if b1 is INF and not region.meets_y_zero:
             return None
-        eps_into = 1 if cur.yd.head() == 1 else 0
-        prev = ito_backstep(cur)
-        mats.append(A1 if eps_into else A0)
-        cur = prev
-        if region.contains(cur):
-            mat = IDENTITY
-            for m in reversed(mats):
-                mat = mat @ m
-            return InducedRecord(len(mats), mat, z), cur
+        # the step back undoes a forward step with branch digit [b1 == 1],
+        # whose matrix joins A_R on the left
+        if b1 == 1:
+            a, b, c, d = c, d, a + c, b + d  # A1 @ A_R
+        else:
+            c, d = a + c, b + d  # A0 @ A_R
+        cur = ito_backstep(cur)
+        if contains(cur):
+            return InducedRecord(n, Mat2Z(a, b, c, d), z), cur
     raise BackwardCapExceeded(
         f"no backward visit of {region.name} within {cap} steps"
     )

@@ -162,24 +162,31 @@ def _strip_union_mass(y_min: Fraction) -> float:
     return rect_mass_exact(0, 1, y_min, 1)
 
 
-def _sample_strip(rng: random.Random, y_min: Fraction):
-    """One sample from the invariant measure restricted to y > y_min,
-    by inverse CDF in x then in y, as the canonical digit lists (xd, yd)
-    of its coordinates snapped to the rationals with denominator at
-    most 10**12 that `limit_denominator` would give (`snapped_digits`:
-    integers only)."""
+def _strip_sampler(y_min: Fraction):
+    """The sampler of the invariant measure restricted to y > y_min:
+    `sample(rng)` draws one point by inverse CDF in x then in y and
+    returns the canonical digit lists (xd, yd) of its coordinates
+    snapped to the rationals with denominator at most 10**12 that
+    `limit_denominator` would give (`snapped_digits`: integers only).
+    The float constants of the strip are computed once, here."""
     y0 = float(y_min)
-    u = rng.random()
-    # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
-    x = y0 * ((1.0 / y0) ** u - 1.0) / (1.0 - y0)
-    v = rng.random()
-    # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
-    # at y = 1 the denominator x + (1-x) is 1
-    a = x + y0 * (1 - x)
-    inv_a = 1.0 / a
-    t = inv_a + v * (1.0 - inv_a)
-    y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-    return snapped_digits(x), snapped_digits(min(max(y, y0), 1.0))
+    inv_y0 = 1.0 / y0
+    one_minus_y0 = 1.0 - y0
+
+    def sample(rng: random.Random):
+        u = rng.random()
+        # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
+        x = y0 * (inv_y0 ** u - 1.0) / one_minus_y0
+        v = rng.random()
+        # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
+        # at y = 1 the denominator x + (1-x) is 1
+        a = x + y0 * (1 - x)
+        inv_a = 1.0 / a
+        t = inv_a + v * (1.0 - inv_a)
+        y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
+        return snapped_digits(x), snapped_digits(min(max(y, y0), 1.0))
+
+    return sample
 
 
 def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
@@ -189,10 +196,11 @@ def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
     if y_min == 0:
         raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
     rng = random.Random(seed)
+    sample = _strip_sampler(y_min)
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        xd, yd = _sample_strip(rng, y_min)
+        xd, yd = sample(rng)
         fx, fy = digits_fraction(xd), digits_fraction(yd)
         if any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects):
             hits += 1
@@ -214,10 +222,11 @@ def _alpha_window(region: AlphaRegion) -> Fraction:
 def _alpha_measure_mc(region: AlphaRegion, seed: int, samples: int) -> MeasureEstimate:
     y_min = _alpha_window(region)
     rng = random.Random(seed)
+    sample = _strip_sampler(y_min)
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        xd, yd = _sample_strip(rng, y_min)
+        xd, yd = sample(rng)
         if region.contains_rational(xd, yd):
             hits += 1
     p = hits / samples

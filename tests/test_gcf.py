@@ -278,3 +278,151 @@ def test_json_roundtrip():
     assert back.pairs(3) == g.pairs(3)
     g2 = Gcf([(1, 4), (1, INF)])
     assert Gcf.from_json(g2.to_json(2)).length() == 1
+
+
+# -- buffered digit access, against per-index references ---------------------
+
+
+def _normalised(v):
+    f = Fraction(v)
+    return int(f) if f.denominator == 1 else f
+
+
+def _random_digit(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice([-2, -1, 1, 2, 3, 5])
+    if kind == 1:
+        return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([2, 3]))
+    return Fraction(2 * rng.choice([-1, 1, 3]), 2)  # integral Fraction
+
+
+def _random_source(rng, kind):
+    """(source, reference pairs, eager?, finite?) for one source kind; the
+    reference is the pair list a Gcf must serve, cut before the first INF
+    partial denominator, with integral digits as ints."""
+    raw = [(_random_digit(rng), _random_digit(rng)) for _ in range(rng.randint(0, 9))]
+    if kind.endswith("inf"):
+        raw.insert(rng.randint(0, len(raw)), (1, INF))
+    ref = []
+    for a, b in raw:
+        if b is INF:
+            break
+        ref.append((_normalised(a), _normalised(b)))
+    if kind.startswith("list"):
+        return raw, ref, True, True
+    if kind == "endless":
+        head = [(1, 1)] + raw
+
+        def gen():
+            yield from head
+            k = 2
+            while True:
+                yield (-1, k)
+                k += 1
+
+        ref = [(_normalised(a), _normalised(b)) for a, b in head]
+        ref += [(-1, k) for k in range(2, 60)]
+        return gen, ref, False, False
+    return (lambda: iter(raw)), ref, False, True
+
+
+@pytest.mark.parametrize("kind", ["list", "list-inf", "lazy", "lazy-inf", "endless"])
+def test_buffered_access_equals_per_index_reference(rng, kind):
+    for _ in range(40):
+        source, ref, eager, finite = _random_source(rng, kind)
+        g = Gcf(source)
+        L = len(ref) if finite else None
+        reached = -1  # highest index any call has asked a lazy source for
+        top = len(ref) + 3 if finite else 50
+        for _ in range(25):
+            op = rng.choice(["pair", "has_pair", "pairs", "length"])
+            k = rng.randint(-3, top)
+            if op == "pair":
+                if k == -1 or 0 <= k < len(ref):
+                    got = g.pair(k)
+                    want = (1, 0) if k == -1 else ref[k]
+                    assert got == want
+                    assert [type(v) for v in got] == [type(v) for v in want]
+                else:
+                    with pytest.raises(IndexBeyondExpansion, match=f"at index {k}$"):
+                        g.pair(k)
+                reached = max(reached, k)
+            elif op == "has_pair":
+                assert g.has_pair(k) == (k == -1 or 0 <= k < len(ref))
+                reached = max(reached, k)
+            elif op == "pairs":
+                assert g.pairs(k) == ref[:max(k, 0)]
+                reached = max(reached, k - 1)
+            else:
+                known = finite and (eager or reached >= len(ref))
+                assert g.length() == (L if known else None)
+
+
+def test_num_keeps_ints_and_reduces_integral_fractions():
+    from cfrow.gcf import _num
+
+    for v in (0, 7, -3, 10**40):
+        assert type(_num(v)) is int and _num(v) == v
+    assert type(_num(Fraction(6, 3))) is int and _num(Fraction(6, 3)) == 2
+    assert type(_num(Fraction(-4, 1))) is int and _num(Fraction(-4, 1)) == -4
+    assert _num(Fraction(3, 4)) == Fraction(3, 4)
+    assert type(_num(Fraction(3, 4))) is Fraction
+    assert _num(INF) is INF
+    assert Gcf([(Fraction(4, 2), 3)]).pair(0) == (2, 3)
+    assert type(Gcf([(Fraction(4, 2), 3)]).pair(0)[0]) is int
+
+
+def _random_srcf_pairs(rng, length, fractions):
+    if fractions:
+        digit = lambda: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))
+        return [(digit(), digit()) for _ in range(length)]
+    pairs = [(1, rng.randint(0, 3))]
+    for _ in range(1, length):
+        a = rng.choice([1, -1]) if pairs[-1][1] >= 2 else 1
+        pairs.append((a, rng.randint(1, 4)))
+    return pairs
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_partial_pq_and_det_equal_the_block_product(rng, fractions, lazy):
+    for _ in range(12):
+        pairs = _random_srcf_pairs(rng, rng.randint(1, 8), fractions)
+        L = len(pairs)
+
+        def block(k):
+            if k == -1:
+                return Mat2Z(0, 1, 1, 0)
+            a, b = pairs[k]
+            return Mat2Z(0, a, 1, b)
+
+        for m in range(-1, L + 2):
+            for n in range(m - 1, L + 2):
+                # a fresh expansion per range, so each call starts its fill cold
+                g = Gcf((lambda: iter(pairs)) if lazy else pairs)
+                if n == m - 1:
+                    assert partial_pq(g, m, n) == (0, 1)
+                    assert partial_det(g, m, n) == 1
+                    continue
+                if n >= L:
+                    first_missing = max(m, L)
+                    for f in (partial_pq, partial_det):
+                        with pytest.raises(IndexBeyondExpansion,
+                                           match=f"at index {first_missing}$"):
+                            f(Gcf((lambda: iter(pairs)) if lazy else pairs), m, n)
+                    continue
+                M = block(m)
+                for k in range(m + 1, n + 1):
+                    M = M @ block(k)
+                assert partial_pq(g, m, n) == (M.b, M.d)
+                assert partial_det(g, m, n) == M.det()
+                assert partial_matrix(g, m, n) == M
+
+
+def test_partial_pq_below_minus_one_raises():
+    g = Gcf([(1, 2), (1, 3)])
+    assert partial_pq(g, -2, -3) == (0, 1)
+    for f in (partial_pq, partial_det):
+        with pytest.raises(IndexBeyondExpansion, match="at index -2$"):
+            f(g, -2, 1)

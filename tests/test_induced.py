@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from cfrow.errors import CapExceeded
+from cfrow.digits import from_digits
+from cfrow.errors import BackwardCapExceeded, CapExceeded
 from cfrow.exact import Mat2Z
-from cfrow.farey_maps import A0, A1
+from cfrow.farey_maps import A0, A1, a_matrix
 from cfrow.gcf import partial_pq
 from cfrow.induced import (
     RectRegion,
@@ -16,8 +18,16 @@ from cfrow.induced import (
     induced_records,
     induced_step,
 )
-from cfrow.natural_ext import OmegaPoint
-from cfrow.regions import region_cell, region_h, region_h1, region_omega, region_v
+from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_step
+from cfrow.regions import (
+    build_alpha_region,
+    build_s_expansion_region,
+    region_cell,
+    region_h,
+    region_h1,
+    region_omega,
+    region_v,
+)
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
 from conftest import random_rich_surd, random_surd, random_surd_with_digit
@@ -218,3 +228,89 @@ def test_altered_flag_assignment():
     assert region_h1().altered
     assert not region_h(2).altered
     assert not region_v(2).altered
+
+
+# -- integer A_R against the Mat2Z fold of the slow orbit ---------------------
+
+
+def criterion4_regions():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    return [
+        region_omega(),
+        region_h1(),
+        region_h(2),
+        region_v(2),
+        region_cell(2, 0),
+        build_alpha_region(half),
+        build_alpha_region(quarter),
+        build_s_expansion_region([(half, 1, 0, half)]),
+    ]
+
+
+def random_stream_point(rng: random.Random) -> OmegaPoint:
+    digit = lambda: min(int(1 / (1 - rng.random())), 32)
+    return OmegaPoint.from_streams(from_digits([digit() for _ in range(300)]),
+                                   from_digits([digit() for _ in range(40)]))
+
+
+def check_forward_fold(region, z, records):
+    """Each record's A equals the product of A0/A1 over the branch digits
+    of the slow orbit, which first re-enters the region at its landing point."""
+    cur = z
+    for rec in records:
+        mat = Mat2Z(1, 0, 0, 1)
+        for step in range(1, rec.N + 1):
+            mat = mat @ a_matrix(epsilon_of(cur))
+            cur = ito_step(cur)
+            assert region.contains(cur) == (step == rec.N)
+        assert rec.A == mat
+        cur = rec.z_next
+
+
+def check_backward_fold(region, z, cap):
+    """The backward record's A is the forward fold over the points the
+    backward walk passes, read from the earliest one."""
+    try:
+        back = backward_induced_step(region, z, cap)
+    except BackwardCapExceeded:
+        return None
+    if back is None:
+        return None
+    rec, prev = back
+    path = [z]
+    for _ in range(rec.N):
+        path.append(ito_backstep(path[-1]))
+    assert all(not region.contains(p) for p in path[1:-1])
+    assert region.contains(path[-1])
+    mat = Mat2Z(1, 0, 0, 1)
+    for p in reversed(path[1:]):
+        mat = mat @ a_matrix(epsilon_of(p))
+    assert rec.A == mat and rec.z_next is z
+    assert (prev.xd.prefix(8), prev.yd.prefix(8)) == (path[-1].xd.prefix(8),
+                                                      path[-1].yd.prefix(8))
+    return rec
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_induced_matrices_equal_branch_folds_on_stream_points(k):
+    region = criterion4_regions()[k]
+    rng = random.Random(4100 + k)
+    for _ in range(6):
+        z = random_stream_point(rng)
+        records = induced_records(region, z, 4, 10**4)
+        check_forward_fold(region, z, records)
+        # from a visit, the backward step returns to the visit before it
+        for rec in records[1:]:
+            assert check_backward_fold(region, rec.z_next, 10**4).A == rec.A
+        check_backward_fold(region, z, 200)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1, 4)])
+def test_induced_matrices_equal_branch_folds_on_surd_points(rng, alpha):
+    region = build_alpha_region(alpha)
+    for _ in range(5):
+        z = top(random_surd(rng))
+        records = induced_records(region, z, 3, 10**4)
+        check_forward_fold(region, z, records)
+        for rec in records[1:]:
+            assert check_backward_fold(region, rec.z_next, 10**4).A == rec.A

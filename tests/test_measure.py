@@ -11,7 +11,7 @@ from cfrow.measure import (
     MeasureEstimate,
     _alpha_window,
     _cell_rects,
-    _sample_strip,
+    _strip_sampler,
     empirical_denominator_growth,
     entropy_of,
     gauss_rect_mass,
@@ -192,9 +192,10 @@ def reference_mc(hit, y_min, seed, samples):
 def test_sampler_draws_the_reference_samples():
     for y_min in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
         rng, ref = random.Random(12), random.Random(12)
+        sample = _strip_sampler(y_min)
         for _ in range(4000):
             fx, fy = reference_sample(ref, y_min)
-            assert _sample_strip(rng, y_min) == (fraction_digits(fx), fraction_digits(fy))
+            assert sample(rng) == (fraction_digits(fx), fraction_digits(fy))
 
 
 @pytest.mark.parametrize("alpha", ["1/4", "2/5", "1/2", "g", "7/10", "1"])

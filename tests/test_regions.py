@@ -579,15 +579,16 @@ def test_alpha_walker_cap_edge(rng):
 
 
 def test_contains_rational_matches_oracle_on_sampler_points():
-    from cfrow.measure import _sample_strip
+    from cfrow.measure import _strip_sampler
 
     rng = random.Random(17)
+    sample = _strip_sampler(Fraction(1, 5))
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
         alist = oracle_alpha_list(alpha)
         hits = 0
         for _ in range(1500):
-            xd, yd = _sample_strip(rng, Fraction(1, 5))
+            xd, yd = sample(rng)
             got = R.contains_rational(xd, yd)
             if xd:
                 z = OmegaPoint.from_streams(from_digits(xd), from_digits(yd))

@@ -185,16 +185,17 @@ def test_alpha_region_shift_invariance_monte_carlo():
     # the closed-form shift over the alpha(1/2) region preserves the
     # empirical rectangle frequencies of region samples
     from cfrow.digits import from_digits
-    from cfrow.measure import _sample_strip
+    from cfrow.measure import _strip_sampler
     from cfrow.regions import build_alpha_region
 
     alpha = 0.5
     R = build_alpha_region(Fraction(1, 2))
     rng = random.Random(31)
+    sample = _strip_sampler(Fraction(1, 2))
     X, Y = [], []
     target = 120_000
     while len(X) < target:
-        xd, yd = _sample_strip(rng, Fraction(1, 2))
+        xd, yd = sample(rng)
         if R.contains_rational(xd, yd):
             x, y = (float(from_digits(ds).exact_value()) for ds in (xd, yd))
             if x < alpha:
