@@ -10,6 +10,10 @@ consecutive induced-step matrices,
     (a_1, b_1)     = (alpha_R(z_0)/d_R(z_0), beta_R(z_0)),
     (a_{k+1}, b_{k+1}) = (alpha_R(z_k), beta_R(z_k)),   k > 0.
 
+alpha_R(z_0) carries d_R(z_0) as a factor, so d_0 cancels exactly: pair
+k + 1 is `induced.digit_pair(s_{k-1}, A_k, A_{k+1})` with s_{-1} = 1,
+and no backward search for d_0 is made.
+
 The two must agree digit for digit; route 1 is kept as the oracle and
 route 2 is the production path.  The convergents of either satisfy
 (P_k, Q_k) = c_k (u_{k+1}, s_{k+1}) with c_k the product of the first k
@@ -25,7 +29,7 @@ from .errors import MismatchAt, OutOfDomain
 from .exact import IDENTITY
 from .farey_maps import farey_expansion
 from .gcf import Gcf, convergents
-from .induced import Region, d_map, induced_records
+from .induced import Region, digit_pair, induced_records
 from .natural_ext import OmegaPoint
 from .reals import is_rational
 
@@ -56,20 +60,12 @@ def cfe_direct(region: Region, z: OmegaPoint, n: int, cap: int) -> "CfeResult":
     convergents and the witnessing records."""
     _require_irrational(z)
     recs = induced_records(region, z, n + 1, cap)
-    d0 = d_map(region, z, cap)
     pairs = [(recs[0].s, recs[0].u)]
-    for k in range(n):
-        det = recs[k].A.det()
-        alpha = -det * d0 * recs[k + 1].s if k == 0 else -det * recs[k - 1].s * recs[k + 1].s
-        beta = recs[k].s * recs[k + 1].u + recs[k].r * recs[k + 1].s
-        if k == 0:
-            q, rem = divmod(alpha, d0)
-            if rem:
-                raise MismatchAt(1, f"first partial numerator {alpha} not divisible by {d0}")
-            alpha = q
-        pairs.append((alpha, beta))
-    digits = Gcf(pairs)
-    return CfeResult(digits=digits, records=recs)
+    s_prev = 1
+    for rec, nxt in zip(recs, recs[1:]):
+        pairs.append(digit_pair(s_prev, rec, nxt))
+        s_prev = rec.s
+    return CfeResult(digits=Gcf(pairs), records=recs)
 
 
 @dataclass
@@ -78,8 +74,7 @@ class CfeResult:
     records: list
 
     def convergents(self):
-        n = len(self.digits.pairs(10**9)) - 1
-        return convergents(self.digits, n)[2:]
+        return convergents(self.digits, len(self.records) - 1)[2:]
 
     def scalars(self):
         """c_k = prod_{j<k} s(z_j), k = 0..(digit count - 1)."""

@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import contraction, measure
 from .cfe import cfe_convergents_report, cfe_direct
 from .errors import CfrowError
-from .exact import INF
 from .farey_maps import alpha_orbit_digits, farey_expansion, lehner_expansion
-from .gcf import Gcf, convergents
+from .gcf import Gcf, convergents, encode_digit
+from .induced import induced_step
 from .natural_ext import OmegaPoint, orbit_csv_rows
 from .reals import parse_real, rcf_digits
 from .regions import region_from_spec
@@ -41,25 +41,6 @@ def _seed(args) -> int:
         raise CfrowError(f"CFROW_SEED={text!r} is not an integer") from None
 
 
-def _enc_digit(v):
-    if v is INF:
-        return "inf"
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
-
-
-def _gcf_json(g: Gcf, n: int, extra=None):
-    ps = g.pairs(n)
-    obj = {
-        "alpha": [_enc_digit(a) for a, _ in ps],
-        "beta": [_enc_digit(b) for _, b in ps],
-    }
-    if extra:
-        obj.update(extra)
-    return obj
-
-
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
 
@@ -69,15 +50,15 @@ def cmd_expand(args) -> int:
     n = args.n
     if args.kind == "rcf":
         digits = rcf_digits(x).prefix(n)
-        _emit({"kind": "rcf", "x": args.x, "digits": [_enc_digit(d) for d in digits]})
+        _emit({"kind": "rcf", "x": args.x, "digits": [encode_digit(d) for d in digits]})
         return 0
     if args.kind == "farey":
         g = farey_expansion(x, n)
-        _emit(_gcf_json(g, n + 1, {"kind": "farey", "x": args.x}))
+        _emit({**g.as_dict(n + 1), "kind": "farey", "x": args.x})
         return 0
     if args.kind == "lehner":
         g = lehner_expansion(x, n)
-        _emit(_gcf_json(g, n + 1, {"kind": "lehner", "x": args.x}))
+        _emit({**g.as_dict(n + 1), "kind": "lehner", "x": args.x})
         return 0
     if args.kind == "alpha":
         if args.alpha is None:
@@ -119,15 +100,12 @@ def cmd_contract(args) -> int:
     scalars = contraction.seidel_scalars(g, plan, k_max)
     conv = convergents(out, k_max)[2:]
     _emit(
-        _gcf_json(
-            out,
-            pairs_n,
-            {
-                "plan": idxs,
-                "scalars": scalars,
-                "convergents": [[c.P, c.Q] for c in conv],
-            },
-        )
+        {
+            **out.as_dict(pairs_n),
+            "plan": idxs,
+            "scalars": scalars,
+            "convergents": [[c.P, c.Q] for c in conv],
+        }
     )
     return 0
 
@@ -140,16 +118,13 @@ def cmd_cfe(args) -> int:
     report = cfe_convergents_report(res)
     conv = res.convergents()
     _emit(
-        _gcf_json(
-            res.digits,
-            args.digits,
-            {
-                "region": region.describe(),
-                "x": args.x,
-                "convergents": [[c.P, c.Q] for c in conv],
-                "verified": report["ok"],
-            },
-        )
+        {
+            **res.digits.as_dict(args.digits),
+            "region": region.describe(),
+            "x": args.x,
+            "convergents": [[c.P, c.Q] for c in conv],
+            "verified": report["ok"],
+        }
     )
     return 0
 
@@ -178,29 +153,12 @@ def cmd_orbit(args) -> int:
         _write_csv(args.csv, ["n", "X_lo", "X_hi", "Y_lo", "Y_hi"], rows)
         return 0
     if args.region:
-        from .induced import induced_step
-
         region = region_from_spec(args.region)
-        rows = []
-        cur = z
-        for k in range(args.n):
-            xe, ye = cur.x_enclosure(), cur.y_enclosure()
-            c = cur.cell()
-            rows.append(
-                (
-                    k,
-                    float(xe.lo),
-                    float(xe.hi),
-                    float(ye.lo),
-                    float(ye.hi),
-                    "inf" if c.a is INF else c.a,
-                    "inf" if c.b is INF else c.b,
-                )
-            )
-            cur = induced_step(region, cur, args.cap).z_next
-        _write_csv(args.csv, ["n", "x_lo", "x_hi", "y_lo", "y_hi", "cell_a", "cell_b"], rows)
-        return 0
-    rows = orbit_csv_rows(z, args.n)
+        rows = orbit_csv_rows(
+            z, args.n, step=lambda cur: induced_step(region, cur, args.cap).z_next
+        )
+    else:
+        rows = orbit_csv_rows(z, args.n)
     _write_csv(args.csv, ["n", "x_lo", "x_hi", "y_lo", "y_hi", "cell_a", "cell_b"], rows)
     return 0
 

@@ -200,20 +200,6 @@ def farey_convergents(x, n: int):
     return out
 
 
-def rcf_expansion(x, n: int) -> Gcf:
-    """Regular continued fraction of x in [0, 1] with n partial quotients."""
-    digits = x if isinstance(x, DigitStream) else rcf_digits(x)
-    pref = []
-    s = digits
-    for _ in range(n):
-        h = s.head()
-        if h is INF:
-            break
-        pref.append(h)
-        s = s.tail()
-    return Gcf.rcf(pref)
-
-
 def gauss_jump_length(x: RealRep) -> int:
     """Number of tent-map steps the Gauss map compresses at x."""
     _check_unit(x)

@@ -40,6 +40,14 @@ def _num(v):
     return int(f) if f.denominator == 1 else f
 
 
+def encode_digit(v):
+    """JSON form of a digit: "inf" for INF, a string for a Fraction,
+    an int as itself; `Gcf.from_json` reads all three back."""
+    if v is INF:
+        return "inf"
+    return str(v) if isinstance(v, Fraction) else v
+
+
 class Gcf:
     """Digit-pair sequence (a_n, b_n), n >= 0, finite or lazily generated.
 
@@ -71,10 +79,6 @@ class Gcf:
                 self._truncated_at = len(pairs) - 1
                 return
         self._truncated_at = None  # index n0 such that b_{n0+1} is INF
-
-    @staticmethod
-    def from_pairs(pairs) -> "Gcf":
-        return Gcf(list(pairs))
 
     @staticmethod
     def rcf(partial_quotients, b0=0) -> "Gcf":
@@ -161,17 +165,21 @@ class Gcf:
 
     # -- serialization ----------------------------------------------------
 
+    def as_dict(self, n: int) -> dict:
+        """{"alpha": [...], "beta": [...]} of the first n pairs, each
+        digit in its JSON form (`encode_digit`)."""
+        ps = self.pairs(n)
+        return {
+            "alpha": [encode_digit(a) for a, _ in ps],
+            "beta": [encode_digit(b) for _, b in ps],
+        }
+
     def to_json(self, n: int | None = None) -> str:
         if n is None:
             if self.length() is None:
                 raise ValueError("cannot serialise an infinite expansion without n")
             n = self.length()
-        ps = self.pairs(n)
-        enc = lambda v: "inf" if v is INF else (str(v) if isinstance(v, Fraction) else v)
-        return json.dumps(
-            {"alpha": [enc(a) for a, _ in ps], "beta": [enc(b) for _, b in ps]},
-            sort_keys=True,
-        )
+        return json.dumps(self.as_dict(n), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Gcf":

@@ -6,7 +6,9 @@ enclosure refinement with a budget (three-valued internally; an
 unresolved boundary raises).  The induced engine walks the slow map,
 accumulates the branch-matrix product A_R between visits, and exposes
 hitting times, induced steps, accumulated products and the three
-integer digit maps built from consecutive matrices.  A walk keeps A_R
+integer digit maps built from consecutive matrices.  The digit-pair
+formula lives in one place, `digit_pair`; the CFE route, the digit maps
+and the shift space all read their digits through it.  A walk keeps A_R
 as four plain integers, updated per slow step by the column moves of
 A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) (on the left for backward
 walks); each record builds its one `Mat2Z` at the visit.
@@ -114,16 +116,25 @@ def induced_records(region: Region, z: OmegaPoint, n: int, cap: int):
 def induced_products(region: Region, z: OmegaPoint, n: int, cap: int):
     """[(N_k, A^R_[0,k])] for k = 0..n: cumulative times and products."""
     out = [(0, IDENTITY)]
-    cur = z
-    total = 0
-    acc = IDENTITY
-    for _ in range(n):
-        rec = induced_step(region, cur, cap)
-        total += rec.N
-        acc = acc @ rec.A
-        out.append((total, acc))
-        cur = rec.z_next
+    for rec in induced_records(region, z, n, cap):
+        total, acc = out[-1]
+        out.append((total + rec.N, acc @ rec.A))
     return out
+
+
+def digit_pair(s_prev: int, rec: InducedRecord, nxt: InducedRecord):
+    """The digit pair (alpha, beta) of two consecutive induced records.
+
+    With A_k = ((u_k, t_k), (s_k, r_k)) the record `rec`, `nxt` the one
+    after it and s_prev the s-entry of the one before,
+
+        alpha = -det(A_k) s_{k-1} s_{k+1},
+        beta  =  s_k u_{k+1} + r_k s_{k+1}.
+
+    Every digit pair in the library comes from here; the shift space is
+    the case s = 1 throughout.
+    """
+    return -rec.A.det() * s_prev * nxt.s, rec.s * nxt.u + rec.r * nxt.s
 
 
 def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
@@ -153,31 +164,18 @@ def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
 
 def d_map(region: Region, z: OmegaPoint, cap: int) -> int:
     """s-entry of the matrix at the induced preimage; 1 when the
-    preimage is unreachable (provably absent or beyond cap — the two
-    cases are reported identically, by design)."""
-    try:
-        back = backward_induced_step(region, z, cap)
-    except BackwardCapExceeded:
-        return 1
-    if back is None:
-        return 1
-    rec, _ = back
-    return rec.s
+    preimage provably does not exist.  A backward walk that reaches
+    `cap` raises BackwardCapExceeded."""
+    back = backward_induced_step(region, z, cap)
+    return 1 if back is None else back[0].s
 
 
 def digit_maps(region: Region, z: OmegaPoint, cap: int):
-    """(d_R, alpha_R, beta_R) at z.
-
-    alpha_R(z) = -det(A_R(z)) d_R(z) s_R(next),
-    beta_R(z)  =  s_R(z) u_R(next) + r_R(z) s_R(next),
-    where `next` is the record one induced step past z's own.
-    """
-    rec0 = induced_step(region, z, cap)
-    rec1 = induced_step(region, rec0.z_next, cap)
+    """(d_R, alpha_R, beta_R) at z: d_R by the backward search, and
+    (alpha_R, beta_R) = digit_pair(d_R, own record, next record)."""
+    rec0, rec1 = induced_records(region, z, 2, cap)
     d = d_map(region, z, cap)
-    alpha = -rec0.A.det() * d * rec1.s
-    beta = rec0.s * rec1.u + rec0.r * rec1.s
-    return d, alpha, beta
+    return (d,) + digit_pair(d, rec0, rec1)
 
 
 class OmegaRegion(Region):

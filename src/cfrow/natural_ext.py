@@ -232,8 +232,9 @@ def nu_g_density(x, y) -> float:
     return 1.0 / (math.log(2) * float((1 + Fraction(x) * Fraction(y)) ** 2))
 
 
-def orbit_csv_rows(z: OmegaPoint, n: int, depth: int = 40):
-    """Rows (k, x_lo, x_hi, y_lo, y_hi, cell_a, cell_b) for k = 0..n-1."""
+def orbit_csv_rows(z: OmegaPoint, n: int, depth: int = 40, step=ito_step):
+    """Rows (k, x_lo, x_hi, y_lo, y_hi, cell_a, cell_b) for k = 0..n-1
+    along the orbit of `step` (the slow map by default)."""
     rows = []
     cur = z
     for k in range(n):
@@ -250,5 +251,5 @@ def orbit_csv_rows(z: OmegaPoint, n: int, depth: int = 40):
                 "inf" if c.b is INF else c.b,
             )
         )
-        cur = ito_step(cur)
+        cur = step(cur)
     return rows

@@ -13,8 +13,8 @@ carries the induced map to
 with (alpha, beta) the digit pair at the current point, and carries the
 induced measure to density 1/(mu(R) (1+XY)^2).  The map shifts the
 bilateral digit string of (X, Y) by one slot.  The unit-s assumption
-makes every d-factor equal to 1, so the digit pair at a region point w
-is simply
+makes every s- and d-factor equal to 1, so the digit pair at a region
+point w is `induced.digit_pair(1, A_R(w), A_R(next step))`, which is
 
     alpha(w) = -det(A_R(w)),        beta(w) = r_R(w) + u_R(next step).
 """
@@ -24,7 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FixedRay, NullSetPoint
-from .induced import InducedRecord, Region, backward_induced_step, induced_step
+from .induced import (
+    InducedRecord,
+    Region,
+    backward_induced_step,
+    digit_pair,
+    induced_records,
+    induced_step,
+)
 from .natural_ext import OmegaPoint, _mobius
 from .reals import as_real
 
@@ -53,14 +60,6 @@ class ShiftPoint:
     def u(self) -> int:
         """Branch of the coordinate change at z: the top-left entry of its record."""
         return self.rec.u
-
-
-def digit_pair_at(region: Region, z: OmegaPoint, cap: int = 100000):
-    """(alpha, beta) at a region point, unit-s case."""
-    _require_unit_s(region)
-    rec0 = induced_step(region, z, cap)
-    rec1 = induced_step(region, rec0.z_next, cap)
-    return -rec0.A.det(), rec0.r + rec1.u
 
 
 def phi(region: Region, z: OmegaPoint, cap: int = 100000) -> ShiftPoint:
@@ -99,8 +98,7 @@ def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
         raise FixedRay("X = 0 is fixed")
     rec0 = w.rec
     rec1 = induced_step(region, rec0.z_next, cap)
-    alpha = -rec0.A.det()
-    beta = rec0.r + rec1.u
+    alpha, beta = digit_pair(1, rec0, rec1)
     X1 = _mobius((-beta, alpha, 1, 0), w.X)
     Y1 = _mobius((0, 1, alpha, beta), w.Y)
     return ShiftPoint(X1, Y1, rec0.z_next, rec1)
@@ -126,28 +124,20 @@ def bilateral_digits(region: Region, z: OmegaPoint, m: int, n: int, cap: int = 1
     there; an empty past encodes the all-zero tail Y = 0.
     """
     _require_unit_s(region)
-    recs = []
+    recs = induced_records(region, z, n + 2, cap)
+    # back[k] is the record of the step from z_{-(k+1)} into z_{-k}
+    back = []
     cur = z
-    for _ in range(n + 2):
-        recs.append(induced_step(region, cur, cap))
-        cur = recs[-1].z_next
-    future = [(-recs[k].A.det(), recs[k].r + recs[k + 1].u) for k in range(n + 1)]
-
-    # walk backwards: back_recs[k] is the step from z_{-(k+1)} into z_{-k}
-    back_recs = []
-    curb = z
     for _ in range(m):
-        back = backward_induced_step(region, curb, cap)
-        if back is None:
+        step = backward_induced_step(region, cur, cap)
+        if step is None:
             break
-        rec, prev = back
-        back_recs.append(rec)
-        curb = prev
-    past = []
-    for k in range(len(back_recs)):
-        u_next = recs[0].u if k == 0 else back_recs[k - 1].u
-        past.append((-back_recs[k].A.det(), back_recs[k].r + u_next))
-    return past, future
+        rec, cur = step
+        back.append(rec)
+    seq = back[::-1] + recs
+    pairs = [digit_pair(1, rec, nxt) for rec, nxt in zip(seq, seq[1:])]
+    k = len(back)
+    return pairs[:k][::-1], pairs[k:]
 
 
 def cylinder_contains(past, future, past_spec, future_spec) -> bool:

@@ -1,6 +1,9 @@
+import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -204,3 +207,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["digits"] == [1, 1, 1]
+
+
+README_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "readme_cli.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", README_GOLDEN, ids=lambda c: c["id"])
+def test_readme_commands_print_golden_bytes(case, capsys, monkeypatch):
+    # stdout of the README commands, captured once and pinned byte for
+    # byte (orbit CSV rows end in \r\n, as csv.writer writes them)
+    if case["stdin"] is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
+    code, out, err = run_cli(shlex.split(case["command"])[1:], capsys)
+    assert (code, err) == (0, "")
+    assert out == case["stdout"]

@@ -23,6 +23,7 @@ from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
+    region_from_spec,
     region_h,
     region_h1,
     region_omega,
@@ -195,6 +196,20 @@ def test_backward_step_and_d(rng):
         assert brec.A == rec.A and brec.N == rec.N
         assert prev.xd.prefix(4) == z.xd.prefix(4)
         assert prev.yd.prefix(4) == z.yd.prefix(4)
+
+
+def test_d_map_raises_at_the_backward_cap():
+    # the induced preimage lies beyond 40 backward steps: the cap must
+    # raise, not answer d = 1 (only a provably absent preimage gives 1)
+    R = region_from_spec("cell:3,1")
+    z = OmegaPoint.from_streams(
+        from_digits([4, 3, 2, 3, 1, 3]), from_digits([1, 25, 6, 4, 5, 3])
+    )
+    with pytest.raises(BackwardCapExceeded):
+        d_map(R, z, 40)
+    with pytest.raises(BackwardCapExceeded):
+        digit_maps(R, z, 40)
+    assert digit_maps(R, z, 10**4) == (287, 2009, 43)
 
 
 def test_omega_region_meets_bottom_edge():

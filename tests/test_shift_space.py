@@ -8,14 +8,13 @@ import pytest
 from cfrow.errors import FixedRay, NullSetPoint
 from cfrow.farey_maps import alpha_step, gauss_step
 from cfrow.gcf import Gcf, evaluate_finite
-from cfrow.induced import induced_step
+from cfrow.induced import digit_maps, induced_step
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import build_alpha_region, region_h1, region_v
 from cfrow.reals import golden_fraction, parse_real
 from cfrow.shift_space import (
     bilateral_digits,
     cylinder_contains,
-    digit_pair_at,
     phi,
     phi_inverse,
     tau_orbit,
@@ -221,12 +220,13 @@ def test_alpha_region_shift_invariance_monte_carlo():
 
 
 def test_digit_pair_helper(rng):
+    # on a unit-s region d = 1, so the digit maps' pair is the shift digit
     h1 = region_h1()
     for _ in range(5):
         x = random_surd(rng)
         from cfrow.reals import rcf_digits
 
-        assert digit_pair_at(h1, top(x)) == (1, rcf_digits(x).head())
+        assert digit_maps(h1, top(x), 100000)[1:] == (1, rcf_digits(x).head())
 
 
 def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
