@@ -8,6 +8,12 @@ head, drop the head, push a new head), so a cons-cell view over a shared
 memoised source is the natural representation.  `prefix` reads a run of
 digits as a list without a head/tail step per digit: cons cells are
 walked directly and a memoised view slices its buffer.
+
+Monte Carlo samples are floats snapped to nearby rationals; their digits
+come from a `SnapReader`, a resumable integer Euclid loop that exposes a
+digit only once the snap's end rule can no longer change it, so a
+membership test that decides on the first digits leaves the rest of the
+expansion undone.  `snapped_digits` is such a reader read to its end.
 """
 
 from __future__ import annotations
@@ -208,39 +214,87 @@ def digits_fraction(ds) -> Fraction:
     return Fraction(p, q)
 
 
-def snapped_digits(t: float, max_den: int = 10**12) -> list:
-    """fraction_digits(Fraction(t).limit_denominator(max_den)) for a float
-    t >= 0, by one Euclidean loop on t's exact integer ratio.
+class SnapReader:
+    """The canonical digits of Fraction(t).limit_denominator(max_den) for
+    a float t >= 0, read lazily by one resumable Euclid loop on t's exact
+    integer ratio; no float and no Fraction enters a digit decision.
+
+    It follows the reader protocol of the alpha walker: `got` holds the
+    digits exposed so far, `src` is the Euclid remainder they continue
+    from (None once `got` is complete), and `more()` exposes at least one
+    more digit or completes the list.  The state is the remainder pair
+    and the denominators q0, q1 of the last two convergents.
 
     Convergents are followed while their denominator stays within
-    max_den; then the last convergent p1/q1 or the semiconvergent
-    (p0 + k*p1)/(q0 + k*q1) with the largest allowed k is kept,
-    whichever is nearer to t, the convergent on a tie (as the stdlib
-    does).  t lies between the two, at distance d/(q1*den) from the
-    convergent, so the test is one integer comparison.  Only
-    denominators are tracked; no Fraction is made.
+    max_den; then the last convergent or the semiconvergent
+    (p0 + k*p1)/(q0 + k*q1) with the largest allowed k is kept, whichever
+    is nearer to t, the convergent on a tie (as the stdlib does).  t lies
+    between the two, at distance d/(q1*den) from the convergent, so the
+    test is one integer comparison.  A kept list ending [..., b, 1] is
+    written canonically [..., b + 1].  That end rule can change only the
+    last two digits, so a digit is exposed once a digit other than 1
+    follows it, or two digits follow it; until then it waits in `ahead`.
     """
-    n, den = t.as_integer_ratio()
-    a0, d = divmod(n, den)
-    # t = [a0; a1, ...]; fraction_digits lists [0, a0, a1, ...] when a0 > 0
-    ds = [0, a0] if a0 else []
-    n = den
-    q0, q1 = 0, 1  # denominators of the last two convergents
-    while d:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_den:
-            k = (max_den - q0) // q1
-            if 2 * d * (q0 + k * q1) > den:
-                ds.append(k)
-            break
-        ds.append(a)
-        q0, q1 = q1, q2
-        n, d = d, n - a * d
-    if len(ds) > 1 and ds[-1] == 1:  # canonical form: [..., b, 1] is [..., b + 1]
-        ds.pop()
-        ds[-1] += 1
-    return ds
+
+    __slots__ = ("got", "src", "ahead", "_n", "_den", "_q0", "_q1", "_max")
+
+    def __init__(self, t: float, max_den: int = 10**12):
+        n, den = t.as_integer_ratio()
+        a0, d = divmod(n, den)
+        self.got = []
+        # t = [a0; a1, ...]; the canonical list is [0, a0, a1, ...] when a0 > 0
+        self.ahead = [0, a0] if a0 else []
+        self.src, self._n, self._den = d, den, den
+        self._q0, self._q1, self._max = 0, 1, max_den
+        if not d:
+            self._finish()
+
+    def more(self, pause: bool = True):
+        """Expose at least one more digit, or complete `got`; with pause
+        False, read on to the end."""
+        ahead = self.ahead
+        n, d, q0, q1, max_den = self._n, self.src, self._q0, self._q1, self._max
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_den:
+                k = (max_den - q0) // q1
+                if 2 * d * (q0 + k * q1) > self._den:
+                    ahead.append(k)
+                return self._finish()
+            ahead.append(a)
+            q0, q1 = q1, q2
+            n, d = d, n - a * d
+            if not d:
+                return self._finish()
+            if pause:
+                keep = 1 if a != 1 else 2  # the digits the end rule may still change
+                if len(ahead) > keep:
+                    self.got += ahead[:-keep]
+                    del ahead[:-keep]
+                    self._n, self.src, self._q0, self._q1 = n, d, q0, q1
+                    return
+
+    def read_all(self) -> list:
+        """The complete digit list, the rest read in one run."""
+        if self.src is not None:
+            self.more(pause=False)
+        return self.got
+
+    def _finish(self):
+        ahead = self.ahead
+        if len(ahead) > 1 and ahead[-1] == 1:  # [..., b, 1] is [..., b + 1]
+            ahead.pop()
+            ahead[-1] += 1
+        self.got += ahead
+        ahead.clear()
+        self.src = None
+
+
+def snapped_digits(t: float, max_den: int = 10**12) -> list:
+    """fraction_digits(Fraction(t).limit_denominator(max_den)) for a float
+    t >= 0: a `SnapReader` read to its end."""
+    return SnapReader(t, max_den).read_all()
 
 
 def from_fraction(x) -> DigitStream:

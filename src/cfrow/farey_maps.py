@@ -106,14 +106,35 @@ def epsilon_stream(x) -> "DigitStream":
     return LazyDigits(gen())
 
 
+def epsilon_prefix(x, n: int) -> list:
+    """eps_1 ... eps_n as a list, `epsilon_stream(x).prefix(n)`: zeros
+    with a 1 at each partial sum a1 + ... + aj <= n.  The partial
+    quotients are read in prefixes, each long enough for half the
+    branch digits still missing."""
+    digits = x if isinstance(x, DigitStream) else rcf_digits(x)
+    out = [0] * n
+    s = k = 0
+    ds = []
+    while True:
+        if k == len(ds):
+            ds = digits.prefix(k + 1 + (n - s) // 2)
+        a = ds[k]
+        if a is INF:
+            return out
+        s += a
+        if s > n:
+            return out
+        out[s - 1] = 1
+        k += 1
+
+
 def farey_expansion(x, n: int) -> Gcf:
     """SRCF generated by the tent-map branch digits, n+1 digit pairs.
 
     Digits: a0 = 1, b0 = 1 - eps_1, and (a_k, b_k) = (2 eps_k - 1,
     2 - eps_{k+1}) for k >= 1.
     """
-    eps = epsilon_stream(x)
-    need = eps.prefix(n + 1)
+    need = epsilon_prefix(x, n + 1)
     pairs = [(1, 1 - need[0])]
     for k in range(1, n + 1):
         pairs.append((2 * need[k - 1] - 1, 2 - need[k]))
@@ -132,7 +153,7 @@ def lehner_expansion(x, n: int) -> Gcf:
 
 def lehner_pairs(x, n: int):
     """The raw digit pairs (b_k, e_{k+1}), k = 0..n, of x + 1."""
-    es = epsilon_stream(x).prefix(n + 2)
+    es = epsilon_prefix(x, n + 2)
     return [(2 - es[k], 2 * es[k] - 1) for k in range(n + 1)]
 
 
@@ -155,7 +176,7 @@ def a_matrix_forward(x, n: int) -> Mat2Z:
 
 def a_matrix_forward_bruteforce(x, n: int) -> Mat2Z:
     """Literal product of branch matrices (test oracle)."""
-    eps = epsilon_stream(x).prefix(n)
+    eps = epsilon_prefix(x, n)
     out = IDENTITY
     for e in eps:
         out = out @ a_matrix(e)

@@ -10,9 +10,10 @@ so cell regions get exact values (and a quadrature path for
 cross-checking); oracle regions get seeded Monte Carlo under the
 restriction of the measure to a covering union of horizontal strips.
 Each sample is drawn in floats and snapped to the rational that
-`Fraction.limit_denominator(10**12)` gives, as its canonical digit
-list, by one integer Euclid loop per coordinate (`snapped_digits`);
-membership is decided on those lists, with no Fraction per sample.
+`Fraction.limit_denominator(10**12)` gives, as a reader of its
+canonical digits (`digits.SnapReader`: one resumable integer Euclid
+loop per coordinate); membership pulls only the digits it needs from
+those readers, with no Fraction per sample.
 Entropy is pi^2 / (6 m(R)) by definition; orbit growth statistics are a
 separate observable used to cross-check it.
 """
@@ -24,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import digits_fraction, snapped_digits
+from .digits import SnapReader, digits_fraction
 from .errors import NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
@@ -165,10 +166,12 @@ def _strip_union_mass(y_min: Fraction) -> float:
 def _strip_sampler(y_min: Fraction):
     """The sampler of the invariant measure restricted to y > y_min:
     `sample(rng)` draws one point by inverse CDF in x then in y and
-    returns the canonical digit lists (xd, yd) of its coordinates
-    snapped to the rationals with denominator at most 10**12 that
-    `limit_denominator` would give (`snapped_digits`: integers only).
-    The float constants of the strip are computed once, here."""
+    returns two readers (`SnapReader`: integers only) of the canonical
+    digits of its coordinates snapped to the rationals with denominator
+    at most 10**12 that `limit_denominator` would give.  A reader
+    expands digits only as they are pulled, so a membership test that
+    decides early leaves the rest of the snap undone.  The float
+    constants of the strip are computed once, here."""
     y0 = float(y_min)
     inv_y0 = 1.0 / y0
     one_minus_y0 = 1.0 - y0
@@ -184,7 +187,7 @@ def _strip_sampler(y_min: Fraction):
         inv_a = 1.0 / a
         t = inv_a + v * (1.0 - inv_a)
         y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-        return snapped_digits(x), snapped_digits(min(max(y, y0), 1.0))
+        return SnapReader(x), SnapReader(min(max(y, y0), 1.0))
 
     return sample
 
@@ -200,8 +203,7 @@ def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        xd, yd = sample(rng)
-        fx, fy = digits_fraction(xd), digits_fraction(yd)
+        fx, fy = (digits_fraction(r.read_all()) for r in sample(rng))
         if any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects):
             hits += 1
     p = hits / samples
@@ -226,8 +228,7 @@ def _alpha_measure_mc(region: AlphaRegion, seed: int, samples: int) -> MeasureEs
     w_mass = _strip_union_mass(y_min)
     hits = 0
     for _ in range(samples):
-        xd, yd = sample(rng)
-        if region.contains_rational(xd, yd):
+        if region.contains_rational(*sample(rng)):
             hits += 1
     p = hits / samples
     value = w_mass * p

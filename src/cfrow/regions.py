@@ -17,8 +17,9 @@ Three families:
   steps needed to see an x-coordinate below alpha is odd, and for
   alpha <= 1/2 the part of that set with x >= alpha is additionally
   slid down-right through its full cell range.  One walker decides this
-  for digit streams and for exact rationals alike, comparing int lists
-  of digits with alpha's.
+  for digit streams and for exact rationals alike: it pulls both
+  coordinates' digits through readers, only as far as it needs them,
+  and compares them with alpha's as int lists.
 """
 
 from __future__ import annotations
@@ -167,21 +168,14 @@ def build_s_expansion_region(area) -> Region:
 # -- alpha regions ----------------------------------------------------------
 
 
-def _read(src: DigitStream, n: int):
-    """The first n digits of src as ints, cut where src terminates, and
-    the stream they continue from: src, or None once it has terminated."""
-    got = src.prefix(n)
-    if got[-1] is INF:
-        while got and got[-1] is INF:
-            got.pop()
-        return got, None
-    return got, src
-
-
 class _Read:
-    """Digits of x read so far, as ints, and the stream they continue
-    from (None when they are complete); a read that runs short is
-    enlarged geometrically."""
+    """A reader of a coordinate's digits: `got` holds the digits read so
+    far, as ints, and `src` the stream they are read from (None when
+    they are complete).  `more()` appends at least one digit to `got` or
+    completes it, and never rewrites a digit already read, so a caller
+    may replace `got[0]`; a read that runs short is enlarged
+    geometrically.  `digits.SnapReader` follows the same protocol for
+    Monte Carlo samples, and `_Read(list)` is a complete digit list."""
 
     __slots__ = ("got", "src")
 
@@ -189,7 +183,16 @@ class _Read:
         self.got, self.src = got, src
 
     def more(self):
-        self.got, self.src = _read(self.src, max(4, 2 * len(self.got)))
+        n = len(self.got)
+        read = self.src.prefix(max(4, 2 * n))
+        if read[-1] is INF:  # src has terminated
+            while read and read[-1] is INF:
+                read.pop()
+            self.src = None
+        if n:
+            self.got += read[n:]  # keeps got[0], which the caller may have replaced
+        else:
+            self.got = read
 
 
 class AlphaRegion(Region):
@@ -203,12 +206,13 @@ class AlphaRegion(Region):
     the member set with x >= alpha (only possible when alpha <= 1/2).
 
     One walker decides both `contains` (digit streams) and
-    `contains_rational` (digit lists of rationals): it compares the
-    pulled-back digits with alpha's digit list as int lists, in the alternating
-    lexicographic order of canonical expansions.  A stream's digits are
-    read once per call and the read is enlarged only when a comparison
-    runs off its end.  An irrational alpha is compared through its
-    first 300 partial quotients.
+    `contains_rational` (readers of rationals): it compares the
+    pulled-back digits with alpha's digit list as int lists, in the
+    alternating lexicographic order of canonical expansions.  It reads x
+    and y through readers (`_Read`, `digits.SnapReader`), and pulls a
+    digit only when a comparison runs off the digits read so far; y's
+    reader holds b2 at index `o` (1 when it also holds b1).  An
+    irrational alpha is compared through its first 300 partial quotients.
     """
 
     unit_s = True
@@ -226,8 +230,9 @@ class AlphaRegion(Region):
         self.back_cap = back_cap
         self.name = name or f"alpha:{alpha}"
 
-    def _below(self, bs, j: int, x: _Read) -> bool:
-        """Is [0; bs[j-1], ..., bs[0], x...] below alpha?
+    def _below(self, y, j: int, x, o: int) -> bool:
+        """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, b3, ...
+        at y.got[o], y.got[o + 1], ... (all j of them read already)?
 
         Reads more of x only when the comparison runs off its end.  Past
         `back_cap` equal leading digits the comparison raises.  None
@@ -235,11 +240,13 @@ class AlphaRegion(Region):
         """
         al = self.alpha_list
         na = len(al)
+        bs = y.got
+        top = o + j - 1
         xs = x.got
         i = 0
         while True:
             if i < j:
-                da = bs[j - 1 - i]
+                da = bs[top - i]
             elif i - j < len(xs):
                 da = xs[i - j]
             elif x.src is not None:
@@ -260,61 +267,72 @@ class AlphaRegion(Region):
         # 0-based even position = odd partial quotient: bigger digit, smaller value
         return da_big == (i % 2 == 0)
 
-    def _odd_depth(self, x: _Read, bs: list, ysrc: DigitStream = None) -> bool:
+    def _odd_depth(self, x, y, o: int) -> bool:
         """Parity of the least backward depth j whose pulled-back
-        x-coordinate is < alpha.  bs holds b2, b3, ... as read so far and
-        ysrc the stream they continue from, None when bs is complete."""
+        x-coordinate is < alpha; y's reader holds b2 at index o."""
         a1 = self.alpha_list[0]
+        bs = y.got
         for j in range(1, self.back_cap + 1):
-            if len(bs) < j:
-                if ysrc is not None:
-                    bs, ysrc = _read(ysrc, max(4, 2 * len(bs)))
-                if len(bs) < j:
+            k = o + j - 1  # index of b_{j+1}
+            if len(bs) <= k:
+                if y.src is not None:
+                    y.more()
+                    bs = y.got
+                if len(bs) <= k:
                     return j % 2 == 1  # preimage x-coordinate is 0 < alpha
-            b = bs[j - 1]
+            b = bs[k]
             if b != a1:  # decided at the first digit, as _below would
                 if b > a1:
                     return j % 2 == 1
-            elif self._below(bs, j, x):
+            elif self._below(y, j, x, o):
                 return j % 2 == 1
         raise BackwardCapExceeded(
             f"parity search for {self.name} exceeded {self.back_cap} backward steps"
         )
 
-    def _slid(self, c, x: _Read, bs: list, ysrc: DigitStream = None) -> bool:
+    def _slid(self, c, x, y, o: int) -> bool:
         """Membership of a point below the top strip, slid back up-left
         to the top-strip point with digits x = (c, ...) and (1, b2, ...):
         its source cell must sit at or right of alpha."""
         a1 = self.alpha_list[0]
-        if c > a1 or (c == a1 and self._below([], 0, x)):
+        if c > a1 or (c == a1 and self._below(y, 0, x, o)):
             return False
-        return self._odd_depth(x, bs, ysrc)
+        return self._odd_depth(x, y, o)
 
     def contains(self, z: OmegaPoint) -> bool:
         b1 = z.yd.head()
-        a1 = z.xd.head()
         if b1 == 1:
-            return self._odd_depth(_Read([], z.xd), [], z.yd.tail())
-        if b1 is INF or a1 is INF or not self.slides:
+            return self._odd_depth(_Read([], z.xd), _Read([], z.yd.tail()), 0)
+        if b1 is INF or not self.slides:
+            return False
+        a1 = z.xd.head()
+        if a1 is INF:
             return False
         c = a1 + b1 - 1
-        return self._slid(c, _Read([], Cons(c, z.xd.tail())), [], z.yd.tail())
+        return self._slid(c, _Read([c], z.xd), _Read([], z.yd.tail()), 0)
 
-    def contains_rational(self, xd: list, yd: list) -> bool:
-        """contains() for the point with rational coordinates given by
-        their canonical digit lists xd, yd (as `fraction_digits` makes
-        them; the Monte Carlo path): the same walker over complete
-        digit lists.  An empty list is the coordinate 0, which no
-        member has."""
-        if not xd or not yd:
+    def contains_rational(self, x, y) -> bool:
+        """contains() for the point with rational coordinates read by x
+        and y: readers of their canonical digit lists, such as the Monte
+        Carlo sampler's `digits.SnapReader`s or `_Read(list)` for a
+        complete list.  The same walker pulls only the digits it needs;
+        y's reader holds b1 too.  A coordinate with no digits is 0, which
+        no member has.  Below the top strip x's reader is left holding
+        the slid point's first digit c."""
+        if not x.got and x.src is not None:
+            x.more()
+        if not y.got and y.src is not None:
+            y.more()
+        if not x.got or not y.got:
             return False
-        b1 = yd[0]
+        b1 = y.got[0]
         if b1 == 1:
-            return self._odd_depth(_Read(xd), yd[1:])
+            return self._odd_depth(x, y, 1)
         if not self.slides:
             return False
-        c = xd[0] + b1 - 1
-        return self._slid(c, _Read([c] + xd[1:]), yd[1:])
+        c = x.got[0] + b1 - 1
+        x.got = [c] + x.got[1:]
+        return self._slid(c, x, y, 1)
 
     def describe(self) -> dict:
         return {"name": self.name, "altered": True, "alpha": str(self.alpha)}

@@ -217,7 +217,9 @@ README_GOLDEN = json.loads(
 @pytest.mark.parametrize("case", README_GOLDEN, ids=lambda c: c["id"])
 def test_readme_commands_print_golden_bytes(case, capsys, monkeypatch):
     # stdout of the README commands, captured once and pinned byte for
-    # byte (orbit CSV rows end in \r\n, as csv.writer writes them)
+    # byte (orbit and sweep CSV rows end in \r\n, as csv.writer writes
+    # them); the Monte Carlo commands, at fewer samples, pin seeded
+    # estimates to the last digit
     if case["stdin"] is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(case["stdin"]))
     code, out, err = run_cli(shlex.split(case["command"])[1:], capsys)

@@ -11,6 +11,7 @@ from cfrow.digits import (
     Cons,
     DigitStream,
     LazyDigits,
+    SnapReader,
     digits_fraction,
     fraction_digits,
     from_digits,
@@ -116,14 +117,18 @@ def limited(t, max_den=10**12):
     return fraction_digits(Fraction(t).limit_denominator(max_den))
 
 
-def test_snapped_digits_equals_limit_denominator_on_seeded_floats():
-    rng = random.Random(2024)
-    floats = [rng.random() for _ in range(100_000)]
-    while len(floats) < 200_000:
+def seeded_floats(rng, n):
+    """n floats: half uniform, half powers of uniform ones down to 1e-30."""
+    floats = [rng.random() for _ in range(n // 2)]
+    while len(floats) < n:
         t = rng.random() ** rng.randint(2, 60)
         if t >= 1e-30:
             floats.append(t)
-    for t in floats:
+    return floats
+
+
+def test_snapped_digits_equals_limit_denominator_on_seeded_floats():
+    for t in seeded_floats(random.Random(2024), 200_000):
         assert snapped_digits(t) == limited(t), t
 
 
@@ -135,12 +140,16 @@ def test_snapped_digits_other_bounds(max_den):
         assert snapped_digits(t, max_den) == limited(t, max_den), t
 
 
+EDGE_FLOATS = [0.0, 1.0, 1 - 2**-53, 1e-300, 4e-13, 2.5e-13, 6e-13, 1 + 2**-52, 2.0, 2.5]
+# the semiconvergent replaces a 5 by a 3; the kept [..., 3, 1] folds to [..., 4]
+SEMICONVERGENT, FOLD = 0.4494910647887381, 0.13436424411240122
+
+
 def test_snapped_digits_edge_floats():
-    cases = [0.0, 1.0, 1 - 2**-53, 1e-300, 4e-13, 2.5e-13, 6e-13, 1 + 2**-52, 2.0, 2.5]
     rng = random.Random(5)
     # floats whose own denominator is within the bound snap to themselves
     dyadic = [0.5, 0.375, 2**-39] + [rng.randrange(1, 2**39) / 2**39 for _ in range(200)]
-    for t in cases + dyadic:
+    for t in EDGE_FLOATS + dyadic:
         assert snapped_digits(t) == limited(t), t
     for t in dyadic:
         assert snapped_digits(t) == fraction_digits(Fraction(t))
@@ -153,12 +162,12 @@ def test_snapped_digits_edge_floats():
 
 def test_snapped_digits_semiconvergent_fold_and_tie():
     # the semiconvergent ends in 3 where t's own expansion has 5
-    t = 0.4494910647887381
+    t = SEMICONVERGENT
     got, full = snapped_digits(t), fraction_digits(Fraction(t))
     assert got == limited(t)
     assert got[:-1] == full[: len(got) - 1] and (got[-1], full[len(got) - 1]) == (3, 5)
     # the kept rational ends [..., 3, 1], written canonically [..., 4]
-    t = 0.13436424411240122
+    t = FOLD
     got, full = snapped_digits(t), fraction_digits(Fraction(t))
     assert got == limited(t)
     n = len(got)
@@ -168,3 +177,45 @@ def test_snapped_digits_semiconvergent_fold_and_tie():
     assert snapped_digits(0.5, 1) == limited(0.5, 1) == []
     for j in range(1, 60):
         assert snapped_digits(2.0 ** -(j + 1), 2**j) == limited(2.0 ** -(j + 1), 2**j) == []
+
+
+def read_in_steps(t, max_den, rng):
+    """Read t's snap in random increments, sometimes finished by one
+    `read_all`: each `more()` exposes a digit or completes the list, and
+    every exposed prefix is final."""
+    want = limited(t, max_den)
+    r = SnapReader(t, max_den)
+    while True:
+        assert r.got == want[: len(r.got)], (t, max_den)
+        if r.src is None:
+            break
+        if rng.random() < 0.1:
+            r.read_all()
+        for _ in range(rng.randint(1, 3)):
+            if r.src is not None:
+                n = len(r.got)
+                r.more()
+                assert len(r.got) > n or r.src is None
+    assert r.got == want and not r.ahead, (t, max_den)
+
+
+@pytest.mark.parametrize("max_den", [10**12, 1, 2, 7, 1000, 2**20, 10**6, 10**15])
+def test_snap_reader_exposes_only_final_digits(max_den):
+    rng = random.Random(max_den)
+    floats = seeded_floats(rng, 10_000) + EDGE_FLOATS + [SEMICONVERGENT, FOLD]
+    for t in floats:
+        read_in_steps(t, max_den, rng)
+    # ties keep the convergent
+    for t, tie_den in [(0.75, 2), (0.5, 1)] + [(2.0 ** -(j + 1), 2**j) for j in range(1, 60)]:
+        read_in_steps(t, tie_den, rng)
+
+
+def test_snap_reader_holds_back_the_folded_digit():
+    # the 3 that becomes 4 is held back until the list is complete
+    n = len(snapped_digits(FOLD))
+    r = SnapReader(FOLD)
+    while r.src is not None:
+        assert len(r.got) < n
+        r.more()
+    assert r.got[-1] == 4
+    assert SnapReader(0.0).read_all() == [] and SnapReader(1.0).read_all() == [1]

@@ -13,6 +13,7 @@ from cfrow.farey_maps import (
     a_matrix_forward_bruteforce,
     alpha_orbit_digits,
     alpha_step,
+    epsilon_prefix,
     epsilon_stream,
     farey_convergents,
     farey_expansion,
@@ -122,6 +123,20 @@ def test_epsilon_factorisation_large_corpus(rng):
             expected.extend([0] * (a - 1) + [1])
             s = s.tail()
         assert eps == expected[:200]
+
+
+def test_epsilon_prefix_equals_stream_prefix(rng):
+    # rationals (which end in zeros), surds, and streams: cons cells
+    # (finite, one with a huge digit) and memoised views over generators
+    xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(355, 1130), Fraction(1, 10**6)]
+    xs += [Fraction(rng.randrange(0, 10**k + 1), 10**k) for k in range(1, 20)]
+    xs += [G, S2] + [random_surd(rng) for _ in range(30)]
+    xs += [from_digits([3, 1, 10**9, 2]), from_digits([1] * 50)]
+    xs += [from_digits([rng.randint(1, 9) for _ in range(rng.randint(0, 60))]) for _ in range(30)]
+    xs += [rcf_digits(random_surd(rng)) for _ in range(10)]
+    for x in xs:
+        for n in (0, 1, 2, 5, 17, 64, 211):
+            assert epsilon_prefix(x, n) == epsilon_stream(x).prefix(n), (x, n)
 
 
 def test_epsilon_matches_dynamics(rng):

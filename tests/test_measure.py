@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfrow import measure
 from cfrow.digits import fraction_digits
 from cfrow.errors import NonIntegrable
 from cfrow.induced import RectRegion
@@ -21,6 +22,7 @@ from cfrow.measure import (
 )
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import (
+    _Read,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -195,7 +197,32 @@ def test_sampler_draws_the_reference_samples():
         sample = _strip_sampler(y_min)
         for _ in range(4000):
             fx, fy = reference_sample(ref, y_min)
-            assert sample(rng) == (fraction_digits(fx), fraction_digits(fy))
+            xd, yd = (r.read_all() for r in sample(rng))
+            assert (xd, yd) == (fraction_digits(fx), fraction_digits(fy))
+
+
+def test_monte_carlo_snap_is_lazy(monkeypatch):
+    # the walker decides most samples on their first few digits, so the
+    # samples' readers expand little more than those (a snap expanded to
+    # the end has 23.0 / 23.7 digits per coordinate here)
+    readers = []
+
+    def recording_sampler(y_min):
+        sample = _strip_sampler(y_min)
+
+        def record(rng):
+            pair = sample(rng)
+            readers.append(pair)
+            return pair
+
+        return record
+
+    monkeypatch.setattr(measure, "_strip_sampler", recording_sampler)
+    measure_of(build_alpha_region(G), seed=1, samples=20_000)
+    assert len(readers) == 20_000
+    for k in (0, 1):
+        expanded = sum(len(pair[k].got) + len(pair[k].ahead) for pair in readers)
+        assert expanded / len(readers) <= 6, k
 
 
 @pytest.mark.parametrize("alpha", ["1/4", "2/5", "1/2", "g", "7/10", "1"])
@@ -204,7 +231,7 @@ def test_alpha_measure_matches_reference_samples(alpha):
     y_min = Fraction(1, max(1, math.ceil(1 / float(R.alpha)) - 1) + 1)
 
     def hit(fx, fy):
-        return fx > 0 and R.contains_rational(fraction_digits(fx), fraction_digits(fy))
+        return fx > 0 and R.contains_rational(_Read(fraction_digits(fx)), _Read(fraction_digits(fy)))
 
     for seed in (1, 8, 30):
         assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)

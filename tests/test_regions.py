@@ -560,7 +560,7 @@ def test_alpha_walker_on_long_shared_prefixes(rng):
             if j:
                 bs = yd[1 : j + 1]
                 x = _Read([], z.xd)
-                assert R._below(bs, j, x) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
+                assert R._below(_Read(bs), j, x, 0) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
 
 
 def test_alpha_walker_cap_edge(rng):
@@ -581,15 +581,17 @@ def test_alpha_walker_cap_edge(rng):
 def test_contains_rational_matches_oracle_on_sampler_points():
     from cfrow.measure import _strip_sampler
 
-    rng = random.Random(17)
+    # the walker pulls from the sampler's lazy readers; the oracle gets
+    # the same sample's complete lists, drawn again from a twin generator
+    rng, twin = random.Random(17), random.Random(17)
     sample = _strip_sampler(Fraction(1, 5))
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
         alist = oracle_alpha_list(alpha)
         hits = 0
         for _ in range(1500):
-            xd, yd = sample(rng)
-            got = R.contains_rational(xd, yd)
+            xd, yd = (r.read_all() for r in sample(twin))
+            got = R.contains_rational(*sample(rng))
             if xd:
                 z = OmegaPoint.from_streams(from_digits(xd), from_digits(yd))
                 assert got == oracle_contains(alpha, alist, z)
@@ -600,9 +602,9 @@ def test_contains_rational_matches_oracle_on_sampler_points():
 def test_contains_rational_zero_coordinate_is_outside():
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        assert not R.contains_rational([], [1])
-        assert not R.contains_rational([3], [])
-        assert not R.contains_rational([], [])
+        assert not R.contains_rational(_Read([]), _Read([1]))
+        assert not R.contains_rational(_Read([3]), _Read([]))
+        assert not R.contains_rational(_Read([]), _Read([]))
 
 
 def test_alpha_list_keeps_300_digit_truncation():
