@@ -13,55 +13,49 @@ checked lazily exactly as deep as the requested output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .digits import _Memo
 from .errors import NotContractable
+from .exact import INF
 from .gcf import Gcf, partial_det, partial_pq
 
 
-@dataclass(frozen=True)
+def _increasing(indices):
+    """The plan's indices, checked strictly increasing from n_0 >= 0."""
+    prev = -1
+    for k, n in enumerate(indices):
+        if n <= prev:
+            raise ValueError(f"plan must be strictly increasing and >= 0: n_{k} = {n}")
+        yield n
+        prev = n
+
+
 class ContractionPlan:
     """Strictly increasing indices n_0 < n_1 < ... with n_0 >= 0.
 
-    Backed by a list or a replayable callable for lazy plans;
-    `index(k)` honours the n_k = k convention for k < 0.
+    `source` is either a finite iterable of indices, read to its end at
+    once, or a zero-argument callable returning an iterator of them,
+    called once and read as far as a caller asks.  Either way the
+    indices come through `_increasing` into one memoised buffer, so
+    `index(k)` reads each at most once; it honours the n_k = k
+    convention for k < 0.
     """
 
-    source: object
-
-    def __post_init__(self):
-        if not callable(self.source):
-            seq = list(self.source)
-            if not seq:
+    def __init__(self, source):
+        if callable(source):
+            self._memo = _Memo(_increasing(source()))
+        else:
+            self._memo = _Memo(None)
+            self._memo.buf = list(_increasing(source))
+            if not self._memo.buf:
                 raise ValueError("empty contraction plan")
-            if seq[0] < 0 or any(b <= a for a, b in zip(seq, seq[1:])):
-                raise ValueError(f"plan must be strictly increasing and >= 0: {seq}")
-            object.__setattr__(self, "source", seq)
 
     def index(self, k: int) -> int:
         if k < 0:
             return k
-        if callable(self.source):
-            it = iter(self.source())
-            val = None
-            prev = -1
-            for _ in range(k + 1):
-                val = next(it)
-                if val <= prev:
-                    raise ValueError("plan must be strictly increasing")
-                prev = val
-            return val
-        seq = self.source
-        if k >= len(seq):
-            raise IndexError(f"plan has only {len(seq)} indices")
-        return seq[k]
-
-    def known_length(self):
-        return None if callable(self.source) else len(self.source)
-
-
-def plan(indices) -> ContractionPlan:
-    return ContractionPlan(indices)
+        n = self._memo.at(k)
+        if n is INF:
+            raise IndexError(f"plan has only {len(self._memo.buf)} indices")
+        return n
 
 
 def _q_or_raise(g: Gcf, m: int, n: int):
@@ -110,12 +104,10 @@ def contract(g: Gcf, cplan) -> Gcf:
         cplan = ContractionPlan(cplan)
 
     def gen():
+        n_km2, n_km1, n_k = -3, -2, -1  # n_j = j for j < 0
         k = -1
         while True:
             try:
-                n_km2 = cplan.index(k - 2)
-                n_km1 = cplan.index(k - 1)
-                n_k = cplan.index(k)
                 n_kp1 = cplan.index(k + 1)
             except IndexError:
                 return
@@ -128,6 +120,7 @@ def contract(g: Gcf, cplan) -> Gcf:
             q_back = _q_or_raise(g, n_km2 + 2, n_km1)
             q_fwd = _q_or_raise(g, n_k + 2, n_kp1)
             yield (-det * q_back * q_fwd, partial_pq(g, n_km1 + 2, n_kp1)[1])
+            n_km2, n_km1, n_k = n_km1, n_k, n_kp1
             k += 1
 
     return Gcf(gen)

@@ -37,13 +37,6 @@ class DigitStream:
 
     # -- derived helpers -------------------------------------------------
 
-    def digit(self, i: int):
-        """i-th digit, 0-based (digit(0) is a1)."""
-        s = self
-        for _ in range(i):
-            s = s.tail()
-        return s.head()
-
     def prefix(self, n: int):
         """First n digits as a list (may contain INF)."""
         out = []
@@ -52,12 +45,6 @@ class DigitStream:
             out.append(s.head())
             s = s.tail()
         return out
-
-    def push(self, d) -> "DigitStream":
-        return Cons(d, self)
-
-    def replace_head(self, d) -> "DigitStream":
-        return Cons(d, self.tail())
 
     def __iter__(self):
         s = self
@@ -93,9 +80,6 @@ class DigitStream:
         iv = self.enclosure(cap)
         return iv.lo if iv.is_point() else None
 
-    def is_zero(self) -> bool:
-        return self.head() is INF
-
 
 class Cons(DigitStream):
     __slots__ = ("_head", "_tail")
@@ -127,7 +111,11 @@ class Cons(DigitStream):
 
 
 class _Memo:
-    """Shared memoised buffer over a one-shot digit iterator."""
+    """Shared memoised buffer over a one-shot iterator: `at(i)` is item
+    i, read from the iterator at most once, or INF past its end.  It
+    holds the digits of `LazyDigits`, where INF is the padding, and the
+    pairs of `gcf.Gcf` and the indices of `contraction.ContractionPlan`,
+    which are never INF, so there INF means there is no item i."""
 
     __slots__ = ("buf", "src")
 
@@ -328,7 +316,3 @@ def compare(xs: DigitStream, ys: DigitStream, cap: int = 4000) -> int:
             return (v > w) - (v < w)
         depth += step
     raise BoundaryUndecidable(f"values not separated within {cap} digits")
-
-
-def lt(xs: DigitStream, ys: DigitStream, cap: int = 4000) -> bool:
-    return compare(xs, ys, cap) < 0

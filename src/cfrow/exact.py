@@ -69,17 +69,6 @@ INF = _Infinity()
 ExtRational = object
 
 
-def is_inf(v) -> bool:
-    return v is INF
-
-
-def ext(v) -> ExtRational:
-    """Coerce an int/Fraction/INF into the extended-rational value space."""
-    if v is INF:
-        return INF
-    return Fraction(v)
-
-
 @dataclass(frozen=True)
 class Mat2Z:
     """A 2x2 matrix with exact integer (or rational) entries.
@@ -124,11 +113,6 @@ class Mat2Z:
 
     def mobius(self, z: ExtRational) -> ExtRational:
         return mobius_apply(self, z)
-
-    def column(self, j: int):
-        if j == 0:
-            return (self.a, self.c)
-        return (self.b, self.d)
 
     def __repr__(self):
         return f"Mat2Z({self.a}, {self.b}, {self.c}, {self.d})"
@@ -192,9 +176,6 @@ class RationalInterval:
 
     def strictly_below(self, v) -> bool:
         return self.hi < v
-
-    def strictly_above(self, v) -> bool:
-        return self.lo > v
 
     def intersects(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

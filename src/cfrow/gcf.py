@@ -11,10 +11,11 @@ preceding index.  Convergents P_n/Q_n follow
 
 and are not reduced automatically.
 
-Pairs are buffered as they are read; a buffered pair is served straight
-from the buffer, and the block recurrences (`partial_pq`,
-`partial_det`) fill the buffer once and run over a slice of it.  Plain
-int digits stay ints throughout.
+Pairs are read once: every expansion holds one memoised buffer
+(`digits._Memo`) over the generator `_pairs`, the one place a pair is
+normalised.  A buffered pair is served straight from the buffer, and
+the block recurrences (`partial_pq`, `partial_det`) fill the buffer once
+and run over a slice of it.  Plain int digits stay ints throughout.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .digits import _Memo
 from .errors import (
     AdjacentPositions,
     BadRange,
@@ -48,75 +50,44 @@ def encode_digit(v):
     return str(v) if isinstance(v, Fraction) else v
 
 
+def _pairs(source):
+    """The pairs of `source`, digits normalised by `_num` (an int is kept
+    as it is), up to the first partial denominator INF, which truncates
+    the expansion at the index before it; a partial numerator 0 raises."""
+    for k, (a, b) in enumerate(source):
+        if type(a) is not int:
+            a = _num(a)
+        if type(b) is not int:
+            b = _num(b)
+        if a == 0:
+            raise ValueError(f"partial numerator 0 at index {k}")
+        if b is INF:
+            return
+        yield (a, b)
+
+
 class Gcf:
     """Digit-pair sequence (a_n, b_n), n >= 0, finite or lazily generated.
 
-    `source` is either a finite list of pairs or a zero-argument callable
-    returning a fresh iterator of pairs, so lazy expansions can be
-    replayed.  Pairs are memoised.
+    `source` is either a finite iterable of pairs, read to its end at
+    once, or a zero-argument callable returning an iterator of pairs,
+    called once and read as far as a caller asks.  Either way the pairs
+    come through `_pairs` into one memoised buffer.
     """
 
     def __init__(self, source):
         if callable(source):
-            self._factory = source
-            self._buf = []
-            self._it = None
-            self._finite_len = None
+            self._memo = _Memo(_pairs(source()))
         else:
-            pairs = []
-            truncated = False
-            for a, b in source:
-                a, b = _num(a), _num(b)
-                if b is INF:
-                    truncated = True
-                    break
-                pairs.append((a, b))
-            self._factory = None
-            self._buf = pairs
-            self._it = None
-            self._finite_len = len(pairs)
-            if truncated:
-                self._truncated_at = len(pairs) - 1
-                return
-        self._truncated_at = None  # index n0 such that b_{n0+1} is INF
+            self._memo = _Memo(None)
+            self._memo.buf = list(_pairs(source))
+        self._buf = self._memo.buf
 
     @staticmethod
     def rcf(partial_quotients, b0=0) -> "Gcf":
         """Regular continued fraction [b0; a1, a2, ...]."""
         pairs = [(1, b0)] + [(1, a) for a in partial_quotients]
         return Gcf(pairs)
-
-    def _fill(self, n: int) -> bool:
-        """Ensure pair n is buffered; False if the expansion is shorter.
-
-        The buffer never holds a pair past the truncation index: neither
-        the constructor nor the lazy fill buffers a pair whose b is INF.
-        """
-        if self._truncated_at is not None and n > self._truncated_at:
-            return False
-        while len(self._buf) <= n:
-            if self._factory is None:
-                return False
-            if self._it is None:
-                self._it = iter(self._factory())
-                for _ in range(len(self._buf)):
-                    next(self._it)
-            try:
-                a, b = next(self._it)
-            except StopIteration:
-                self._factory = None
-                self._finite_len = len(self._buf)
-                return False
-            a, b = _num(a), _num(b)
-            if a == 0:
-                raise ValueError(f"partial numerator 0 at index {len(self._buf)}")
-            if b is INF:
-                # b_{n+1} = INF truncates at index n
-                self._truncated_at = len(self._buf) - 1
-                self._finite_len = len(self._buf)
-                return False
-            self._buf.append((a, b))
-        return True
 
     def _through(self, m: int, n: int) -> list:
         """The buffered pairs of indices max(m, 0)..n, filled once;
@@ -125,7 +96,7 @@ class Gcf:
         if m < -1:
             raise IndexBeyondExpansion(f"no digit pair at index {m}")
         buf = self._buf
-        if n >= len(buf) and not self._fill(n):
+        if n >= len(buf) and self._memo.at(n) is INF:
             raise IndexBeyondExpansion(f"no digit pair at index {max(m, len(buf))}")
         return buf[max(m, 0):n + 1]
 
@@ -135,28 +106,25 @@ class Gcf:
             return buf[n]
         if n == -1:
             return (1, 0)
-        if n < -1 or not self._fill(n):
+        if n < -1 or self._memo.at(n) is INF:
             raise IndexBeyondExpansion(f"no digit pair at index {n}")
         return buf[n]
 
     def has_pair(self, n: int) -> bool:
         if 0 <= n < len(self._buf) or n == -1:
             return True
-        return n >= 0 and self._fill(n)
+        return n >= 0 and self._memo.at(n) is not INF
 
     def length(self):
-        """Number of digit pairs if finite, else None."""
-        if self._factory is None and self._truncated_at is None:
-            return self._finite_len
-        if self._truncated_at is not None:
-            return self._truncated_at + 1
-        return None
+        """Number of digit pairs once the source is read to its end, else
+        None."""
+        return len(self._buf) if self._memo.src is None else None
 
     def pairs(self, n: int):
         """Pairs for indices 0..n-1 (at most; stops at truncation)."""
         if n <= 0:
             return []
-        self._fill(n - 1)
+        self._memo.at(n - 1)
         return self._buf[:n]
 
     def b_matrix(self, n: int) -> Mat2Z:
@@ -184,7 +152,7 @@ class Gcf:
     @staticmethod
     def from_json(text: str) -> "Gcf":
         obj = json.loads(text)
-        dec = lambda v: INF if v == "inf" else _num(Fraction(v) if isinstance(v, str) else v)
+        dec = lambda v: INF if v == "inf" else Fraction(v) if isinstance(v, str) else v
         pairs = list(zip(map(dec, obj["alpha"]), map(dec, obj["beta"])))
         return Gcf(pairs)
 
@@ -247,10 +215,6 @@ def partial_pq(g: Gcf, m: int, n: int):
         P_prev, P_cur = P_cur, b * P_cur + a * P_prev
         Q_prev, Q_cur = Q_cur, b * Q_cur + a * Q_prev
     return (_num(P_cur), _num(Q_cur))
-
-
-def partial_q(g: Gcf, m: int, n: int):
-    return partial_pq(g, m, n)[1]
 
 
 def partial_det(g: Gcf, m: int, n: int):
@@ -362,42 +326,32 @@ def singularise(g: Gcf, positions) -> Gcf:
                 raise AdjacentPositions(f"positions {p} and {p+1} both requested")
 
     def gen():
-        j = 0
+        # a singularisation at j leaves -a_{j+1} pending as the partial
+        # numerator of the next pair, whose denominator gains 1
+        j, neg = 0, None
         while True:
             if j in pos:
                 if j + 1 in pos:
                     raise AdjacentPositions(f"positions {j} and {j+1} both requested")
-                if not g.has_pair(j + 2):
+                # a chained position reads its next pair directly, so an
+                # expansion ending right after it raises IndexBeyondExpansion
+                if neg is None and not g.has_pair(j + 2):
                     raise NotSingularisable(j, "expansion too short")
                 a_j, b_j = g.pair(j)
                 a_next, b_next = g.pair(j + 1)
-                if b_next != 1 or g.pair(j + 2)[0] != 1:
+                if b_next != 1 or not g.has_pair(j + 2) or g.pair(j + 2)[0] != 1:
                     raise NotSingularisable(
                         j, f"needs beta_{j+1} = 1 and alpha_{j+2} = 1"
                     )
-                yield (a_j, b_j + a_next)
+                yield (a_j, b_j + a_next) if neg is None else (neg, b_j + a_next + 1)
                 neg = -a_next
                 j += 2
-                while j in pos:
-                    if j + 1 in pos:
-                        raise AdjacentPositions(f"positions {j} and {j+1} both requested")
-                    a_j, b_j = g.pair(j)
-                    a_next2, b_next2 = g.pair(j + 1)
-                    if b_next2 != 1 or not g.has_pair(j + 2) or g.pair(j + 2)[0] != 1:
-                        raise NotSingularisable(
-                            j, f"needs beta_{j+1} = 1 and alpha_{j+2} = 1"
-                        )
-                    yield (neg, b_j + a_next2 + 1)
-                    neg = -a_next2
-                    j += 2
-                if not g.has_pair(j):
-                    return
-                yield (neg, g.pair(j)[1] + 1)
-                j += 1
             else:
                 if not g.has_pair(j):
                     return
-                yield g.pair(j)
+                a_j, b_j = g.pair(j)
+                yield (a_j, b_j) if neg is None else (neg, b_j + 1)
+                neg = None
                 j += 1
 
     return Gcf(gen)

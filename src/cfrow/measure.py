@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import SnapReader, digits_fraction
-from .errors import NonIntegrable
+from .errors import CfrowError, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
 from .regions import AlphaRegion, SExpansionRegion
@@ -126,6 +126,9 @@ def _sexp_pre_rects(region: SExpansionRegion):
     return out
 
 
+_METHODS = ("auto", "exact", "exact-integral", "quadrature", "monte-carlo")
+
+
 def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
                seed: int | None = None, samples: int = 200_000) -> MeasureEstimate:
     """Slow-map measure of a region.
@@ -134,6 +137,8 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
     singularisation regions are exact (strip mass minus pulled-back
     rectangles); the one-parameter regions use seeded Monte Carlo.
     """
+    if method not in _METHODS:
+        raise CfrowError(f"unknown measure method {method!r}; known: {', '.join(_METHODS)}")
     if isinstance(region, OmegaRegion):
         raise NonIntegrable("the full square has infinite mass")
     if isinstance(region, SExpansionRegion):

@@ -211,13 +211,6 @@ def gauss_ne_step(w: OmegaPoint) -> OmegaPoint:
     return w._moved(w.xd.tail(), Cons(a1, w.yd), (0, 1, 1, a1))
 
 
-def gauss_ne_orbit(w: OmegaPoint, n: int):
-    out = [w]
-    for _ in range(n):
-        out.append(gauss_ne_step(out[-1]))
-    return out
-
-
 def mu_bar_density(x, y):
     """Invariant density of the slow planar map, exact on rationals."""
     x, y = Fraction(x), Fraction(y)

@@ -300,10 +300,6 @@ def _quadratic_digits(P: int, Q: int, D: int):
         P -= a * Q
 
 
-def fractional_part(x: RealRep) -> RealRep:
-    return as_real(x - floor_of(x))
-
-
 _SQRT_RE = re.compile(
     r"^\(?"
     r"(?:(?P<p>[+-]?\d+)(?=[+-]))?"

@@ -316,19 +316,20 @@ class AlphaRegion(Region):
         and y: readers of their canonical digit lists, such as the Monte
         Carlo sampler's `digits.SnapReader`s or `_Read(list)` for a
         complete list.  The same walker pulls only the digits it needs;
-        y's reader holds b1 too.  A coordinate with no digits is 0, which
-        no member has.  Below the top strip x's reader is left holding
-        the slid point's first digit c."""
+        y's reader holds b1 too.  y = 0 (no digits) is no member; x = 0
+        is one only where `contains` finds it in the top strip.  Below
+        the top strip x's reader is left holding the slid point's first
+        digit c."""
         if not x.got and x.src is not None:
             x.more()
         if not y.got and y.src is not None:
             y.more()
-        if not x.got or not y.got:
+        if not y.got:
             return False
         b1 = y.got[0]
         if b1 == 1:
             return self._odd_depth(x, y, 1)
-        if not self.slides:
+        if not self.slides or not x.got:
             return False
         c = x.got[0] + b1 - 1
         x.got = [c] + x.got[1:]

@@ -59,6 +59,24 @@ def test_contract_bad_plan_exits_2(capsys):
     assert code == 2 and "increasing" in err
 
 
+@pytest.mark.parametrize(
+    "gcf, index",
+    [('{"alpha":[1,0,1],"beta":[1,2,3]}', 1), ('{"alpha":[1,1,0],"beta":[1,2,3]}', 2)],
+)
+def test_contract_zero_numerator_exits_2(capsys, gcf, index):
+    # the second input's zero lies past the pairs the plan reads, so only
+    # reading the expansion can reject it
+    code, out, err = run_cli(["contract", "--gcf", gcf, "--plan", "0,1"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip().splitlines() == [f"error: partial numerator 0 at index {index}"]
+
+
+def test_entropy_unknown_method_exits_2(capsys):
+    code, out, err = run_cli(["entropy", "--region", "h1", "--method", "bogus"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bogus" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cfe_top_strip(capsys):
     code, out, _ = run_cli(
         ["cfe", "--region", "h1", "--x", "sqrt(2)-1", "--digits", "10"], capsys

@@ -96,6 +96,36 @@ def test_identity_plan_is_digit_identity():
     assert ident.pairs(8) == g.pairs(8)
 
 
+def test_callable_plan_is_called_once():
+    calls = []
+
+    def source():
+        calls.append(1)
+        return iter(range(0, 10**9, 2))
+
+    g = harmonic_gcf()
+    plan = ContractionPlan(source)
+    assert contract(g, plan).pairs(8) == EXPECTED_EVEN_DIGITS
+    assert seidel_scalars(g, plan, 5) == [1, 1, 3, 15, 105, 945]
+    assert len(calls) == 1
+
+
+def test_finite_callable_plan_stops_as_the_list_plan_does():
+    g = harmonic_gcf()
+    want = contract(g, ContractionPlan([0, 2, 4])).pairs(6)
+    assert len(want) == 3
+    assert contract(g, ContractionPlan(lambda: iter([0, 2, 4]))).pairs(6) == want
+    with pytest.raises(IndexError):
+        ContractionPlan(lambda: iter([0, 2, 4])).index(3)
+
+
+def test_callable_plan_checks_order_as_read():
+    plan = ContractionPlan(lambda: iter([0, 3, 3]))
+    assert plan.index(1) == 3
+    with pytest.raises(ValueError, match="increasing"):
+        plan.index(2)
+
+
 def test_not_contractable_names_block():
     bad = Gcf([(1, 1), (1, 1), (-1, 1), (-1, 1)])
     with pytest.raises(NotContractable):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -278,6 +279,29 @@ def test_json_roundtrip():
     assert back.pairs(3) == g.pairs(3)
     g2 = Gcf([(1, 4), (1, INF)])
     assert Gcf.from_json(g2.to_json(2)).length() == 1
+
+
+def test_zero_numerator_rejected_for_every_source():
+    pairs = [(1, 2), (3, 1), (Fraction(0, 5), 4), (1, 5)]
+    text = json.dumps({"alpha": [1, 3, 0, 1], "beta": [2, 1, 4, 5]})
+    lazy = Gcf(lambda: iter(pairs))
+    assert lazy.pair(1) == (3, 1)
+    for read in (lambda: Gcf(pairs), lambda: lazy.pair(2), lambda: Gcf.from_json(text)):
+        with pytest.raises(ValueError, match="partial numerator 0 at index 2$"):
+            read()
+
+
+def test_callable_source_is_called_once():
+    calls = []
+
+    def source():
+        calls.append(1)
+        return iter([(1, 2), (1, 3), (1, 4)])
+
+    g = Gcf(source)
+    assert g.length() is None and g.pair(0) == (1, 2)
+    assert g.pairs(5) == [(1, 2), (1, 3), (1, 4)] and g.length() == 3
+    assert not g.has_pair(3) and len(calls) == 1
 
 
 # -- buffered digit access, against per-index references ---------------------

@@ -6,7 +6,7 @@ import pytest
 
 from cfrow import measure
 from cfrow.digits import fraction_digits
-from cfrow.errors import NonIntegrable
+from cfrow.errors import CfrowError, NonIntegrable
 from cfrow.induced import RectRegion
 from cfrow.measure import (
     MeasureEstimate,
@@ -88,6 +88,12 @@ def test_rejects_bad_regions():
         measure_of(RectRegion([(0, Fraction(1, 2), 0, Fraction(1, 2))]))
     with pytest.raises(NonIntegrable):
         measure_of(RectRegion([(Fraction(1, 3), Fraction(1, 3), 0, 1)]))
+
+
+def test_rejects_unknown_method():
+    for region in (region_h1(), build_alpha_region(Fraction(1, 2))):
+        with pytest.raises(CfrowError, match="unknown measure method 'bogus'"):
+            measure_of(region, method="bogus")
 
 
 def test_s_expansion_measure_exact():

@@ -602,7 +602,10 @@ def test_contains_rational_matches_oracle_on_sampler_points():
 def test_contains_rational_zero_coordinate_is_outside():
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        assert not R.contains_rational(_Read([]), _Read([1]))
+        # x = 0: both entry points give the walker's answer
+        for y in ([1], [1, 3], [1, 1, 2], [2], [3, 2]):
+            z = OmegaPoint.from_streams(ZERO_STREAM, from_digits(y))
+            assert R.contains_rational(_Read([]), _Read(list(y))) == R.contains(z)
         assert not R.contains_rational(_Read([3]), _Read([]))
         assert not R.contains_rational(_Read([]), _Read([]))
 
