@@ -110,12 +110,27 @@ class Cons(DigitStream):
         return out + s.prefix(n - len(out))
 
 
+class _Raising:
+    """Stands in for a memo source that raised: every later read raises
+    the same error again, with its original traceback."""
+
+    __slots__ = ("exc", "tb")
+
+    def __init__(self, exc: Exception):
+        self.exc, self.tb = exc, exc.__traceback__
+
+    def __next__(self):
+        raise self.exc.with_traceback(self.tb)
+
+
 class _Memo:
     """Shared memoised buffer over a one-shot iterator: `at(i)` is item
     i, read from the iterator at most once, or INF past its end.  It
     holds the digits of `LazyDigits`, where INF is the padding, and the
     pairs of `gcf.Gcf` and the indices of `contraction.ContractionPlan`,
-    which are never INF, so there INF means there is no item i."""
+    which are never INF, so there INF means there is no item i.  A
+    source that raised has not ended: every read past the items it gave
+    raises its error again."""
 
     __slots__ = ("buf", "src")
 
@@ -132,6 +147,10 @@ class _Memo:
             except StopIteration:
                 self.src = None
                 return INF
+            except Exception as exc:
+                if type(self.src) is not _Raising:
+                    self.src = _Raising(exc)
+                raise
         return self.buf[i]
 
 

@@ -8,10 +8,19 @@ accumulates the branch-matrix product A_R between visits, and exposes
 hitting times, induced steps, accumulated products and the three
 integer digit maps built from consecutive matrices.  The digit-pair
 formula lives in one place, `digit_pair`; the CFE route, the digit maps
-and the shift space all read their digits through it.  A walk keeps A_R
-as four plain integers, updated per slow step by the column moves of
-A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) (on the left for backward
-walks); each record builds its one `Mat2Z` at the visit.
+and the shift space all read their digits through it.
+
+The forward walk moves one partial-quotient run at a time: inside the
+partial quotient a1 the slow orbit walks the cells (a1-k, b1+k) with
+every other digit fixed, the Gauss map being the jump transformation of
+the Farey tent map.  `Region.first_in_run` names the first run point in
+the region, if any, and the walk applies A0^k = ((1,0),(k,1)) for a hit
+inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
+asks `contains` once at the run's top-strip landing.  Only the x = 0
+line, where the run never ends, is walked one slow step at a time, as
+is every backward walk (A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) join
+A_R on the left there).  A walk keeps A_R as four plain integers; each
+record builds its one `Mat2Z` at the visit.
 
 The boundary fix for orbits launched on the top edge is structural
 here: points evolve symbolically, and the non-canonical tails the
@@ -26,7 +35,7 @@ from fractions import Fraction
 
 from .errors import BackwardCapExceeded, BoundaryUndecidable, CapExceeded
 from .exact import INF, IDENTITY, Mat2Z
-from .natural_ext import OmegaPoint, ito_backstep, ito_step
+from .natural_ext import OmegaPoint, ito_backstep, ito_jump, ito_step
 
 
 class Region:
@@ -40,6 +49,18 @@ class Region:
 
     def contains(self, z: OmegaPoint) -> bool:
         raise NotImplementedError
+
+    def first_in_run(self, z: OmegaPoint, m: int):
+        """The least k in 1..m whose run point, the k-th slow image
+        (a1-k, b1+k) of z, is in the region, or None; z's leading digit
+        a1 is finite and m < a1.  This default walks the slow map, so any
+        region is answered correctly; a region that can decide a whole
+        run at once overrides it, exactly."""
+        for k in range(1, m + 1):
+            z = ito_step(z)
+            if self.contains(z):
+                return k
+        return None
 
     def describe(self) -> dict:
         return {"name": self.name, "altered": self.altered}
@@ -86,17 +107,31 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     """Advance to the next visit of the region, accumulating A_R.
 
     Works for z inside the region (return-time semantics) and outside
-    it (hitting semantics) alike.
+    it (hitting semantics) alike.  The walk moves one partial-quotient
+    run per iteration (see the module docstring); the record's N counts
+    slow steps all the same.
     """
-    contains = region.contains
+    contains, first_in_run = region.contains, region.first_in_run
     cur = z
     a, b, c, d = 1, 0, 0, 1
-    for n in range(1, cap + 1):
-        if cur.xd.head() == 1:  # branch digit 1, as in epsilon_of
-            a, b, c, d = b, a + b, d, c + d  # A_R @ A1
+    n = 0
+    while n < cap:
+        a1 = cur.xd.head()
+        if a1 is INF:  # x = 0 line: one A0 step
+            a, c = a + b, c + d
+            n += 1
+            cur = ito_step(cur)
         else:
-            a, b, c, d = a + b, b, c + d, d  # A_R @ A0
-        cur = ito_step(cur)
+            if a1 > 1:
+                k = first_in_run(cur, min(a1 - 1, cap - n))
+                if k is not None:  # A_R @ A0^k
+                    return InducedRecord(n + k, Mat2Z(a + k * b, b, c + k * d, d),
+                                         ito_jump(cur, k))
+            n += a1
+            if n > cap:
+                break
+            a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
+            cur = ito_jump(cur, a1)
         if contains(cur):
             return InducedRecord(n, Mat2Z(a, b, c, d), cur)
     raise CapExceeded(f"orbit did not enter {region.name} within {cap} steps")
@@ -187,6 +222,9 @@ class OmegaRegion(Region):
     def contains(self, z: OmegaPoint) -> bool:
         return True
 
+    def first_in_run(self, z: OmegaPoint, m: int):
+        return 1
+
 
 class CellRegion(Region):
     """Finite union of digit cells; conditions read the leading digits.
@@ -210,6 +248,23 @@ class CellRegion(Region):
             if (ca is None or ca == a) and (cb is None or cb == b):
                 return True
         return False
+
+    def first_in_run(self, z: OmegaPoint, m: int):
+        """Solves a1 - k = ca and b1 + k = cb per cell."""
+        a1, b1 = z.xd.head(), z.yd.head()
+        if b1 is INF:
+            return None
+        best = None
+        for ca, cb in self.cells:
+            if ca is not None:
+                k = a1 - ca
+                if cb is not None and b1 + k != cb:
+                    continue
+            else:
+                k = 1 if cb is None else cb - b1
+            if 1 <= k <= m and (best is None or k < best):
+                best = k
+        return best
 
     def describe(self) -> dict:
         return {"name": self.name, "altered": self.altered, "cells": self.cells}

@@ -1,7 +1,7 @@
 """Planar natural extensions on the unit square.
 
 Points carry the partial-quotient streams of both coordinates; the maps
-act symbolically on digits (one O(1) edit per coordinate per step).
+act symbolically on digits (one O(1) edit per coordinate per move).
 
 Slow map (first coordinate is the tent map):
 
@@ -22,10 +22,14 @@ backward step, and ((0,1),(1,a1)) for the fast map.  It acts as
 
 so a point keeps base values (x0, y0), its launch values or the last
 values read on its way, and two products, P with x = P^-1 . x0 and Q
-with y = Q . y0, updated by P' = P C and Q' = C Q.
-A step is then a digit edit plus two constant 2x2 integer products; no
-Fraction or Surd is built until `x_val` or `y_val` is read, which
-applies the product once and caches the value.
+with y = Q . y0, updated by P' = P C and Q' = C Q.  Over moves
+C1, ..., Ck the two products grow in opposite orders, P by C1...Ck and
+Q by Ck...C1, so `ito_jump`, which takes the slow steps of one
+partial-quotient run as one move, hands `_moved` one matrix per
+coordinate.
+A move is then a digit edit plus two 2x2 integer products; no Fraction
+or Surd is built until `x_val` or `y_val` is read, which applies the
+product once and caches the value.
 """
 
 from __future__ import annotations
@@ -122,8 +126,10 @@ class OmegaPoint:
             v = self._y = _mobius(self._qy, self._y0)
         return v
 
-    def _moved(self, xd: DigitStream, yd: DigitStream, c) -> "OmegaPoint":
-        """The point with streams (xd, yd) reached by the branch matrix c."""
+    def _moved(self, xd: DigitStream, yd: DigitStream, cx, cy) -> "OmegaPoint":
+        """The point with streams (xd, yd) reached by the moves whose
+        products are cx for x (P' = P cx) and cy for y (Q' = cy Q); a
+        single step passes its branch matrix as both."""
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd = xd
         w.yd = yd
@@ -133,18 +139,18 @@ class OmegaPoint:
         else:
             w._x = _PENDING
             if x is _PENDING:
-                w._x0, w._px = self._x0, _mul(self._px, c)
+                w._x0, w._px = self._x0, _mul(self._px, cx)
             else:
-                w._x0, w._px = x, c
+                w._x0, w._px = x, cx
         y = self._y
         if y is None:
             w._y0 = w._y = None
         else:
             w._y = _PENDING
             if y is _PENDING:
-                w._y0, w._qy = self._y0, _mul(c, self._qy)
+                w._y0, w._qy = self._y0, _mul(cy, self._qy)
             else:
-                w._y0, w._qy = y, c
+                w._y0, w._qy = y, cy
         return w
 
     def cell(self) -> CellIndex:
@@ -169,23 +175,38 @@ def ito_step(z: OmegaPoint) -> OmegaPoint:
     a1 = z.xd.head()
     if a1 is INF:
         # x = 0 line: x fixed, y |-> y/(1+y), i.e. leading y-digit bumps
-        return z._moved(z.xd, Cons(z.yd.head() + 1, z.yd.tail()), _A0)
+        return z._moved(z.xd, Cons(z.yd.head() + 1, z.yd.tail()), _A0, _A0)
     if a1 > 1:
-        return z._moved(Cons(a1 - 1, z.xd.tail()), Cons(z.yd.head() + 1, z.yd.tail()), _A0)
-    return z._moved(z.xd.tail(), Cons(1, z.yd), _A1)
+        return z._moved(Cons(a1 - 1, z.xd.tail()), Cons(z.yd.head() + 1, z.yd.tail()), _A0, _A0)
+    return z._moved(z.xd.tail(), Cons(1, z.yd), _A1, _A1)
+
+
+def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
+    """k slow steps inside z's partial quotient a1 as one move, for a
+    finite a1 and 1 <= k <= a1.  The steps walk the cells (a1-k, b1+k)
+    with every other digit fixed, so for k < a1 they are A0^k =
+    ((1,0),(k,1)) on both coordinates; the whole run k = a1 moves x by
+    A0^(a1-1) A1 = ((0,1),(1,a1)) and y by A1 A0^(a1-1) = ((a1-1,1),(a1,1))
+    and lands in the top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...])."""
+    a1, b1 = z.xd.head(), z.yd.head()
+    if k < a1:
+        c = (1, 0, k, 1)
+        return z._moved(Cons(a1 - k, z.xd.tail()), Cons(b1 + k, z.yd.tail()), c, c)
+    yd = z.yd if a1 == 1 else Cons(b1 + a1 - 1, z.yd.tail())
+    return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1), (a1 - 1, 1, a1, 1))
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:
     """The inverse step; total on the symbolic representation."""
     b1 = z.yd.head()
     if b1 == 1:
-        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV)
+        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV, _A1_INV)
     a1 = z.xd.head()
     xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
     if b1 is INF:
         # y = 0 line: x |-> x/(1+x) keeps y at 0
-        return z._moved(xd, z.yd, _A0_INV)
-    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV)
+        return z._moved(xd, z.yd, _A0_INV, _A0_INV)
+    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV, _A0_INV)
 
 
 def epsilon_of(z: OmegaPoint) -> int:
@@ -208,7 +229,8 @@ def gauss_ne_step(w: OmegaPoint) -> OmegaPoint:
     a1 = w.xd.head()
     if a1 is INF:
         return w
-    return w._moved(w.xd.tail(), Cons(a1, w.yd), (0, 1, 1, a1))
+    c = (0, 1, 1, a1)
+    return w._moved(w.xd.tail(), Cons(a1, w.yd), c, c)
 
 
 def mu_bar_density(x, y):

@@ -151,6 +151,9 @@ class SExpansionRegion(Region):
         pulled = OmegaPoint.from_streams(Cons(b2, z.xd), z.yd.tail().tail())
         return not self.excluded.contains(pulled)
 
+    def first_in_run(self, z: OmegaPoint, m: int):
+        return None  # run points have b >= 2, below the top strip
+
     def describe(self) -> dict:
         return {
             "name": self.name,
@@ -300,15 +303,22 @@ class AlphaRegion(Region):
         return self._odd_depth(x, y, o)
 
     def contains(self, z: OmegaPoint) -> bool:
-        b1 = z.yd.head()
-        if b1 == 1:
+        if z.yd.head() == 1:
             return self._odd_depth(_Read([], z.xd), _Read([], z.yd.tail()), 0)
+        return z.xd.head() is not INF and self._run_member(z)
+
+    def first_in_run(self, z: OmegaPoint, m: int):
+        return 1 if self._run_member(z) else None
+
+    def _run_member(self, z: OmegaPoint) -> bool:
+        """Membership of the points (a1-k, b1+k) of z's run that lie
+        below the top strip, k = 0 included when b1 >= 2; a1 is finite.
+        It is one answer for all of them: each slides back to the same
+        c = a1+b1-1 with both tails fixed."""
+        b1 = z.yd.head()
         if b1 is INF or not self.slides:
             return False
-        a1 = z.xd.head()
-        if a1 is INF:
-            return False
-        c = a1 + b1 - 1
+        c = z.xd.head() + b1 - 1
         return self._slid(c, _Read([c], z.xd), _Read([], z.yd.tail()), 0)
 
     def contains_rational(self, x, y) -> bool:

@@ -132,6 +132,19 @@ def test_not_contractable_names_block():
         contract(bad, ContractionPlan([0, 3])).pairs(2)
 
 
+def test_not_contractable_raises_on_every_read():
+    # the lazy contraction's generator dies with the error; the expansion
+    # must not read as if it ended there
+    c = contract(Gcf([(1, 1), (1, 1), (-1, 1), (-1, 1)]), ContractionPlan([0, 3]))
+    for _ in range(3):
+        with pytest.raises(NotContractable, match=r"block \[2,3\]"):
+            c.pairs(2)
+        with pytest.raises(NotContractable):
+            c.has_pair(1)
+    assert c.pair(0) == (1, 1)
+    assert c.length() is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_seidel_property_random(data):

@@ -219,3 +219,18 @@ def test_snap_reader_holds_back_the_folded_digit():
         r.more()
     assert r.got[-1] == 4
     assert SnapReader(0.0).read_all() == [] and SnapReader(1.0).read_all() == [1]
+
+
+def test_lazy_digits_source_error_is_raised_on_every_read():
+    def source():
+        yield 3
+        yield 1
+        raise ValueError("digit source broke")
+
+    s = LazyDigits(source())
+    for _ in range(3):
+        with pytest.raises(ValueError, match="digit source broke"):
+            s.prefix(5)
+        with pytest.raises(ValueError, match="digit source broke"):
+            s.tail().tail().head()
+    assert s.prefix(2) == [3, 1] and s.tail().head() == 1

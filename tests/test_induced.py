@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from cfrow.digits import from_digits
-from cfrow.errors import BackwardCapExceeded, CapExceeded
-from cfrow.exact import Mat2Z
+from cfrow.digits import ZERO_STREAM, from_digits
+from cfrow.errors import BackwardCapExceeded, CapExceeded, CfrowError
+from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0, A1, a_matrix
 from cfrow.gcf import partial_pq
 from cfrow.induced import (
+    CellRegion,
+    InducedRecord,
     RectRegion,
+    Region,
     backward_induced_step,
     d_map,
     digit_maps,
@@ -18,7 +21,7 @@ from cfrow.induced import (
     induced_records,
     induced_step,
 )
-from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_step
+from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_jump, ito_step
 from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
@@ -329,3 +332,150 @@ def test_induced_matrices_equal_branch_folds_on_surd_points(rng, alpha):
         check_forward_fold(region, z, records)
         for rec in records[1:]:
             assert check_backward_fold(region, rec.z_next, 10**4).A == rec.A
+
+
+# -- partial-quotient runs against the slow map one step at a time --------
+
+
+def oracle_regions():
+    half = Fraction(1, 2)
+    return [
+        region_omega(),
+        region_h1(),
+        region_h(2),
+        region_v(2),
+        region_cell(2, 0),
+        region_cell(3, 1),
+        CellRegion([(3, None), (None, 4), (2, 5)]),
+        build_alpha_region(Fraction(1, 4)),
+        build_alpha_region(half),
+        build_alpha_region(Fraction(7, 10)),
+        build_alpha_region(S2),
+        build_s_expansion_region([(half, 1, 0, half)]),
+        RectRegion([(Fraction(1, 5), Fraction(3, 5), Fraction(1, 7), Fraction(4, 7)),
+                    (Fraction(2, 3), 1, 0, Fraction(1, 9))]),
+    ]
+
+
+def slow_induced_step(region, z, cap):
+    """The next visit's record, by a plain slow-map loop."""
+    cur = z
+    mat = Mat2Z(1, 0, 0, 1)
+    for n in range(1, cap + 1):
+        mat = mat @ a_matrix(epsilon_of(cur))
+        cur = ito_step(cur)
+        if region.contains(cur):
+            return InducedRecord(n, mat, cur)
+    raise CapExceeded(f"no visit within {cap} steps")
+
+
+def outcome(step, region, z, cap):
+    """(N, A, 60-digit prefixes of both landing streams), or the type of
+    the error the step raised."""
+    try:
+        rec = step(region, z, cap)
+    except CfrowError as exc:
+        return type(exc)
+    return rec.N, rec.A, rec.z_next.xd.prefix(60), rec.z_next.yd.prefix(60)
+
+
+def oracle_points(rng):
+    digit = lambda: min(int(1 / (1 - rng.random())), 40)
+    points = []
+    for _ in range(6):
+        points.append(OmegaPoint.from_streams(
+            from_digits([digit() for _ in range(rng.choice([5, 60, 300]))]),
+            from_digits([digit() for _ in range(rng.choice([0, 3, 40]))])))
+    for _ in range(2):
+        ys = from_digits([digit() for _ in range(rng.choice([1, 4]))])
+        points.append(OmegaPoint.from_streams(ZERO_STREAM, ys))  # x = 0 line
+        xs = from_digits([digit() for _ in range(120)])
+        points.append(OmegaPoint.from_streams(xs, ZERO_STREAM))  # y = 0 line
+    return points
+
+
+@pytest.mark.parametrize("k", range(len(oracle_regions())))
+def test_induced_step_equals_slow_map_loop(k):
+    region = oracle_regions()[k]
+    rng = random.Random(9100 + k)
+    for z in oracle_points(rng):
+        cur = z
+        for _ in range(3):
+            want = outcome(slow_induced_step, region, cur, 3000)
+            assert outcome(induced_step, region, cur, 3000) == want, (region.name, z)
+            if isinstance(want, type):
+                break
+            cur = induced_step(region, cur, 3000).z_next
+
+
+@pytest.mark.parametrize("k", range(len(oracle_regions())))
+def test_first_in_run_equals_the_default_walk(k):
+    region = oracle_regions()[k]
+    rng = random.Random(9200 + k)
+    for z in oracle_points(rng):
+        a1 = z.xd.head()
+        if a1 is INF or a1 == 1:
+            continue
+        for m in sorted({1, a1 // 2, a1 - 1}):
+            try:
+                want = Region.first_in_run(region, z, m)
+            except CfrowError as exc:
+                with pytest.raises(type(exc)):
+                    region.first_in_run(z, m)
+                continue
+            assert region.first_in_run(z, m) == want, (region.name, z, m)
+
+
+def test_jumped_values_equal_stepped_values(rng):
+    # values read after jumped runs equal those of the slow map read at
+    # every step; x composes as P C1...Ck and y as Ck...C1 Q, so a swapped
+    # order shows up in y at once
+    starts = []
+    for y in (Fraction(1), Fraction(2, 3)):
+        starts.append((random_surd(rng), y))
+        starts.append((Fraction(rng.randint(1, 10**6), 10**6 + 3), y))
+    starts.append((random_surd(rng), random_surd(rng)))
+    starts.append((Fraction(7, 50), Fraction(5, 9)))
+    regions = [region_h1(), region_v(2), region_cell(3, 1), build_alpha_region(Fraction(1, 4))]
+    checked = 0
+    for x, y in starts:
+        z = OmegaPoint.from_values(x, y)
+        a1 = z.xd.head()
+        walked = z
+        for k in range(1, a1 + 1):
+            walked = ito_step(walked)
+            jumped = ito_jump(z, k)
+            assert (jumped.x_val, jumped.y_val) == (walked.x_val, walked.y_val)
+        for region in regions:
+            cur, slow = z, z
+            for _ in range(4):
+                try:
+                    want = slow_induced_step(region, slow, 2000)
+                except CapExceeded:
+                    with pytest.raises(CapExceeded):
+                        induced_step(region, cur, 2000)
+                    break
+                rec = induced_step(region, cur, 2000)
+                assert rec.N == want.N
+                slow, cur = want.z_next, rec.z_next
+                checked += 1
+            # read only now: the jumps' matrices compose unread across records
+            assert (cur.x_val, cur.y_val) == (slow.x_val, slow.y_val)
+            assert type(cur.x_val) is type(x) and type(cur.y_val) is type(y)
+    assert checked > 60
+
+
+@pytest.mark.parametrize("region, n", [(region_v(2), 5), (region_h1(), 7)])
+def test_cap_edge_inside_and_at_the_end_of_a_run(region, n):
+    # a1 = 7 from the top strip: v:2 is hit at (2, 6) inside the run,
+    # h1 at the run's landing
+    z = OmegaPoint.from_streams(from_digits([7, 3, 2, 5]), from_digits([1, 4]))
+    rec = induced_step(region, z, n)
+    assert rec.N == n
+    for cap in range(1, n):
+        with pytest.raises(CapExceeded):
+            induced_step(region, z, cap)
+    wide = induced_step(region, z, 10**6)
+    assert (wide.N, wide.A) == (rec.N, rec.A)
+    assert rec.z_next.xd.prefix(8) == wide.z_next.xd.prefix(8)
+    assert rec.z_next.yd.prefix(8) == wide.z_next.yd.prefix(8)
