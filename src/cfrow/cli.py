@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -52,13 +51,9 @@ def cmd_expand(args) -> int:
         digits = rcf_digits(x).prefix(n)
         _emit({"kind": "rcf", "x": args.x, "digits": [encode_digit(d) for d in digits]})
         return 0
-    if args.kind == "farey":
-        g = farey_expansion(x, n)
-        _emit({**g.as_dict(n + 1), "kind": "farey", "x": args.x})
-        return 0
-    if args.kind == "lehner":
-        g = lehner_expansion(x, n)
-        _emit({**g.as_dict(n + 1), "kind": "lehner", "x": args.x})
+    if args.kind in ("farey", "lehner"):
+        g = (farey_expansion if args.kind == "farey" else lehner_expansion)(x, n)
+        _emit({**g.as_dict(n + 1), "kind": args.kind, "x": args.x})
         return 0
     if args.kind == "alpha":
         if args.alpha is None:
@@ -103,8 +98,8 @@ def cmd_contract(args) -> int:
         {
             **out.as_dict(pairs_n),
             "plan": idxs,
-            "scalars": scalars,
-            "convergents": [[c.P, c.Q] for c in conv],
+            "scalars": [encode_digit(c) for c in scalars],
+            "convergents": [[encode_digit(c.P), encode_digit(c.Q)] for c in conv],
         }
     )
     return 0
@@ -193,8 +188,7 @@ def cmd_sweep_alpha(args) -> int:
     for i, atext in enumerate(alphas):
         alpha = parse_real(atext)
         region = build_alpha_region(alpha)
-        est = measure.measure_of(region, seed=seed + i, samples=args.samples)
-        ent = math.pi**2 / (6 * est.value)
+        ent, est = measure.entropy_of(region, seed=seed + i, samples=args.samples)
         ent_err = ent * est.error_bound / est.value
         rows.append(
             (atext, est.value, est.error_bound, ent, ent_err, seed + i)
@@ -207,6 +201,14 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """argparse type of the count options: an int >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a count >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cfrow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--kind", choices=["rcf", "farey", "lehner", "alpha"], required=True)
     pe.add_argument("--x", required=True)
     pe.add_argument("--alpha", default=None)
-    pe.add_argument("--n", type=int, default=10)
+    pe.add_argument("--n", type=count, default=10)
     pe.set_defaults(func=cmd_expand)
 
     pc = sub.add_parser("contract", help="contract a GCF along an index plan")
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("cfe", help="contracted Farey expansion over a region")
     pf.add_argument("--region", required=True)
     pf.add_argument("--x", required=True)
-    pf.add_argument("--digits", type=int, default=10)
+    pf.add_argument("--digits", type=count, default=10)
     pf.add_argument("--cap", type=int, default=10**6)
     pf.set_defaults(func=cmd_cfe)
 
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--region", default=None)
     po.add_argument("--x", required=True)
     po.add_argument("--y", default="1")
-    po.add_argument("--n", type=int, default=50)
+    po.add_argument("--n", type=count, default=50)
     po.add_argument("--cap", type=int, default=10**6)
     po.add_argument("--csv", default="-")
     po.add_argument("--space", choices=["plane", "shift"], default="plane")
@@ -245,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--tol", type=float, default=1e-8)
     pn.add_argument("--method", default="auto")
     pn.add_argument("--seed", type=int, default=None)
-    pn.add_argument("--samples", type=int, default=200_000)
+    pn.add_argument("--samples", type=count, default=200_000)
     pn.set_defaults(func=cmd_entropy)
 
     pr = sub.add_parser("region-info", help="describe a region spec")
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep-alpha", help="measure/entropy sweep over alphas")
     ps.add_argument("--alphas", required=True)
-    ps.add_argument("--samples", type=int, default=100_000)
+    ps.add_argument("--samples", type=count, default=100_000)
     ps.add_argument("--seed", type=int, default=None)
     ps.add_argument("--csv", default="-")
     ps.set_defaults(func=cmd_sweep_alpha)
@@ -267,10 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CfrowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (CfrowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from .digits import _Memo
 from .errors import NotContractable
 from .exact import INF
-from .gcf import Gcf, partial_det, partial_pq
+from .gcf import Gcf, convergents, partial_det, partial_pq
 
 
 def _increasing(indices):
@@ -75,16 +75,12 @@ def is_contractable(g: Gcf, depth: int) -> bool:
     last = depth
     while last >= 0 and not g.has_pair(last):
         last -= 1
-    P = {-2: 0, -1: 1}
-    Q = {-2: 1, -1: 0}
-    for k in range(last + 1):
-        a, b = g.pair(k)
-        P[k] = b * P[k - 1] + a * P[k - 2]
-        Q[k] = b * Q[k - 1] + a * Q[k - 2]
+    conv = convergents(g, last)  # (P_k, Q_k) at conv[k + 2]
     for m in range(0, last + 1):
-        for n in range(m, last + 1):
+        P_m1, Q_m1 = conv[m + 1]
+        for P_n, Q_n in conv[m + 2:]:
             # numerator of Q_[m+1,n]; the determinant factor never vanishes
-            if Q[n] * P[m - 1] - P[n] * Q[m - 1] == 0:
+            if Q_n * P_m1 - P_n * Q_m1 == 0:
                 return False
     return True
 
@@ -142,8 +138,6 @@ def seidel_scalars(g: Gcf, cplan, k_max: int):
 
 def seidel_check(g: Gcf, cplan, k_max: int) -> bool:
     """Exact Seidel identity (P'_k, Q'_k) = c_k (P_{n_k}, Q_{n_k})."""
-    from .gcf import convergents
-
     if not isinstance(cplan, ContractionPlan):
         cplan = ContractionPlan(cplan)
     contracted = contract(g, cplan)

@@ -174,17 +174,5 @@ class RationalInterval:
     def contains(self, v) -> bool:
         return self.lo <= v <= self.hi
 
-    def strictly_below(self, v) -> bool:
-        return self.hi < v
-
-    def intersects(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def refine_to(self, other: "RationalInterval") -> "RationalInterval":
-        """Replace by a sub-interval; refinement must only shrink."""
-        if other.lo < self.lo or other.hi > self.hi:
-            raise ValueError("refinement must shrink the interval")
-        return other
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"

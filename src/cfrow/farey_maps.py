@@ -193,32 +193,13 @@ def a_matrix_backward(x, n: int) -> Mat2Z:
 
 
 def farey_convergents(x, n: int):
-    """(u_k, s_k) for k = 0..n: left columns of A_[0,k].
+    """(u_k, s_k) for k = 0..n: left columns of A_[0,k], read off
+    `a_matrix_forward`'s closed form.
 
     The sequence runs through every convergent and every mediant in
     order of appearance.
     """
-    digits = x if isinstance(x, DigitStream) else rcf_digits(x)
-    out = [(1, 0)]
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1
-    s = digits
-    a = s.head()
-    lam = 0
-    for _ in range(n):
-        lam += 1
-        if a is not INF and lam >= a:
-            # lam == a: mediant closes into the next convergent
-            p_prev, p = p, a * p + p_prev
-            q_prev, q = q, a * q + q_prev
-            s = s.tail()
-            a = s.head()
-            lam = 0
-        if lam == 0:
-            out.append((p_prev, q_prev))
-        else:
-            out.append((lam * p + p_prev, lam * q + q_prev))
-    return out
+    return [(m.a, m.c) for m in (a_matrix_forward(x, k) for k in range(n + 1))]
 
 
 def gauss_jump_length(x: RealRep) -> int:

@@ -32,7 +32,7 @@ from .errors import (
     NotSingularisable,
     SingularPrefix,
 )
-from .exact import INF, Mat2Z, mobius_apply
+from .exact import INF, Mat2Z
 
 
 def _num(v):
@@ -48,6 +48,18 @@ def encode_digit(v):
     if v is INF:
         return "inf"
     return str(v) if isinstance(v, Fraction) else v
+
+
+def _decode_digit(v):
+    """The digit of a JSON value `encode_digit` writes: an int (not a
+    bool), "inf" or a fraction string; anything else raises ValueError."""
+    if v == "inf":
+        return INF
+    if isinstance(v, str):
+        return Fraction(v)
+    if type(v) is not int:
+        raise ValueError(f"digit {v!r} is not an int, a fraction string or \"inf\"")
+    return v
 
 
 def _pairs(source):
@@ -127,10 +139,6 @@ class Gcf:
         self._memo.at(n - 1)
         return self._buf[:n]
 
-    def b_matrix(self, n: int) -> Mat2Z:
-        a, b = self.pair(n)
-        return Mat2Z(0, a, 1, b)
-
     # -- serialization ----------------------------------------------------
 
     def as_dict(self, n: int) -> dict:
@@ -151,10 +159,16 @@ class Gcf:
 
     @staticmethod
     def from_json(text: str) -> "Gcf":
+        """The expansion of {"alpha": [...], "beta": [...]}, two digit
+        lists of one length; anything else raises ValueError."""
         obj = json.loads(text)
-        dec = lambda v: INF if v == "inf" else Fraction(v) if isinstance(v, str) else v
-        pairs = list(zip(map(dec, obj["alpha"]), map(dec, obj["beta"])))
-        return Gcf(pairs)
+        if not (isinstance(obj, dict) and isinstance(obj.get("alpha"), list)
+                and isinstance(obj.get("beta"), list)):
+            raise ValueError('a GCF is {"alpha": [...], "beta": [...]}')
+        alpha, beta = obj["alpha"], obj["beta"]
+        if len(alpha) != len(beta):
+            raise ValueError(f"alpha has {len(alpha)} digits but beta {len(beta)}")
+        return Gcf(list(zip(map(_decode_digit, alpha), map(_decode_digit, beta))))
 
 
 @dataclass(frozen=True)
@@ -192,10 +206,9 @@ def partial_matrix(g: Gcf, m: int, n: int) -> Mat2Z:
     """B_m B_{m+1} ... B_n, for -1 <= m <= n within the expansion."""
     if m < -1 or n < m:
         raise BadRange(f"bad index range [{m}, {n}]")
-    out = g.b_matrix(m) if m >= 0 else Mat2Z(0, 1, 1, 0)
-    for k in range(m + 1, n + 1):
-        out = out @ g.b_matrix(k)
-    return out
+    # the columns of B_[m,n] are (P, Q) of the blocks [m, n-1] and [m, n]
+    (p0, q0), (p1, q1) = partial_pq(g, m, n - 1), partial_pq(g, m, n)
+    return Mat2Z(p0, p1, q0, q1)
 
 
 def partial_pq(g: Gcf, m: int, n: int):
@@ -236,7 +249,7 @@ def evaluate_finite(g: Gcf, cap: int = 1_000_000):
         n += 1
         if n > cap:
             raise IndexBeyondExpansion("expansion is not finite")
-    return mobius_apply(partial_matrix(g, -1, n), Fraction(0))
+    return convergent(g, n).as_fraction()
 
 
 def digits_from_convergents(ps) -> Gcf:

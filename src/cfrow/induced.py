@@ -231,11 +231,15 @@ class CellRegion(Region):
 
     Each member of `cells` is a pair (a, b) with None meaning
     unconstrained, so (None, 1) is the top strip and (2, None) a
-    vertical strip.
+    vertical strip; any other index must be an int >= 1 (ValueError).
     """
 
     def __init__(self, cells, name="cells", altered=False):
         self.cells = [tuple(c) for c in cells]
+        for ca, cb in self.cells:
+            for v in (ca, cb):
+                if v is not None and (type(v) is not int or v < 1):
+                    raise ValueError(f"cell index {v!r} is neither None nor an int >= 1")
         self.name = name
         self.altered = altered
         self.unit_s = self.cells == [(None, 1)]

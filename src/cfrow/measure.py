@@ -34,14 +34,11 @@ from .regions import AlphaRegion, SExpansionRegion
 
 def rect_mass_exact(x0, x1, y0, y1) -> float:
     """Slow-map measure of a rectangle, as log of an exact rational."""
-    x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
     if x0 == x1 or y0 == y1:
         return 0.0
     if x0 == 0 and y0 == 0:
         raise NonIntegrable("rectangle touches the origin")
-    num = (y0 + (1 - y0) * x1) * (y1 + (1 - y1) * x0)
-    den = (y0 + (1 - y0) * x0) * (y1 + (1 - y1) * x1)
-    return math.log(num / den)
+    return math.log(rect_mass_ratio(x0, x1, y0, y1))
 
 
 def rect_mass_ratio(x0, x1, y0, y1) -> Fraction:
@@ -92,9 +89,6 @@ def _region_rects(region: Region):
         return _cell_rects(region)
     if isinstance(region, RectRegion):
         return list(region.rects)
-    if isinstance(region, SExpansionRegion):
-        # top strip minus the pre-images of the excluded rectangles
-        return None
     return None
 
 
@@ -157,15 +151,21 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
             val = sum(rect_mass_exact(*r) for r in rects)
             return MeasureEstimate(val, 1e-15, "exact-integral")
         if method == "monte-carlo":
-            return _rects_measure_mc(rects, seed if seed is not None else 0, samples)
+            # cross-check of the exact masses: y must be bounded away from 0
+            y_min = min(y0 for _, _, y0, _ in rects)
+            if y_min == 0:
+                raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
+
+            def in_rects(x, y):
+                fx, fy = digits_fraction(x.read_all()), digits_fraction(y.read_all())
+                return any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects)
+
+            return _strip_monte_carlo(y_min, in_rects, seed if seed is not None else 0, samples)
         return _quadrature(rects, tol)
     if isinstance(region, AlphaRegion):
-        return _alpha_measure_mc(region, seed if seed is not None else 0, samples)
+        return _strip_monte_carlo(_alpha_window(region), region.contains_rational,
+                                  seed if seed is not None else 0, samples)
     raise NonIntegrable(f"no measure path for region {region.name}")
-
-
-def _strip_union_mass(y_min: Fraction) -> float:
-    return rect_mass_exact(0, 1, y_min, 1)
 
 
 def _strip_sampler(y_min: Fraction):
@@ -197,19 +197,17 @@ def _strip_sampler(y_min: Fraction):
     return sample
 
 
-def _rects_measure_mc(rects, seed: int, samples: int) -> MeasureEstimate:
-    """Strip-restricted Monte Carlo for regions with y bounded away
-    from 0 (cross-check path against the exact rectangle masses)."""
-    y_min = min(Fraction(y0) for _, _, y0, _ in rects)
-    if y_min == 0:
-        raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
+def _strip_monte_carlo(y_min: Fraction, hit, seed: int, samples: int) -> MeasureEstimate:
+    """Seeded Monte Carlo under the measure restricted to the strip
+    y > y_min: the strip's exact mass times the share of `samples`
+    points of `_strip_sampler(y_min)` whose coordinate readers x, y
+    satisfy `hit(x, y)`."""
     rng = random.Random(seed)
     sample = _strip_sampler(y_min)
-    w_mass = _strip_union_mass(y_min)
+    w_mass = rect_mass_exact(0, 1, y_min, 1)
     hits = 0
     for _ in range(samples):
-        fx, fy = (digits_fraction(r.read_all()) for r in sample(rng))
-        if any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects):
+        if hit(*sample(rng)):
             hits += 1
     p = hits / samples
     sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
@@ -224,21 +222,6 @@ def _alpha_window(region: AlphaRegion) -> Fraction:
     al = region.alpha_list
     a_max = al[0] if len(al) > 1 else al[0] - 1
     return Fraction(1, max(1, a_max) + 1)
-
-
-def _alpha_measure_mc(region: AlphaRegion, seed: int, samples: int) -> MeasureEstimate:
-    y_min = _alpha_window(region)
-    rng = random.Random(seed)
-    sample = _strip_sampler(y_min)
-    w_mass = _strip_union_mass(y_min)
-    hits = 0
-    for _ in range(samples):
-        if region.contains_rational(*sample(rng)):
-            hits += 1
-    p = hits / samples
-    value = w_mass * p
-    sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
-    return MeasureEstimate(value, 3 * sigma, "monte-carlo", seed=seed, samples=samples)
 
 
 def entropy_of(region: Region, tol: float = 1e-9, method: str = "auto",

@@ -46,7 +46,6 @@ from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
 # Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
 _ID = (1, 0, 0, 1)
 _A0 = (1, 0, 1, 1)
-_A1 = (0, 1, 1, 1)
 _A0_INV = (1, 0, -1, 1)
 _A1_INV = (-1, 1, 1, 0)
 
@@ -172,13 +171,10 @@ class OmegaPoint:
 
 def ito_step(z: OmegaPoint) -> OmegaPoint:
     """One step of the slow planar map, symbolically."""
-    a1 = z.xd.head()
-    if a1 is INF:
+    if z.xd.head() is INF:
         # x = 0 line: x fixed, y |-> y/(1+y), i.e. leading y-digit bumps
         return z._moved(z.xd, Cons(z.yd.head() + 1, z.yd.tail()), _A0, _A0)
-    if a1 > 1:
-        return z._moved(Cons(a1 - 1, z.xd.tail()), Cons(z.yd.head() + 1, z.yd.tail()), _A0, _A0)
-    return z._moved(z.xd.tail(), Cons(1, z.yd), _A1, _A1)
+    return ito_jump(z, 1)
 
 
 def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:

@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-from .digits import DigitStream, LazyDigits, from_fraction
+from .digits import DigitStream, LazyDigits, digits_fraction, from_fraction
 from .errors import OutOfDomain
 
 
@@ -324,11 +324,7 @@ def parse_real(text: str) -> RealRep:
         body = t[1:-1]
         head, _, rest = body.partition(";")
         a0 = int(head)
-        digits = [int(s) for s in rest.split(",") if s] if rest else []
-        val = Fraction(0)
-        for a in reversed(digits):
-            val = Fraction(1, a + val)
-        return a0 + val
+        return a0 + digits_fraction([int(s) for s in rest.split(",") if s])
     if "sqrt" in t:
         m = _SQRT_RE.match(t)
         if not m:

@@ -18,8 +18,9 @@ Three families:
   alpha <= 1/2 the part of that set with x >= alpha is additionally
   slid down-right through its full cell range.  One walker decides this
   for digit streams and for exact rationals alike: it pulls both
-  coordinates' digits through readers, only as far as it needs them,
-  and compares them with alpha's as int lists.
+  coordinates' digits through readers that start at their first digits
+  a1 and b1, only as far as it needs them, and compares them with
+  alpha's as int lists.
 """
 
 from __future__ import annotations
@@ -45,18 +46,14 @@ def region_omega() -> Region:
 
 
 def region_h1() -> Region:
-    return CellRegion([(None, 1)], name="h1", altered=True)
+    return region_h(1)
 
 
 def region_h(b: int) -> Region:
-    if b < 1:
-        raise ValueError("strip index must be >= 1")
     return CellRegion([(None, b)], name=f"h{b}", altered=(b == 1))
 
 
 def region_v(a: int) -> Region:
-    if a < 1:
-        raise ValueError("strip index must be >= 1")
     return CellRegion([(a, None)], name=f"v{a}")
 
 
@@ -94,11 +91,7 @@ class SingularisationArea:
                 if max(x0, u0) < min(x1, u1) and max(y0, v0) < min(y1, v1):
                     raise InvalidSingularisationArea("a", "overlapping rectangles")
         # condition (b): S and its image have disjoint interiors
-        for x0, x1, y0, y1 in self.rects:
-            if x0 == x1 or y0 == y1:
-                continue
-            ix0, ix1 = 1 / x1 - 1, 1 / x0 - 1
-            iy0, iy1 = Fraction(1, 1 + y1), Fraction(1, 1 + y0)
+        for ix0, ix1, iy0, iy1 in self.gauss_image_rects():
             for u0, u1, v0, v1 in self.rects:
                 if max(ix0, u0) < min(ix1, u1) and max(iy0, v0) < min(iy1, v1):
                     raise InvalidSingularisationArea(
@@ -213,9 +206,10 @@ class AlphaRegion(Region):
     pulled-back digits with alpha's digit list as int lists, in the
     alternating lexicographic order of canonical expansions.  It reads x
     and y through readers (`_Read`, `digits.SnapReader`), and pulls a
-    digit only when a comparison runs off the digits read so far; y's
-    reader holds b2 at index `o` (1 when it also holds b1).  An
-    irrational alpha is compared through its first 300 partial quotients.
+    digit only when a comparison runs off the digits read so far.  Every
+    y reader starts at the point's own b1, so b_{j+1} sits at index j;
+    the walker never reads b1 itself.  An irrational alpha is compared
+    through its first 300 partial quotients.
     """
 
     unit_s = True
@@ -233,9 +227,9 @@ class AlphaRegion(Region):
         self.back_cap = back_cap
         self.name = name or f"alpha:{alpha}"
 
-    def _below(self, y, j: int, x, o: int) -> bool:
-        """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, b3, ...
-        at y.got[o], y.got[o + 1], ... (all j of them read already)?
+    def _below(self, y, j: int, x) -> bool:
+        """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, ...,
+        b_{j+1} read already at y.got[1], ..., y.got[j]?
 
         Reads more of x only when the comparison runs off its end.  Past
         `back_cap` equal leading digits the comparison raises.  None
@@ -244,12 +238,11 @@ class AlphaRegion(Region):
         al = self.alpha_list
         na = len(al)
         bs = y.got
-        top = o + j - 1
         xs = x.got
         i = 0
         while True:
             if i < j:
-                da = bs[top - i]
+                da = bs[j - i]
             elif i - j < len(xs):
                 da = xs[i - j]
             elif x.src is not None:
@@ -270,41 +263,41 @@ class AlphaRegion(Region):
         # 0-based even position = odd partial quotient: bigger digit, smaller value
         return da_big == (i % 2 == 0)
 
-    def _odd_depth(self, x, y, o: int) -> bool:
+    def _odd_depth(self, x, y) -> bool:
         """Parity of the least backward depth j whose pulled-back
-        x-coordinate is < alpha; y's reader holds b2 at index o."""
+        x-coordinate is < alpha."""
         a1 = self.alpha_list[0]
         bs = y.got
         for j in range(1, self.back_cap + 1):
-            k = o + j - 1  # index of b_{j+1}
-            if len(bs) <= k:
+            if len(bs) <= j:  # b_{j+1} not read yet
                 if y.src is not None:
                     y.more()
                     bs = y.got
-                if len(bs) <= k:
+                if len(bs) <= j:
                     return j % 2 == 1  # preimage x-coordinate is 0 < alpha
-            b = bs[k]
+            b = bs[j]
             if b != a1:  # decided at the first digit, as _below would
                 if b > a1:
                     return j % 2 == 1
-            elif self._below(y, j, x, o):
+            elif self._below(y, j, x):
                 return j % 2 == 1
         raise BackwardCapExceeded(
             f"parity search for {self.name} exceeded {self.back_cap} backward steps"
         )
 
-    def _slid(self, c, x, y, o: int) -> bool:
+    def _slid(self, c, x, y) -> bool:
         """Membership of a point below the top strip, slid back up-left
-        to the top-strip point with digits x = (c, ...) and (1, b2, ...):
-        its source cell must sit at or right of alpha."""
+        to the top-strip point with digits x = (c, ...) and (1, b2, ...),
+        where y's reader still holds b1 in place of the 1: its source
+        cell must sit at or right of alpha."""
         a1 = self.alpha_list[0]
-        if c > a1 or (c == a1 and self._below(y, 0, x, o)):
+        if c > a1 or (c == a1 and self._below(y, 0, x)):
             return False
-        return self._odd_depth(x, y, o)
+        return self._odd_depth(x, y)
 
     def contains(self, z: OmegaPoint) -> bool:
         if z.yd.head() == 1:
-            return self._odd_depth(_Read([], z.xd), _Read([], z.yd.tail()), 0)
+            return self._odd_depth(_Read([], z.xd), _Read([], z.yd))
         return z.xd.head() is not INF and self._run_member(z)
 
     def first_in_run(self, z: OmegaPoint, m: int):
@@ -319,17 +312,16 @@ class AlphaRegion(Region):
         if b1 is INF or not self.slides:
             return False
         c = z.xd.head() + b1 - 1
-        return self._slid(c, _Read([c], z.xd), _Read([], z.yd.tail()), 0)
+        return self._slid(c, _Read([c], z.xd), _Read([], z.yd))
 
     def contains_rational(self, x, y) -> bool:
         """contains() for the point with rational coordinates read by x
         and y: readers of their canonical digit lists, such as the Monte
         Carlo sampler's `digits.SnapReader`s or `_Read(list)` for a
-        complete list.  The same walker pulls only the digits it needs;
-        y's reader holds b1 too.  y = 0 (no digits) is no member; x = 0
-        is one only where `contains` finds it in the top strip.  Below
-        the top strip x's reader is left holding the slid point's first
-        digit c."""
+        complete list.  The same walker pulls only the digits it needs.
+        y = 0 (no digits) is no member; x = 0 is one only where
+        `contains` finds it in the top strip.  Below the top strip x's
+        reader is left holding the slid point's first digit c."""
         if not x.got and x.src is not None:
             x.more()
         if not y.got and y.src is not None:
@@ -338,12 +330,12 @@ class AlphaRegion(Region):
             return False
         b1 = y.got[0]
         if b1 == 1:
-            return self._odd_depth(x, y, 1)
+            return self._odd_depth(x, y)
         if not self.slides or not x.got:
             return False
         c = x.got[0] + b1 - 1
         x.got = [c] + x.got[1:]
-        return self._slid(c, x, y, 1)
+        return self._slid(c, x, y)
 
     def describe(self) -> dict:
         return {"name": self.name, "altered": True, "alpha": str(self.alpha)}

@@ -71,6 +71,63 @@ def test_contract_zero_numerator_exits_2(capsys, gcf, index):
     assert err.strip().splitlines() == [f"error: partial numerator 0 at index {index}"]
 
 
+def test_contract_prints_fraction_digits_as_strings(capsys):
+    code, out, _ = run_cli(
+        ["contract", "--gcf", '{"alpha":[1,"1/2",1],"beta":[1,2,3]}', "--plan", "0,2"], capsys
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "alpha": [1, "3/2"], "beta": [1, 7], "plan": [0, 2],
+        "scalars": [1, 1], "convergents": [[1, 1], ["17/2", 7]],
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["contract", "--gcf", '{"alpha":[1,2,3],"beta":[1,2]}', "--plan", "0"],
+        ["contract", "--gcf", '{"alpha":[1,2]}', "--plan", "0"],
+        ["contract", "--gcf", "[1,2]", "--plan", "0"],
+        ["contract", "--gcf", '{"alpha":[1,null],"beta":[1,2]}', "--plan", "0"],
+        ["entropy", "--region", '{"cells":[{"a":0,"b":1}]}'],
+        ["cfe", "--region", '{"cells":[{"a":"x"}]}', "--x", "sqrt(2)-1"],
+    ],
+)
+def test_malformed_library_input_exits_2(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["cfe", "--region", "h1", "--x", "g", "--digits", "0"],
+        ["cfe", "--region", "h1", "--x", "g", "--digits", "-1"],
+        ["expand", "--kind", "farey", "--x", "g", "--n", "-1"],
+        ["orbit", "--space", "shift", "--region", "h1", "--x", "g", "--n", "0"],
+        ["orbit", "--x", "g", "--n", "0"],
+        ["entropy", "--region", "alpha:1/2", "--samples", "0"],
+        ["sweep-alpha", "--alphas", "1/2", "--samples", "x"],
+    ],
+)
+def test_count_options_below_1_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: argument" in out.err
+
+
+def test_malformed_input_subprocess_has_no_traceback():
+    for args in (["contract", "--gcf", '{"alpha":[1,2]}', "--plan", "0"],
+                 ["cfe", "--region", "h1", "--x", "g", "--digits", "0"]):
+        proc = subprocess.run([sys.executable, "-m", "cfrow.cli", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "error: " in proc.stderr
+
+
 def test_entropy_unknown_method_exits_2(capsys):
     code, out, err = run_cli(["entropy", "--region", "h1", "--method", "bogus"], capsys)
     assert code == 2 and out == ""

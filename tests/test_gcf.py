@@ -281,6 +281,23 @@ def test_json_roundtrip():
     assert Gcf.from_json(g2.to_json(2)).length() == 1
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"alpha":[1,2,3],"beta":[1,2]}', "alpha has 3 digits but beta 2"),
+        ('{"alpha":[1,2]}', "a GCF is"),
+        ("[1,2]", "a GCF is"),
+        ('{"alpha":"12","beta":[1,2]}', "a GCF is"),
+        ('{"alpha":[1,null],"beta":[1,2]}', "digit None"),
+        ('{"alpha":[1,2],"beta":[true,2]}', "digit True"),
+        ('{"alpha":[1,2],"beta":[1,[2]]}', "digit \\[2\\]"),
+    ],
+)
+def test_from_json_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        Gcf.from_json(text)
+
+
 def test_zero_numerator_rejected_for_every_source():
     pairs = [(1, 2), (3, 1), (Fraction(0, 5), 4), (1, 5)]
     text = json.dumps({"alpha": [1, 3, 0, 1], "beta": [2, 1, 4, 5]})

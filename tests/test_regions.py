@@ -10,7 +10,7 @@ from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisat
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
-from cfrow.induced import induced_records, induced_step
+from cfrow.induced import CellRegion, induced_records, induced_step
 from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
@@ -346,6 +346,24 @@ def test_alpha_region_shift_is_natural_extension(rng):
                 assert 0 <= w.Y <= 1
 
 
+@pytest.mark.parametrize("index", [0, -1, "x", True, 2.0, INF])
+def test_cell_indices_must_be_ints_at_least_1(index):
+    for cell in ((index, 1), (None, index)):
+        with pytest.raises(ValueError, match="neither None nor an int >= 1"):
+            CellRegion([(2, 3), cell])
+    with pytest.raises(BadRegionSpec, match="neither None nor an int >= 1"):
+        region_from_spec({"cells": [{"a": index, "b": 1}]})
+
+
+def test_strip_builders_reject_index_0():
+    for build in (region_h, region_v):
+        with pytest.raises(ValueError):
+            build(0)
+    for spec in ("h:0", "v:0", '{"builder": "h", "params": {"b": -2}}'):
+        with pytest.raises(BadRegionSpec):
+            region_from_spec(spec)
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -560,7 +578,7 @@ def test_alpha_walker_on_long_shared_prefixes(rng):
             if j:
                 bs = yd[1 : j + 1]
                 x = _Read([], z.xd)
-                assert R._below(_Read(bs), j, x, 0) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
+                assert R._below(_Read(yd[: j + 1]), j, x) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
 
 
 def test_alpha_walker_cap_edge(rng):
