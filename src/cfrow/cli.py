@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import contraction, measure
 from .cfe import cfe_convergents_report, cfe_direct
-from .errors import CfrowError
+from .errors import CfrowError, IndexBeyondExpansion
 from .farey_maps import alpha_orbit_digits, farey_expansion, lehner_expansion
 from .gcf import Gcf, convergents, encode_digit
 from .induced import induced_step
@@ -89,6 +89,10 @@ def cmd_contract(args) -> int:
     g = _load_gcf(args.gcf)
     idxs = [int(s) for s in args.plan.split(",") if s]
     plan = contraction.ContractionPlan(idxs)
+    past = next((n for n in idxs if not g.has_pair(n)), None)
+    if past is not None:
+        raise IndexBeyondExpansion(
+            f"plan index {past} is past the expansion, which has {g.length()} digit pairs")
     out = contraction.contract(g, plan)
     k_max = len(idxs) - 1
     pairs_n = k_max + 1
@@ -201,6 +205,14 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
+def positive(text: str) -> float:
+    """argparse type of --tol: a float > 0."""
+    v = float(text)
+    if not v > 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a tolerance > 0")
+    return v
+
+
 def count(text: str) -> int:
     """argparse type of the count options: an int >= 1."""
     n = int(text)
@@ -244,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("entropy", help="measure and entropy of a region")
     pn.add_argument("--region", required=True)
-    pn.add_argument("--tol", type=float, default=1e-8)
+    pn.add_argument("--tol", type=positive, default=1e-8)
     pn.add_argument("--method", default="auto")
     pn.add_argument("--seed", type=int, default=None)
     pn.add_argument("--samples", type=count, default=200_000)

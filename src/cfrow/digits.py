@@ -14,10 +14,18 @@ come from a `SnapReader`, a resumable integer Euclid loop that exposes a
 digit only once the snap's end rule can no longer change it, so a
 membership test that decides on the first digits leaves the rest of the
 expansion undone.  `snapped_digits` is such a reader read to its end.
+
+Numbers are compared exactly by their digits: `order` reads two
+`Reader`s in the alternating lexicographic order of continued
+fractions, folding the one non-canonical tail [..., b, 1] = [..., b+1].
+A quadratic irrational's digits come from a `SurdDigits` source, which
+also reports the state of its integer recurrence, so two equal quadratic
+tails are recognised by their states instead of being read forever.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import BoundaryUndecidable
@@ -282,6 +290,10 @@ class SnapReader:
                     self._n, self.src, self._q0, self._q1 = n, d, q0, q1
                     return
 
+    def state(self, k: int):
+        """None: a snapped sample is rational, so it has no tail state."""
+        return None
+
     def read_all(self) -> list:
         """The complete digit list, the rest read in one run."""
         if self.src is not None:
@@ -312,26 +324,204 @@ def from_fraction(x) -> DigitStream:
     return from_digits(fraction_digits(x))
 
 
-def compare(xs: DigitStream, ys: DigitStream, cap: int = 4000) -> int:
-    """Exact order of the values of two streams: -1, 0 or +1.
+# -- quadratic sources and the exact comparator ------------------------------
 
-    Works by refining enclosures in lockstep, which is insensitive to
-    non-canonical tails such as [...,b,1,inf] vs [...,b+1,inf].  Raises
-    BoundaryUndecidable if the values cannot be separated within cap
-    digits and neither terminates (i.e. they are equal irrationals or
-    adversarially close).
-    """
-    step = 8
-    depth = step
-    while depth <= cap:
-        ix = xs.enclosure(depth)
-        iy = ys.enclosure(depth)
-        if ix.hi < iy.lo:
-            return -1
-        if iy.hi < ix.lo:
-            return 1
-        if ix.is_point() and iy.is_point():
-            v, w = ix.lo, iy.lo
-            return (v > w) - (v < w)
-        depth += step
-    raise BoundaryUndecidable(f"values not separated within {cap} digits")
+
+def _quadratic_digits(P: int, Q: int, D: int):
+    """Partial quotients of (P + sqrt(D))/Q in (0, 1), with Q | D - P^2."""
+    s = math.isqrt(D)  # s < sqrt(D) < s + 1, D not a square
+    while True:
+        P, Q = -P, (D - P * P) // Q  # the reciprocal; Q still divides D - P^2
+        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        yield a
+        P -= a * Q
+
+
+def surd_steps(state, digits):
+    """The state (P, Q, D) of a quadratic tail (P + sqrt(D))/Q after it
+    has read `digits`: the tail t reads a and becomes 1/t - a."""
+    P, Q, D = state
+    for a in digits:
+        P, Q = -P, (D - P * P) // Q
+        P -= a * Q
+    return P, Q, D
+
+
+class SurdDigits(_Memo):
+    """The memoised partial quotients of a quadratic irrational
+    (P + sqrt(D))/Q in (0, 1) with Q | D - P^2: the memo source of
+    `reals.rcf_digits`' stream, filled by the integer recurrence of
+    `_quadratic_digits`.
+
+    It also reports the recurrence's state: `state(i)` is the triple
+    (P', Q', D) with [0; a_{i+1}, a_{i+2}, ...] = (P' + sqrt(D))/Q'.
+    Within one source, equal tails have equal states, and by Lagrange's
+    theorem the states repeat, so `period()` finds the preperiod and
+    period.  A state is computed over the buffered digits when it is
+    asked for, from the start or from the last state asked for, which is
+    the one state kept; reading digits stores nothing more."""
+
+    __slots__ = ("start", "_last")
+
+    def __init__(self, P: int, Q: int, D: int):
+        super().__init__(_quadratic_digits(P, Q, D))
+        self.start = (P, Q, D)
+        self._last = (0, self.start)
+
+    def state(self, i: int):
+        k, st = self._last
+        if i < k:
+            k, st = 0, self.start
+        if i > k:
+            self.at(i - 1)
+            st = surd_steps(st, self.buf[k:i])
+            self._last = (i, st)
+        return st
+
+    def period(self, limit: int):
+        """(m, p): the digits from index m on repeat with the least
+        period p, and m is the least such index; None when m + p is more
+        than limit + 1 (a period can be about sqrt(D) digits long)."""
+        state = self.start
+        seen = {}
+        i = 0
+        while state not in seen:
+            if i > limit:
+                return None
+            seen[state] = i
+            state = surd_steps(state, (self.at(i),))
+            i += 1
+        m = seen[state]
+        return m, i - m
+
+
+def tail_state(s: DigitStream, k: int):
+    """The state (P, Q, D) of s's tail after k digits, or None when those
+    digits do not come from a `SurdDigits`.  Cells pushed onto a surd
+    stream are stepped back through the recurrence: the tail
+    [0; c, t...] is 1/(c + t)."""
+    pushed = []
+    while type(s) is Cons:
+        if s._head is INF:
+            return None
+        if k:
+            k -= 1
+        else:
+            pushed.append(s._head)
+        s = s._tail
+    if type(s) is not LazyDigits or type(s._memo) is not SurdDigits:
+        return None
+    P, Q, D = s._memo.state(s._start + k)
+    for c in reversed(pushed):
+        P = -(c * Q + P)
+        Q = (D - P * P) // Q
+    return P, Q, D
+
+
+def same_number(s, t) -> bool:
+    """Are two states (P, Q, D), from any sources, one number?  The
+    number is P/Q + sign(Q) sqrt(D/Q^2); None, no state, is never equal."""
+    if s is None or t is None:
+        return False
+    P, Q, D = s
+    R, S, E = t
+    return P * S == R * Q and D * S * S == E * Q * Q and (Q > 0) == (S > 0)
+
+
+class Reader:
+    """A reader of a stream's digits: `got` holds the digits read so far,
+    as ints, and `src` the stream they are read from (None when they are
+    complete).  `more()` appends at least one digit to `got` or completes
+    it, and never rewrites a digit already read, so a caller may replace
+    `got[0]`; a read that runs short is enlarged geometrically.
+    `SnapReader` follows the same protocol for Monte Carlo samples, and
+    `Reader(list)` is a complete digit list.  `state(k)` is the
+    `tail_state` of the tail after k >= 1 digits, or None (a rational,
+    or a stream with no surd source there)."""
+
+    __slots__ = ("got", "src")
+
+    def __init__(self, got: list, src: DigitStream = None):
+        self.got, self.src = got, src
+
+    def more(self):
+        n = len(self.got)
+        read = self.src.prefix(max(4, 2 * n))
+        if read[-1] is INF:  # src has terminated
+            while read and read[-1] is INF:
+                read.pop()
+            self.src = None
+        if n:
+            self.got += read[n:]  # keeps got[0], which the caller may have replaced
+        else:
+            self.got = read
+
+    def state(self, k: int):
+        return None if self.src is None else tail_state(self.src, k)
+
+
+def ends_with(r, i: int, tail: list) -> bool:
+    """Do the digits of reader r after index i read `tail`, then end?"""
+    while r.src is not None and len(r.got) <= i + 1 + len(tail):
+        r.more()
+    return r.src is None and r.got[i + 1:] == tail
+
+
+def order(x, y, test_at: int = 0, cap: int = 4000) -> int:
+    """Exact order of the numbers two readers' digits spell: -1, 0 or +1
+    as x < y, x = y or x > y.
+
+    The digits are compared in the alternating lexicographic order of
+    continued fractions, the end of a finite expansion playing an
+    infinite digit: at the first difference, index i, the bigger digit
+    spells the smaller number when i is even.  The one pair of digit
+    lists with one value, [..., b, 1] and [..., b + 1], is folded at that
+    difference.  A number is a target when it is a rational's complete
+    canonical list or a quadratic irrational read from its `SurdDigits`;
+    two matching quadratic tails never differ, so after `test_at` >= 1
+    equal digits (0: never) the two readers' tail states are compared
+    once, and equal states mean equal numbers.  A comparison that matches more
+    than `cap` digits without deciding raises BoundaryUndecidable."""
+    xs, ys = x.got, y.got
+    i = 0
+    while True:
+        if i < len(xs):
+            da = xs[i]
+        elif x.src is not None:
+            x.more()
+            xs = x.got
+            continue
+        else:
+            da = None
+        if i < len(ys):
+            db = ys[i]
+        elif y.src is not None:
+            y.more()
+            ys = y.got
+            continue
+        else:
+            db = None
+        if da != db:
+            break
+        if da is None:
+            return 0
+        i += 1
+        if i == test_at and same_number(x.state(i), y.state(i)):
+            return 0
+        if i > cap:
+            raise BoundaryUndecidable(f"values not separated within {cap} digits")
+    if da is not None and db is not None:
+        if da + 1 == db and ends_with(y, i, []) and ends_with(x, i, [1]):
+            return 0
+        if db + 1 == da and ends_with(x, i, []) and ends_with(y, i, [1]):
+            return 0
+    x_big = db is not None and (da is None or da > db)
+    return -1 if x_big == (i % 2 == 0) else 1
+
+
+def compare(xs: DigitStream, ys: DigitStream, cap: int = 4000) -> int:
+    """Exact order of the values of two streams, -1, 0 or +1: `order` on
+    readers of both, their tail states compared after the first digit.
+    Two equal streams that are neither finite nor surd streams raise
+    BoundaryUndecidable past cap digits."""
+    return order(Reader([], xs), Reader([], ys), 1, cap)

@@ -54,12 +54,19 @@ class CapExceeded(CfrowError):
     pass
 
 
+class NeverEnters(CapExceeded):
+    """A forward walk proved it can never visit its region: the region
+    reads x alone and x's recurrence state repeated with no visit."""
+
+
 class BackwardCapExceeded(CfrowError):
     pass
 
 
 class BoundaryUndecidable(CfrowError):
-    """Enclosure refinement budget exhausted on a membership test."""
+    """An exact digit comparison (`digits.order`) matched its cap of
+    digits undecided: two equal streams with no surd state to compare,
+    such as two copies of one irrational read from a generator."""
 
 
 class InvalidSingularisationArea(CfrowError):

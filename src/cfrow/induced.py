@@ -1,9 +1,10 @@
 """Induced transformations of the slow planar map over subregions.
 
-A Region answers membership for symbolic points: unions of digit cells
-answer exactly from leading digits, oracle regions answer through
-enclosure refinement with a budget (three-valued internally; an
-unresolved boundary raises).  The induced engine walks the slow map,
+A Region answers membership for symbolic points, exactly: unions of
+digit cells from leading digits, unions of rectangles by comparing the
+point's digits with each corner's (`digits.order`, so a point on an edge
+is decided too), and the regions of `regions` through their own
+walkers.  The induced engine walks the slow map,
 accumulates the branch-matrix product A_R between visits, and exposes
 hitting times, induced steps, accumulated products and the three
 integer digit maps built from consecutive matrices.  The digit-pair
@@ -22,6 +23,13 @@ is every backward walk (A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) join
 A_R on the left there).  A walk keeps A_R as four plain integers; each
 record builds its one `Mat2Z` at the visit.
 
+A region that reads x alone (`Region.x_only`, the V_a strips) is visited
+or not by x's digits only, so once a walk has gone NEVER_ENTERS_AFTER
+slow steps without a visit it watches x's recurrence state: a state
+that repeats with no visit in between proves the orbit never enters,
+and the walk raises NeverEnters, a CapExceeded, instead of walking on
+to the cap.
+
 The boundary fix for orbits launched on the top edge is structural
 here: points evolve symbolically, and the non-canonical tails the
 symbolic map produces make digit-based membership agree with the
@@ -33,9 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BackwardCapExceeded, BoundaryUndecidable, CapExceeded
+from .digits import Reader, fraction_digits, order, surd_steps, tail_state
+from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
 from .exact import INF, IDENTITY, Mat2Z
 from .natural_ext import OmegaPoint, ito_backstep, ito_jump, ito_step
+
+
+# slow steps without a visit before an x-only walk watches for a repeated x-state
+NEVER_ENTERS_AFTER = 10_000
 
 
 class Region:
@@ -45,6 +58,7 @@ class Region:
     is_omega: bool = False
     unit_s: bool = False       # guarantees s_R(z) = 1 for z in R
     meets_y_zero: bool = False  # region intersects the y = 0 line
+    x_only: bool = False       # membership off the y = 0 line reads x alone
     name: str = "region"
 
     def contains(self, z: OmegaPoint) -> bool:
@@ -115,6 +129,8 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     cur = z
     a, b, c, d = 1, 0, 0, 1
     n = 0
+    watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
+    first = None
     while n < cap:
         a1 = cur.xd.head()
         if a1 is INF:  # x = 0 line: one A0 step
@@ -134,6 +150,18 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
             cur = ito_jump(cur, a1)
         if contains(cur):
             return InducedRecord(n, Mat2Z(a, b, c, d), cur)
+        if n >= watch_from:
+            # a region that reads only x: the walk from a repeated x-state
+            # repeats, so no visit in between means none ever
+            if first is None:
+                first = state = tail_state(cur.xd, 0)
+                if first is None:
+                    watch_from = cap  # x is rational: it reaches the x = 0 line
+            else:
+                state = surd_steps(state, (a1,))
+                if state == first:
+                    raise NeverEnters(f"orbit never enters {region.name}: its x-state "
+                                      f"repeats after {n} steps with no visit")
     raise CapExceeded(f"orbit did not enter {region.name} within {cap} steps")
 
 
@@ -243,6 +271,7 @@ class CellRegion(Region):
         self.name = name
         self.altered = altered
         self.unit_s = self.cells == [(None, 1)]
+        self.x_only = all(cb is None for _, cb in self.cells)
 
     def contains(self, z: OmegaPoint) -> bool:
         a, b = z.xd.head(), z.yd.head()
@@ -275,11 +304,13 @@ class CellRegion(Region):
 
 
 class RectRegion(Region):
-    """Finite union of closed rational rectangles, decided from
-    coordinate enclosures with a refinement budget (In/Out stay stable
-    under refinement; exhausting the budget raises)."""
+    """Finite union of closed rational rectangles, decided exactly by
+    `digits.order`: the point's x and y digits are compared with each
+    corner's canonical digits, so a point on an edge is decided too.
+    Corners outside [0, 1] are clamped to it, and a rectangle that misses
+    the unit square is dropped, since every point lies inside the square."""
 
-    def __init__(self, rects, name="rects", budget: int = 400):
+    def __init__(self, rects, name="rects"):
         self.rects = [
             (Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
             for (x0, x1, y0, y1) in rects
@@ -288,19 +319,18 @@ class RectRegion(Region):
             if x0 > x1 or y0 > y1:
                 raise ValueError("degenerate rectangle")
         self.name = name
-        self.budget = budget
         self.meets_y_zero = any(y0 == 0 for _, _, y0, _ in self.rects)
+        self._corners = [
+            tuple(Reader(fraction_digits(min(max(v, 0), 1))) for v in r)
+            for r in self.rects
+            if r[0] <= 1 and r[1] >= 0 and r[2] <= 1 and r[3] >= 0
+        ]
 
     def contains(self, z: OmegaPoint) -> bool:
-        undecided = False
-        for rect in self.rects:
-            v = _point_in_rect(z, rect, self.budget)
-            if v is True:
+        x, y = Reader([], z.xd), Reader([], z.yd)
+        for x0, x1, y0, y1 in self._corners:
+            if order(x, x0) >= 0 and order(x, x1) <= 0 and order(y, y0) >= 0 and order(y, y1) <= 0:
                 return True
-            if v is None:
-                undecided = True
-        if undecided:
-            raise BoundaryUndecidable(f"{self.name}: point on a rectangle boundary")
         return False
 
     def describe(self) -> dict:
@@ -308,25 +338,3 @@ class RectRegion(Region):
             "name": self.name,
             "rects": [[str(v) for v in r] for r in self.rects],
         }
-
-
-def _interval_vs_range(iv, lo, hi):
-    """True/False/None: is a value known to lie in [lo, hi]?"""
-    if iv.lo >= lo and iv.hi <= hi:
-        return True
-    if iv.hi < lo or iv.lo > hi:
-        return False
-    return None
-
-
-def _point_in_rect(z: OmegaPoint, rect, budget: int):
-    x0, x1, y0, y1 = rect
-    for depth in (8, 24, 80, budget):
-        xe, ye = z.x_enclosure(depth), z.y_enclosure(depth)
-        vx = _interval_vs_range(xe, x0, x1)
-        vy = _interval_vs_range(ye, y0, y1)
-        if vx is False or vy is False:
-            return False
-        if vx is True and vy is True:
-            return True
-    return None

@@ -219,8 +219,8 @@ def _alpha_window(region: AlphaRegion) -> Fraction:
     a < 1/alpha.  The largest such a is ceil(1/alpha) - 1, read exactly
     off alpha's digits: the first one, a1 = floor(1/alpha), less one
     when alpha is 1/a1."""
-    al = region.alpha_list
-    a_max = al[0] if len(al) > 1 else al[0] - 1
+    a1 = region.alpha_list[0]
+    a_max = a1 - 1 if region.alpha == Fraction(1, a1) else a1
     return Fraction(1, max(1, a_max) + 1)
 
 

@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-from .digits import DigitStream, LazyDigits, digits_fraction, from_fraction
+from .digits import DigitStream, LazyDigits, SurdDigits, digits_fraction, from_fraction
 from .errors import OutOfDomain
 
 
@@ -270,16 +270,23 @@ def rcf_digits(x: RealRep) -> DigitStream:
     rational tie-break keeps the shorter form, e.g. 1/2 -> [0; 2].
 
     An irrational x is written (P + sqrt(D))/Q with Q | D - P^2, and the
-    digits come from the classical integer recurrence (Perron): the
-    reciprocal of (P + sqrt(D))/Q is (-P + sqrt(D))/((D - P^2)/Q), its
-    floor needs only isqrt(D), and subtracting the digit a is P -= a*Q.
-    No Surd and no float is made per digit.
+    digits come from the classical integer recurrence (Perron), run by
+    the stream's `digits.SurdDigits` source: the reciprocal of
+    (P + sqrt(D))/Q is (-P + sqrt(D))/((D - P^2)/Q), its floor needs only
+    isqrt(D), and subtracting the digit a is P -= a*Q.  No Surd and no
+    float is made per digit.
     """
     if is_rational(x):
         xf = x.as_fraction() if isinstance(x, Surd) else Fraction(x)
         if not 0 <= xf <= 1:
             raise OutOfDomain(f"{xf} outside [0, 1]")
         return from_fraction(xf)
+    return LazyDigits(None, 0, _memo=surd_digits(x))
+
+
+def surd_digits(x: Surd) -> SurdDigits:
+    """The `SurdDigits` source of an irrational x in (0, 1): x written
+    (P + sqrt(D))/Q with Q | D - P^2."""
     if x < 0 or x > 1:
         raise OutOfDomain(f"{x} outside [0, 1]")
     # (p + q sqrt(d))/r = (P + sqrt(D))/Q with D = q^2 d, P = +-p, Q = +-r
@@ -287,17 +294,7 @@ def rcf_digits(x: RealRep) -> DigitStream:
     P, Q = (x.p, x.r) if x.q > 0 else (-x.p, -x.r)
     if (D - P * P) % Q:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    return LazyDigits(_quadratic_digits(P, Q, D))
-
-
-def _quadratic_digits(P: int, Q: int, D: int):
-    """Partial quotients of (P + sqrt(D))/Q in (0, 1), with Q | D - P^2."""
-    s = math.isqrt(D)  # s < sqrt(D) < s + 1, D not a square
-    while True:
-        P, Q = -P, (D - P * P) // Q  # the reciprocal; Q still divides D - P^2
-        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
-        yield a
-        P -= a * Q
+    return SurdDigits(P, Q, D)
 
 
 _SQRT_RE = re.compile(

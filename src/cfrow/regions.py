@@ -20,7 +20,8 @@ Three families:
   for digit streams and for exact rationals alike: it pulls both
   coordinates' digits through readers that start at their first digits
   a1 and b1, only as far as it needs them, and compares them with
-  alpha's as int lists.
+  alpha's as int lists; an irrational alpha is read by its preperiod and
+  period, and its tail compared with x's by their recurrence states.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .digits import Cons, DigitStream, fraction_digits
+from .digits import Cons, Reader, ends_with, fraction_digits, same_number
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
@@ -38,7 +39,7 @@ from .errors import (
 from .exact import INF
 from .induced import CellRegion, OmegaRegion, RectRegion, Region
 from .natural_ext import OmegaPoint
-from .reals import RealRep, as_real, is_rational, rcf_digits
+from .reals import RealRep, as_real, is_rational, surd_digits
 
 
 def region_omega() -> Region:
@@ -126,11 +127,10 @@ class SExpansionRegion(Region):
     unit_s = True
     altered = True
 
-    def __init__(self, area: SingularisationArea, name="s-expansion", budget=400):
+    def __init__(self, area: SingularisationArea, name="s-expansion"):
         self.area = area
         self.name = name
-        self.budget = budget
-        self.excluded = RectRegion(area.rects, name=name + "-S", budget=budget) if area.rects else None
+        self.excluded = RectRegion(area.rects, name=name + "-S") if area.rects else None
 
     def contains(self, z: OmegaPoint) -> bool:
         if z.yd.head() != 1:
@@ -164,33 +164,6 @@ def build_s_expansion_region(area) -> Region:
 # -- alpha regions ----------------------------------------------------------
 
 
-class _Read:
-    """A reader of a coordinate's digits: `got` holds the digits read so
-    far, as ints, and `src` the stream they are read from (None when
-    they are complete).  `more()` appends at least one digit to `got` or
-    completes it, and never rewrites a digit already read, so a caller
-    may replace `got[0]`; a read that runs short is enlarged
-    geometrically.  `digits.SnapReader` follows the same protocol for
-    Monte Carlo samples, and `_Read(list)` is a complete digit list."""
-
-    __slots__ = ("got", "src")
-
-    def __init__(self, got: list, src: DigitStream = None):
-        self.got, self.src = got, src
-
-    def more(self):
-        n = len(self.got)
-        read = self.src.prefix(max(4, 2 * n))
-        if read[-1] is INF:  # src has terminated
-            while read and read[-1] is INF:
-                read.pop()
-            self.src = None
-        if n:
-            self.got += read[n:]  # keeps got[0], which the caller may have replaced
-        else:
-            self.got = read
-
-
 class AlphaRegion(Region):
     """Region inducing the map x |-> 1/|x| - floor(1/|x| + 1 - alpha).
 
@@ -205,11 +178,15 @@ class AlphaRegion(Region):
     `contains_rational` (readers of rationals): it compares the
     pulled-back digits with alpha's digit list as int lists, in the
     alternating lexicographic order of canonical expansions.  It reads x
-    and y through readers (`_Read`, `digits.SnapReader`), and pulls a
-    digit only when a comparison runs off the digits read so far.  Every
-    y reader starts at the point's own b1, so b_{j+1} sits at index j;
-    the walker never reads b1 itself.  An irrational alpha is compared
-    through its first 300 partial quotients.
+    and y through readers (`digits.Reader`, `digits.SnapReader`), and
+    pulls a digit only when a comparison runs off the digits read so
+    far.  Every y reader starts at the point's own b1, so b_{j+1} sits at
+    index j; the walker never reads b1 itself.  An irrational alpha is
+    read by its period: `alpha_list` holds its preperiod and one period
+    and `period` the period's length (0 for a rational alpha, whose list
+    is complete).  An alpha whose preperiod and period run past
+    `back_cap` digits, which no comparison may match, keeps its first
+    back_cap + 1 digits and period None.
     """
 
     unit_s = True
@@ -220,9 +197,16 @@ class AlphaRegion(Region):
             raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
         self.alpha = alpha
         if is_rational(alpha):
-            self.alpha_list = fraction_digits(as_real(alpha))
+            self.alpha_list, self.period, self._source = fraction_digits(as_real(alpha)), 0, None
         else:
-            self.alpha_list = rcf_digits(alpha).prefix(300)
+            src = surd_digits(alpha)
+            found = src.period(back_cap)
+            if found is None:  # no comparison may match this many digits
+                self.alpha_list, self.period = src.buf[:back_cap + 1], None
+            else:
+                m, p = found
+                self.alpha_list, self.period = src.buf[:m + p], p
+            self._source = src
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
         self.name = name or f"alpha:{alpha}"
@@ -231,12 +215,17 @@ class AlphaRegion(Region):
         """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, ...,
         b_{j+1} read already at y.got[1], ..., y.got[j]?
 
-        Reads more of x only when the comparison runs off its end.  Past
-        `back_cap` equal leading digits the comparison raises.  None
+        Reads more of x only when the comparison runs off its end.  Once
+        the match has run through alpha's preperiod and period inside x,
+        x's tail there is tested once against alpha's by their states
+        (`_tail_is_alpha`), so a pulled-back x equal to an irrational
+        alpha is decided; an x whose tail has no state is compared on.
+        Past `back_cap` equal leading digits the comparison raises.  None
         plays the infinite digit of a terminated expansion.
         """
         al = self.alpha_list
         na = len(al)
+        per = self.period
         bs = y.got
         xs = x.got
         i = 0
@@ -246,12 +235,23 @@ class AlphaRegion(Region):
             elif i - j < len(xs):
                 da = xs[i - j]
             elif x.src is not None:
+                if i > self.back_cap:
+                    break
                 x.more()
                 xs = x.got
                 continue
             else:
                 da = None
-            db = al[i] if i < na else None
+            if i < na:
+                db = al[i]
+            elif per:
+                if i - j == na and self._tail_is_alpha(x, na, i):
+                    return False  # equal values
+                db = al[na - per + (i - na) % per]
+            elif self._source is None:
+                db = None
+            else:  # na > back_cap digits of alpha matched, its period longer
+                raise BackwardCapExceeded(f"{self.name}: comparison against alpha undecided")
             if da != db or da is None:
                 break
             i += 1
@@ -259,9 +259,28 @@ class AlphaRegion(Region):
             raise BackwardCapExceeded(f"{self.name}: comparison against alpha undecided")
         if da is None and db is None:
             return False  # equal values
+        if i + 1 == na and per == 0 and da == db - 1 and self._ends_in_one(y, j, x, i):
+            return False  # [..., da, 1] is alpha's [..., da + 1]
         da_big = db is not None and (da is None or da > db)
         # 0-based even position = odd partial quotient: bigger digit, smaller value
         return da_big == (i % 2 == 0)
+
+    def _tail_is_alpha(self, x, k: int, i: int) -> bool:
+        """Is x's tail after k digits alpha's tail after i digits, for an
+        irrational alpha?  Decided exactly by their recurrence states."""
+        sx = x.state(k)
+        if sx is None:
+            return False
+        m = len(self.alpha_list) - self.period
+        return same_number(sx, self._source.state(m + (i - m) % self.period))
+
+    @staticmethod
+    def _ends_in_one(y, j: int, x, i: int) -> bool:
+        """Do the pulled-back digits [b_{j+1}, ..., b2, x...] read exactly
+        [1] after index i, then end?"""
+        if i + 1 < j:
+            return i + 2 == j and y.got[1] == 1 and ends_with(x, -1, [])
+        return ends_with(x, i - j, [1])
 
     def _odd_depth(self, x, y) -> bool:
         """Parity of the least backward depth j whose pulled-back
@@ -297,7 +316,7 @@ class AlphaRegion(Region):
 
     def contains(self, z: OmegaPoint) -> bool:
         if z.yd.head() == 1:
-            return self._odd_depth(_Read([], z.xd), _Read([], z.yd))
+            return self._odd_depth(Reader([], z.xd), Reader([], z.yd))
         return z.xd.head() is not INF and self._run_member(z)
 
     def first_in_run(self, z: OmegaPoint, m: int):
@@ -312,12 +331,12 @@ class AlphaRegion(Region):
         if b1 is INF or not self.slides:
             return False
         c = z.xd.head() + b1 - 1
-        return self._slid(c, _Read([c], z.xd), _Read([], z.yd))
+        return self._slid(c, Reader([c], z.xd), Reader([], z.yd))
 
     def contains_rational(self, x, y) -> bool:
         """contains() for the point with rational coordinates read by x
         and y: readers of their canonical digit lists, such as the Monte
-        Carlo sampler's `digits.SnapReader`s or `_Read(list)` for a
+        Carlo sampler's `digits.SnapReader`s or `digits.Reader(list)` for a
         complete list.  The same walker pulls only the digits it needs.
         y = 0 (no digits) is no member; x = 0 is one only where
         `contains` finds it in the top strip.  Below the top strip x's

@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,31 @@ def test_count_options_below_1_exit_2(capsys, args):
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == "" and "error: argument" in out.err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_entropy_tolerance_must_be_positive(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--region", "h1", "--method", "quadrature", "--tol", tol])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: argument --tol" in out.err
+
+
+@pytest.mark.parametrize("plan", ["5", "0,5"])
+def test_contract_plan_past_the_expansion_names_its_index(capsys, plan):
+    code, out, err = run_cli(
+        ["contract", "--gcf", '{"alpha":[1,2],"beta":[1,2]}', "--plan", plan], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == "error: plan index 5 is past the expansion, which has 2 digit pairs"
+
+
+def test_cfe_on_a_region_the_orbit_never_enters_exits_early(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["cfe", "--region", "v:2", "--x", "g"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "never enters v2" in err
 
 
 def test_malformed_input_subprocess_has_no_traceback():

@@ -11,15 +11,21 @@ from cfrow.digits import (
     Cons,
     DigitStream,
     LazyDigits,
+    Reader,
     SnapReader,
+    compare,
     digits_fraction,
     fraction_digits,
     from_digits,
     from_fraction,
+    order,
     snapped_digits,
+    same_number,
+    tail_state,
 )
+from cfrow.errors import BoundaryUndecidable
 from cfrow.exact import INF
-from cfrow.reals import rcf_digits
+from cfrow.reals import golden_fraction, rcf_digits
 
 from conftest import random_surd
 
@@ -234,3 +240,122 @@ def test_lazy_digits_source_error_is_raised_on_every_read():
         with pytest.raises(ValueError, match="digit source broke"):
             s.tail().tail().head()
     assert s.prefix(2) == [3, 1] and s.tail().head() == 1
+
+
+# -- the exact comparator against the enclosure route ---------------------------
+
+
+def enclosure_order(xs, ys, cap=256):
+    """The enclosure route, the comparator's oracle: refine both streams'
+    enclosures in lockstep until they separate or both are points; None
+    when they have not separated within cap digits (equal irrationals)."""
+    for depth in (8, 16, 32, 64, 128, cap):
+        ix, iy = xs.enclosure(depth), ys.enclosure(depth)
+        if ix.hi < iy.lo:
+            return -1
+        if iy.hi < ix.lo:
+            return 1
+        if ix.is_point() and iy.is_point():
+            return (ix.lo > iy.lo) - (ix.lo < iy.lo)
+    return None
+
+
+def cons(digits, tail=ZERO_STREAM):
+    for d in reversed(digits):
+        tail = Cons(d, tail)
+    return tail
+
+
+def finite_digits(rng):
+    """Short random digit lists, a third of them ending [..., b, 1]."""
+    ds = [rng.randint(1, 4) for _ in range(rng.randint(0, 7))]
+    if ds and rng.random() < 0.33:
+        ds.append(1)
+    return ds
+
+
+def test_compare_equals_enclosure_route_on_finite_streams(rng):
+    seen = set()
+    for _ in range(3000):
+        a, b = finite_digits(rng), finite_digits(rng)
+        if rng.random() < 0.3:  # share a prefix, so the difference comes late
+            b = a[: rng.randint(0, len(a))] + b
+        xs, ys = cons(a), cons(b)
+        got = compare(xs, ys)
+        assert got == enclosure_order(xs, ys) == -compare(ys, xs)
+        assert got == (digits_fraction(a) > digits_fraction(b)) - (digits_fraction(a) < digits_fraction(b))
+        seen.add(got)
+    assert seen == {-1, 0, 1}
+
+
+def test_compare_folds_noncanonical_tails():
+    for a, b in (([1, 1], [2]), ([3, 1], [4]), ([2, 5, 1], [2, 6]), ([1, 1, 1], [1, 2]),
+                 ([4, 1, 1], [4, 2])):
+        assert compare(cons(a), cons(b)) == 0 == compare(cons(b), cons(a))
+        assert order(Reader(a), Reader(b)) == 0
+    assert compare(cons([1]), cons([1, 1])) == 1  # 1 > 1/2
+
+
+def surd_tail_streams(rng):
+    """Pairs (xs, ys, equal) of streams over surd tails: the same tail
+    pushed under different cell structure, the same value read from two
+    sources, and unrelated tails."""
+    t = random_surd(rng)
+    k = rng.randint(0, 30)
+    head = rcf_digits(t).prefix(k)
+    # one number, three structures: a plain view, cells pushed on a view,
+    # and a source built from the exact tail value
+    tail_value = t
+    for a in head:
+        tail_value = 1 / tail_value - a
+    pre = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+    plain = cons(pre, rcf_digits(t))
+    pushed = cons(pre + head, advanced(rcf_digits(t), k))
+    fresh = cons(pre + head, rcf_digits(tail_value))
+    yield plain, pushed, True
+    yield pushed, fresh, True
+    yield cons([rng.randint(1, 3)]), pushed, False
+    other = random_surd(rng)
+    yield plain, cons(pre, rcf_digits(other)), other.d == t.d and other == t
+    near = list(head[:rng.randint(0, k)]) + [rng.randint(1, 6)]
+    yield pushed, cons(pre + near, rcf_digits(other)), False
+
+
+def test_compare_equals_enclosure_route_on_surd_tails(rng):
+    seen = set()
+    for _ in range(300):
+        for xs, ys, equal in surd_tail_streams(rng):
+            got = compare(xs, ys)
+            want = enclosure_order(xs, ys)
+            if want is None:
+                assert equal and got == 0
+            else:
+                assert got == want
+            assert got == -compare(ys, xs)
+            seen.add(got)
+    assert seen == {-1, 0, 1}
+
+
+def test_tail_state_steps_back_through_pushed_cells(rng):
+    for _ in range(50):
+        t = random_surd(rng)
+        s = rcf_digits(t)
+        k = rng.randint(0, 20)
+        pushed = cons(s.prefix(k), advanced(rcf_digits(t), k))
+        for i in (0, 1, k, k + 3):
+            assert same_number(tail_state(pushed, i), tail_state(s, i))
+    assert tail_state(from_digits([1, 2, 3]), 1) is None
+    assert tail_state(LazyDigits(iter([1, 2])), 0) is None
+
+
+def test_compare_without_a_state_is_capped():
+    def ones():
+        while True:
+            yield 1
+
+    with pytest.raises(BoundaryUndecidable):
+        compare(LazyDigits(ones()), LazyDigits(ones()), cap=200)
+    g = rcf_digits(golden_fraction())
+    with pytest.raises(BoundaryUndecidable):  # one side has no state to compare
+        compare(g, LazyDigits(ones()), cap=200)
+    assert compare(g, advanced(rcf_digits(golden_fraction()), 5)) == 0

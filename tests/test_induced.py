@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cfrow.digits import ZERO_STREAM, from_digits
-from cfrow.errors import BackwardCapExceeded, CapExceeded, CfrowError
+from cfrow.errors import BackwardCapExceeded, CapExceeded, CfrowError, NeverEnters
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0, A1, a_matrix
 from cfrow.gcf import partial_pq
@@ -34,7 +34,7 @@ from cfrow.regions import (
 )
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
-from conftest import random_rich_surd, random_surd, random_surd_with_digit
+from conftest import random_rich_surd, random_surd, random_surd_with_digit, surd_from_periodic_digits
 
 S2 = parse_real("sqrt(2)-1")
 G = golden_fraction()
@@ -230,6 +230,103 @@ def test_rect_region_membership_refines():
     assert not R.contains(outside)
     assert R.contains(irr)  # 0.414 in [1/3, 1/2]
     assert R.meets_y_zero is False
+
+
+def _interval_vs_range(iv, lo, hi):
+    """True/False/None: is a value known to lie in [lo, hi]?"""
+    if iv.lo >= lo and iv.hi <= hi:
+        return True
+    if iv.hi < lo or iv.lo > hi:
+        return False
+    return None
+
+
+def oracle_in_rect(z, rect):
+    """The enclosure route RectRegion used to take, kept as the oracle of
+    its digit comparisons: enclosures at growing depths, and, for a point
+    they leave on an edge (rational there), its exact coordinates."""
+    x0, x1, y0, y1 = rect
+    for depth in (8, 24, 80, 400):
+        xe, ye = z.x_enclosure(depth), z.y_enclosure(depth)
+        vx = _interval_vs_range(xe, x0, x1)
+        vy = _interval_vs_range(ye, y0, y1)
+        if vx is False or vy is False:
+            return False
+        if vx is True and vy is True:
+            return True
+    xv, yv = z.xd.exact_value(), z.yd.exact_value()
+    return x0 <= xv <= x1 and y0 <= yv <= y1
+
+
+CORNERS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
+           Fraction(2, 5), Fraction(-1, 2), Fraction(3, 2), Fraction(-3), Fraction(7, 4)]
+
+
+def rect_points(rng):
+    """Points on and off the corners: exact corner values, their
+    non-canonical [..., b, 1] streams, random rationals and surds, and
+    points moved by the slow map (cells pushed onto surd streams)."""
+    inside = [c for c in CORNERS if 0 <= c <= 1]
+    for _ in range(40):
+        x = rng.choice(inside + [Fraction(rng.randint(0, 30), 30), random_surd(rng)])
+        y = rng.choice(inside + [Fraction(rng.randint(0, 30), 30), random_surd(rng)])
+        z = OmegaPoint.from_values(x, y)
+        yield z
+        yield ito_step(ito_step(z)) if z.xd.head() is not INF else z
+    for c in inside:
+        ds = rcf_digits(c).prefix(20)
+        ds = [d for d in ds if d is not INF]
+        if ds and ds[-1] > 1:
+            folded = from_digits(ds[:-1] + [ds[-1] - 1, 1])
+            yield OmegaPoint.from_streams(folded, folded)
+            yield OmegaPoint.from_streams(folded, rcf_digits(rng.choice(inside)))
+
+
+def test_rect_region_equals_enclosure_route(rng):
+    seen = set()
+    for _ in range(40):
+        rects = []
+        for _ in range(rng.randint(1, 3)):
+            x0, x1 = sorted(rng.sample(CORNERS, 2))
+            y0, y1 = sorted(rng.sample(CORNERS, 2))
+            rects.append((x0, x1, y0, y1))
+        R = RectRegion(rects)
+        for z in rect_points(rng):
+            got = R.contains(z)
+            assert got == any(oracle_in_rect(z, r) for r in R.rects)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_point_on_a_rational_edge_is_decided():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    on_edge = [from_digits([2]), from_digits([1, 1])]  # both 1/2
+    for R in (RectRegion([(half, 1, 0, half)]), RectRegion([(third, half, third, half)])):
+        for xd in on_edge:
+            for yd in on_edge:
+                assert R.contains(OmegaPoint.from_streams(xd, yd))
+    R = RectRegion([(0, third, 0, third)])
+    assert not R.contains(OmegaPoint.from_streams(from_digits([2]), from_digits([3])))
+    assert R.contains(OmegaPoint.from_streams(from_digits([2, 1]), from_digits([3])))
+
+
+def test_x_only_region_that_is_never_entered_stops_early():
+    """x = g reads 1 forever, so the walk never reaches V_2: the repeated
+    x-state ends it long before the cap, with a typed CapExceeded."""
+    v2 = region_v(2)
+    with pytest.raises(NeverEnters, match="v2"):
+        induced_step(v2, top(G), 10**6)
+    with pytest.raises(CapExceeded) as info:  # below the watch threshold: the cap
+        induced_step(v2, top(G), 2000)
+    assert type(info.value) is CapExceeded
+    # the preperiod visits V_2 (3 = 2 + 1), the period [1] never does
+    z = top(1 / (3 + G))
+    assert induced_step(v2, z, 10**6).N == 1
+    with pytest.raises(NeverEnters):
+        induced_step(v2, induced_step(v2, z, 10**6).z_next, 10**6)
+    # a visit once per long period is still found
+    x = surd_from_periodic_digits([1] * 40 + [3])
+    assert induced_step(v2, top(x), 10**6).N > 0
 
 
 def test_cell_region_membership_from_digits():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cfrow import measure
-from cfrow.digits import fraction_digits
+from cfrow.digits import Reader, fraction_digits
 from cfrow.errors import CfrowError, NonIntegrable
 from cfrow.induced import RectRegion
 from cfrow.measure import (
@@ -22,7 +22,6 @@ from cfrow.measure import (
 )
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import (
-    _Read,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -237,7 +236,7 @@ def test_alpha_measure_matches_reference_samples(alpha):
     y_min = Fraction(1, max(1, math.ceil(1 / float(R.alpha)) - 1) + 1)
 
     def hit(fx, fy):
-        return fx > 0 and R.contains_rational(_Read(fraction_digits(fx)), _Read(fraction_digits(fy)))
+        return fx > 0 and R.contains_rational(Reader(fraction_digits(fx)), Reader(fraction_digits(fy)))
 
     for seed in (1, 8, 30):
         assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)

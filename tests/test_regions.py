@@ -1,11 +1,13 @@
+import functools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cfrow.cfe import cfe_direct
-from cfrow.digits import ZERO_STREAM, Cons, from_digits
+from cfrow.digits import ZERO_STREAM, Cons, Reader, digits_fraction, from_digits
 from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisationArea, OutOfDomain
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
@@ -15,7 +17,6 @@ from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
     SingularisationArea,
-    _Read,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -399,86 +400,126 @@ def test_region_spec_malformed(spec):
 # -- the alpha walker against the stream walker it replaced ---------------------
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_alpha_list(alpha):
-    """alpha's digits as the walker's reference: Euclid for a rational,
-    300 field-arithmetic digits (invert, floor, subtract) otherwise."""
+    """alpha's digits as the walker's reference, read by its period:
+    (preperiod and one period, period length).  Euclid for a rational
+    (period 0, the list complete); field arithmetic (invert, floor,
+    subtract) for a surd, until a complete quotient repeats."""
     if not isinstance(alpha, Surd):
         v = Fraction(alpha)
         p, q, out = v.numerator, v.denominator, []
         while p:
             out.append(q // p)
             p, q = q % p, p
-        return out
-    out, cur = [], alpha
-    for _ in range(300):
+        return out, 0
+    out, seen, cur = [], {}, alpha
+    while cur not in seen:
+        seen[cur] = len(out)
         y = cur.inverse()
         a = y.floor()
         out.append(a)
         cur = y - a
-    return out
+    return out, len(out) - seen[cur]
 
 
-def oracle_x_lt_alpha(alist, back_cap, bs, j, xd) -> bool:
-    """Is [0; bs[j-1], ..., bs[0], xd...] < [0; alist...]?  A head/tail walk
-    over the stream xd in alternating lexicographic order."""
-    i = 0
-    s = xd
+def alpha_digits(alpha, n):
+    """alpha's first n digits, None past the end of a rational's."""
+    alist, per = oracle_alpha_list(alpha)
+    m = len(alist) - per
+    return [alist[i] if i < len(alist) else alist[m + (i - m) % per] if per else None
+            for i in range(n)]
+
+
+def surd_bounds(v, k):
+    """Rational bounds on v within 2^-k: sqrt(q^2 d) by isqrt."""
+    if not isinstance(v, Surd) or v.q == 0:
+        return Fraction(v), Fraction(v)
+    t = math.isqrt(v.q * v.q * v.d * 4**k)
+    lo, hi = Fraction(t, 2**k), Fraction(t + 1, 2**k)
+    if v.q < 0:
+        lo, hi = -hi, -lo
+    return (v.p + lo) / v.r, (v.p + hi) / v.r
+
+
+def exact_lt(v, w) -> bool:
+    """v < w for rationals and surds, also of two different fields, whose
+    values differ and are separated by bounds from integer square roots."""
+    try:
+        return v < w
+    except ValueError:
+        k = 64
+        while True:
+            (vl, vh), (wl, wh) = surd_bounds(v, k), surd_bounds(w, k)
+            if vh < wl or wh < vl:
+                return vh < wl
+            k *= 2
+
+
+def oracle_x_lt_alpha(alpha, back_cap, bs, j, xd, v) -> bool:
+    """Is v = [0; bs[j-1], ..., bs[0], xd...] below alpha?  Decided by
+    exact field arithmetic.  The digits, walked head/tail, only say
+    whether the first difference with alpha's lies past back_cap, where
+    the walker raises; an irrational v equal to alpha has none."""
+    if isinstance(v, Surd) and isinstance(alpha, Surd) and v.d == alpha.d and v == alpha:
+        return False
+    i, s = 0, xd
     while True:
         if i < j:
             da = bs[j - 1 - i]
         else:
-            da = s.head()
-            if da is INF:
-                da = None
-            else:
-                s = s.tail()
-        db = alist[i] if i < len(alist) else None
-        if da == db:
-            if da is None:
-                return False
-            i += 1
-            if i > back_cap:
-                raise BackwardCapExceeded("comparison against alpha undecided")
-            continue
-        da_big = db is not None and (da is None or da > db)
-        return da_big if i % 2 == 0 else not da_big
+            da = None if s.head() is INF else s.head()
+            s = s.tail()
+        db = alpha_digits(alpha, i + 1)[i]
+        if da != db or da is None:
+            break
+        i += 1
+    if i > back_cap:
+        raise BackwardCapExceeded("comparison against alpha undecided")
+    return exact_lt(v, alpha)
 
 
-def oracle_k_parity_odd(alist, back_cap, z) -> bool:
+def oracle_k_parity_odd(alpha, back_cap, z, xv) -> bool:
     ys = z.yd.tail()
     bs = []
+    v = xv
     for j in range(1, back_cap + 1):
         b = ys.head()
         bs.append(b)
         if b is INF:
             return j % 2 == 1
         ys = ys.tail()
-        if oracle_x_lt_alpha(alist, back_cap, bs, j, z.xd):
+        v = 1 / (b + v)
+        if oracle_x_lt_alpha(alpha, back_cap, bs, j, z.xd, v):
             return j % 2 == 1
     raise BackwardCapExceeded("parity search exceeded")
 
 
-def oracle_contains(alpha, alist, z, back_cap=2000) -> bool:
+def oracle_contains(alpha, z, xv, back_cap=2000) -> bool:
+    """Membership of z, whose x-coordinate is xv exactly."""
     b1 = z.yd.head()
     a1 = z.xd.head()
     if b1 == 1:
-        return oracle_k_parity_odd(alist, back_cap, z)
+        return oracle_k_parity_odd(alpha, back_cap, z, xv)
     if b1 is INF or a1 is INF or alpha > Fraction(1, 2):
         return False
     w = OmegaPoint.from_streams(Cons(a1 + b1 - 1, z.xd.tail()), Cons(1, z.yd.tail()))
-    if oracle_x_lt_alpha(alist, back_cap, [], 0, w.xd):
+    wv = 1 / (b1 - 1 + 1 / xv)
+    if oracle_x_lt_alpha(alpha, back_cap, [], 0, w.xd, wv):
         return False
-    return oracle_k_parity_odd(alist, back_cap, w)
+    return oracle_k_parity_odd(alpha, back_cap, w, wv)
 
 
 WALKER_ALPHAS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(7, 10), S2, G,
                  Fraction(1)]
 
 
-def agree(R, alist, z, back_cap=2000):
-    """R.contains(z) equals the oracle, raising included."""
+def agree(R, z, xv=None, back_cap=2000):
+    """R.contains(z) equals the oracle, raising included; xv is z's exact
+    x-coordinate, z.x_val by default."""
+    xv = z.x_val if xv is None else xv
     try:
-        want = oracle_contains(R.alpha, alist, z, back_cap)
+        want = oracle_contains(R.alpha, z, xv, back_cap)
     except BackwardCapExceeded:
         with pytest.raises(BackwardCapExceeded):
             R.contains(z)
@@ -495,35 +536,51 @@ def stream(digits, tail=None):
     return s
 
 
-def digits_near(rng, alist, n):
+def stream_value(digits, tail=0):
+    """The number [0; digits..., + tail] the stream of `stream` spells,
+    for a tail value in [0, 1]."""
+    v = tail
+    for d in reversed(digits):
+        v = 1 / (d + v)
+    return v
+
+
+def surd_tail(rng):
+    """A random surd tail's stream and value, or no tail, half and half."""
+    if rng.random() < 0.5:
+        t = random_surd(rng)
+        return rcf_digits(t), t
+    return None, Fraction(0)
+
+
+def digits_near(rng, alpha, n):
     """Small random digits, drawn half the time from alpha's own."""
+    alist = oracle_alpha_list(alpha)[0]
     return [rng.choice(alist) if rng.random() < 0.5 else rng.randint(1, 5) for _ in range(n)]
 
 
 def test_alpha_walker_on_stream_points(rng):
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        alist = oracle_alpha_list(alpha)
         seen = set()
         for _ in range(600):
-            xs = digits_near(rng, alist, rng.randint(0, 12))
-            ys = digits_near(rng, alist, rng.randint(0, 12))
+            xs = digits_near(rng, alpha, rng.randint(0, 12))
+            ys = digits_near(rng, alpha, rng.randint(0, 12))
             b1 = rng.choice([1, 1, 1, 2, 3, 5])
-            tail = rcf_digits(random_surd(rng)) if rng.random() < 0.5 else None
+            tail, tv = surd_tail(rng)
             z = OmegaPoint.from_streams(stream(xs, tail), stream([b1] + ys))
-            seen.add(agree(R, alist, z))
+            seen.add(agree(R, z, stream_value(xs, tv)))
         assert seen >= {True, False}
 
 
 def test_alpha_walker_on_surd_orbits(rng):
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        alist = oracle_alpha_list(alpha)
         for _ in range(6):
             y = rng.choice([Fraction(1), Fraction(rng.randint(1, 30), 31), random_surd(rng)])
             z = OmegaPoint.from_values(random_surd(rng), y)
             for _ in range(60):
-                agree(R, alist, z)
+                agree(R, z)
                 z = ito_step(z)
 
 
@@ -541,13 +598,14 @@ def boundary_surd(rng, alpha, hit_step):
 
 
 def test_alpha_walker_on_boundary_surds(rng):
+    """Orbits that meet alpha exactly are decided, never walked to the
+    cap: the pulled-back x equal to alpha is found by its state."""
     for alpha in (S2, G):
         R = build_alpha_region(alpha)
-        alist = oracle_alpha_list(alpha)
         for hit in (1, 4, 15):
             z = top(boundary_surd(rng, alpha, hit))
             for _ in range(100):
-                agree(R, alist, z)
+                assert agree(R, z) is not None
                 z = ito_step(z)
 
 
@@ -556,44 +614,66 @@ def test_alpha_walker_on_long_shared_prefixes(rng):
     rational alpha's) at a chosen backward depth j, or after a slide."""
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        alist = oracle_alpha_list(alpha)
+        alist, per = oracle_alpha_list(alpha)
         small = build_alpha_region(alpha, back_cap=40)
         for _ in range(60):
-            m = min(len(alist), rng.randint(50, 300))
-            after = rng.choice([[], [rng.randint(1, 6)], digits_near(rng, alist, 5)])
-            tail = rcf_digits(random_surd(rng)) if rng.random() < 0.5 else None
-            pulled = alist[:m] + after
+            m = rng.randint(50, 300) if per else len(alist)
+            after = rng.choice([[], [rng.randint(1, 6)], digits_near(rng, alpha, 5)])
+            tail, tv = surd_tail(rng)
+            pulled = alpha_digits(alpha, m) + after
             j = rng.randint(0, min(4, m))
             if j == 0:  # slide a point of a lower strip up onto the pulled-back x
                 c = pulled[0]
                 b1 = rng.randint(2, c) if c >= 2 else 2
                 xd = [max(1, c - b1 + 1)] + pulled[1:]
-                yd = [b1] + digits_near(rng, alist, 4)
+                yd = [b1] + digits_near(rng, alpha, 4)
             else:
                 xd = pulled[j:]
-                yd = [1] + pulled[:j][::-1] + digits_near(rng, alist, rng.randint(0, 4))
+                yd = [1] + pulled[:j][::-1] + digits_near(rng, alpha, rng.randint(0, 4))
             z = OmegaPoint.from_streams(stream(xd, tail), stream(yd))
-            agree(R, alist, z)
-            agree(small, alist, z, back_cap=40)
+            xv = stream_value(xd, tv)
+            agree(R, z, xv)
+            agree(small, z, xv, back_cap=40)
             if j:
                 bs = yd[1 : j + 1]
-                x = _Read([], z.xd)
-                assert R._below(_Read(yd[: j + 1]), j, x) == oracle_x_lt_alpha(alist, 2000, bs, j, z.xd)
+                x = Reader([], z.xd)
+                assert R._below(Reader(yd[: j + 1]), j, x) == oracle_x_lt_alpha(
+                    alpha, 2000, bs, j, z.xd, stream_value(pulled[:j], xv))
 
 
 def test_alpha_walker_cap_edge(rng):
     """A first difference at index back_cap decides; one past it raises."""
     for alpha in (S2, G):
-        alist = oracle_alpha_list(alpha)
         R = build_alpha_region(alpha, back_cap=40)
         outcomes = set()
         for m in (38, 39, 40, 41, 42) * 4:
-            pulled = alist[:m] + [alist[m] + rng.randint(1, 3)]
+            ad = alpha_digits(alpha, m + 1)
+            pulled = ad[:m] + [ad[m] + rng.randint(1, 3)]
             j = rng.randint(1, 4)
-            xd = stream(pulled[j:], rcf_digits(random_surd(rng)))
+            t = random_surd(rng)
+            xd = stream(pulled[j:], rcf_digits(t))
             z = OmegaPoint.from_streams(xd, stream([1] + pulled[:j][::-1]))
-            outcomes.add(agree(R, alist, z, back_cap=40))
+            outcomes.add(agree(R, z, stream_value(pulled[j:], t), back_cap=40))
         assert None in outcomes and len(outcomes) > 1
+
+
+def test_alpha_walker_folds_and_reads_alpha_by_its_period():
+    """[2]*300, 3 is below sqrt(2) - 1 = [0; 2, 2, ...] (the first
+    difference, at even index 300, has the bigger digit); likewise for
+    g = [0; 1, 1, ...], where the parity of the difference decides.  A
+    pulled-back [..., b, 1] ending in alpha's [..., b + 1] is alpha."""
+    R = build_alpha_region(S2)
+    assert R._below(Reader([1]), 0, Reader([2] * 300 + [3]))
+    assert R._below(Reader([1, 2]), 1, Reader([2] * 299 + [3]))
+    assert not R._below(Reader([1]), 0, Reader([2] * 301 + [3]))
+    Rg = build_alpha_region(G)
+    assert Rg._below(Reader([1]), 0, Reader([1] * 300 + [2]))
+    assert not Rg._below(Reader([1]), 0, Reader([1] * 301 + [2]))
+    # alpha = [0; 5, 4]; x = 0 under y = [1, 1, 3, 5]: pulled back [5, 3, 1] = [5, 4]
+    R54 = build_alpha_region(Fraction(4, 21))
+    z = OmegaPoint.from_streams(ZERO_STREAM, from_digits([1, 1, 3, 5]))
+    assert not R54._below(Reader([1, 1, 3, 5]), 3, Reader([]))
+    assert R54.contains(z) == oracle_contains(R54.alpha, z, Fraction(0))
 
 
 def test_contains_rational_matches_oracle_on_sampler_points():
@@ -605,14 +685,13 @@ def test_contains_rational_matches_oracle_on_sampler_points():
     sample = _strip_sampler(Fraction(1, 5))
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        alist = oracle_alpha_list(alpha)
         hits = 0
         for _ in range(1500):
             xd, yd = (r.read_all() for r in sample(twin))
             got = R.contains_rational(*sample(rng))
             if xd:
                 z = OmegaPoint.from_streams(from_digits(xd), from_digits(yd))
-                assert got == oracle_contains(alpha, alist, z)
+                assert got == oracle_contains(alpha, z, digits_fraction(xd))
             hits += got
         assert 0 < hits < 1500
 
@@ -623,12 +702,30 @@ def test_contains_rational_zero_coordinate_is_outside():
         # x = 0: both entry points give the walker's answer
         for y in ([1], [1, 3], [1, 1, 2], [2], [3, 2]):
             z = OmegaPoint.from_streams(ZERO_STREAM, from_digits(y))
-            assert R.contains_rational(_Read([]), _Read(list(y))) == R.contains(z)
-        assert not R.contains_rational(_Read([3]), _Read([]))
-        assert not R.contains_rational(_Read([]), _Read([]))
+            assert R.contains_rational(Reader([]), Reader(list(y))) == R.contains(z)
+        assert not R.contains_rational(Reader([3]), Reader([]))
+        assert not R.contains_rational(Reader([]), Reader([]))
 
 
-def test_alpha_list_keeps_300_digit_truncation():
+def test_alpha_list_is_preperiod_and_period():
     for alpha in WALKER_ALPHAS:
-        assert build_alpha_region(alpha).alpha_list == oracle_alpha_list(alpha)
-    assert len(build_alpha_region(G).alpha_list) == 300
+        R = build_alpha_region(alpha)
+        assert (R.alpha_list, R.period) == oracle_alpha_list(alpha)
+    assert oracle_alpha_list(S2) == ([2], 1)
+    assert oracle_alpha_list(G) == ([1], 1)
+    for text, want in (("sqrt(2)/2", ([1, 2], 1)),          # [0; 1, 2, 2, ...]
+                       ("(5-sqrt(3))/4", ([1, 4, 2, 6], 2)),  # [0; 1, 4, 2, 6, 2, 6, ...]
+                       ("sqrt(7)-2", ([1, 1, 1, 4], 4))):
+        R = build_alpha_region(parse_real(text))
+        assert (R.alpha_list, R.period) == want == oracle_alpha_list(R.alpha)
+    # a period longer than back_cap digits is not searched for: no
+    # comparison may match that many digits, and one that does raises
+    alpha = 1 / (2 + Surd(-1, 1, 10**30, 2))
+    R = build_alpha_region(alpha, back_cap=41)
+    assert R.period is None and R.alpha_list == rcf_digits(alpha).prefix(42)
+    with pytest.raises(BackwardCapExceeded):
+        R._below(Reader([1]), 0, Reader([], rcf_digits(alpha)))
+    assert R._below(Reader([1]), 0, Reader(R.alpha_list[:30] + [R.alpha_list[30] + 1]))
+    # its last kept digit is 3: [..., 2, 1] is below it, never a folded equal
+    assert R.alpha_list[41] == 3
+    assert R._below(Reader([1]), 0, Reader(R.alpha_list[:41] + [2, 1]))

@@ -183,9 +183,9 @@ def test_density_invariance_monte_carlo():
 def test_alpha_region_shift_invariance_monte_carlo():
     # the closed-form shift over the alpha(1/2) region preserves the
     # empirical rectangle frequencies of region samples
-    from cfrow.digits import from_digits
+    from cfrow.digits import Reader, from_digits
     from cfrow.measure import _strip_sampler
-    from cfrow.regions import _Read, build_alpha_region
+    from cfrow.regions import build_alpha_region
 
     alpha = 0.5
     R = build_alpha_region(Fraction(1, 2))
@@ -195,7 +195,7 @@ def test_alpha_region_shift_invariance_monte_carlo():
     target = 120_000
     while len(X) < target:
         xd, yd = (r.read_all() for r in sample(rng))
-        if R.contains_rational(_Read(xd), _Read(yd)):
+        if R.contains_rational(Reader(xd), Reader(yd)):
             x, y = (float(from_digits(ds).exact_value()) for ds in (xd, yd))
             if x < alpha:
                 X.append(x)
