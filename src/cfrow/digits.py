@@ -18,6 +18,9 @@ expansion undone.  `snapped_digits` is such a reader read to its end.
 Numbers are compared exactly by their digits: `order` reads two
 `Reader`s in the alternating lexicographic order of continued
 fractions, folding the one non-canonical tail [..., b, 1] = [..., b+1].
+It is the one comparator: rectangle membership orders a point's digits
+against each corner's, and alpha-region membership orders a point's
+pulled-back digits against alpha's.
 A quadratic irrational's digits come from a `SurdDigits` source, which
 also reports the state of its integer recurrence, so two equal quadratic
 tails are recognised by their states instead of being read forever.
@@ -506,14 +509,16 @@ def order(x, y, test_at: int = 0, cap: int = 4000) -> int:
         if da is None:
             return 0
         i += 1
-        if i == test_at and same_number(x.state(i), y.state(i)):
-            return 0
+        if i == test_at:
+            sx = x.state(i)  # y's state is asked for only when x has one
+            if sx is not None and same_number(sx, y.state(i)):
+                return 0
         if i > cap:
             raise BoundaryUndecidable(f"values not separated within {cap} digits")
-    if da is not None and db is not None:
+    if da is not None and db is not None:  # y first: a canonical target reads no more of x
         if da + 1 == db and ends_with(y, i, []) and ends_with(x, i, [1]):
             return 0
-        if db + 1 == da and ends_with(x, i, []) and ends_with(y, i, [1]):
+        if db + 1 == da and ends_with(y, i, [1]) and ends_with(x, i, []):
             return 0
     x_big = db is not None and (da is None or da > db)
     return -1 if x_big == (i % 2 == 0) else 1

@@ -55,8 +55,9 @@ class CapExceeded(CfrowError):
 
 
 class NeverEnters(CapExceeded):
-    """A forward walk proved it can never visit its region: the region
-    reads x alone and x's recurrence state repeated with no visit."""
+    """A forward walk proved it can never visit its region: the walk
+    decides visits from x alone (`Region.x_only`, every cell region) and
+    x's recurrence state repeated with no visit."""
 
 
 class BackwardCapExceeded(CfrowError):

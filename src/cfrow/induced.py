@@ -23,12 +23,15 @@ is every backward walk (A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) join
 A_R on the left there).  A walk keeps A_R as four plain integers; each
 record builds its one `Mat2Z` at the visit.
 
-A region that reads x alone (`Region.x_only`, the V_a strips) is visited
-or not by x's digits only, so once a walk has gone NEVER_ENTERS_AFTER
-slow steps without a visit it watches x's recurrence state: a state
-that repeats with no visit in between proves the orbit never enters,
-and the walk raises NeverEnters, a CapExceeded, instead of walking on
-to the cap.
+A region whose visits a forward walk decides from x alone
+(`Region.x_only`) is visited or not by x's digits only.  Every
+`CellRegion` is one: past the start, the walk asks membership only at
+top-strip landings, where the head of y is 1, and along their runs,
+whose cells (a1-k, 1+k) follow from a1.  So once a walk has gone
+NEVER_ENTERS_AFTER slow steps without a visit it watches x's recurrence
+state: a state that repeats with no visit in between proves the orbit
+never enters, and the walk raises NeverEnters, a CapExceeded, instead
+of walking on to the cap.
 
 The boundary fix for orbits launched on the top edge is structural
 here: points evolve symbolically, and the non-canonical tails the
@@ -55,10 +58,9 @@ class Region:
     """Membership oracle over the unit square."""
 
     altered: bool = False      # uses the top-edge-adjusted induced map
-    is_omega: bool = False
     unit_s: bool = False       # guarantees s_R(z) = 1 for z in R
     meets_y_zero: bool = False  # region intersects the y = 0 line
-    x_only: bool = False       # membership off the y = 0 line reads x alone
+    x_only: bool = False       # forward walks decide visits from x alone
     name: str = "region"
 
     def contains(self, z: OmegaPoint) -> bool:
@@ -242,7 +244,6 @@ def digit_maps(region: Region, z: OmegaPoint, cap: int):
 
 
 class OmegaRegion(Region):
-    is_omega = True
     meets_y_zero = True
     unit_s = True
     name = "omega"
@@ -262,6 +263,8 @@ class CellRegion(Region):
     vertical strip; any other index must be an int >= 1 (ValueError).
     """
 
+    x_only = True  # y's head is 1 at every landing
+
     def __init__(self, cells, name="cells", altered=False):
         self.cells = [tuple(c) for c in cells]
         for ca, cb in self.cells:
@@ -271,7 +274,6 @@ class CellRegion(Region):
         self.name = name
         self.altered = altered
         self.unit_s = self.cells == [(None, 1)]
-        self.x_only = all(cb is None for _, cb in self.cells)
 
     def contains(self, z: OmegaPoint) -> bool:
         a, b = z.xd.head(), z.yd.head()

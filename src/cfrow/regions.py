@@ -19,9 +19,10 @@ Three families:
   slid down-right through its full cell range.  One walker decides this
   for digit streams and for exact rationals alike: it pulls both
   coordinates' digits through readers that start at their first digits
-  a1 and b1, only as far as it needs them, and compares them with
-  alpha's as int lists; an irrational alpha is read by its preperiod and
-  period, and its tail compared with x's by their recurrence states.
+  a1 and b1, only as far as it needs them, and orders the pulled-back
+  digits against alpha's with `digits.order`, the one comparator; an
+  irrational alpha is read by its preperiod and period, and its tail
+  compared with x's by their recurrence states.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .digits import Cons, Reader, ends_with, fraction_digits, same_number
+from .digits import Cons, LazyDigits, Reader, fraction_digits, order
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
+    BoundaryUndecidable,
     InvalidSingularisationArea,
     OutOfDomain,
 )
@@ -164,6 +166,29 @@ def build_s_expansion_region(area) -> Region:
 # -- alpha regions ----------------------------------------------------------
 
 
+class _Pulled:
+    """Reader of the pulled-back digits [b_{j+1}, ..., b2, x...] for
+    `digits.order`: b_{j+1}, ..., b2 are read already at y.got[j], ...,
+    y.got[1], and x's digits are copied from x's reader, or read by it,
+    only when the comparison runs off those it holds."""
+
+    __slots__ = ("got", "src", "_x", "_j")
+
+    def __init__(self, y, j: int, x):
+        self.got, self.src, self._x, self._j = y.got[j:0:-1], x, x, j
+
+    def more(self):
+        x, n = self._x, len(self.got) - self._j
+        if n == len(x.got) and x.src is not None:
+            x.more()
+        self.got += x.got[n:]
+        if x.src is None:
+            self.src = None
+
+    def state(self, k: int):
+        return self._x.state(k - self._j) if k > self._j else None
+
+
 class AlphaRegion(Region):
     """Region inducing the map x |-> 1/|x| - floor(1/|x| + 1 - alpha).
 
@@ -175,18 +200,18 @@ class AlphaRegion(Region):
     the member set with x >= alpha (only possible when alpha <= 1/2).
 
     One walker decides both `contains` (digit streams) and
-    `contains_rational` (readers of rationals): it compares the
-    pulled-back digits with alpha's digit list as int lists, in the
-    alternating lexicographic order of canonical expansions.  It reads x
-    and y through readers (`digits.Reader`, `digits.SnapReader`), and
-    pulls a digit only when a comparison runs off the digits read so
-    far.  Every y reader starts at the point's own b1, so b_{j+1} sits at
-    index j; the walker never reads b1 itself.  An irrational alpha is
-    read by its period: `alpha_list` holds its preperiod and one period
-    and `period` the period's length (0 for a rational alpha, whose list
-    is complete).  An alpha whose preperiod and period run past
-    `back_cap` digits, which no comparison may match, keeps its first
-    back_cap + 1 digits and period None.
+    `contains_rational` (readers of rationals): each comparison is one
+    `digits.order` of the pulled-back digits (a `_Pulled` reader) against
+    alpha's reader, built once.  It reads x and y through readers
+    (`digits.Reader`, `digits.SnapReader`), and pulls a digit only when a
+    comparison runs off the digits read so far.  Every y reader starts
+    at the point's own b1, so b_{j+1} sits at index j; the walker never
+    reads b1 itself.  An irrational alpha is read by its period:
+    `alpha_list` holds its preperiod and one period and `period` the
+    period's length (0 for a rational alpha, whose list is complete).
+    An alpha whose preperiod and period run past `back_cap` digits,
+    which no comparison may match, keeps its first back_cap + 1 digits
+    and period None.
     """
 
     unit_s = True
@@ -198,6 +223,7 @@ class AlphaRegion(Region):
         self.alpha = alpha
         if is_rational(alpha):
             self.alpha_list, self.period, self._source = fraction_digits(as_real(alpha)), 0, None
+            self._alpha_reader = Reader(self.alpha_list)
         else:
             src = surd_digits(alpha)
             found = src.period(back_cap)
@@ -207,6 +233,7 @@ class AlphaRegion(Region):
                 m, p = found
                 self.alpha_list, self.period = src.buf[:m + p], p
             self._source = src
+            self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
         self.name = name or f"alpha:{alpha}"
@@ -215,72 +242,19 @@ class AlphaRegion(Region):
         """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, ...,
         b_{j+1} read already at y.got[1], ..., y.got[j]?
 
-        Reads more of x only when the comparison runs off its end.  Once
-        the match has run through alpha's preperiod and period inside x,
-        x's tail there is tested once against alpha's by their states
-        (`_tail_is_alpha`), so a pulled-back x equal to an irrational
-        alpha is decided; an x whose tail has no state is compared on.
-        Past `back_cap` equal leading digits the comparison raises.  None
-        plays the infinite digit of a terminated expansion.
+        One `digits.order` of the pulled-back digits against alpha's.
+        Once the match has run through alpha's preperiod and period inside
+        x, their tails are tested once by their states, so a pulled-back x
+        equal to an irrational alpha is decided.  Past `back_cap` equal
+        leading digits the comparison raises BackwardCapExceeded.
         """
-        al = self.alpha_list
-        na = len(al)
-        per = self.period
-        bs = y.got
-        xs = x.got
-        i = 0
-        while True:
-            if i < j:
-                da = bs[j - i]
-            elif i - j < len(xs):
-                da = xs[i - j]
-            elif x.src is not None:
-                if i > self.back_cap:
-                    break
-                x.more()
-                xs = x.got
-                continue
-            else:
-                da = None
-            if i < na:
-                db = al[i]
-            elif per:
-                if i - j == na and self._tail_is_alpha(x, na, i):
-                    return False  # equal values
-                db = al[na - per + (i - na) % per]
-            elif self._source is None:
-                db = None
-            else:  # na > back_cap digits of alpha matched, its period longer
-                raise BackwardCapExceeded(f"{self.name}: comparison against alpha undecided")
-            if da != db or da is None:
-                break
-            i += 1
-        if i > self.back_cap:
-            raise BackwardCapExceeded(f"{self.name}: comparison against alpha undecided")
-        if da is None and db is None:
-            return False  # equal values
-        if i + 1 == na and per == 0 and da == db - 1 and self._ends_in_one(y, j, x, i):
-            return False  # [..., da, 1] is alpha's [..., da + 1]
-        da_big = db is not None and (da is None or da > db)
-        # 0-based even position = odd partial quotient: bigger digit, smaller value
-        return da_big == (i % 2 == 0)
-
-    def _tail_is_alpha(self, x, k: int, i: int) -> bool:
-        """Is x's tail after k digits alpha's tail after i digits, for an
-        irrational alpha?  Decided exactly by their recurrence states."""
-        sx = x.state(k)
-        if sx is None:
-            return False
-        m = len(self.alpha_list) - self.period
-        return same_number(sx, self._source.state(m + (i - m) % self.period))
-
-    @staticmethod
-    def _ends_in_one(y, j: int, x, i: int) -> bool:
-        """Do the pulled-back digits [b_{j+1}, ..., b2, x...] read exactly
-        [1] after index i, then end?"""
-        if i + 1 < j:
-            return i + 2 == j and y.got[1] == 1 and ends_with(x, -1, [])
-        return ends_with(x, i - j, [1])
+        pulled = _Pulled(y, j, x) if j else x
+        test_at = j + len(self.alpha_list) if self.period else 0
+        try:
+            return order(pulled, self._alpha_reader, test_at, self.back_cap) < 0
+        except BoundaryUndecidable:
+            raise BackwardCapExceeded(
+                f"{self.name}: comparison against alpha undecided") from None
 
     def _odd_depth(self, x, y) -> bool:
         """Parity of the least backward depth j whose pulled-back

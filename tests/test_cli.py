@@ -139,10 +139,11 @@ def test_contract_plan_past_the_expansion_names_its_index(capsys, plan):
 
 
 def test_cfe_on_a_region_the_orbit_never_enters_exits_early(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run_cli(["cfe", "--region", "v:2", "--x", "g"], capsys)
-    assert time.perf_counter() - t0 < 1.0
-    assert code == 2 and out == "" and "never enters v2" in err
+    for spec, name in (("v:2", "v2"), ("h:2", "h2")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(["cfe", "--region", spec, "--x", "g"], capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and f"never enters {name}" in err
 
 
 def test_malformed_input_subprocess_has_no_traceback():

@@ -311,8 +311,9 @@ def test_point_on_a_rational_edge_is_decided():
 
 
 def test_x_only_region_that_is_never_entered_stops_early():
-    """x = g reads 1 forever, so the walk never reaches V_2: the repeated
-    x-state ends it long before the cap, with a typed CapExceeded."""
+    """x = g reads 1 forever, so the walk never reaches V_2 or H_2: the
+    repeated x-state ends it long before the cap, with a typed
+    CapExceeded."""
     v2 = region_v(2)
     with pytest.raises(NeverEnters, match="v2"):
         induced_step(v2, top(G), 10**6)
@@ -327,6 +328,14 @@ def test_x_only_region_that_is_never_entered_stops_early():
     # a visit once per long period is still found
     x = surd_from_periodic_digits([1] * 40 + [3])
     assert induced_step(v2, top(x), 10**6).N > 0
+    # cells that read y too: at every landing y's head is 1, so the
+    # walk's visits still follow from x alone
+    with pytest.raises(NeverEnters, match="h2"):
+        induced_step(region_h(2), top(G), 10**6)
+    with pytest.raises(NeverEnters):
+        induced_step(region_cell(3, 1), top(parse_real("sqrt(2)-1")), 10**6)
+    x = surd_from_periodic_digits([1] * 40 + [2])
+    assert induced_step(region_h(2), top(x), 10**6).N > 0
 
 
 def test_cell_region_membership_from_digits():

@@ -12,7 +12,7 @@ from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisat
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
-from cfrow.induced import CellRegion, induced_records, induced_step
+from cfrow.induced import CellRegion, OmegaRegion, induced_records, induced_step
 from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
@@ -277,7 +277,7 @@ def test_region_spec_shorthands():
     assert region_from_spec("h:3").cells == [(None, 3)]
     assert region_from_spec("v:2").cells == [(2, None)]
     assert region_from_spec("cell:3,1").cells == [(2, 2)]
-    assert region_from_spec("omega").is_omega
+    assert isinstance(region_from_spec("omega"), OmegaRegion)
     assert region_from_spec("alpha:1/2").alpha == Fraction(1, 2)
     spec = {"cells": [{"a": 2, "b": 1}], "altered": False}
     assert region_from_spec(spec).cells == [(2, 1)]
@@ -661,7 +661,8 @@ def test_alpha_walker_folds_and_reads_alpha_by_its_period():
     """[2]*300, 3 is below sqrt(2) - 1 = [0; 2, 2, ...] (the first
     difference, at even index 300, has the bigger digit); likewise for
     g = [0; 1, 1, ...], where the parity of the difference decides.  A
-    pulled-back [..., b, 1] ending in alpha's [..., b + 1] is alpha."""
+    pulled-back [..., b, 1] ending in alpha's [..., b + 1] is alpha, and so
+    is a pulled-back x whose tail is alpha's, of any period."""
     R = build_alpha_region(S2)
     assert R._below(Reader([1]), 0, Reader([2] * 300 + [3]))
     assert R._below(Reader([1, 2]), 1, Reader([2] * 299 + [3]))
@@ -674,6 +675,16 @@ def test_alpha_walker_folds_and_reads_alpha_by_its_period():
     z = OmegaPoint.from_streams(ZERO_STREAM, from_digits([1, 1, 3, 5]))
     assert not R54._below(Reader([1, 1, 3, 5]), 3, Reader([]))
     assert R54.contains(z) == oracle_contains(R54.alpha, z, Fraction(0))
+    # alpha = sqrt(7) - 2 = [0; 1, 1, 1, 4, ...], period 4: x = alpha's own
+    # tail under y = [1, b2, ..., b_{j+1}] pulls back to alpha, found by the
+    # one state test after j + 4 digits, also when that is back_cap + 1
+    R7 = build_alpha_region(parse_real("sqrt(7)-2"))
+    for j in (1, 2, 3):
+        x, y = rcf_digits(R7.alpha), [1] + R7.alpha_list[:j][::-1]
+        for _ in range(j):
+            x = x.tail()
+        for R in (R7, build_alpha_region(R7.alpha, back_cap=j + 3)):
+            assert not R._below(Reader(y), j, Reader([], x))
 
 
 def test_contains_rational_matches_oracle_on_sampler_points():
