@@ -15,7 +15,12 @@ k + 1 is `induced.digit_pair(s_{k-1}, A_k, A_{k+1})` with s_{-1} = 1,
 and no backward search for d_0 is made.
 
 The two must agree digit for digit; route 1 is kept as the oracle and
-route 2 is the production path.  The convergents of either satisfy
+route 2 is the production path.  Both read one walk: their records come
+from the induced orbit kept on z (`induced.induced_orbit`), so whichever
+runs second walks only past the records the first one found.  They stay
+independent in how digits are formed from those records: the
+contraction plan over the Farey expansion of x in route 1, the digit
+pairs of consecutive matrices in route 2.  The convergents of either satisfy
 (P_k, Q_k) = c_k (u_{k+1}, s_{k+1}) with c_k the product of the first k
 s-entries.
 """

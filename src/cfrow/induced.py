@@ -33,6 +33,13 @@ state: a state that repeats with no visit in between proves the orbit
 never enters, and the walk raises NeverEnters, a CapExceeded, instead
 of walking on to the cap.
 
+Multi-record readers read the records through `induced_orbit`, which
+keeps the records it walks on their start point, for the last region
+asked.  The two CFE routes and the shift orbit from one point therefore
+walk its induced orbit once between them; `induced_step` itself keeps
+nothing, so a point holds the records walked from it and no chain of
+later points' records.
+
 The boundary fix for orbits launched on the top edge is structural
 here: points evolve symbolically, and the non-canonical tails the
 symbolic map produces make digit-based membership agree with the
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .digits import Reader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
@@ -164,18 +172,45 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
                 if state == first:
                     raise NeverEnters(f"orbit never enters {region.name}: its x-state "
                                       f"repeats after {n} steps with no visit")
-    raise CapExceeded(f"orbit did not enter {region.name} within {cap} steps")
+    raise _cap_exceeded(region, cap)
+
+
+def _cap_exceeded(region: Region, cap: int) -> CapExceeded:
+    return CapExceeded(f"orbit did not enter {region.name} within {cap} steps")
+
+
+def induced_orbit(region: Region, z: OmegaPoint, cap: int):
+    """The induced records from z, one per visit, without end.
+
+    The records walked are kept on z, for the last region asked (by
+    identity): a later walk from z for the same region reads them first
+    and walks on from the last landing only past their end.  The cap
+    reads as in a fresh walk: a kept record whose N exceeds `cap` raises
+    the walk's own CapExceeded, and a walk that raises keeps only the
+    records it found, so a larger cap walks on.
+    """
+    kept = z._orbit
+    if kept is not None and kept[0] is region:
+        recs = kept[1]
+    else:
+        recs = []
+        z._orbit = (region, recs)
+    k = 0
+    while True:
+        if k < len(recs):
+            rec = recs[k]
+            if rec.N > cap:
+                raise _cap_exceeded(region, cap)
+        else:
+            rec = induced_step(region, recs[-1].z_next if recs else z, cap)
+            recs.append(rec)
+        yield rec
+        k += 1
 
 
 def induced_records(region: Region, z: OmegaPoint, n: int, cap: int):
     """Records of the first n induced steps from z."""
-    out = []
-    cur = z
-    for _ in range(n):
-        rec = induced_step(region, cur, cap)
-        out.append(rec)
-        cur = rec.z_next
-    return out
+    return list(islice(induced_orbit(region, z, cap), n))
 
 
 def induced_products(region: Region, z: OmegaPoint, n: int, cap: int):

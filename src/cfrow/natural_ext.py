@@ -91,9 +91,13 @@ class OmegaPoint:
     produced and is deliberately NOT re-canonicalised: a trailing
     [...,1, inf] tail encodes a boundary point of the cell the orbit
     logic needs it to be in.
+
+    `_orbit` keeps the induced records walked from the point, as
+    (region, records) for the last region asked; `induced.induced_orbit`
+    alone reads and writes it.
     """
 
-    __slots__ = ("xd", "yd", "_x0", "_y0", "_px", "_qy", "_x", "_y")
+    __slots__ = ("xd", "yd", "_x0", "_y0", "_px", "_qy", "_x", "_y", "_orbit")
 
     def __init__(self, xd: DigitStream, yd: DigitStream, x_val=None, y_val=None):
         self.xd = xd
@@ -101,6 +105,7 @@ class OmegaPoint:
         self._x0 = self._x = x_val
         self._y0 = self._y = y_val
         self._px = self._qy = _ID
+        self._orbit = None
 
     @staticmethod
     def from_values(x: RealRep, y: RealRep) -> "OmegaPoint":
@@ -132,6 +137,7 @@ class OmegaPoint:
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd = xd
         w.yd = yd
+        w._orbit = None
         x = self._x
         if x is None:
             w._x0 = w._x = None

@@ -29,6 +29,7 @@ from .induced import (
     Region,
     backward_induced_step,
     digit_pair,
+    induced_orbit,
     induced_records,
     induced_step,
 )
@@ -48,8 +49,8 @@ class ShiftPoint:
     """Image of a region point z under the coordinate change, with its
     provenance kept so the dynamics can be driven exactly: `rec` is the
     induced record of z itself (the walk from z to its next visit), so
-    the next shift step reuses it and walks only once more.  A shift
-    point belongs to the region it was built for."""
+    the next shift step starts from rec.z_next and reads one record
+    more.  A shift point belongs to the region it was built for."""
 
     X: object
     Y: object
@@ -62,18 +63,39 @@ class ShiftPoint:
         return self.rec.u
 
 
-def phi(region: Region, z: OmegaPoint, cap: int = 100000) -> ShiftPoint:
-    """Coordinate change; needs exact coordinate values on z."""
+def _change(region: Region, z: OmegaPoint, pull) -> ShiftPoint:
+    """The coordinate change at z; `pull()` returns z's own record."""
     _require_unit_s(region)
     if z.x_val is None or z.y_val is None:
         raise ValueError("shift coordinates need exact point values")
-    rec = induced_step(region, z, cap)
+    rec = pull()
     x, y = z.x_val, z.y_val
     if rec.u == 0:
         if y == 0:
             raise NullSetPoint("y = 0 has no shift image on the u = 0 branch")
         return ShiftPoint(as_real(x), as_real((1 - y) / y), z, rec)
     return ShiftPoint(as_real(x - 1), as_real(1 - y), z, rec)
+
+
+def _shift(region: Region, w: ShiftPoint, pull) -> ShiftPoint:
+    """One shift step from w; `pull()` returns the record after w.rec,
+    and is called only once w is known to be off the fixed ray.  The new
+    coordinates X' = (-beta X + alpha)/X and Y' = 1/(alpha Y + beta) are
+    one Moebius map each, so a surd coordinate costs one construction."""
+    _require_unit_s(region)
+    if w.X == 0:
+        raise FixedRay("X = 0 is fixed")
+    rec0 = w.rec
+    rec1 = pull()
+    alpha, beta = digit_pair(1, rec0, rec1)
+    X1 = _mobius((-beta, alpha, 1, 0), w.X)
+    Y1 = _mobius((0, 1, alpha, beta), w.Y)
+    return ShiftPoint(X1, Y1, rec0.z_next, rec1)
+
+
+def phi(region: Region, z: OmegaPoint, cap: int = 100000) -> ShiftPoint:
+    """Coordinate change; needs exact coordinate values on z."""
+    return _change(region, z, lambda: induced_step(region, z, cap))
 
 
 def phi_inverse(region: Region, X, Y) -> OmegaPoint:
@@ -90,26 +112,18 @@ def phi_inverse(region: Region, X, Y) -> OmegaPoint:
 
 def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
     """One shift step: exact on quadratic/rational coordinates.  One
-    induced walk, from w's landing point; w's own walk is w.rec.  The
-    new coordinates X' = (-beta X + alpha)/X and Y' = 1/(alpha Y + beta)
-    are one Moebius map each, so a surd coordinate costs one construction."""
-    _require_unit_s(region)
-    if w.X == 0:
-        raise FixedRay("X = 0 is fixed")
-    rec0 = w.rec
-    rec1 = induced_step(region, rec0.z_next, cap)
-    alpha, beta = digit_pair(1, rec0, rec1)
-    X1 = _mobius((-beta, alpha, 1, 0), w.X)
-    Y1 = _mobius((0, 1, alpha, beta), w.Y)
-    return ShiftPoint(X1, Y1, rec0.z_next, rec1)
+    induced walk, from w's landing point; w's own walk is w.rec."""
+    return _shift(region, w, lambda: induced_step(region, w.rec.z_next, cap))
 
 
 def tau_orbit(region: Region, z: OmegaPoint, n: int, cap: int = 100000):
-    """[(X_k, Y_k)] shift points for k = 0..n from the region point z."""
-    w = phi(region, z, cap)
+    """[(X_k, Y_k)] shift points for k = 0..n from the region point z,
+    read lazily off z's induced orbit (see `induced.induced_orbit`)."""
+    pull = induced_orbit(region, z, cap).__next__
+    w = _change(region, z, pull)
     out = [w]
     for _ in range(n):
-        w = tau_step(region, w, cap)
+        w = _shift(region, w, pull)
         out.append(w)
     return out
 

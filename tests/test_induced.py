@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -17,6 +18,7 @@ from cfrow.induced import (
     d_map,
     digit_maps,
     hitting_time,
+    induced_orbit,
     induced_products,
     induced_records,
     induced_step,
@@ -585,3 +587,81 @@ def test_cap_edge_inside_and_at_the_end_of_a_run(region, n):
     assert (wide.N, wide.A) == (rec.N, rec.A)
     assert rec.z_next.xd.prefix(8) == wide.z_next.xd.prefix(8)
     assert rec.z_next.yd.prefix(8) == wide.z_next.yd.prefix(8)
+
+
+def fresh(z):
+    """A copy of z that keeps no records."""
+    return OmegaPoint(z.xd, z.yd, z.x_val, z.y_val)
+
+
+def chain(region, z, n, cap=10**6):
+    """`outcome` of n chained induced_step calls from z."""
+    out = []
+    for _ in range(n):
+        out.append(outcome(induced_step, region, z, cap))
+        z = induced_step(region, z, cap).z_next
+    return out
+
+
+def outcomes(records):
+    return [(r.N, r.A, r.z_next.xd.prefix(60), r.z_next.yd.prefix(60)) for r in records]
+
+
+def test_induced_orbit_keeps_exact_records():
+    half = Fraction(1, 2)
+    regions = [
+        region_omega(), region_h1(), region_h(2), region_v(2), region_cell(3, 1),
+        build_alpha_region(Fraction(1, 4)), build_alpha_region(half), build_alpha_region(S2),
+        build_s_expansion_region([(half, 1, 0, half)]),
+        RectRegion([(Fraction(1, 5), Fraction(3, 5), Fraction(1, 7), Fraction(4, 7)),
+                    (Fraction(2, 3), 1, 0, Fraction(1, 9))]),
+    ]
+    points = [
+        lambda: top(surd_from_periodic_digits([3, 1, 2, 1, 4])),
+        lambda: OmegaPoint.from_values(surd_from_periodic_digits([1, 3, 5, 2]), Fraction(2, 5)),
+        lambda: OmegaPoint.from_streams(from_digits([1, 3, 2, 1, 4, 2, 5, 1, 3] * 25),
+                                        from_digits([2, 5, 1])),
+    ]
+    for region in regions:
+        for make in points:
+            z = make()
+            first = induced_records(region, z, 6, 10**6)
+            # read again, and on past the kept records' end
+            again = induced_records(region, z, 12, 10**6)
+            assert all(a is b for a, b in zip(again, first)), region.name
+            assert outcomes(again) == chain(region, fresh(z), 12), region.name
+            assert list(islice(induced_orbit(region, z, 10**6), 12)) == again
+
+
+def test_kept_records_read_the_cap_as_a_fresh_walk():
+    h1 = region_h1()
+    x = surd_from_periodic_digits([2, 9, 1, 30, 4])
+    z = top(x)
+    recs = induced_records(h1, z, 8, 10**6)
+    assert [r.N for r in recs] == [2, 9, 1, 30, 4, 2, 9, 1]
+    for cap in (1, 8, 29):
+        with pytest.raises(CapExceeded) as kept:
+            induced_records(h1, z, 8, cap)
+        with pytest.raises(CapExceeded) as walked:
+            induced_records(h1, fresh(z), 8, cap)
+        assert type(kept.value) is type(walked.value)
+        assert str(kept.value) == str(walked.value)
+    assert induced_records(h1, z, 8, 30) == recs
+    # a walk stopped by its cap keeps what it found, and a larger cap walks on
+    z = top(x)
+    with pytest.raises(CapExceeded):
+        induced_records(h1, z, 8, 10)
+    assert outcomes(induced_records(h1, z, 8, 10**6)) == chain(h1, fresh(z), 8)
+    # an orbit that never enters is proved so on every call
+    v2, z = region_v(2), top(G)
+    for _ in range(2):
+        with pytest.raises(NeverEnters):
+            induced_records(v2, z, 3, 10**6)
+
+
+def test_kept_records_belong_to_one_region():
+    h1, v2, h1_again = region_h1(), region_v(2), region_h1()
+    z = top(surd_from_periodic_digits([3, 1, 2, 1, 4]))
+    for region in (h1, v2, h1, h1_again, v2):
+        assert outcomes(induced_records(region, z, 5, 10**6)) == chain(region, fresh(z), 5)
+

@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cfrow.digits import ZERO_STREAM, from_digits
 from cfrow.errors import FixedRay, NullSetPoint
+from cfrow.exact import Mat2Z
 from cfrow.farey_maps import alpha_step, gauss_step
 from cfrow.gcf import Gcf, evaluate_finite
-from cfrow.induced import digit_maps, induced_step
+from cfrow.induced import InducedRecord, digit_maps, induced_step
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import build_alpha_region, region_h1, region_v
 from cfrow.reals import golden_fraction, parse_real
@@ -106,6 +108,12 @@ def test_fixed_ray():
     h1 = region_h1()
     w = phi(h1, OmegaPoint.from_values(S2, Fraction(1)))
     w.X = Fraction(0)
+    with pytest.raises(FixedRay):
+        tau_step(h1, w)
+    # the ray is refused before the next record is asked for: from the
+    # x = 0 line that walk would run to the cap
+    on_x_zero = OmegaPoint.from_streams(ZERO_STREAM, from_digits([1]))
+    w.rec = InducedRecord(1, Mat2Z(0, 1, 1, 1), on_x_zero)
     with pytest.raises(FixedRay):
         tau_step(h1, w)
 
@@ -230,7 +238,8 @@ def test_digit_pair_helper(rng):
 
 
 def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
-    import cfrow.shift_space as shift_space
+    import cfrow.induced as induced
+    from cfrow.cfe import cfe_direct
 
     walks = []
 
@@ -238,16 +247,35 @@ def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
         walks.append(z)
         return induced_step(region, z, cap)
 
+    def walks_of(run):
+        monkeypatch.setattr(induced, "induced_step", counting_step)
+        try:
+            out = run()
+        finally:
+            monkeypatch.setattr(induced, "induced_step", induced_step)
+        count = len(walks)
+        walks.clear()
+        return out, count
+
     n = 8
     for region in (region_h1(), build_alpha_region(Fraction(1, 2)),
                    build_alpha_region(Fraction(1, 4))):
         for _ in range(3):
-            z = OmegaPoint.from_values(random_surd(rng), Fraction(3, 4))
-            monkeypatch.setattr(shift_space, "induced_step", counting_step)
-            orb = tau_orbit(region, z, n)
-            monkeypatch.setattr(shift_space, "induced_step", induced_step)
-            assert len(walks) == n + 1
-            walks.clear()
+            x = random_surd(rng)
+            z = OmegaPoint.from_values(x, Fraction(3, 4))
+            orb, count = walks_of(lambda: tau_orbit(region, z, n))
+            assert count == n + 1
+            # the records are kept on z: a second orbit walks nothing
+            again, count = walks_of(lambda: tau_orbit(region, z, n))
+            assert count == 0
+            assert [(w.X, w.Y, w.rec) for w in again] == [(w.X, w.Y, w.rec) for w in orb]
+            # nor does an orbit after cfe_direct, which walked the same records
+            z2 = OmegaPoint.from_values(x, Fraction(3, 4))
+            _, count = walks_of(lambda: cfe_direct(region, z2, n, 100000))
+            assert count == n + 1
+            after, count = walks_of(lambda: tau_orbit(region, z2, n))
+            assert count == 0
+            assert [(w.X, w.Y) for w in after] == [(w.X, w.Y) for w in orb]
             # the shift conjugates the induced map: tau^k(phi(z)) = phi(T_R^k(z))
             cur = z
             for w in orb:
