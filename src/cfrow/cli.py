@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -221,7 +222,11 @@ def count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by every `main` call: parsing leaves it unchanged, so callers must
+    not change it either."""
     p = argparse.ArgumentParser(prog="cfrow", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,11 @@ Monte Carlo samples are floats snapped to nearby rationals; their digits
 come from a `SnapReader`, a resumable integer Euclid loop that exposes a
 digit only once the snap's end rule can no longer change it, so a
 membership test that decides on the first digits leaves the rest of the
-expansion undone.  `snapped_digits` is such a reader read to its end.
+expansion undone.  A reader holds its float in `src` until its first
+read, which starts the loop, so a coordinate the test never asks about
+costs no Euclid step; it takes only a finite float >= 0 and raises
+ValueError for anything else.  `snapped_digits` is such a reader read to
+its end.
 
 Numbers are compared exactly by their digits: `order` reads two
 `Reader`s in the alternating lexicographic order of continued
@@ -234,14 +238,19 @@ def digits_fraction(ds) -> Fraction:
 
 class SnapReader:
     """The canonical digits of Fraction(t).limit_denominator(max_den) for
-    a float t >= 0, read lazily by one resumable Euclid loop on t's exact
-    integer ratio; no float and no Fraction enters a digit decision.
+    a finite float t >= 0, read lazily by one resumable Euclid loop on
+    t's exact integer ratio; no float and no Fraction enters a digit
+    decision, t being only the input to `as_integer_ratio`.  Any other t
+    (an int, a negative number, inf or nan) raises ValueError.
 
     It follows the reader protocol of the alpha walker: `got` holds the
     digits exposed so far, `src` is the Euclid remainder they continue
     from (None once `got` is complete), and `more()` exposes at least one
-    more digit or completes the list.  The state is the remainder pair
-    and the denominators q0, q1 of the last two convergents.
+    more digit or completes the list.  Building a reader only stores t:
+    `src` holds the float until the first `more()`, which splits it into
+    its integer ratio, so a reader the walker never asks costs no Euclid
+    step.  The state is the remainder pair and the denominators q0, q1 of
+    the last two convergents.
 
     Convergents are followed while their denominator stays within
     max_den; then the last convergent or the semiconvergent
@@ -257,41 +266,48 @@ class SnapReader:
     __slots__ = ("got", "src", "ahead", "_n", "_den", "_q0", "_q1", "_max")
 
     def __init__(self, t: float, max_den: int = 10**12):
-        n, den = t.as_integer_ratio()
-        a0, d = divmod(n, den)
-        self.got = []
-        # t = [a0; a1, ...]; the canonical list is [0, a0, a1, ...] when a0 > 0
-        self.ahead = [0, a0] if a0 else []
-        self.src, self._n, self._den = d, den, den
-        self._q0, self._q1, self._max = 0, 1, max_den
-        if not d:
-            self._finish()
+        # a float is told from a started loop's int remainder by its type
+        if type(t) is not float or not 0.0 <= t < math.inf:
+            raise ValueError(f"a snap reads a finite float >= 0, not {t!r}")
+        self.got, self.ahead, self.src, self._max = [], (), t, max_den
 
     def more(self, pause: bool = True):
         """Expose at least one more digit, or complete `got`; with pause
         False, read on to the end."""
-        ahead = self.ahead
-        n, d, q0, q1, max_den = self._n, self.src, self._q0, self._q1, self._max
+        got, d, max_den = self.got, self.src, self._max
+        if type(d) is float:  # the first read: t = [a0; a1, ...]
+            n, den = d.as_integer_ratio()
+            a0, d = divmod(n, den)
+            # the canonical list is [0, a0, a1, ...] when a0 > 0
+            self.ahead = ahead = [0, a0] if a0 else []
+            n, q0, q1, self._den = den, 0, 1, den
+            if not d:
+                return self._finish()
+        else:
+            ahead, n, q0, q1 = self.ahead, self._n, self._q0, self._q1
         while True:
-            a = n // d
+            a, r = divmod(n, d)
             q2 = q0 + a * q1
             if q2 > max_den:
                 k = (max_den - q0) // q1
                 if 2 * d * (q0 + k * q1) > self._den:
                     ahead.append(k)
                 return self._finish()
-            ahead.append(a)
-            q0, q1 = q1, q2
-            n, d = d, n - a * d
-            if not d:
+            if not r:
+                ahead.append(a)
                 return self._finish()
-            if pause:
-                keep = 1 if a != 1 else 2  # the digits the end rule may still change
-                if len(ahead) > keep:
-                    self.got += ahead[:-keep]
-                    del ahead[:-keep]
-                    self._n, self.src, self._q0, self._q1 = n, d, q0, q1
-                    return
+            n, d, q0, q1 = d, r, q1, q2
+            # the end rule can no longer reach the digits before an a other than 1
+            if pause and ahead and a != 1:
+                got += ahead
+                ahead.clear()
+                ahead.append(a)
+                break
+            ahead.append(a)
+            if pause and len(ahead) == 3:  # two digits follow ahead[0]
+                got.append(ahead.pop(0))
+                break
+        self._n, self.src, self._q0, self._q1 = n, d, q0, q1
 
     def state(self, k: int):
         """None: a snapped sample is rational, so it has no tail state."""

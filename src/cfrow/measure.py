@@ -12,8 +12,10 @@ restriction of the measure to a covering union of horizontal strips.
 Each sample is drawn in floats and snapped to the rational that
 `Fraction.limit_denominator(10**12)` gives, as a reader of its
 canonical digits (`digits.SnapReader`: one resumable integer Euclid
-loop per coordinate); membership pulls only the digits it needs from
-those readers, with no Fraction per sample.
+loop per coordinate, started on its first read); membership pulls only
+the digits it needs from those readers, with no Fraction per sample.
+An alpha region reads y first and x only when its walker asks, so most
+samples never start x's loop.
 Entropy is pi^2 / (6 m(R)) by definition; orbit growth statistics are a
 separate observable used to cross-check it.
 """
@@ -174,9 +176,10 @@ def _strip_sampler(y_min: Fraction):
     returns two readers (`SnapReader`: integers only) of the canonical
     digits of its coordinates snapped to the rationals with denominator
     at most 10**12 that `limit_denominator` would give.  A reader
-    expands digits only as they are pulled, so a membership test that
-    decides early leaves the rest of the snap undone.  The float
-    constants of the strip are computed once, here."""
+    starts its Euclid loop on its first read and expands digits only as
+    they are pulled, so a membership test that decides early leaves the
+    rest of the snap undone, or all of it.  The float constants of the
+    strip are computed once, here."""
     y0 = float(y_min)
     inv_y0 = 1.0 / y0
     one_minus_y0 = 1.0 - y0

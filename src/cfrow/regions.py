@@ -19,10 +19,11 @@ Three families:
   slid down-right through its full cell range.  One walker decides this
   for digit streams and for exact rationals alike: it pulls both
   coordinates' digits through readers that start at their first digits
-  a1 and b1, only as far as it needs them, and orders the pulled-back
-  digits against alpha's with `digits.order`, the one comparator; an
-  irrational alpha is read by its preperiod and period, and its tail
-  compared with x's by their recurrence states.
+  a1 and b1, only as far as it needs them (for rationals y's first, and
+  x's only on the slide path or when a comparison runs off y's digits),
+  and orders the pulled-back digits against alpha's with `digits.order`,
+  the one comparator; an irrational alpha is read by its preperiod and
+  period, and its tail compared with x's by their recurrence states.
 """
 
 from __future__ import annotations
@@ -311,12 +312,13 @@ class AlphaRegion(Region):
         """contains() for the point with rational coordinates read by x
         and y: readers of their canonical digit lists, such as the Monte
         Carlo sampler's `digits.SnapReader`s or `digits.Reader(list)` for a
-        complete list.  The same walker pulls only the digits it needs.
-        y = 0 (no digits) is no member; x = 0 is one only where
-        `contains` finds it in the top strip.  Below the top strip x's
-        reader is left holding the slid point's first digit c."""
-        if not x.got and x.src is not None:
-            x.more()
+        complete list.  The same walker pulls only the digits it needs,
+        y's first: x's reader is started only on the slide path or when a
+        comparison against alpha runs off the digits of y, so a top-strip
+        point decided by y alone leaves x unread.  y = 0 (no digits) is
+        no member; x = 0 is one only where `contains` finds it in the top
+        strip.  Below the top strip x's reader is left holding the slid
+        point's first digit c."""
         if not y.got and y.src is not None:
             y.more()
         if not y.got:
@@ -324,7 +326,11 @@ class AlphaRegion(Region):
         b1 = y.got[0]
         if b1 == 1:
             return self._odd_depth(x, y)
-        if not self.slides or not x.got:
+        if not self.slides:
+            return False
+        if not x.got and x.src is not None:
+            x.more()
+        if not x.got:
             return False
         c = x.got[0] + b1 - 1
         x.got = [c] + x.got[1:]

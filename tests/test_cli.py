@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from cfrow.cli import main
+from cfrow.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -153,6 +153,24 @@ def test_malformed_input_subprocess_has_no_traceback():
                               capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr
+
+
+def test_shared_parser_after_a_usage_error_prints_fresh_bytes(capsys):
+    # main builds its parser once per process; calls that argparse
+    # rejects leave it as a fresh process has it
+    args = ["entropy", "--region", "alpha:1/2", "--samples", "3000", "--seed", "7"]
+    fresh = subprocess.run([sys.executable, "-m", "cfrow.cli", *args],
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0
+    for bad in (["entropy", "--region", "h1", "--tol", "-1"],
+                ["expand", "--x", "g"],
+                ["sweep-alpha", "--alphas", "1/2", "--samples", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(args, capsys) == (0, fresh.stdout, "")
+    assert build_parser() is build_parser()
 
 
 def test_entropy_unknown_method_exits_2(capsys):

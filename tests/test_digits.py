@@ -1,6 +1,7 @@
 """The list fast path of digit streams: `prefix` on cons cells and on
 memoised views must equal the generic head/tail walk."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -225,6 +226,24 @@ def test_snap_reader_holds_back_the_folded_digit():
         r.more()
     assert r.got[-1] == 4
     assert SnapReader(0.0).read_all() == [] and SnapReader(1.0).read_all() == [1]
+
+
+@pytest.mark.parametrize("t", [-0.5, -1e-300, math.inf, math.nan, 3, Fraction(1, 3)])
+def test_snap_reader_reads_only_finite_floats_from_0(t):
+    # a negative float would give a non-canonical list ([0, -1, 2] for
+    # -0.5), and an int would be taken for a started Euclid remainder
+    with pytest.raises(ValueError):
+        SnapReader(t)
+    with pytest.raises(ValueError):
+        snapped_digits(t)
+
+
+def test_snap_reader_starts_on_its_first_read():
+    r = SnapReader(0.3)
+    assert (r.got, r.ahead, r.src) == ([], (), 0.3)
+    r.more()
+    assert r.got == [3] and type(r.src) is int
+    assert SnapReader(-0.0).read_all() == []
 
 
 def test_lazy_digits_source_error_is_raised_on_every_read():

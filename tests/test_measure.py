@@ -209,7 +209,9 @@ def test_sampler_draws_the_reference_samples():
 def test_monte_carlo_snap_is_lazy(monkeypatch):
     # the walker decides most samples on their first few digits, so the
     # samples' readers expand little more than those (a snap expanded to
-    # the end has 23.0 / 23.7 digits per coordinate here)
+    # the end has 23.0 / 23.7 digits per coordinate here); it reads y
+    # first and x only when a comparison runs off y's digits, so most x
+    # readers are never started
     readers = []
 
     def recording_sampler(y_min):
@@ -225,9 +227,11 @@ def test_monte_carlo_snap_is_lazy(monkeypatch):
     monkeypatch.setattr(measure, "_strip_sampler", recording_sampler)
     measure_of(build_alpha_region(G), seed=1, samples=20_000)
     assert len(readers) == 20_000
-    for k in (0, 1):
+    for k, bound in ((0, 1.5), (1, 6)):
         expanded = sum(len(pair[k].got) + len(pair[k].ahead) for pair in readers)
-        assert expanded / len(readers) <= 6, k
+        assert expanded / len(readers) <= bound, k
+    unstarted = sum(type(x.src) is float for x, _ in readers)
+    assert unstarted >= len(readers) / 2
 
 
 @pytest.mark.parametrize("alpha", ["1/4", "2/5", "1/2", "g", "7/10", "1"])

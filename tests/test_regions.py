@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from cfrow.cfe import cfe_direct
-from cfrow.digits import ZERO_STREAM, Cons, Reader, digits_fraction, from_digits
+from cfrow.digits import (
+    ZERO_STREAM,
+    Cons,
+    Reader,
+    SnapReader,
+    digits_fraction,
+    from_digits,
+    snapped_digits,
+)
 from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisationArea, OutOfDomain
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
@@ -710,12 +718,39 @@ def test_contains_rational_matches_oracle_on_sampler_points():
 def test_contains_rational_zero_coordinate_is_outside():
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
-        # x = 0: both entry points give the walker's answer
+        # x = 0, read by a complete list or by a snap not yet started:
+        # both entry points give the walker's answer
         for y in ([1], [1, 3], [1, 1, 2], [2], [3, 2]):
             z = OmegaPoint.from_streams(ZERO_STREAM, from_digits(y))
-            assert R.contains_rational(Reader([]), Reader(list(y))) == R.contains(z)
+            for x in (Reader([]), SnapReader(0.0)):
+                assert R.contains_rational(x, Reader(list(y))) == R.contains(z)
         assert not R.contains_rational(Reader([3]), Reader([]))
         assert not R.contains_rational(Reader([]), Reader([]))
+
+
+def test_contains_rational_reads_x_only_when_the_walker_asks():
+    def point(x, y):
+        return OmegaPoint.from_streams(from_digits(x.read_all()), from_digits(y.read_all()))
+
+    # alpha = g has a1 = 1: a top-strip point with b2 = 3 is decided by y
+    # alone, and x's reader is never started
+    R = build_alpha_region(G)
+    x, y = SnapReader(0.37), SnapReader(7 / 9)  # y = [0; 1, 3, 2]
+    got = R.contains_rational(x, y)
+    assert x.got == [] and type(x.src) is float
+    assert got == R.contains(point(x, y))
+    # b2 = a1: the comparison against alpha runs on into x
+    x, y = SnapReader(0.37), SnapReader(0.6)  # y = [0; 1, 1, 2]
+    got = R.contains_rational(x, y)
+    assert x.got and got == R.contains(point(x, y))
+    # the slide path reads x's first digit and leaves the slid c there
+    R = build_alpha_region(Fraction(1, 4))
+    for t in (0.3, 0.21, 0.9):
+        x, y = SnapReader(t), SnapReader(0.4)  # y = [0; 2, 2]
+        a1 = snapped_digits(t)[0]
+        got = R.contains_rational(x, y)
+        assert x.got[0] == a1 + 1
+        assert got == R.contains(point(SnapReader(t), y))
 
 
 def test_alpha_list_is_preperiod_and_period():
