@@ -2,6 +2,8 @@
 
 Route 1 (the defining construction): contract the Farey expansion of x
 with respect to the plan n_k = N_{k+1} - 1 read off the induced orbit.
+Its pairs 0..n read n + 1 records, as route 2 does, and the Farey pairs
+up to index n_n, the deepest index the contraction reads.
 
 Route 2 (the dynamical construction): read the digits straight from
 consecutive induced-step matrices,
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 
 from .contraction import ContractionPlan, contract
 from .errors import MismatchAt, OutOfDomain
-from .exact import IDENTITY
 from .farey_maps import farey_expansion
 from .gcf import Gcf, convergents
 from .induced import Region, digit_pair, induced_records
@@ -47,16 +48,15 @@ def _require_irrational(z: OmegaPoint):
 def cfe_by_contraction(region: Region, z: OmegaPoint, n: int, cap: int) -> Gcf:
     """Route 1: formal contraction of the Farey expansion of x."""
     _require_irrational(z)
-    recs = induced_records(region, z, n + 2, cap)
-    times = []
+    # pair k reads plan indices up to n_k and Farey pairs up to index n_k,
+    # so pairs 0..n need n + 1 records and Farey pairs 0..n_n
+    plan = []
     total = 0
-    for r in recs:
+    for r in induced_records(region, z, n + 1, cap):
         total += r.N
-        times.append(total)
-    plan = ContractionPlan([N - 1 for N in times])
-    depth = times[-1] + 2
-    farey = farey_expansion(z.xd, depth)
-    contracted = contract(farey, plan)
+        plan.append(total - 1)  # n_k = N_{k+1} - 1
+    farey = farey_expansion(z.xd, plan[-1])
+    contracted = contract(farey, ContractionPlan(plan))
     return Gcf(contracted.pairs(n + 1))
 
 
@@ -94,22 +94,18 @@ class CfeResult:
 def cfe_convergents_report(res: CfeResult):
     """Verify (P_k, Q_k) = c_k (u_{k+1}, s_{k+1}) exactly, and the
     reduced-fraction equality; raises MismatchAt on failure."""
-    cs = res.scalars()
-    acc = IDENTITY
-    prods = []
-    for r in res.records:
-        acc = acc @ r.A
-        prods.append(acc)
-    conv = res.convergents()
+    # A^R_[0,k] = A_0 ... A_k as four ints ((a, b), (c, d)), whose first
+    # column (a, c) is (u_{k+1}, s_{k+1})
+    a, b, c, d = 1, 0, 0, 1
     checked = 0
-    for k, (P, Q) in enumerate(conv):
-        if k + 1 > len(prods) or k >= len(cs):
-            break
-        u, s = prods[k].a, prods[k].c
-        if P != cs[k] * u or Q != cs[k] * s:
-            raise MismatchAt(k, f"({P},{Q}) != {cs[k]}*({u},{s})")
-        if P * s != Q * u:  # Q = c_k s and s >= 1, so both are nonzero
-            raise MismatchAt(k, "reduced fractions differ")
+    for (P, Q), c_k, rec in zip(res.convergents(), res.scalars(), res.records):
+        A = rec.A
+        a, b, c, d = (a * A.a + b * A.c, a * A.b + b * A.d,
+                      c * A.a + d * A.c, c * A.b + d * A.d)
+        if P != c_k * a or Q != c_k * c:
+            raise MismatchAt(checked, f"({P},{Q}) != {c_k}*({a},{c})")
+        if P * c != Q * a:  # Q = c_k s and s >= 1, so both are nonzero
+            raise MismatchAt(checked, "reduced fractions differ")
         checked += 1
     return {"checked": checked, "ok": True}
 

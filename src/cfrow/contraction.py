@@ -9,6 +9,17 @@ chosen subsequence of the original convergents, up to the scalar chain
 so (P'_k, Q'_k) = c_k (P_{n_k}, Q_{n_k}) as exact integer pairs.
 Contractability means Q_[m+1,n] != 0 for all 0 <= m <= n, which is
 checked lazily exactly as deep as the requested output.
+
+`contract` reads each source pair once.  With block j the product
+M_j = B_[n_{j-1}+2, n_j] and pivot p = n_k + 1 between blocks k and
+k + 1 (Seidel/Perron; Jones & Thron 1980, section 2.4),
+
+    B_[n_{k-1}+2, n_{k+1}] = M_k B_p M_{k+1},
+
+so a'_{k+1} = det(M_k) a_p Q(M_{k-1}) Q(M_{k+1}) and b'_{k+1} is row 2
+of M_k B_p times column 2 of M_{k+1}, where Q(M) is M's bottom-right
+entry.  Output pair k + 1 walks block k + 1 alone and carries M_k's
+second row, det(M_k) and Q(M_{k-1}) on to the next pair.
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from __future__ import annotations
 from .digits import _Memo
 from .errors import NotContractable
 from .exact import INF
-from .gcf import Gcf, convergents, partial_det, partial_pq
+from .gcf import Gcf, _block, _num, convergents, partial_pq
 
 
 def _increasing(indices):
@@ -93,6 +104,8 @@ def contract(g: Gcf, cplan) -> Gcf:
         a'_{k+1} = -det(B_[n_{k-1}+2, n_k+1]) Q_[n_{k-2}+2, n_{k-1}] Q_[n_k+2, n_{k+1}]
         b'_{k+1} =  Q_[n_{k-1}+2, n_{k+1}]
 
+    computed in one pass from the blocks M_j = B_[n_{j-1}+2, n_j] (see
+    the module docstring): each output pair walks block k + 1 once.
     Raises NotContractable naming the vanishing block if g is not
     contractable deep enough.
     """
@@ -100,7 +113,11 @@ def contract(g: Gcf, cplan) -> Gcf:
         cplan = ContractionPlan(cplan)
 
     def gen():
-        n_km2, n_km1, n_k = -3, -2, -1  # n_j = j for j < 0
+        # what later pairs read of M_k and M_{k-1}; M_-1 and M_-2 are
+        # empty blocks, the identity
+        n_k = -1
+        det_k, r0, r1 = 1, 0, 1  # det M_k and its second row
+        q_km1 = 1                # Q(M_{k-1})
         k = -1
         while True:
             try:
@@ -109,14 +126,18 @@ def contract(g: Gcf, cplan) -> Gcf:
                 return
             if not g.has_pair(n_kp1):
                 return
-            det = partial_det(g, n_km1 + 2, n_k + 1)
-            # the two Q-factors of the partial numerator are blocks
-            # [m+1, n] with m >= 0, which contractability keeps nonzero;
-            # the partial denominator block may vanish legitimately
-            q_back = _q_or_raise(g, n_km2 + 2, n_km1)
-            q_fwd = _q_or_raise(g, n_k + 2, n_kp1)
-            yield (-det * q_back * q_fwd, partial_pq(g, n_km1 + 2, n_kp1)[1])
-            n_km2, n_km1, n_k = n_km1, n_k, n_kp1
+            p = n_k + 1
+            a_p, b_p = g._buf[p]
+            p0, p1, q0, q1 = _block(g, p + 1, n_kp1)
+            # Q(M_{k-1}) passed this test as Q(M_{k+1}) two steps back;
+            # the block [m+1, n], m >= 0, is nonzero when g is contractable
+            if q1 == 0:
+                raise NotContractable(p + 1, n_kp1)
+            # row 2 of M_k B_p, then its product with column 2 of M_{k+1}
+            c0, c1 = r1, a_p * r0 + b_p * r1
+            yield (_num(det_k * a_p * q_km1 * q1), _num(c0 * p1 + c1 * q1))
+            q_km1, det_k, r0, r1 = r1, p0 * q1 - p1 * q0, q0, q1
+            n_k = n_kp1
             k += 1
 
     return Gcf(gen)

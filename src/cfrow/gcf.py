@@ -13,9 +13,12 @@ and are not reduced automatically.
 
 Pairs are read once: every expansion holds one memoised buffer
 (`digits._Memo`) over the generator `_pairs`, the one place a pair is
-normalised.  A buffered pair is served straight from the buffer, and
-the block recurrences (`partial_pq`, `partial_det`) fill the buffer once
-and run over a slice of it.  Plain int digits stay ints throughout.
+normalised.  A buffered pair is served straight from the buffer.  There
+is one block loop, `_block`, which fills the buffer once and walks a
+slice of it to the four entries of B_[m,n] = B_m ... B_n; `partial_pq`,
+`partial_det`, `partial_matrix` and `contraction.contract` read it, and
+`convergents` runs the same recurrence over one slice from index 0.
+Plain int digits stay ints throughout.
 """
 
 from __future__ import annotations
@@ -188,13 +191,16 @@ class ConvergentPair:
 def convergents(g: Gcf, n: int):
     """ConvergentPairs for k = -2..n."""
     out = [ConvergentPair(0, 1), ConvergentPair(1, 0)]
-    for k in range(n + 1):
-        if not g.has_pair(k):
-            raise IndexBeyondExpansion(f"expansion ends before index {k}")
-        a, b = g.pair(k)
-        P = b * out[-1].P + a * out[-2].P
-        Q = b * out[-1].Q + a * out[-2].Q
-        out.append(ConvergentPair(_num(P), _num(Q)))
+    if n < 0:
+        return out
+    if not g.has_pair(n):
+        # the source has ended: its first missing index is the buffer's length
+        raise IndexBeyondExpansion(f"expansion ends before index {len(g._buf)}")
+    P0, P1, Q0, Q1 = 0, 1, 1, 0
+    for a, b in g._buf[:n + 1]:
+        P0, P1 = P1, b * P1 + a * P0
+        Q0, Q1 = Q1, b * Q1 + a * Q0
+        out.append(ConvergentPair(_num(P1), _num(Q1)))
     return out
 
 
@@ -202,13 +208,31 @@ def convergent(g: Gcf, n: int) -> ConvergentPair:
     return convergents(g, n)[-1]
 
 
+def _block(g: Gcf, m: int, n: int):
+    """(p0, p1, q0, q1), the entries of B_[m,n] = ((p0, p1), (q0, q1)),
+    for n >= m - 1; the empty range n = m - 1 is the identity.
+
+    The one block loop: the columns of B_[m,n] are (P, Q) of the blocks
+    [m, n-1] and [m, n], run over one buffer slice.  Entries are not
+    normalised by `_num`; a range past the expansion raises
+    IndexBeyondExpansion at its first missing index, and m < -1 at m.
+    """
+    if n < m - 1:
+        raise BadRange(f"range [{m}, {n}] shorter than empty")
+    if n == m - 1:
+        return (1, 0, 0, 1)
+    # for m = -1 the seed is B_-1 itself, the pair (1, 0) of index -1
+    p0, p1, q0, q1 = (0, 1, 1, 0) if m == -1 else (1, 0, 0, 1)
+    for a, b in g._through(m, n):
+        p0, p1 = p1, b * p1 + a * p0
+        q0, q1 = q1, b * q1 + a * q0
+    return (p0, p1, q0, q1)
+
+
 def partial_matrix(g: Gcf, m: int, n: int) -> Mat2Z:
-    """B_m B_{m+1} ... B_n, for -1 <= m <= n within the expansion."""
-    if m < -1 or n < m:
-        raise BadRange(f"bad index range [{m}, {n}]")
-    # the columns of B_[m,n] are (P, Q) of the blocks [m, n-1] and [m, n]
-    (p0, q0), (p1, q1) = partial_pq(g, m, n - 1), partial_pq(g, m, n)
-    return Mat2Z(p0, p1, q0, q1)
+    """B_m B_{m+1} ... B_n, on the ranges `partial_pq` takes; the empty
+    range n = m - 1 is the identity."""
+    return Mat2Z(*map(_num, _block(g, m, n)))
 
 
 def partial_pq(g: Gcf, m: int, n: int):
@@ -217,29 +241,14 @@ def partial_pq(g: Gcf, m: int, n: int):
     The empty range n = m - 1 returns (0, 1); this convention is load
     bearing for the contraction digit formulas.
     """
-    if n < m - 1:
-        raise BadRange(f"range [{m}, {n}] shorter than empty")
-    if n == m - 1:
-        return (0, 1)
-    # local recurrence seeded so that P_[m,m] = a_m, Q_[m,m] = b_m; for
-    # m = -1 the seeds already include the pair (1, 0) of index -1
-    P_prev, P_cur, Q_prev, Q_cur = (0, 1, 1, 0) if m == -1 else (1, 0, 0, 1)
-    for a, b in g._through(m, n):
-        P_prev, P_cur = P_cur, b * P_cur + a * P_prev
-        Q_prev, Q_cur = Q_cur, b * Q_cur + a * Q_prev
-    return (_num(P_cur), _num(Q_cur))
+    _, p, _, q = _block(g, m, n)
+    return (_num(p), _num(q))
 
 
 def partial_det(g: Gcf, m: int, n: int):
     """det B_[m,n] = (-1)^(n-m+1) a_m ... a_n; empty range gives 1."""
-    if n < m - 1:
-        raise BadRange(f"range [{m}, {n}] shorter than empty")
-    if n == m - 1:
-        return 1
-    out = -1 if m == -1 else 1  # a_{-1} = 1
-    for a, _ in g._through(m, n):
-        out *= -a
-    return _num(out)
+    p0, p1, q0, q1 = _block(g, m, n)
+    return _num(p0 * q1 - p1 * q0)
 
 
 def evaluate_finite(g: Gcf, cap: int = 1_000_000):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfrow.cfe import cfe_convergents_report, cfe_direct, routes_agree
+from cfrow.cfe import cfe_by_contraction, cfe_convergents_report, cfe_direct, routes_agree
 from cfrow.errors import OutOfDomain
 from cfrow.farey_maps import farey_expansion
 from cfrow.gcf import convergents, validate_srcf
@@ -12,6 +12,7 @@ from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
+    region_from_spec,
     region_h,
     region_h1,
     region_omega,
@@ -185,3 +186,13 @@ def test_digit_maps_agree_with_orbit_shortcut(rng):
                 d, alpha, beta = digit_maps(R, z, CAP)
                 assert d == recs[k - 1].s  # backward search finds the orbit
                 assert (alpha, beta) == pairs[k + 1]
+
+
+def test_contraction_route_walks_only_the_records_it_reads():
+    # x = [0; 2, 2, 1, 1, ...] visits v:2 once and never again: one record
+    # answers n = 0, and a route that walked a second one raised NeverEnters
+    x = (2 + (2 + G).inverse()).inverse()
+    v2 = region_from_spec("v:2")
+    assert cfe_direct(v2, top(x), 0, CAP).digits.pairs(1) == [(1, 0)]
+    assert cfe_by_contraction(v2, top(x), 0, CAP).pairs(1) == [(1, 0)]
+    assert routes_agree(v2, top(x), 0, CAP)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from cfrow.contraction import (
 )
 from cfrow.errors import NotContractable
 from cfrow.farey_maps import farey_expansion
-from cfrow.gcf import Gcf, convergents, partial_pq
+from cfrow.gcf import Gcf, convergents, partial_det, partial_pq
 
 from conftest import random_surd
 
@@ -192,3 +193,87 @@ def test_reduced_fraction_equality(rng):
             a = new[k].as_fraction()
             b = orig[idxs[k]].as_fraction()
             assert a == b
+
+
+def _block_formula_pairs(g: Gcf, idxs, count):
+    """Pairs 0..count-1 of the contraction by the per-digit block formula,
+    each block read on its own; a vanishing Q-factor raises
+    NotContractable(m, n), the back factor tested before the forward one."""
+
+    def n(j):
+        return j if j < 0 else idxs[j]
+
+    def q_or_raise(m, last):
+        q = partial_pq(g, m, last)[1]
+        if q == 0:
+            raise NotContractable(m, last)
+        return q
+
+    out = []
+    for k in range(-1, count - 1):
+        if k + 1 >= len(idxs) or not g.has_pair(n(k + 1)):
+            break
+        det = partial_det(g, n(k - 1) + 2, n(k) + 1)
+        q_back = q_or_raise(n(k - 2) + 2, n(k - 1))
+        q_fwd = q_or_raise(n(k) + 2, n(k + 1))
+        out.append((-det * q_back * q_fwd, partial_pq(g, n(k - 1) + 2, n(k + 1))[1]))
+    return out
+
+
+def _random_plan(rng, top):
+    """A strictly increasing plan in [0, top], often starting at 0 and
+    often with adjacent indices."""
+    idxs = [0 if rng.random() < 0.4 else rng.randint(0, 3)]
+    while len(idxs) < 8 and idxs[-1] < top:
+        idxs.append(idxs[-1] + (1 if rng.random() < 0.4 else rng.randint(2, 4)))
+    return idxs
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_one_pass_contract_equals_the_block_formula(rng, fractions, lazy):
+    # b = 0 digits make vanishing blocks common
+    if fractions:
+        alphas = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+        betas = [0, 1, 2, Fraction(1, 3), Fraction(-1, 2)]
+    else:
+        alphas, betas = [1, -1, 2, -3], [0, 1, 1, 2, 3]
+    raised = agreed = 0
+    for _ in range(150):
+        pairs = [(rng.choice(alphas), rng.choice(betas)) for _ in range(rng.randint(1, 16))]
+        idxs = _random_plan(rng, len(pairs) + 2)
+        count = rng.randint(1, len(idxs) + 1)
+
+        def fresh():
+            return Gcf((lambda: iter(pairs)) if lazy else pairs)
+
+        try:
+            want = _block_formula_pairs(fresh(), idxs, count)
+        except NotContractable as exc:
+            raised += 1
+            with pytest.raises(NotContractable) as got:
+                contract(fresh(), ContractionPlan(idxs)).pairs(count)
+            assert (got.value.m, got.value.n) == (exc.m, exc.n)
+            continue
+        agreed += 1
+        assert contract(fresh(), ContractionPlan(idxs)).pairs(count) == want
+    assert raised >= 10 and agreed >= 10
+
+
+def test_contract_reads_the_source_only_as_deep_as_the_pairs_read(rng):
+    for _ in range(40):
+        pulled = []
+
+        def source():
+            k = 0
+            while True:
+                pulled.append(k)
+                yield (rng.choice([1, 2, 3]), rng.choice([1, 2, 3]))
+                k += 1
+
+        idxs = _random_plan(rng, 30)
+        cc = contract(Gcf(source), ContractionPlan(idxs))
+        for k in range(1, len(idxs) + 1):
+            cc.pairs(k)
+            # pair k - 1 reads up to n_{k-1}; nothing past n_{k-1} + 1
+            assert idxs[k - 1] + 1 <= len(pulled) <= idxs[k - 1] + 2

@@ -108,6 +108,37 @@ def test_partial_pq_empty_range_conventions():
         partial_pq(g, 3, 1)
 
 
+def test_partial_matrix_walks_its_block_once(monkeypatch):
+    walks = []
+    through = Gcf._through
+
+    def counted(self, m, n):
+        walks.append((m, n))
+        return through(self, m, n)
+
+    monkeypatch.setattr(Gcf, "_through", counted)
+    g = harmonic_gcf()
+    for f in (partial_matrix, partial_pq, partial_det):
+        walks.clear()
+        f(g, 2, 6)
+        assert walks == [(2, 6)], f.__name__
+
+
+def test_block_functions_agree_on_empty_ranges_and_minus_one():
+    g = harmonic_gcf()
+    for m in (-1, 0, 1, 4):
+        assert partial_matrix(g, m, m - 1) == Mat2Z(1, 0, 0, 1)
+        assert partial_pq(g, m, m - 1) == (0, 1)
+        assert partial_det(g, m, m - 1) == 1
+        with pytest.raises(BadRange):
+            partial_matrix(g, m, m - 2)
+    for n in range(-1, 5):
+        M = partial_matrix(g, -1, n)
+        assert (M.a, M.c) == partial_pq(g, -1, n - 1)
+        assert (M.b, M.d) == partial_pq(g, -1, n)
+        assert M.det() == partial_det(g, -1, n)
+
+
 def test_partial_det_formula(rng):
     for _ in range(30):
         pairs = [(rng.choice([1, -1, 2, 3]), rng.randint(1, 5)) for _ in range(8)]
