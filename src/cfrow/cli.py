@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import contraction, measure
 from .cfe import cfe_convergents_report, cfe_direct
 from .errors import CfrowError, IndexBeyondExpansion
-from .farey_maps import alpha_orbit_digits, farey_expansion, lehner_expansion
+from .farey_maps import alpha_orbit_digits, farey_expansion
 from .gcf import Gcf, convergents, encode_digit
 from .induced import induced_step
 from .natural_ext import OmegaPoint, orbit_csv_rows
@@ -53,7 +53,9 @@ def cmd_expand(args) -> int:
         _emit({"kind": "rcf", "x": args.x, "digits": [encode_digit(d) for d in digits]})
         return 0
     if args.kind in ("farey", "lehner"):
-        g = (farey_expansion if args.kind == "farey" else lehner_expansion)(x, n)
+        # the Lehner expansion of x, translated back from x + 1, is its
+        # Farey expansion
+        g = farey_expansion(x, n)
         _emit({**g.as_dict(n + 1), "kind": args.kind, "x": args.x})
         return 0
     if args.kind == "alpha":
@@ -188,6 +190,8 @@ def cmd_sweep_alpha(args) -> int:
     from .regions import build_alpha_region
 
     alphas = [s for s in args.alphas.split(",") if s]
+    if not alphas:
+        raise CfrowError(f"--alphas {args.alphas!r} names no alpha")
     seed = _seed(args)
     rows = []
     for i, atext in enumerate(alphas):

@@ -86,6 +86,10 @@ class NonIntegrable(CfrowError):
     pass
 
 
+class NoMeasurePath(CfrowError):
+    """A measure method the region's class has no path for."""
+
+
 class NullSetPoint(CfrowError):
     pass
 

@@ -164,10 +164,6 @@ class RationalInterval:
         v = Fraction(v)
         return RationalInterval(v, v)
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 

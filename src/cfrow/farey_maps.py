@@ -141,16 +141,6 @@ def farey_expansion(x, n: int) -> Gcf:
     return Gcf(pairs)
 
 
-def lehner_expansion(x, n: int) -> Gcf:
-    """Expansion of x obtained from the [1, 2]-shift digits of x + 1.
-
-    The digit pairs (b_k, e_{k+1}) = (2 - eps_{k+1}, 2 eps_{k+1} - 1)
-    belong to x + 1; translating back (b0 lowered by one) gives exactly
-    the Farey expansion of x, which is what is returned.
-    """
-    return farey_expansion(x, n)
-
-
 def lehner_pairs(x, n: int):
     """The raw digit pairs (b_k, e_{k+1}), k = 0..n, of x + 1."""
     es = epsilon_prefix(x, n + 2)

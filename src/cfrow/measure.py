@@ -6,9 +6,11 @@ over rectangles:
     m([x0,x1]x[y0,y1]) = log( (y0+(1-y0)x1)(y1+(1-y1)x0)
                               / ((y0+(1-y0)x0)(y1+(1-y1)x1)) ),
 
-so cell regions get exact values (and a quadrature path for
-cross-checking); oracle regions get seeded Monte Carlo under the
-restriction of the measure to a covering union of horizontal strips.
+so cell and rectangle regions get exact values, singularisation
+regions the strip mass minus their pulled-back rectangles, and the
+alpha regions, known only by their membership oracle, seeded Monte
+Carlo under the restriction of the measure to a covering union of
+horizontal strips.
 Each sample is drawn in floats and snapped to the rational that
 `Fraction.limit_denominator(10**12)` gives, as a reader of its
 canonical digits (`digits.SnapReader`: one resumable integer Euclid
@@ -16,19 +18,29 @@ loop per coordinate, started on its first read); membership pulls only
 the digits it needs from those readers, with no Fraction per sample.
 An alpha region reads y first and x only when its walker asks, so most
 samples never start x's loop.
+Cell and rectangle regions also take quadrature and Monte Carlo, as
+cross-checks of their closed form.  Quadrature is pure Python: a
+global adaptive tensor Gauss-Legendre rule of orders 6 and 12 (after
+Genz and Malik, J. Comput. Appl. Math. 6, 1980) integrates the density
+in both variables, splitting its worst piece until the estimated
+errors meet the tolerance, and raises CapExceeded rather than return
+an estimate that misses it.  A method a region's class lacks raises
+NoMeasurePath; no other method answers in its place.
 Entropy is pi^2 / (6 m(R)) by definition; orbit growth statistics are a
 separate observable used to cross-check it.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import SnapReader, digits_fraction
-from .errors import CfrowError, NonIntegrable
+from .errors import CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
 from .regions import AlphaRegion, SExpansionRegion
@@ -94,20 +106,97 @@ def _region_rects(region: Region):
     return None
 
 
-def _quadrature(rects, tol: float) -> MeasureEstimate:
-    from scipy import integrate
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on
+    [-1, 1]: each node is a root of P_n found by Newton's method from
+    its Chebyshev-like guess, with P_n and P_n' from the three-term
+    recurrence."""
+    rule = []
+    for i in range(1, n + 1):
+        x, dx = math.cos(math.pi * (i - 0.25) / (n + 0.5)), 1.0
+        for _ in range(100):
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            if abs(dx) <= 1e-15:  # converging quadratically: x is exact
+                break            # and the weight reads P_n' at x
+            dx = p1 / dp
+            x -= dx
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(rule)
 
+
+def _tensor_gauss(n: int, x0: float, x1: float, y0: float, y1: float) -> float:
+    """The n x n tensor Gauss-Legendre rule for the density
+    1/(x+y-xy)^2 on [x0,x1]x[y0,y1]; both variables are integrated
+    numerically, so the rule stays independent of `rect_mass_exact`."""
+    rule = _gauss_legendre(n)
+    hx, cx = (x1 - x0) / 2, (x1 + x0) / 2
+    hy, cy = (y1 - y0) / 2, (y1 + y0) / 2
+    ys = [(cy + hy * v, w) for v, w in rule]
+    total = 0.0
+    for u, wu in rule:
+        x = cx + hx * u
+        row = 0.0
+        for y, wv in ys:
+            d = x + (1 - x) * y
+            row += wv / (d * d)
+        total += wu * row
+    return total * hx * hy
+
+
+_GAUSS_ORDER = 6        # pieces are estimated at orders 6 and 12
+_MAX_PIECES = 2000      # per rectangle
+
+
+def _gauss_piece(x0, x1, y0, y1):
+    """(-error, value, x0, x1, y0, y1) of one piece, as the heap of
+    `_adaptive_gauss` orders them: the value is the order-2n estimate
+    and the error its distance from the order-n one."""
+    lo = _tensor_gauss(_GAUSS_ORDER, x0, x1, y0, y1)
+    hi = _tensor_gauss(2 * _GAUSS_ORDER, x0, x1, y0, y1)
+    return -abs(hi - lo), hi, x0, x1, y0, y1
+
+
+def _adaptive_gauss(x0, x1, y0, y1, tol: float):
+    """(value, error) of the density over one rectangle by global
+    adaptive subdivision: the pieces sit on a heap by their error, and
+    the worst one is halved across its wider side until the errors sum
+    to at most tol.  Past _MAX_PIECES pieces it raises CapExceeded,
+    never returning an estimate that misses tol."""
+    pieces = [_gauss_piece(float(x0), float(x1), float(y0), float(y1))]
+    err = -pieces[0][0]
+    while err > tol:
+        if len(pieces) >= _MAX_PIECES:
+            raise CapExceeded(
+                f"quadrature of [{x0},{x1}]x[{y0},{y1}] kept an error of {err:.3g} "
+                f"> tol {tol:.3g} after {_MAX_PIECES} pieces")
+        e, _, a0, a1, b0, b1 = heapq.heappop(pieces)
+        if a1 - a0 >= b1 - b0:
+            m = (a0 + a1) / 2
+            halves = (_gauss_piece(a0, m, b0, b1), _gauss_piece(m, a1, b0, b1))
+        else:
+            m = (b0 + b1) / 2
+            halves = (_gauss_piece(a0, a1, b0, m), _gauss_piece(a0, a1, m, b1))
+        err += e
+        for piece in halves:
+            heapq.heappush(pieces, piece)
+            err -= piece[0]
+        if err <= tol:  # the running sum drifts; settle on an exact one
+            err = -math.fsum(p[0] for p in pieces)
+    return math.fsum(p[1] for p in pieces), err
+
+
+def _quadrature(rects, tol: float) -> MeasureEstimate:
+    """Cross-check of the closed-form masses: each rectangle integrated
+    to its share tol/len(rects) by `_adaptive_gauss`."""
+    share = tol / max(len(rects), 1)
     total = 0.0
     err = 0.0
-    for x0, x1, y0, y1 in rects:
-        v, e = integrate.dblquad(
-            lambda y, x: 1.0 / (x + y - x * y) ** 2,
-            float(x0),
-            float(x1),
-            float(y0),
-            float(y1),
-            epsabs=tol / max(len(rects), 1),
-        )
+    for rect in rects:
+        v, e = _adaptive_gauss(*rect, share)
         total += v
         err += e
     return MeasureEstimate(total, max(err, tol), "quadrature")
@@ -125,19 +214,33 @@ def _sexp_pre_rects(region: SExpansionRegion):
 _METHODS = ("auto", "exact", "exact-integral", "quadrature", "monte-carlo")
 
 
+def _require_method(region: Region, method: str, has: tuple):
+    """Raise NoMeasurePath unless method is "auto" or one of has."""
+    if method != "auto" and method not in has:
+        raise NoMeasurePath(
+            f"region {region.name} has no {method} measure; it has {', '.join(has)}")
+
+
 def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
                seed: int | None = None, samples: int = 200_000) -> MeasureEstimate:
     """Slow-map measure of a region.
 
-    Cell and rectangle regions support "exact" and "quadrature";
-    singularisation regions are exact (strip mass minus pulled-back
-    rectangles); the one-parameter regions use seeded Monte Carlo.
+    The methods each region class has ("auto" picks the first):
+
+    * cell and rectangle regions: "exact" (alias "exact-integral"),
+      "quadrature" and "monte-carlo";
+    * singularisation regions: "exact" (strip mass minus pulled-back
+      rectangles);
+    * the one-parameter alpha regions: "monte-carlo" (seeded).
+
+    A method the region's class lacks raises NoMeasurePath.
     """
     if method not in _METHODS:
         raise CfrowError(f"unknown measure method {method!r}; known: {', '.join(_METHODS)}")
     if isinstance(region, OmegaRegion):
         raise NonIntegrable("the full square has infinite mass")
     if isinstance(region, SExpansionRegion):
+        _require_method(region, method, ("exact", "exact-integral"))
         total = rect_mass_exact(0, 1, Fraction(1, 2), 1)
         for r in _sexp_pre_rects(region):
             total -= rect_mass_exact(*r)
@@ -165,6 +268,7 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
             return _strip_monte_carlo(y_min, in_rects, seed if seed is not None else 0, samples)
         return _quadrature(rects, tol)
     if isinstance(region, AlphaRegion):
+        _require_method(region, method, ("monte-carlo",))
         return _strip_monte_carlo(_alpha_window(region), region.contains_rational,
                                   seed if seed is not None else 0, samples)
     raise NonIntegrable(f"no measure path for region {region.name}")

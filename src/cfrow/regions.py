@@ -223,7 +223,7 @@ class AlphaRegion(Region):
             raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
         self.alpha = alpha
         if is_rational(alpha):
-            self.alpha_list, self.period, self._source = fraction_digits(as_real(alpha)), 0, None
+            self.alpha_list, self.period = fraction_digits(as_real(alpha)), 0
             self._alpha_reader = Reader(self.alpha_list)
         else:
             src = surd_digits(alpha)
@@ -233,7 +233,6 @@ class AlphaRegion(Region):
             else:
                 m, p = found
                 self.alpha_list, self.period = src.buf[:m + p], p
-            self._source = src
             self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
@@ -378,44 +377,43 @@ def _rects(items):
     ]
 
 
+# builder name -> the region it builds from its params
+_BUILDERS = {
+    "omega": lambda p: region_omega(),
+    "h1": lambda p: region_h1(),
+    "h": lambda p: region_h(int(p["b"])),
+    "v": lambda p: region_v(int(p["a"])),
+    "cell": lambda p: region_cell(int(p["a"]), int(p["lam"])),
+    "alpha": lambda p: build_alpha_region(_parse_frac(p["alpha"])),
+    "s_expansion": lambda p: build_s_expansion_region(_rects(p["rects"])),
+}
+
+# shorthand "name" or "name:v1,v2" -> the params of builder `name` its
+# values fill, in order.  The last value takes the rest of the text, so
+# an alpha may be written with commas ("alpha:[0;2,3]").
+_SHORTHANDS = {"omega": (), "h1": (), "h": ("b",), "v": ("a",), "cell": ("a", "lam"),
+               "alpha": ("alpha",)}
+
+
 def _region_from_spec(spec) -> Region:
     if isinstance(spec, str):
         s = spec.strip()
         if s.startswith("{"):
             return _region_from_spec(json.loads(s))
-        if s == "omega":
-            return region_omega()
-        if s == "h1":
-            return region_h1()
-        if s.startswith("h:"):
-            return region_h(int(s[2:]))
-        if s.startswith("v:"):
-            return region_v(int(s[2:]))
-        if s.startswith("cell:"):
-            a, lam = s[5:].split(",")
-            return region_cell(int(a), int(lam))
-        if s.startswith("alpha:"):
-            return build_alpha_region(_parse_frac(s[6:]))
-        raise BadRegionSpec(f"unknown region spec {spec!r}")
+        name, colon, text = s.partition(":")
+        keys = _SHORTHANDS.get(name)
+        if keys is None or bool(colon) != bool(keys):
+            raise BadRegionSpec(f"unknown region spec {spec!r}")
+        values = text.split(",", len(keys) - 1) if keys else []
+        if len(values) != len(keys):
+            raise ValueError(f"{name} takes {len(keys)} values, got {len(values)}")
+        spec = {"builder": name, "params": dict(zip(keys, values))}
     obj = dict(spec)
     builder = obj.get("builder")
-    params = obj.get("params", {})
-    if builder == "h1":
-        return region_h1()
-    if builder == "h":
-        return region_h(int(params["b"]))
-    if builder == "v":
-        return region_v(int(params["a"]))
-    if builder == "cell":
-        return region_cell(int(params["a"]), int(params["lam"]))
-    if builder == "alpha":
-        return build_alpha_region(_parse_frac(params["alpha"]))
-    if builder == "s_expansion":
-        return build_s_expansion_region(_rects(params["rects"]))
-    if builder == "omega":
-        return region_omega()
     if builder is not None:
-        raise BadRegionSpec(f"unknown region builder {builder!r}")
+        if builder not in _BUILDERS:
+            raise BadRegionSpec(f"unknown region builder {builder!r}")
+        return _BUILDERS[builder](obj.get("params", {}))
     if "cells" in obj and obj["cells"]:
         cells = [(c.get("a"), c.get("b")) for c in obj["cells"]]
         return CellRegion(cells, name="cells", altered=bool(obj.get("altered", False)))

@@ -153,13 +153,3 @@ def bilateral_digits(region: Region, z: OmegaPoint, m: int, n: int, cap: int = 1
     k = len(back)
     return pairs[:k][::-1], pairs[k:]
 
-
-def cylinder_contains(past, future, past_spec, future_spec) -> bool:
-    """Test helper: do the bilateral digits extend the given finite
-    digit words?"""
-    if len(past_spec) > len(past) or len(future_spec) > len(future):
-        return False
-    return (
-        list(past[: len(past_spec)]) == list(past_spec)
-        and list(future[: len(future_spec)]) == list(future_spec)
-    )

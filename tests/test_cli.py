@@ -32,6 +32,18 @@ def test_expand_farey_golden(capsys):
     assert obj["alpha"] == [1] * 5 and obj["beta"] == [0, 1, 1, 1, 1]
 
 
+def test_expand_lehner_prints_the_farey_pairs(capsys):
+    from cfrow.farey_maps import farey_expansion
+    from cfrow.reals import parse_real
+
+    for x in ("g", "sqrt(2)-1", "sqrt(3)-1", "sqrt(7)-2", "sqrt(43)-6", "(sqrt(13)-1)/4"):
+        code, out, _ = run_cli(["expand", "--kind", "lehner", "--x", x, "--n", "10"], capsys)
+        obj = json.loads(out)
+        assert code == 0 and obj["kind"] == "lehner" and obj["x"] == x
+        pairs = farey_expansion(parse_real(x), 10).pairs(11)
+        assert list(zip(obj["alpha"], obj["beta"])) == pairs
+
+
 def test_expand_alpha_golden(capsys):
     code, out, _ = run_cli(
         ["expand", "--kind", "alpha", "--alpha", "1/2", "--x", "phi-frac", "--n", "6"], capsys
@@ -179,6 +191,37 @@ def test_entropy_unknown_method_exits_2(capsys):
     assert err.startswith("error: ") and "bogus" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "region, method",
+    [("alpha:1/2", "exact"), ("alpha:1/2", "exact-integral"), ("alpha:1/2", "quadrature"),
+     ('{"builder": "s_expansion", "params": {"rects": [{"x": ["1/2", "1"], "y": ["0", "1/2"]}]}}',
+      "monte-carlo"),
+     ('{"builder": "s_expansion", "params": {"rects": [{"x": ["1/2", "1"], "y": ["0", "1/2"]}]}}',
+      "quadrature")],
+)
+def test_entropy_method_the_region_lacks_exits_2(capsys, region, method):
+    code, out, err = run_cli(
+        ["entropy", "--region", region, "--method", method, "--samples", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"no {method} measure" in err
+
+
+def test_entropy_quadrature_past_its_piece_cap_exits_2(capsys):
+    code, out, err = run_cli(
+        ["entropy", "--region", "h1", "--method", "quadrature", "--tol", "1e-300"], capsys)
+    assert code == 2 and out == "" and "after 2000 pieces" in err
+
+
+def test_entropy_quadrature_runs_without_scipy(capsys, monkeypatch):
+    for name in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    code, out, _ = run_cli(
+        ["entropy", "--region", "h1", "--method", "quadrature", "--tol", "1e-8"], capsys)
+    obj = json.loads(out)
+    assert code == 0 and obj["method"] == "quadrature"
+    assert abs(obj["measure"] - math.log(2)) <= obj["error_bound"]
+
+
 def test_cfe_top_strip(capsys):
     code, out, _ = run_cli(
         ["cfe", "--region", "h1", "--x", "sqrt(2)-1", "--digits", "10"], capsys
@@ -252,6 +295,13 @@ def test_sweep_alpha(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "alpha,measure,measure_err,entropy,entropy_err,seed"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("alphas", ["", ",,"])
+def test_sweep_alpha_with_no_alpha_exits_2(capsys, alphas):
+    code, out, err = run_cli(["sweep-alpha", "--alphas", alphas, "--samples", "100"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --alphas {alphas!r} names no alpha"
 
 
 def test_byte_stable_given_seed(capsys):

@@ -20,7 +20,6 @@ from cfrow.farey_maps import (
     farey_step,
     gauss_jump_length,
     gauss_step,
-    lehner_expansion,
     lehner_pairs,
 )
 from cfrow.gcf import convergents, validate_srcf
@@ -232,9 +231,3 @@ def test_lehner_pairs():
     assert lehner_pairs(G, 3) == [(1, 1)] * 4
     assert lehner_pairs(Fraction(0), 2) == [(2, -1)] * 3
     assert lehner_pairs(S2, 3) == [(2, -1), (1, 1), (2, -1), (1, 1)]
-
-
-def test_lehner_expansion_equals_farey(rng):
-    for _ in range(10):
-        x = random_surd(rng)
-        assert lehner_expansion(x, 10).pairs(11) == farey_expansion(x, 10).pairs(11)

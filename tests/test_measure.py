@@ -1,17 +1,20 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from cfrow import measure
 from cfrow.digits import Reader, fraction_digits
-from cfrow.errors import CfrowError, NonIntegrable
+from cfrow.errors import CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from cfrow.induced import RectRegion
 from cfrow.measure import (
     MeasureEstimate,
     _alpha_window,
     _cell_rects,
+    _gauss_legendre,
+    _region_rects,
     _strip_sampler,
     empirical_denominator_growth,
     entropy_of,
@@ -134,6 +137,83 @@ def test_quadrature_vs_monte_carlo_on_cells():
         mc = measure_of(region, method="monte-carlo", seed=17, samples=60_000)
         assert abs(quad.value - exact) < 1e-6
         assert abs(mc.value - exact) < mc.error_bound + 1e-3
+
+
+def test_gauss_legendre_rules_are_exact_to_degree_2n_minus_1():
+    for n in (6, 12):
+        rule = _gauss_legendre(n)
+        assert len(rule) == n
+        for k in range(2 * n):
+            want = 2 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(sum(w * x**k for x, w in rule) - want) < 1e-14, (n, k)
+
+
+QUADRATURE_REGIONS = {
+    "h1": region_h1(),
+    "h2": region_h(2),
+    "cell2,0": region_cell(2, 0),
+    "upper-right": RectRegion([(Fraction(1, 2), 1, Fraction(1, 2), 1)]),
+    "thin-x": RectRegion([(Fraction(1, 101), Fraction(1, 100), 0, 1)]),
+    "thin-y": RectRegion([(0, 1, Fraction(1, 1001), Fraction(1, 1000))]),
+    "two-rects": RectRegion([(Fraction(1, 2), 1, Fraction(1, 2), 1),
+                             (Fraction(1, 101), Fraction(1, 100), 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+@pytest.mark.parametrize("name", QUADRATURE_REGIONS)
+def test_quadrature_meets_its_error_bound(name, tol):
+    region = QUADRATURE_REGIONS[name]
+    exact = sum(rect_mass_exact(*r) for r in _region_rects(region))
+    est = measure_of(region, tol=tol, method="quadrature")
+    assert est.method == "quadrature" and est.error_bound >= tol
+    assert abs(est.value - exact) <= est.error_bound
+
+
+def test_quadrature_past_its_piece_cap_raises():
+    with pytest.raises(CapExceeded, match="after 2000 pieces"):
+        measure_of(region_h1(), tol=1e-300, method="quadrature")
+
+
+def test_quadrature_runs_without_scipy(monkeypatch):
+    for name in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    est = measure_of(region_h1(), tol=1e-8, method="quadrature")
+    assert est.method == "quadrature" and abs(est.value - math.log(2)) <= est.error_bound
+
+
+# the method each (region class, method) pair answers with; None: refused
+_METHOD_TABLE = {
+    "cell": {"auto": "exact-integral", "exact": "exact-integral",
+             "exact-integral": "exact-integral", "quadrature": "quadrature",
+             "monte-carlo": "monte-carlo"},
+    "rect": {"auto": "exact-integral", "exact": "exact-integral",
+             "exact-integral": "exact-integral", "quadrature": "quadrature",
+             "monte-carlo": "monte-carlo"},
+    "s_expansion": {"auto": "exact-integral", "exact": "exact-integral",
+                    "exact-integral": "exact-integral", "quadrature": None,
+                    "monte-carlo": None},
+    "alpha": {"auto": "monte-carlo", "exact": None, "exact-integral": None,
+              "quadrature": None, "monte-carlo": "monte-carlo"},
+}
+_METHOD_REGIONS = {
+    "cell": lambda: region_h(2),
+    "rect": lambda: RectRegion([(Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))]),
+    "s_expansion": lambda: build_s_expansion_region([(Fraction(1, 2), 1, 0, Fraction(1, 2))]),
+    "alpha": lambda: build_alpha_region(Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "exact-integral", "quadrature", "monte-carlo"])
+@pytest.mark.parametrize("kind", list(_METHOD_TABLE))
+def test_measure_answers_only_with_the_method_asked(kind, method):
+    region = _METHOD_REGIONS[kind]()
+    want = _METHOD_TABLE[kind][method]
+    if want is None:
+        with pytest.raises(NoMeasurePath, match=f"no {method} measure"):
+            measure_of(region, method=method, seed=3, samples=500)
+    else:
+        assert measure_of(region, method=method, seed=3, samples=500).method == want
 
 
 def test_alpha_sweep_constant_branch():

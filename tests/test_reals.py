@@ -108,7 +108,7 @@ def test_enclosure_shrinks(rng):
     for depth in (4, 8, 16, 32):
         cur = s.enclosure(depth)
         assert cur.lo >= prev.lo and cur.hi <= prev.hi
-        assert cur.contains(Fraction(float(x)).limit_denominator(10**12)) or cur.width < Fraction(1, 10**10)
+        assert cur.contains(Fraction(float(x)).limit_denominator(10**12)) or cur.hi - cur.lo < Fraction(1, 10**10)
         prev = cur
 
 

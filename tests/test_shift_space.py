@@ -16,7 +16,6 @@ from cfrow.regions import build_alpha_region, region_h1, region_v
 from cfrow.reals import golden_fraction, parse_real
 from cfrow.shift_space import (
     bilateral_digits,
-    cylinder_contains,
     phi,
     phi_inverse,
     tau_orbit,
@@ -27,6 +26,16 @@ from conftest import random_surd
 
 S2 = parse_real("sqrt(2)-1")
 G = golden_fraction()
+
+
+def cylinder_contains(past, future, past_spec, future_spec) -> bool:
+    """Do the bilateral digits extend the given finite digit words?"""
+    if len(past_spec) > len(past) or len(future_spec) > len(future):
+        return False
+    return (
+        list(past[: len(past_spec)]) == list(past_spec)
+        and list(future[: len(future_spec)]) == list(future_spec)
+    )
 
 
 def top(x):
