@@ -25,6 +25,12 @@ contraction plan over the Farey expansion of x in route 1, the digit
 pairs of consecutive matrices in route 2.  The convergents of either satisfy
 (P_k, Q_k) = c_k (u_{k+1}, s_{k+1}) with c_k the product of the first k
 s-entries.
+
+Both routes form their pairs from records and digits the library made,
+so neither sends them back through the checks on outside input
+(`gcf._pairs`): route 1 keeps the Farey expansion's and the
+contraction's pairs, route 2 the pairs of `digit_pair`, and each enters
+its expansion by `Gcf._of` (int digits, a != 0, no INF).
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ def cfe_by_contraction(region: Region, z: OmegaPoint, n: int, cap: int) -> Gcf:
         plan.append(total - 1)  # n_k = N_{k+1} - 1
     farey = farey_expansion(z.xd, plan[-1])
     contracted = contract(farey, ContractionPlan(plan))
-    return Gcf(contracted.pairs(n + 1))
+    return Gcf._of(contracted.pairs(n + 1))
 
 
 def cfe_direct(region: Region, z: OmegaPoint, n: int, cap: int) -> "CfeResult":
@@ -70,7 +76,7 @@ def cfe_direct(region: Region, z: OmegaPoint, n: int, cap: int) -> "CfeResult":
     for rec, nxt in zip(recs, recs[1:]):
         pairs.append(digit_pair(s_prev, rec, nxt))
         s_prev = rec.s
-    return CfeResult(digits=Gcf(pairs), records=recs)
+    return CfeResult(digits=Gcf._of(pairs), records=recs)
 
 
 @dataclass

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -189,9 +190,13 @@ def cmd_region_info(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     from .regions import build_alpha_region
 
-    alphas = [s for s in args.alphas.split(",") if s]
-    if not alphas:
+    alphas = args.alphas.split(",")
+    if not any(alphas):
         raise CfrowError(f"--alphas {args.alphas!r} names no alpha")
+    if "" in alphas:
+        # a skipped entry would shift the seed of every later alpha
+        raise CfrowError(
+            f"--alphas {args.alphas!r} has an empty entry at position {alphas.index('') + 1}")
     seed = _seed(args)
     rows = []
     for i, atext in enumerate(alphas):
@@ -211,10 +216,10 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def positive(text: str) -> float:
-    """argparse type of --tol: a float > 0."""
+    """argparse type of --tol: a finite float > 0."""
     v = float(text)
-    if not v > 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a tolerance > 0")
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance > 0")
     return v
 
 

@@ -140,7 +140,7 @@ def contract(g: Gcf, cplan) -> Gcf:
             n_k = n_kp1
             k += 1
 
-    return Gcf(gen)
+    return Gcf._of(gen())
 
 
 def seidel_scalars(g: Gcf, cplan, k_max: int):

@@ -90,6 +90,10 @@ class NoMeasurePath(CfrowError):
     """A measure method the region's class has no path for."""
 
 
+class BadTolerance(CfrowError):
+    """A quadrature tolerance that is not a finite float > 0."""
+
+
 class NullSetPoint(CfrowError):
     pass
 

@@ -128,17 +128,20 @@ def epsilon_prefix(x, n: int) -> list:
         k += 1
 
 
+# (2 eps_k - 1, 2 - eps_{k+1}) at index 2 eps_k + eps_{k+1}
+_FAREY_PAIRS = ((-1, 2), (-1, 1), (1, 2), (1, 1))
+
+
 def farey_expansion(x, n: int) -> Gcf:
     """SRCF generated by the tent-map branch digits, n+1 digit pairs.
 
     Digits: a0 = 1, b0 = 1 - eps_1, and (a_k, b_k) = (2 eps_k - 1,
-    2 - eps_{k+1}) for k >= 1.
+    2 - eps_{k+1}) for k >= 1, looked up in `_FAREY_PAIRS`.
     """
     need = epsilon_prefix(x, n + 1)
     pairs = [(1, 1 - need[0])]
-    for k in range(1, n + 1):
-        pairs.append((2 * need[k - 1] - 1, 2 - need[k]))
-    return Gcf(pairs)
+    pairs += [_FAREY_PAIRS[2 * e + f] for e, f in zip(need, need[1:])]
+    return Gcf._of(pairs)
 
 
 def lehner_pairs(x, n: int):
@@ -162,15 +165,6 @@ def a_matrix_forward(x, n: int) -> Mat2Z:
         q_prev, q = q, a * q + q_prev
         s = s.tail()
     return Mat2Z(lam * p + p_prev, p, lam * q + q_prev, q)
-
-
-def a_matrix_forward_bruteforce(x, n: int) -> Mat2Z:
-    """Literal product of branch matrices (test oracle)."""
-    eps = epsilon_prefix(x, n)
-    out = IDENTITY
-    for e in eps:
-        out = out @ a_matrix(e)
-    return out
 
 
 def a_matrix_backward(x, n: int) -> Mat2Z:

@@ -12,13 +12,19 @@ preceding index.  Convergents P_n/Q_n follow
 and are not reduced automatically.
 
 Pairs are read once: every expansion holds one memoised buffer
-(`digits._Memo`) over the generator `_pairs`, the one place a pair is
-normalised.  A buffered pair is served straight from the buffer.  There
-is one block loop, `_block`, which fills the buffer once and walks a
-slice of it to the four entries of B_[m,n] = B_m ... B_n; `partial_pq`,
-`partial_det`, `partial_matrix` and `contraction.contract` read it, and
-`convergents` runs the same recurrence over one slice from index 0.
-Plain int digits stay ints throughout.
+(`digits._Memo`), and a buffered pair is served straight from it.
+Pairs from outside the library (`Gcf(...)`, `Gcf.rcf`, `Gcf.from_json`,
+`singularise`, `digits_from_convergents`) enter through the generator
+`_pairs`, which normalises each digit, raises on a partial numerator 0
+and truncates at INF.  Pairs the library forms itself (the Farey
+expansion, a contraction, both CFE routes) enter by `Gcf._of`, which
+skips that check; its callers keep `_pairs`' invariant: digits as `_num`
+leaves them (int digits stay ints), a != 0 and no INF.  There is one
+block loop, `_block`, which fills the buffer once and walks a slice of
+it to the four entries of B_[m,n] = B_m ... B_n; `partial_pq`,
+`partial_matrix` and `contraction.contract` read it, and `convergents`
+runs the same recurrence over one slice from index 0.  Plain int digits
+stay ints throughout.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .digits import _Memo
 from .errors import (
@@ -97,6 +104,22 @@ class Gcf:
             self._memo = _Memo(None)
             self._memo.buf = list(_pairs(source))
         self._buf = self._memo.buf
+
+    @classmethod
+    def _of(cls, pairs) -> "Gcf":
+        """The expansion of pairs the library formed itself, which skip
+        `_pairs`: a list (kept, not copied) is the whole expansion, an
+        iterator is read as far as a caller asks.  Every pair must be one
+        `_pairs` would pass unchanged: digits as `_num` leaves them,
+        a != 0, b not INF."""
+        g = cls.__new__(cls)
+        if type(pairs) is list:
+            g._memo = _Memo(None)
+            g._memo.buf = pairs
+        else:
+            g._memo = _Memo(pairs)
+        g._buf = g._memo.buf
+        return g
 
     @staticmethod
     def rcf(partial_quotients, b0=0) -> "Gcf":
@@ -174,8 +197,7 @@ class Gcf:
         return Gcf(list(zip(map(_decode_digit, alpha), map(_decode_digit, beta))))
 
 
-@dataclass(frozen=True)
-class ConvergentPair:
+class ConvergentPair(NamedTuple):
     P: object
     Q: object
 
@@ -183,9 +205,6 @@ class ConvergentPair:
         if self.Q == 0:
             return INF
         return Fraction(self.P, self.Q)
-
-    def __iter__(self):
-        return iter((self.P, self.Q))
 
 
 def convergents(g: Gcf, n: int):
@@ -245,12 +264,6 @@ def partial_pq(g: Gcf, m: int, n: int):
     return (_num(p), _num(q))
 
 
-def partial_det(g: Gcf, m: int, n: int):
-    """det B_[m,n] = (-1)^(n-m+1) a_m ... a_n; empty range gives 1."""
-    p0, p1, q0, q1 = _block(g, m, n)
-    return _num(p0 * q1 - p1 * q0)
-
-
 def evaluate_finite(g: Gcf, cap: int = 1_000_000):
     """Value of a finite (or INF-truncated) expansion in Q u {inf}."""
     n = -1
@@ -266,7 +279,6 @@ def digits_from_convergents(ps) -> Gcf:
 
     Inverts the recurrence via (a_{k+1}, b_{k+1}) = B_[-1,k]^{-1} (P_{k+1}, Q_{k+1}).
     """
-    ps = [(p.P, p.Q) if isinstance(p, ConvergentPair) else tuple(p) for p in ps]
     pairs = []
     prev2, prev1 = (0, 1), (1, 0)  # (P_-2, Q_-2), (P_-1, Q_-1)
     for k, (P, Q) in enumerate(ps):

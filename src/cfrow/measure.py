@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import SnapReader, digits_fraction
-from .errors import CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
+from .errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
 from .regions import AlphaRegion, SExpansionRegion
@@ -233,10 +233,13 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
       rectangles);
     * the one-parameter alpha regions: "monte-carlo" (seeded).
 
-    A method the region's class lacks raises NoMeasurePath.
+    A method the region's class lacks raises NoMeasurePath, and a
+    quadrature `tol` that is not a finite float > 0 raises BadTolerance.
     """
     if method not in _METHODS:
         raise CfrowError(f"unknown measure method {method!r}; known: {', '.join(_METHODS)}")
+    if method == "quadrature" and not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise BadTolerance(f"quadrature tol {tol!r} is not a finite float > 0")
     if isinstance(region, OmegaRegion):
         raise NonIntegrable("the full square has infinite mass")
     if isinstance(region, SExpansionRegion):

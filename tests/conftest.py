@@ -77,6 +77,31 @@ def random_periodic_surd(rng: random.Random, length=6, max_digit=4,
         return surd_from_periodic_digits(digits)
 
 
+def random_stream_digits(rng: random.Random, n: int, max_digit: int = 32) -> list:
+    """n partial quotients drawn by the Gauss-Kuzmin law, each at most
+    max_digit: the digits of a typical point, for stream-only points."""
+    out = []
+    while len(out) < n:
+        u = 2.0 ** rng.random() - 1.0
+        if u > 0 and 1 <= int(1.0 / u) <= max_digit:
+            out.append(int(1.0 / u))
+    return out
+
+
+def assert_as_checked(g, n: int, ints: bool = True):
+    """The first n pairs of g, read, are exactly what the checking
+    constructor `Gcf(...)` makes of them: equal values of equal types,
+    every digit a plain int when `ints`."""
+    from cfrow.gcf import Gcf
+
+    assert len(g.pairs(n)) == n
+    checked = Gcf(list(g._buf))._buf
+    assert checked == g._buf
+    assert [tuple(map(type, p)) for p in checked] == [tuple(map(type, p)) for p in g._buf]
+    if ints:
+        assert all(type(a) is int and type(b) is int for a, b in g._buf)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cfrow.cfe import cfe_by_contraction, cfe_convergents_report, cfe_direct, routes_agree
+from cfrow.digits import from_digits
 from cfrow.errors import OutOfDomain
 from cfrow.farey_maps import farey_expansion
 from cfrow.gcf import convergents, validate_srcf
@@ -20,7 +21,13 @@ from cfrow.regions import (
 )
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
-from conftest import random_rich_surd, random_surd
+from conftest import (
+    assert_as_checked,
+    random_rich_surd,
+    random_stream_digits,
+    random_surd,
+    random_surd_with_digit,
+)
 
 S2 = parse_real("sqrt(2)-1")
 G = golden_fraction()
@@ -71,9 +78,32 @@ def test_routes_agree_many_regions(rng):
             assert routes_agree(R, z, 10, CAP), R.name
 
 
-def test_routes_agree_cell_region(rng):
-    from conftest import random_surd_with_digit
+def test_route_pairs_are_the_checked_ones(rng):
+    # both routes build their expansions without the checking
+    # constructor; over the eight regions of acceptance criterion 4 their
+    # pairs must be what it makes of them, every digit a plain int
+    regions = [
+        region_omega(),
+        region_h1(),
+        region_h(2),
+        region_v(2),
+        region_cell(2, 0),
+        build_alpha_region(Fraction(1, 2)),
+        build_alpha_region(Fraction(1, 4)),
+        build_s_expansion_region([(Fraction(1, 2), 1, 0, Fraction(1, 2))]),
+    ]
+    # the surds have partial quotients 2, which cell 2,0 needs
+    points = [top(random_surd_with_digit(rng, 2)) for _ in range(2)]
+    points += [OmegaPoint.from_streams(from_digits(random_stream_digits(rng, 400)),
+                                       from_digits(random_stream_digits(rng, 40)))
+               for _ in range(4)]
+    for z in points:
+        for R in regions:
+            assert_as_checked(cfe_by_contraction(R, z, 29, CAP), 30)
+            assert_as_checked(cfe_direct(R, z, 29, CAP).digits, 30)
 
+
+def test_routes_agree_cell_region(rng):
     cell = region_cell(3, 1)
     for _ in range(4):
         x = random_surd_with_digit(rng, 3)

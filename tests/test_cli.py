@@ -132,7 +132,7 @@ def test_count_options_below_1_exit_2(capsys, args):
     assert out.out == "" and "error: argument" in out.err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
 def test_entropy_tolerance_must_be_positive(capsys, tol):
     with pytest.raises(SystemExit) as exc:
         main(["entropy", "--region", "h1", "--method", "quadrature", "--tol", tol])
@@ -302,6 +302,15 @@ def test_sweep_alpha_with_no_alpha_exits_2(capsys, alphas):
     code, out, err = run_cli(["sweep-alpha", "--alphas", alphas, "--samples", "100"], capsys)
     assert code == 2 and out == ""
     assert err.strip() == f"error: --alphas {alphas!r} names no alpha"
+
+
+@pytest.mark.parametrize("alphas,position", [("1/2,,g", 2), (",1/2", 1), ("1/2,", 2)])
+def test_sweep_alpha_with_an_empty_entry_exits_2(capsys, alphas, position):
+    # a skipped entry would shift the seed of every alpha after it
+    code, out, err = run_cli(
+        ["sweep-alpha", "--alphas", alphas, "--samples", "100", "--seed", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --alphas {alphas!r} has an empty entry at position {position}"
 
 
 def test_byte_stable_given_seed(capsys):

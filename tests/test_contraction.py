@@ -11,11 +11,13 @@ from cfrow.contraction import (
     seidel_check,
     seidel_scalars,
 )
+from cfrow.digits import from_digits
 from cfrow.errors import NotContractable
 from cfrow.farey_maps import farey_expansion
-from cfrow.gcf import Gcf, convergents, partial_det, partial_pq
+from cfrow.gcf import Gcf, convergents, partial_pq
 
-from conftest import random_surd
+from conftest import assert_as_checked, random_stream_digits, random_surd
+from test_gcf import partial_det
 
 
 def harmonic_gcf() -> Gcf:
@@ -277,3 +279,25 @@ def test_contract_reads_the_source_only_as_deep_as_the_pairs_read(rng):
             cc.pairs(k)
             # pair k - 1 reads up to n_{k-1}; nothing past n_{k-1} + 1
             assert idxs[k - 1] + 1 <= len(pulled) <= idxs[k - 1] + 2
+
+
+def test_contract_pairs_are_the_checked_ones(rng):
+    # the lazy output skips the checking constructor: its pairs must be
+    # what that constructor makes of them, plain ints from int sources
+    for i in range(16):
+        x = random_surd(rng) if i % 2 else from_digits(random_stream_digits(rng, 400))
+        fe = farey_expansion(x, 300)
+        plan = sorted(rng.sample(range(301), rng.randint(1, 120)))
+        assert_as_checked(contract(fe, ContractionPlan(plan)), len(plan))
+    alphas = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    betas = [1, 2, Fraction(1, 3), Fraction(-1, 2)]
+    checked = 0
+    for _ in range(100):
+        g = Gcf([(rng.choice(alphas), rng.choice(betas)) for _ in range(12)])
+        plan = [n for n in _random_plan(rng, 11) if n <= 11]
+        try:
+            assert_as_checked(contract(g, ContractionPlan(plan)), len(plan), ints=False)
+            checked += 1
+        except NotContractable:
+            pass
+    assert checked >= 30

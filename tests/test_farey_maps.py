@@ -4,13 +4,13 @@ import pytest
 
 from cfrow.digits import from_digits
 from cfrow.errors import OutOfDomain, ZeroInput
-from cfrow.exact import INF, Mat2Z
+from cfrow.exact import IDENTITY, INF, Mat2Z
 from cfrow.farey_maps import (
     A0,
     A1,
+    a_matrix,
     a_matrix_backward,
     a_matrix_forward,
-    a_matrix_forward_bruteforce,
     alpha_orbit_digits,
     alpha_step,
     epsilon_prefix,
@@ -25,10 +25,18 @@ from cfrow.farey_maps import (
 from cfrow.gcf import convergents, validate_srcf
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
-from conftest import random_surd
+from conftest import assert_as_checked, random_stream_digits, random_surd
 
 G = golden_fraction()
 S2 = parse_real("sqrt(2)-1")
+
+
+def a_matrix_forward_bruteforce(x, n: int) -> Mat2Z:
+    """A_[0,n] as the literal product of the branch matrices A_eps1 ... A_epsn."""
+    out = IDENTITY
+    for e in epsilon_prefix(x, n):
+        out = out @ a_matrix(e)
+    return out
 
 
 def test_farey_step_examples():
@@ -156,6 +164,22 @@ def test_farey_expansion_examples():
     assert fe.pairs(7) == [(1, 1), (-1, 1), (1, 2), (-1, 1), (1, 2), (-1, 1), (1, 2)]
     assert validate_srcf(fe).kind == "SRCF"
     assert farey_expansion(Fraction(0), 3).pairs(4) == [(1, 1), (-1, 2), (-1, 2), (-1, 2)]
+
+
+def test_farey_expansion_pairs_are_the_checked_branch_digit_pairs(rng):
+    # the pairs come from a table and skip the checking constructor: they
+    # must be the branch-digit formula's, plain ints it leaves unchanged
+    xs = [random_surd(rng) for _ in range(6)]
+    xs += [from_digits(random_stream_digits(rng, 400)) for _ in range(6)]
+    xs += [G, S2, Fraction(0), Fraction(2, 7)]
+    for x in xs:
+        for n in (0, 1, 2, 7, 60, 300):
+            fe = farey_expansion(x, n)
+            assert fe.length() == n + 1
+            assert_as_checked(fe, n + 1)
+            eps = epsilon_stream(x).prefix(n + 1)
+            assert fe.pairs(n + 1) == [(1, 1 - eps[0])] + [
+                (2 * e - 1, 2 - f) for e, f in zip(eps, eps[1:])]
 
 
 def test_farey_expansion_converges_to_x(rng):

@@ -13,11 +13,12 @@ from cfrow.errors import (
 from cfrow.exact import INF, Mat2Z
 from cfrow.gcf import (
     Gcf,
+    _block,
+    _num,
     classify_farey_index,
     convergents,
     digits_from_convergents,
     evaluate_finite,
-    partial_det,
     partial_matrix,
     partial_pq,
     singularise,
@@ -26,6 +27,13 @@ from cfrow.gcf import (
 from cfrow.reals import rcf_digits
 
 from conftest import random_surd
+
+
+def partial_det(g: Gcf, m: int, n: int):
+    """det B_[m,n] = (-1)^(n-m+1) a_m ... a_n, from the entries of the
+    library's block loop; the empty range gives 1."""
+    p0, p1, q0, q1 = _block(g, m, n)
+    return _num(p0 * q1 - p1 * q0)
 
 
 def harmonic_gcf() -> Gcf:

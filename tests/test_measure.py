@@ -7,7 +7,7 @@ import pytest
 
 from cfrow import measure
 from cfrow.digits import Reader, fraction_digits
-from cfrow.errors import CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
+from cfrow.errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from cfrow.induced import RectRegion
 from cfrow.measure import (
     MeasureEstimate,
@@ -173,6 +173,14 @@ def test_quadrature_meets_its_error_bound(name, tol):
 def test_quadrature_past_its_piece_cap_raises():
     with pytest.raises(CapExceeded, match="after 2000 pieces"):
         measure_of(region_h1(), tol=1e-300, method="quadrature")
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_quadrature_refuses_a_tolerance_it_cannot_meet(monkeypatch, tol):
+    # refused before any piece is integrated, not at the piece cap
+    monkeypatch.setattr(measure, "_quadrature", None)
+    with pytest.raises(BadTolerance, match="not a finite float > 0"):
+        measure_of(region_h1(), tol=tol, method="quadrature")
 
 
 def test_quadrature_runs_without_scipy(monkeypatch):
