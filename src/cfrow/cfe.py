@@ -105,9 +105,8 @@ def cfe_convergents_report(res: CfeResult):
     a, b, c, d = 1, 0, 0, 1
     checked = 0
     for (P, Q), c_k, rec in zip(res.convergents(), res.scalars(), res.records):
-        A = rec.A
-        a, b, c, d = (a * A.a + b * A.c, a * A.b + b * A.d,
-                      c * A.a + d * A.c, c * A.b + d * A.d)
+        u, t, s, r = rec.u, rec.t, rec.s, rec.r
+        a, b, c, d = a * u + b * s, a * t + b * r, c * u + d * s, c * t + d * r
         if P != c_k * a or Q != c_k * c:
             raise MismatchAt(checked, f"({P},{Q}) != {c_k}*({a},{c})")
         if P * c != Q * a:  # Q = c_k s and s >= 1, so both are nonzero

@@ -137,17 +137,6 @@ def mobius_apply(m: Mat2Z, z: ExtRational) -> ExtRational:
     return Fraction(num, den)
 
 
-def mat_product(ms) -> Mat2Z:
-    """Left-to-right product of a nonempty sequence of matrices."""
-    ms = list(ms)
-    if not ms:
-        raise ValueError("empty matrix product")
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
-
-
 @dataclass(frozen=True)
 class RationalInterval:
     """Closed interval [lo, hi] with exact rational endpoints."""

@@ -20,8 +20,9 @@ inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
 asks `contains` once at the run's top-strip landing.  Only the x = 0
 line, where the run never ends, is walked one slow step at a time, as
 is every backward walk (A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) join
-A_R on the left there).  A walk keeps A_R as four plain integers; each
-record builds its one `Mat2Z` at the visit.
+A_R on the left there).  A walk keeps A_R as four plain integers, and
+its record keeps those four ints: `InducedRecord.A` builds the `Mat2Z`
+only when it is read.
 
 A region whose visits a forward walk decides from x alone
 (`Region.x_only`) is visited or not by x's digits only.  Every
@@ -48,7 +49,6 @@ symbolic map produces make digit-based membership agree with the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
@@ -90,36 +90,42 @@ class Region:
         return {"name": self.name, "altered": self.altered}
 
 
-@dataclass(frozen=True)
 class InducedRecord:
     """One induced step: return/hitting time N, the branch product
     A_R = A_eps1 ... A_epsN with entries ((u, t), (s, r)), and the
-    landing point."""
+    landing point.
 
-    N: int
-    A: Mat2Z
-    z_next: OmegaPoint
+    The entries are kept as four ints, u, t, s and r, and `A` builds
+    their `Mat2Z` when it is read.  Every construction checks s >= 1 and
+    0 <= u <= s (AssertionError).  Records compare by value, are not
+    hashable and are read-only by convention."""
 
-    def __post_init__(self):
-        u, s = self.A.a, self.A.c
+    __slots__ = ("N", "u", "t", "s", "r", "z_next")
+
+    def __new__(cls, N: int, A: Mat2Z, z_next: OmegaPoint):
+        return cls._of(N, A.a, A.b, A.c, A.d, z_next)
+
+    @classmethod
+    def _of(cls, N, u, t, s, r, z_next):
+        """The record of a walk's four entries, without a `Mat2Z`."""
         if not (s >= 1 and 0 <= u <= s):
             raise AssertionError(f"matrix entry bounds violated: u={u}, s={s}")
+        rec = object.__new__(cls)
+        rec.N, rec.u, rec.t, rec.s, rec.r, rec.z_next = N, u, t, s, r, z_next
+        return rec
 
     @property
-    def u(self):
-        return self.A.a
+    def A(self) -> Mat2Z:
+        return Mat2Z(self.u, self.t, self.s, self.r)
 
-    @property
-    def t(self):
-        return self.A.b
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.N, self.u, self.t, self.s, self.r, self.z_next)
+                == (other.N, other.u, other.t, other.s, other.r, other.z_next))
 
-    @property
-    def s(self):
-        return self.A.c
-
-    @property
-    def r(self):
-        return self.A.d
+    def __repr__(self):
+        return f"InducedRecord(N={self.N}, A={self.A!r}, z_next={self.z_next!r})"
 
 
 def hitting_time(region: Region, z: OmegaPoint, cap: int) -> int:
@@ -151,15 +157,15 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
             if a1 > 1:
                 k = first_in_run(cur, min(a1 - 1, cap - n))
                 if k is not None:  # A_R @ A0^k
-                    return InducedRecord(n + k, Mat2Z(a + k * b, b, c + k * d, d),
-                                         ito_jump(cur, k))
+                    return InducedRecord._of(n + k, a + k * b, b, c + k * d, d,
+                                             ito_jump(cur, k))
             n += a1
             if n > cap:
                 break
             a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
             cur = ito_jump(cur, a1)
         if contains(cur):
-            return InducedRecord(n, Mat2Z(a, b, c, d), cur)
+            return InducedRecord._of(n, a, b, c, d, cur)
         if n >= watch_from:
             # a region that reads only x: the walk from a repeated x-state
             # repeats, so no visit in between means none ever
@@ -234,7 +240,8 @@ def digit_pair(s_prev: int, rec: InducedRecord, nxt: InducedRecord):
     Every digit pair in the library comes from here; the shift space is
     the case s = 1 throughout.
     """
-    return -rec.A.det() * s_prev * nxt.s, rec.s * nxt.u + rec.r * nxt.s
+    return ((rec.t * rec.s - rec.u * rec.r) * s_prev * nxt.s,
+            rec.s * nxt.u + rec.r * nxt.s)
 
 
 def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
@@ -256,7 +263,7 @@ def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
             c, d = a + c, b + d  # A0 @ A_R
         cur = ito_backstep(cur)
         if contains(cur):
-            return InducedRecord(n, Mat2Z(a, b, c, d), z), cur
+            return InducedRecord._of(n, a, b, c, d, z), cur
     raise BackwardCapExceeded(
         f"no backward visit of {region.name} within {cap} steps"
     )

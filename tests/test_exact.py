@@ -1,4 +1,6 @@
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,12 +11,17 @@ from cfrow.exact import (
     INF,
     Mat2Z,
     RationalInterval,
-    mat_product,
     mobius_apply,
 )
 
 A0 = Mat2Z(1, 0, 1, 1)
 A1 = Mat2Z(0, 1, 1, 1)
+
+
+def mat_product(ms) -> Mat2Z:
+    """Left-to-right product of a nonempty sequence of matrices: the
+    oracle the products below are checked against."""
+    return reduce(operator.matmul, ms)
 
 
 def test_identity_action():

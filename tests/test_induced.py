@@ -99,6 +99,15 @@ def test_record_entry_bounds(rng):
             assert rec.s >= 1 and 0 <= rec.u <= rec.s
 
 
+@pytest.mark.parametrize("u, s", [(3, 2), (-1, 2), (0, 0), (1, 0)])
+def test_both_record_constructors_check_entry_bounds(u, s):
+    z = top(S2)
+    with pytest.raises(AssertionError, match="entry bounds"):
+        InducedRecord(1, Mat2Z(u, 1, s, 1), z)
+    with pytest.raises(AssertionError, match="entry bounds"):
+        InducedRecord._of(1, u, 1, s, 1, z)
+
+
 def test_products_top_strip_are_convergents(rng):
     h1 = region_h1()
     for _ in range(10):
@@ -440,6 +449,48 @@ def test_induced_matrices_equal_branch_folds_on_surd_points(rng, alpha):
         check_forward_fold(region, z, records)
         for rec in records[1:]:
             assert check_backward_fold(region, rec.z_next, 10**4).A == rec.A
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_record_entries_are_its_matrix(k):
+    # forward and backward records keep four ints, and A is their matrix
+    region = criterion4_regions()[k]
+    rng = random.Random(4200 + k)
+    for _ in range(4):
+        z = random_stream_point(rng)
+        records = induced_records(region, z, 4, 10**4)
+        back = [backward_induced_step(region, rec.z_next, 10**4)[0] for rec in records]
+        for rec in records + back:
+            entries = (rec.u, rec.t, rec.s, rec.r)
+            assert all(type(e) is int for e in entries)
+            assert rec.A == Mat2Z(*entries)
+            assert InducedRecord(rec.N, rec.A, rec.z_next) == rec
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_walks_from_equal_points_give_equal_records(k):
+    region = criterion4_regions()[k]
+    rng = random.Random(4300 + k)
+    for _ in range(4):
+        z = random_stream_point(rng)
+        records = induced_records(region, fresh(z), 4, 10**4)
+        again = induced_records(region, fresh(z), 4, 10**4)
+        assert outcomes(again) == outcomes(records)
+        # a record compares its landing by identity, as points compare
+        assert records != again
+        assert [InducedRecord(r.N, r.A, z) for r in again] == [
+            InducedRecord._of(r.N, r.u, r.t, r.s, r.r, z) for r in records]
+        # a backward record's landing is the point its walk started from
+        w = records[-1].z_next
+        assert backward_induced_step(region, w, 10**4)[0] == backward_induced_step(region, w, 10**4)[0]
+        # and each field counts
+        N, u, t, s, r, w = (getattr(records[0], f) for f in ("N", "u", "t", "s", "r", "z_next"))
+        rec = InducedRecord._of(N, u, t, s, r, w)
+        assert rec == records[0]
+        for other in ((N + 1, u, t, s, r, w), (N, u + 1 if u < s else u - 1, t, s, r, w),
+                      (N, u, t + 1, s, r, w), (N, u, t, s + 1, r, w), (N, u, t, s, r + 1, w),
+                      (N, u, t, s, r, z)):
+            assert InducedRecord._of(*other) != rec
 
 
 # -- partial-quotient runs against the slow map one step at a time --------
