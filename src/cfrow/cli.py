@@ -91,7 +91,12 @@ def _load_gcf(text: str) -> Gcf:
 
 def cmd_contract(args) -> int:
     g = _load_gcf(args.gcf)
-    idxs = [int(s) for s in args.plan.split(",") if s]
+    texts = args.plan.split(",")
+    if "" in texts:
+        # a skipped entry would contract along a plan other than the one written
+        raise CfrowError(
+            f"--plan {args.plan!r} has an empty entry at position {texts.index('') + 1}")
+    idxs = [int(s) for s in texts]
     plan = contraction.ContractionPlan(idxs)
     past = next((n for n in idxs if not g.has_pair(n)), None)
     if past is not None:
@@ -148,6 +153,8 @@ def cmd_orbit(args) -> int:
     y = parse_real(args.y)
     z = OmegaPoint.from_values(x, y)
     if args.space == "shift":
+        if args.region is None:
+            raise CfrowError("--space shift needs --region")
         region = region_from_spec(args.region)
         pts = tau_orbit(region, z, args.n - 1, args.cap)
         rows = [

@@ -32,7 +32,9 @@ whose cells (a1-k, 1+k) follow from a1.  So once a walk has gone
 NEVER_ENTERS_AFTER slow steps without a visit it watches x's recurrence
 state: a state that repeats with no visit in between proves the orbit
 never enters, and the walk raises NeverEnters, a CapExceeded, instead
-of walking on to the cap.
+of walking on to the cap.  An x-only region holds no point of the x = 0
+line (a cell needs a finite a1), where x stays 0, so a walk that reaches
+that line, as every rational x does, raises NeverEnters there at once.
 
 Multi-record readers read the records through `induced_orbit`, which
 keeps the records it walks on their start point, for the last region
@@ -68,7 +70,8 @@ class Region:
     altered: bool = False      # uses the top-edge-adjusted induced map
     unit_s: bool = False       # guarantees s_R(z) = 1 for z in R
     meets_y_zero: bool = False  # region intersects the y = 0 line
-    x_only: bool = False       # forward walks decide visits from x alone
+    x_only: bool = False       # forward walks decide visits from x alone;
+                               # no point of the x = 0 line is a member
     name: str = "region"
 
     def contains(self, z: OmegaPoint) -> bool:
@@ -150,6 +153,9 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     while n < cap:
         a1 = cur.xd.head()
         if a1 is INF:  # x = 0 line: one A0 step
+            if region.x_only:  # x stays 0, and no x-only region holds x = 0
+                raise NeverEnters(f"orbit never enters {region.name}: it has reached "
+                                  f"the x = 0 line after {n} steps")
             a, c = a + b, c + d
             n += 1
             cur = ito_step(cur)
@@ -172,7 +178,7 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
             if first is None:
                 first = state = tail_state(cur.xd, 0)
                 if first is None:
-                    watch_from = cap  # x is rational: it reaches the x = 0 line
+                    watch_from = cap  # x is rational: the x = 0 line ends the walk
             else:
                 state = surd_steps(state, (a1,))
                 if state == first:
@@ -351,27 +357,40 @@ class RectRegion(Region):
     """Finite union of closed rational rectangles, decided exactly by
     `digits.order`: the point's x and y digits are compared with each
     corner's canonical digits, so a point on an edge is decided too.
-    Corners outside [0, 1] are clamped to it, and a rectangle that misses
-    the unit square is dropped, since every point lies inside the square."""
+
+    The constructor normalises the rectangles once into `rects`, the one
+    list every reader reads: corners cast to Fraction, a degenerate
+    rectangle (x0 > x1 or y0 > y1) refused with ValueError, each
+    rectangle clamped to the unit square and dropped when it misses it,
+    since every point lies inside the square.  Membership, the y = 0
+    flag, `describe()` and every mass in `measure` read this list, so a
+    set gets one membership and one mass however its rectangles are
+    written."""
 
     def __init__(self, rects, name="rects"):
-        self.rects = [
+        rects = [
             (Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
             for (x0, x1, y0, y1) in rects
         ]
-        for x0, x1, y0, y1 in self.rects:
+        for x0, x1, y0, y1 in rects:
             if x0 > x1 or y0 > y1:
                 raise ValueError("degenerate rectangle")
-        self.name = name
-        self.meets_y_zero = any(y0 == 0 for _, _, y0, _ in self.rects)
-        self._corners = [
-            tuple(Reader(fraction_digits(min(max(v, 0), 1))) for v in r)
-            for r in self.rects
+        self.rects = [
+            tuple(Fraction(min(max(v, 0), 1)) for v in r)
+            for r in rects
             if r[0] <= 1 and r[1] >= 0 and r[2] <= 1 and r[3] >= 0
         ]
+        self.name = name
+        self.meets_y_zero = any(y0 == 0 for _, _, y0, _ in self.rects)
+        self._corners = [tuple(Reader(fraction_digits(v)) for v in r) for r in self.rects]
 
     def contains(self, z: OmegaPoint) -> bool:
-        x, y = Reader([], z.xd), Reader([], z.yd)
+        return self.contains_rational(Reader([], z.xd), Reader([], z.yd))
+
+    def contains_rational(self, x, y) -> bool:
+        """Membership of the point whose coordinates the readers x and y
+        read: `digits.Reader`s of a point's streams (`contains`) or the
+        Monte Carlo sampler's `digits.SnapReader`s."""
         for x0, x1, y0, y1 in self._corners:
             if order(x, x0) >= 0 and order(x, x1) <= 0 and order(y, y0) >= 0 and order(y, y1) <= 0:
                 return True

@@ -14,12 +14,16 @@ horizontal strips.
 Each sample is drawn in floats and snapped to the rational that
 `Fraction.limit_denominator(10**12)` gives, as a reader of its
 canonical digits (`digits.SnapReader`: one resumable integer Euclid
-loop per coordinate, started on its first read); membership pulls only
+loop per coordinate, started on its first read).  Monte Carlo asks the
+region's own reader membership, `contains_rational`, which pulls only
 the digits it needs from those readers, with no Fraction per sample.
 An alpha region reads y first and x only when its walker asks, so most
 samples never start x's loop.
 Cell and rectangle regions also take quadrature and Monte Carlo, as
-cross-checks of their closed form.  Quadrature is pure Python: a
+cross-checks of their closed form.  All three methods read one list of
+rectangles, clamped to the unit square (`induced.RectRegion.rects`, or
+a cell region's cells), and Monte Carlo samples the membership of the
+`RectRegion` of that list.  Quadrature is pure Python: a
 global adaptive tensor Gauss-Legendre rule of orders 6 and 12 (after
 Genz and Malik, J. Comput. Appl. Math. 6, 1980) integrates the density
 in both variables, splitting its worst piece until the estimated
@@ -39,7 +43,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import SnapReader, digits_fraction
+from .digits import SnapReader
 from .errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
@@ -263,12 +267,8 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
             y_min = min(y0 for _, _, y0, _ in rects)
             if y_min == 0:
                 raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
-
-            def in_rects(x, y):
-                fx, fy = digits_fraction(x.read_all()), digits_fraction(y.read_all())
-                return any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects)
-
-            return _strip_monte_carlo(y_min, in_rects, seed if seed is not None else 0, samples)
+            return _strip_monte_carlo(y_min, RectRegion(rects).contains_rational,
+                                      seed if seed is not None else 0, samples)
         return _quadrature(rects, tol)
     if isinstance(region, AlphaRegion):
         _require_method(region, method, ("monte-carlo",))

@@ -7,10 +7,12 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from cfrow.cli import build_parser, main
+from cfrow.measure import rect_mass_exact
 
 
 def run_cli(args, capsys):
@@ -104,6 +106,8 @@ def test_contract_prints_fraction_digits_as_strings(capsys):
         ["contract", "--gcf", '{"alpha":[1,null],"beta":[1,2]}', "--plan", "0"],
         ["entropy", "--region", '{"cells":[{"a":0,"b":1}]}'],
         ["cfe", "--region", '{"cells":[{"a":"x"}]}', "--x", "sqrt(2)-1"],
+        ["orbit", "--space", "shift", "--x", "sqrt(2)-1", "--n", "3"],
+        ["entropy", "--region", '{"rects":[{"x":["3/2","2"],"y":["1/3","1/2"]}]}'],
     ],
 )
 def test_malformed_library_input_exits_2(capsys, args):
@@ -150,12 +154,42 @@ def test_contract_plan_past_the_expansion_names_its_index(capsys, plan):
     assert err.strip() == "error: plan index 5 is past the expansion, which has 2 digit pairs"
 
 
+@pytest.mark.parametrize("plan,position", [("0,,2", 2), (",0", 1), ("0,", 2)])
+def test_contract_plan_with_an_empty_entry_exits_2(capsys, plan, position):
+    # a skipped entry would contract along a plan other than the one written
+    code, out, err = run_cli(
+        ["contract", "--gcf", '{"alpha":[1,2,3],"beta":[1,2,3]}', "--plan", plan], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: --plan {plan!r} has an empty entry at position {position}"
+
+
+def test_orbit_shift_without_a_region_names_the_missing_option(capsys):
+    code, out, err = run_cli(["orbit", "--space", "shift", "--x", "sqrt(2)-1"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: --space shift needs --region"
+
+
+def test_rectangle_partly_outside_the_square_has_its_clamped_mass(capsys):
+    spec = '{"rects":[{"x":["1/2","2"],"y":["1/3","1/2"]}]}'
+    want = rect_mass_exact(Fraction(1, 2), 1, Fraction(1, 3), Fraction(1, 2))  # its part inside
+    for method in ("exact", "quadrature", "monte-carlo"):
+        code, out, _ = run_cli(["entropy", "--region", spec, "--method", method,
+                                "--samples", "20000", "--seed", "3"], capsys)
+        obj = json.loads(out)
+        assert code == 0 and abs(obj["measure"] - want) <= obj["error_bound"]
+
+
 def test_cfe_on_a_region_the_orbit_never_enters_exits_early(capsys):
     for spec, name in (("v:2", "v2"), ("h:2", "h2")):
         t0 = time.perf_counter()
         code, out, err = run_cli(["cfe", "--region", spec, "--x", "g"], capsys)
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == "" and f"never enters {name}" in err
+    # a rational x reaches the x = 0 line, which no cell region holds
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["orbit", "--region", "h1", "--x", "1/3", "--n", "4"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == "" and "never enters h1" in err
 
 
 def test_malformed_input_subprocess_has_no_traceback():

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
 from cfrow.digits import ZERO_STREAM, from_digits
-from cfrow.errors import BackwardCapExceeded, CapExceeded, CfrowError, NeverEnters
+from cfrow.errors import BackwardCapExceeded, CapExceeded, CfrowError, NeverEnters, NonIntegrable
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0, A1, a_matrix
 from cfrow.gcf import partial_pq
@@ -23,6 +24,7 @@ from cfrow.induced import (
     induced_records,
     induced_step,
 )
+from cfrow.measure import measure_of, rect_mass_exact
 from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_jump, ito_step
 from cfrow.regions import (
     build_alpha_region,
@@ -293,8 +295,19 @@ def rect_points(rng):
             yield OmegaPoint.from_streams(folded, rcf_digits(rng.choice(inside)))
 
 
+def clamped(rects):
+    """The part of each rectangle inside the unit square, and none for a
+    rectangle that misses it."""
+    def clamp(v):
+        return min(max(v, Fraction(0)), Fraction(1))
+
+    return [(clamp(x0), clamp(x1), clamp(y0), clamp(y1)) for x0, x1, y0, y1 in rects
+            if x0 <= 1 and x1 >= 0 and y0 <= 1 and y1 >= 0]
+
+
 def test_rect_region_equals_enclosure_route(rng):
     seen = set()
+    masses = 0
     for _ in range(40):
         rects = []
         for _ in range(rng.randint(1, 3)):
@@ -304,9 +317,26 @@ def test_rect_region_equals_enclosure_route(rng):
         R = RectRegion(rects)
         for z in rect_points(rng):
             got = R.contains(z)
-            assert got == any(oracle_in_rect(z, r) for r in R.rects)
+            assert got == any(oracle_in_rect(z, r) for r in rects)
             seen.add(got)
+        # the region's one list is the clamped rectangles, and every mass
+        # is theirs: the exact one, and quadrature within its tolerance
+        inside = clamped(rects)
+        assert R.rects == inside
+        if any(x0 == 0 and y0 == 0 for x0, _, y0, _ in inside):
+            with pytest.raises(NonIntegrable, match="touches the origin"):
+                measure_of(R)
+        elif all(x0 == x1 or y0 == y1 for x0, x1, y0, y1 in inside):
+            with pytest.raises(NonIntegrable, match="zero area"):
+                measure_of(R)
+        else:
+            exact = measure_of(R, method="exact").value
+            assert exact == sum(rect_mass_exact(*r) for r in inside)
+            quad = measure_of(R, method="quadrature", tol=1e-8)
+            assert abs(quad.value - exact) <= quad.error_bound
+            masses += 1
     assert seen == {True, False}
+    assert masses >= 10
 
 
 def test_point_on_a_rational_edge_is_decided():
@@ -347,6 +377,33 @@ def test_x_only_region_that_is_never_entered_stops_early():
         induced_step(region_cell(3, 1), top(parse_real("sqrt(2)-1")), 10**6)
     x = surd_from_periodic_digits([1] * 40 + [2])
     assert induced_step(region_h(2), top(x), 10**6).N > 0
+
+
+def test_x_only_walk_on_the_x_zero_line_stops_at_once():
+    """A rational x reaches the x = 0 line, where x stays 0 and no cell
+    is a member: the walk raises NeverEnters there instead of walking
+    single slow steps to the cap."""
+    for region, z in ((region_h1(), top(Fraction(1, 3))), (region_v(2), top(Fraction(0)))):
+        start = time.perf_counter()
+        with pytest.raises(NeverEnters, match=region.name):
+            induced_step(region, z, 10**6)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_rect_region_reads_one_clamped_list():
+    """Equal sets written with different out-of-square corners are one
+    region: the same rectangles, description, y = 0 flag and d_R."""
+    third, quarter, half = Fraction(1, 3), Fraction(1, 4), Fraction(1, 2)
+    regions = [RectRegion([(quarter, third, y0, half)]) for y0 in (-1, 0)]
+    z = OmegaPoint.from_values(Fraction(1), Fraction(0))
+    for R in regions:
+        assert R.rects == [(quarter, third, 0, half)]
+        assert R.describe() == {"name": "rects", "rects": [["1/4", "1/3", "0", "1/2"]]}
+        assert R.meets_y_zero is True
+        assert d_map(R, z, 1000) == 2
+    outside = RectRegion([(Fraction(3, 2), 2, third, half), (-1, Fraction(-1, 2), 0, 1)])
+    assert outside.rects == [] and outside.meets_y_zero is False
+    assert not outside.contains(top(Fraction(1)))
 
 
 def test_cell_region_membership_from_digits():
@@ -561,7 +618,12 @@ def test_induced_step_equals_slow_map_loop(k):
         cur = z
         for _ in range(3):
             want = outcome(slow_induced_step, region, cur, 3000)
-            assert outcome(induced_step, region, cur, 3000) == want, (region.name, z)
+            got = outcome(induced_step, region, cur, 3000)
+            if got is NeverEnters and region.x_only:
+                # an x-only walk on the x = 0 line proves what the slow
+                # loop only finds at its cap
+                got = CapExceeded
+            assert got == want, (region.name, z)
             if isinstance(want, type):
                 break
             cur = induced_step(region, cur, 3000).z_next

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cfrow import measure
-from cfrow.digits import Reader, fraction_digits
+from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits
 from cfrow.errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
-from cfrow.induced import RectRegion
+from cfrow.induced import CellRegion, RectRegion
 from cfrow.measure import (
     MeasureEstimate,
     _alpha_window,
     _cell_rects,
     _gauss_legendre,
     _region_rects,
+    _strip_monte_carlo,
     _strip_sampler,
     empirical_denominator_growth,
     entropy_of,
@@ -346,6 +347,95 @@ def test_cell_monte_carlo_matches_reference_samples():
         est = measure_of(region, method="monte-carlo", seed=seed, samples=3000)
         assert est == reference_mc(hit, y_min, seed, 3000)
         assert 0 < est.value < measure_of(region_h(2)).value
+
+
+def fraction_in_rects(rects):
+    """The Fraction membership Monte Carlo sampled before it asked
+    `RectRegion.contains_rational`, kept as its oracle: both snaps read
+    to their ends and compared with the corners as Fractions."""
+    def in_rects(x, y):
+        fx, fy = digits_fraction(x.read_all()), digits_fraction(y.read_all())
+        return any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects)
+
+    return in_rects
+
+
+ORACLE_RECTS = [
+    _cell_rects(region_h1()),
+    _cell_rects(region_cell(3, 1)),
+    _cell_rects(CellRegion([(2, None), (None, 3), (4, 4)])),
+    [(Fraction(1, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))],
+    [(Fraction(1, 2), 1, Fraction(1, 2), 1), (Fraction(1, 101), Fraction(1, 100), 0, 1)],
+    [(0, Fraction(2, 5), Fraction(2, 3), 1),
+     (Fraction(1, 4), Fraction(3, 4), Fraction(1, 5), Fraction(1, 4))],
+]
+EDGES = [0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]  # snap to the corners
+
+
+def twin_snaps():
+    """Pairs of equal samples, one for each membership: 20 000 sampler
+    draws, then every pair of EDGES."""
+    sample = _strip_sampler(Fraction(1, 5))
+    rng, twin = random.Random(5), random.Random(5)
+    for _ in range(20_000):
+        yield sample(rng), sample(twin)
+    for u in EDGES:
+        for v in EDGES:
+            yield (SnapReader(u), SnapReader(v)), (SnapReader(u), SnapReader(v))
+
+
+def test_rect_reader_membership_equals_the_fraction_oracle():
+    regions = [RectRegion(rects) for rects in ORACLE_RECTS]
+    oracles = [fraction_in_rects(rects) for rects in ORACLE_RECTS]
+    seen = set()
+    for (x, y), (fx, fy) in twin_snaps():
+        for R, oracle in zip(regions, oracles):
+            got = R.contains_rational(x, y)
+            assert got == oracle(fx, fy)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+MC_ORACLE_REGIONS = {
+    "h1": region_h1(),
+    "h2": region_h(2),
+    "cell2,0": region_cell(2, 0),
+    "cell3,1": region_cell(3, 1),
+    "upper-right": QUADRATURE_REGIONS["upper-right"],
+    "thin-y": QUADRATURE_REGIONS["thin-y"],
+    "rect": _METHOD_REGIONS["rect"](),
+    "band": RectRegion([(0, 1, Fraction(1, 2), Fraction(3, 4))]),
+}
+
+
+@pytest.mark.parametrize("name", MC_ORACLE_REGIONS)
+def test_rect_monte_carlo_equals_the_fraction_oracle(name):
+    region = MC_ORACLE_REGIONS[name]
+    rects = _region_rects(region)
+    y_min = min(y0 for _, _, y0, _ in rects)
+    for seed in (2, 9):
+        est = measure_of(region, method="monte-carlo", seed=seed, samples=3000)
+        assert est == _strip_monte_carlo(y_min, fraction_in_rects(rects), seed, 3000)
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "quadrature", "monte-carlo"])
+def test_partly_outside_rectangle_has_the_mass_of_its_clamped_part(method):
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    want = rect_mass_exact(half, 1, third, half)
+    est = measure_of(RectRegion([(half, 2, third, half)]), method=method, seed=4, samples=20_000)
+    if method in ("auto", "exact"):
+        assert est.value == want
+    else:
+        assert abs(est.value - want) <= est.error_bound
+
+
+@pytest.mark.parametrize("method", ["auto", "exact", "exact-integral", "quadrature", "monte-carlo"])
+def test_rectangles_clamped_to_nothing_or_to_the_origin_are_not_integrable(method):
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    with pytest.raises(NonIntegrable, match="zero area"):  # wholly outside the square
+        measure_of(RectRegion([(Fraction(3, 2), 2, third, half)]), method=method)
+    with pytest.raises(NonIntegrable, match="touches the origin"):  # [-1, 1/2]^2
+        measure_of(RectRegion([(-1, half, -1, half)]), method=method)
 
 
 def test_alpha_window_is_exact():
