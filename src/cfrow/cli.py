@@ -89,14 +89,19 @@ def _load_gcf(text: str) -> Gcf:
     return Gcf.from_json(text)
 
 
+def _entries(flag: str, text: str) -> list:
+    """The comma-separated entries of `text`; an empty one, which would
+    shift what every later entry means, is refused (CfrowError)."""
+    entries = text.split(",")
+    if "" in entries:
+        raise CfrowError(
+            f"{flag} {text!r} has an empty entry at position {entries.index('') + 1}")
+    return entries
+
+
 def cmd_contract(args) -> int:
     g = _load_gcf(args.gcf)
-    texts = args.plan.split(",")
-    if "" in texts:
-        # a skipped entry would contract along a plan other than the one written
-        raise CfrowError(
-            f"--plan {args.plan!r} has an empty entry at position {texts.index('') + 1}")
-    idxs = [int(s) for s in texts]
+    idxs = [int(s) for s in _entries("--plan", args.plan)]
     plan = contraction.ContractionPlan(idxs)
     past = next((n for n in idxs if not g.has_pair(n)), None)
     if past is not None:
@@ -197,13 +202,9 @@ def cmd_region_info(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     from .regions import build_alpha_region
 
-    alphas = args.alphas.split(",")
-    if not any(alphas):
+    if not args.alphas.strip(","):
         raise CfrowError(f"--alphas {args.alphas!r} names no alpha")
-    if "" in alphas:
-        # a skipped entry would shift the seed of every later alpha
-        raise CfrowError(
-            f"--alphas {args.alphas!r} has an empty entry at position {alphas.index('') + 1}")
+    alphas = _entries("--alphas", args.alphas)
     seed = _seed(args)
     rows = []
     for i, atext in enumerate(alphas):

@@ -56,8 +56,8 @@ class CapExceeded(CfrowError):
 
 class NeverEnters(CapExceeded):
     """A forward walk proved it can never visit its region: the walk
-    decides visits from x alone (`Region.x_only`, every cell region) and
-    x's recurrence state repeated with no visit."""
+    decides visits from x alone (`Region.x_only`) and x's recurrence
+    state repeated with no visit, or it reached the x = 0 line."""
 
 
 class BackwardCapExceeded(CfrowError):

@@ -17,24 +17,25 @@ every other digit fixed, the Gauss map being the jump transformation of
 the Farey tent map.  `Region.first_in_run` names the first run point in
 the region, if any, and the walk applies A0^k = ((1,0),(k,1)) for a hit
 inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
-asks `contains` once at the run's top-strip landing.  Only the x = 0
-line, where the run never ends, is walked one slow step at a time, as
-is every backward walk (A0 = ((1,0),(1,1)) and A1 = ((0,1),(1,1)) join
-A_R on the left there).  A walk keeps A_R as four plain integers, and
-its record keeps those four ints: `InducedRecord.A` builds the `Mat2Z`
-only when it is read.
+asks `contains` once at the run's top-strip landing.  The x = 0 line is
+the run a1 = INF, which never ends: a None there ends the walk at once.
+Every backward walk moves one slow step at a time (A0 = ((1,0),(1,1))
+and A1 = ((0,1),(1,1)) join A_R on the left there).  A walk keeps A_R
+as four plain integers, and its record keeps those four ints:
+`InducedRecord.A` builds the `Mat2Z` only when it is read.
 
 A region whose visits a forward walk decides from x alone
 (`Region.x_only`) is visited or not by x's digits only.  Every
-`CellRegion` is one: past the start, the walk asks membership only at
-top-strip landings, where the head of y is 1, and along their runs,
-whose cells (a1-k, 1+k) follow from a1.  So once a walk has gone
-NEVER_ENTERS_AFTER slow steps without a visit it watches x's recurrence
-state: a state that repeats with no visit in between proves the orbit
-never enters, and the walk raises NeverEnters, a CapExceeded, instead
-of walking on to the cap.  An x-only region holds no point of the x = 0
-line (a cell needs a finite a1), where x stays 0, so a walk that reaches
-that line, as every rational x does, raises NeverEnters there at once.
+`CellRegion` is one, and so is an empty `RectRegion`.  Past the start, a
+cell walk asks membership only at top-strip landings, where the head of
+y is 1, and along their runs, whose cells (a1-k, 1+k) follow from a1.
+So once a walk has gone NEVER_ENTERS_AFTER slow steps without a visit
+it watches x's recurrence state: a state that repeats with no visit in
+between proves the orbit never enters, and the walk raises NeverEnters,
+a CapExceeded, instead of walking on to the cap.  An x-only region holds
+no point of the x = 0 line (a cell needs a finite a1), where x stays 0,
+so a walk that reaches that line, as every rational x does, raises
+NeverEnters there at once, without asking `first_in_run`.
 
 Multi-record readers read the records through `induced_orbit`, which
 keeps the records it walks on their start point, for the last region
@@ -79,10 +80,10 @@ class Region:
 
     def first_in_run(self, z: OmegaPoint, m: int):
         """The least k in 1..m whose run point, the k-th slow image
-        (a1-k, b1+k) of z, is in the region, or None; z's leading digit
-        a1 is finite and m < a1.  This default walks the slow map, so any
-        region is answered correctly; a region that can decide a whole
-        run at once overrides it, exactly."""
+        (a1-k, b1+k) of z, is in the region, or None; m < a1, and a1 is
+        INF on the x = 0 line, whose run never ends.  This default walks
+        the slow map, so any region is answered correctly; a region that
+        can decide a whole run at once overrides it, exactly."""
         for k in range(1, m + 1):
             z = ito_step(z)
             if self.contains(z):
@@ -144,32 +145,29 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     run per iteration (see the module docstring); the record's N counts
     slow steps all the same.
     """
-    contains, first_in_run = region.contains, region.first_in_run
+    contains, first_in_run, x_only = region.contains, region.first_in_run, region.x_only
     cur = z
     a, b, c, d = 1, 0, 0, 1
     n = 0
-    watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
+    watch_from = NEVER_ENTERS_AFTER if x_only else cap
     first = None
     while n < cap:
         a1 = cur.xd.head()
-        if a1 is INF:  # x = 0 line: one A0 step
-            if region.x_only:  # x stays 0, and no x-only region holds x = 0
+        if a1 > 1:
+            if a1 is INF and x_only:  # x stays 0, and no x-only region holds x = 0
                 raise NeverEnters(f"orbit never enters {region.name}: it has reached "
                                   f"the x = 0 line after {n} steps")
-            a, c = a + b, c + d
-            n += 1
-            cur = ito_step(cur)
-        else:
-            if a1 > 1:
-                k = first_in_run(cur, min(a1 - 1, cap - n))
-                if k is not None:  # A_R @ A0^k
-                    return InducedRecord._of(n + k, a + k * b, b, c + k * d, d,
-                                             ito_jump(cur, k))
-            n += a1
-            if n > cap:
+            k = first_in_run(cur, min(a1 - 1, cap - n))
+            if k is not None:  # A_R @ A0^k
+                return InducedRecord._of(n + k, a + k * b, b, c + k * d, d,
+                                         ito_jump(cur, k))
+            if a1 is INF:  # the x = 0 line: a run without end, and no visit in reach
                 break
-            a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
-            cur = ito_jump(cur, a1)
+        n += a1
+        if n > cap:
+            break
+        a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
+        cur = ito_jump(cur, a1)
         if contains(cur):
             return InducedRecord._of(n, a, b, c, d, cur)
         if n >= watch_from:
@@ -335,7 +333,7 @@ class CellRegion(Region):
     def first_in_run(self, z: OmegaPoint, m: int):
         """Solves a1 - k = ca and b1 + k = cb per cell."""
         a1, b1 = z.xd.head(), z.yd.head()
-        if b1 is INF:
+        if a1 is INF or b1 is INF:
             return None
         best = None
         for ca, cb in self.cells:
@@ -382,6 +380,7 @@ class RectRegion(Region):
         ]
         self.name = name
         self.meets_y_zero = any(y0 == 0 for _, _, y0, _ in self.rects)
+        self.x_only = not self.rects  # no member: no visit, whatever x is
         self._corners = [tuple(Reader(fraction_digits(v)) for v in r) for r in self.rects]
 
     def contains(self, z: OmegaPoint) -> bool:

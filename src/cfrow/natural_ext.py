@@ -45,7 +45,6 @@ from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
 
 # Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
 _ID = (1, 0, 0, 1)
-_A0 = (1, 0, 1, 1)
 _A0_INV = (1, 0, -1, 1)
 _A1_INV = (-1, 1, 1, 0)
 
@@ -176,24 +175,24 @@ class OmegaPoint:
 
 
 def ito_step(z: OmegaPoint) -> OmegaPoint:
-    """One step of the slow planar map, symbolically."""
-    if z.xd.head() is INF:
-        # x = 0 line: x fixed, y |-> y/(1+y), i.e. leading y-digit bumps
-        return z._moved(z.xd, Cons(z.yd.head() + 1, z.yd.tail()), _A0, _A0)
+    """One step of the slow planar map, symbolically: `ito_jump(z, 1)`."""
     return ito_jump(z, 1)
 
 
 def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
-    """k slow steps inside z's partial quotient a1 as one move, for a
-    finite a1 and 1 <= k <= a1.  The steps walk the cells (a1-k, b1+k)
-    with every other digit fixed, so for k < a1 they are A0^k =
-    ((1,0),(k,1)) on both coordinates; the whole run k = a1 moves x by
-    A0^(a1-1) A1 = ((0,1),(1,a1)) and y by A1 A0^(a1-1) = ((a1-1,1),(a1,1))
-    and lands in the top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...])."""
+    """k slow steps inside z's partial quotient a1 as one move, for
+    1 <= k <= a1.  The steps walk the cells (a1-k, b1+k) with every
+    other digit fixed, so for k < a1 they are A0^k = ((1,0),(k,1)) on
+    both coordinates; the whole run k = a1 moves x by A0^(a1-1) A1 =
+    ((0,1),(1,a1)) and y by A1 A0^(a1-1) = ((a1-1,1),(a1,1)) and lands in
+    the top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...]).  On the x = 0
+    line a1 = INF: the run never ends, x's stream stays as it is and
+    y's head grows by k (y |-> y/(1+ky))."""
     a1, b1 = z.xd.head(), z.yd.head()
     if k < a1:
         c = (1, 0, k, 1)
-        return z._moved(Cons(a1 - k, z.xd.tail()), Cons(b1 + k, z.yd.tail()), c, c)
+        xd = z.xd if a1 is INF else Cons(a1 - k, z.xd.tail())
+        return z._moved(xd, Cons(b1 + k, z.yd.tail()), c, c)
     yd = z.yd if a1 == 1 else Cons(b1 + a1 - 1, z.yd.tail())
     return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1), (a1 - 1, 1, a1, 1))
 

@@ -291,20 +291,20 @@ class AlphaRegion(Region):
     def contains(self, z: OmegaPoint) -> bool:
         if z.yd.head() == 1:
             return self._odd_depth(Reader([], z.xd), Reader([], z.yd))
-        return z.xd.head() is not INF and self._run_member(z)
+        return self._run_member(z)
 
     def first_in_run(self, z: OmegaPoint, m: int):
         return 1 if self._run_member(z) else None
 
     def _run_member(self, z: OmegaPoint) -> bool:
         """Membership of the points (a1-k, b1+k) of z's run that lie
-        below the top strip, k = 0 included when b1 >= 2; a1 is finite.
-        It is one answer for all of them: each slides back to the same
-        c = a1+b1-1 with both tails fixed."""
-        b1 = z.yd.head()
-        if b1 is INF or not self.slides:
+        below the top strip, k = 0 included when b1 >= 2, and none on the
+        x = 0 line (a1 = INF).  It is one answer for all of them: each
+        slides back to the same c = a1+b1-1 with both tails fixed."""
+        a1, b1 = z.xd.head(), z.yd.head()
+        if a1 is INF or b1 is INF or not self.slides:
             return False
-        c = z.xd.head() + b1 - 1
+        c = a1 + b1 - 1
         return self._slid(c, Reader([c], z.xd), Reader([], z.yd))
 
     def contains_rational(self, x, y) -> bool:

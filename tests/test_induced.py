@@ -390,6 +390,43 @@ def test_x_only_walk_on_the_x_zero_line_stops_at_once():
         assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("region", [
+    build_alpha_region(Fraction(1, 4)),
+    build_alpha_region(Fraction(1, 2)),
+    build_alpha_region(G),
+    build_s_expansion_region([(Fraction(1, 2), 1, 0, Fraction(1, 2))]),
+], ids=["alpha:1/4", "alpha:1/2", "alpha:g", "s-expansion"])
+@pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(1, 2)])
+def test_walk_on_the_x_zero_line_below_the_top_strip_fails_at_once(region, x):
+    """A rational x reaches the x = 0 line, whose run never ends and
+    lies below the top strip, where no alpha or S-expansion region has a
+    member: a walk raises its own CapExceeded there at once instead of
+    walking single slow steps to the cap."""
+    z = top(x)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded) as info:
+        for _ in range(4):  # x's run and the line's top-strip point may hold visits
+            z = induced_step(region, z, 10**6).z_next
+    assert time.perf_counter() - start < 0.5
+    assert type(info.value) is CapExceeded
+    assert str(info.value) == f"orbit did not enter {region.name} within 1000000 steps"
+
+
+def test_empty_rect_region_is_never_entered():
+    """A rectangle region with none of its rectangles in the unit square
+    has no member: an irrational x's walk stops at a repeated x-state, a
+    rational x's at the x = 0 line, not at the cap."""
+    empty = RectRegion([(Fraction(3, 2), 2, Fraction(1, 3), Fraction(1, 2))])
+    assert empty.rects == [] and empty.x_only
+    for z, why in ((top(G), "x-state repeats"), (top(Fraction(1, 3)), "x = 0 line")):
+        start = time.perf_counter()
+        with pytest.raises(NeverEnters, match=why):
+            induced_step(empty, z, 10**6)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(NonIntegrable):
+        measure_of(empty)
+
+
 def test_rect_region_reads_one_clamped_list():
     """Equal sets written with different out-of-square corners are one
     region: the same rectangles, description, y = 0 flag and d_R."""
@@ -635,9 +672,10 @@ def test_first_in_run_equals_the_default_walk(k):
     rng = random.Random(9200 + k)
     for z in oracle_points(rng):
         a1 = z.xd.head()
-        if a1 is INF or a1 == 1:
+        if a1 == 1:
             continue
-        for m in sorted({1, a1 // 2, a1 - 1}):
+        # the x = 0 line is the run a1 = INF, which never ends
+        for m in (1, 7, 60) if a1 is INF else sorted({1, a1 // 2, a1 - 1}):
             try:
                 want = Region.first_in_run(region, z, m)
             except CfrowError as exc:
