@@ -55,9 +55,10 @@ class CapExceeded(CfrowError):
 
 
 class NeverEnters(CapExceeded):
-    """A forward walk proved it can never visit its region: the walk
-    decides visits from x alone (`Region.x_only`) and x's recurrence
-    state repeated with no visit, or it reached the x = 0 line."""
+    """A forward walk proved it can never visit its region: x's
+    recurrence state repeated with no visit (`Region.x_only`), or it
+    reached the x = 0 line, which the region misses
+    (`Region.meets_x_zero`).  A backward walk answers None for it."""
 
 
 class BackwardCapExceeded(CfrowError):

@@ -100,9 +100,6 @@ class Mat2Z:
 
     __rmul__ = __mul__
 
-    def transpose(self) -> "Mat2Z":
-        return Mat2Z(self.a, self.c, self.b, self.d)
-
     def adjugate(self) -> "Mat2Z":
         """Unscaled inverse: M @ M.adjugate() == det(M) * I.
 

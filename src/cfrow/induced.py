@@ -4,12 +4,12 @@ A Region answers membership for symbolic points, exactly: unions of
 digit cells from leading digits, unions of rectangles by comparing the
 point's digits with each corner's (`digits.order`, so a point on an edge
 is decided too), and the regions of `regions` through their own
-walkers.  The induced engine walks the slow map,
-accumulates the branch-matrix product A_R between visits, and exposes
-hitting times, induced steps, accumulated products and the three
-integer digit maps built from consecutive matrices.  The digit-pair
-formula lives in one place, `digit_pair`; the CFE route, the digit maps
-and the shift space all read their digits through it.
+walkers.  The induced engine walks the slow map, accumulates the
+branch-matrix product A_R between visits, and exposes hitting times,
+induced steps, accumulated products and the three integer digit maps
+built from consecutive matrices.  The digit-pair formula lives in one
+place, `digit_pair`; the CFE route, the digit maps and the shift space
+all read their digits through it.
 
 The forward walk moves one partial-quotient run at a time: inside the
 partial quotient a1 the slow orbit walks the cells (a1-k, b1+k) with
@@ -19,22 +19,21 @@ the region, if any, and the walk applies A0^k = ((1,0),(k,1)) for a hit
 inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
 asks `contains` once at the run's top-strip landing.  The x = 0 line is
 the run a1 = INF, which never ends: a None there ends the walk at once.
-Every backward walk moves one slow step at a time (A0 = ((1,0),(1,1))
-and A1 = ((0,1),(1,1)) join A_R on the left there).  A walk keeps A_R
-as four plain integers, and its record keeps those four ints:
-`InducedRecord.A` builds the `Mat2Z` only when it is read.
+A walk keeps A_R as four ints, and so does its record (`InducedRecord.A`
+builds the `Mat2Z` when read).  A backward walk is the forward walk of
+the mirrored point (`backward_induced_step`).
 
 A region whose visits a forward walk decides from x alone
-(`Region.x_only`) is visited or not by x's digits only.  Every
-`CellRegion` is one, and so is an empty `RectRegion`.  Past the start, a
-cell walk asks membership only at top-strip landings, where the head of
-y is 1, and along their runs, whose cells (a1-k, 1+k) follow from a1.
-So once a walk has gone NEVER_ENTERS_AFTER slow steps without a visit
-it watches x's recurrence state: a state that repeats with no visit in
-between proves the orbit never enters, and the walk raises NeverEnters,
-a CapExceeded, instead of walking on to the cap.  An x-only region holds
-no point of the x = 0 line (a cell needs a finite a1), where x stays 0,
-so a walk that reaches that line, as every rational x does, raises
+(`Region.x_only`: every `CellRegion`, and an empty `RectRegion`) is
+visited or not by x's digits only: past the start, a cell walk asks
+membership only at top-strip landings, where y's head is 1, and along
+their runs, whose cells (a1-k, 1+k) follow from a1.  Once such a walk
+has gone NEVER_ENTERS_AFTER slow steps without a visit it watches x's
+recurrence state: a state that repeats with no visit in between proves
+the orbit never enters, and the walk raises NeverEnters, a CapExceeded,
+instead of walking on to the cap.  A walk that reaches the x = 0 line,
+where x stays 0, in a region that holds no point of it
+(`Region.meets_x_zero` False: a cell needs a finite a1) raises
 NeverEnters there at once, without asking `first_in_run`.
 
 Multi-record readers read the records through `induced_orbit`, which
@@ -58,7 +57,7 @@ from itertools import islice
 from .digits import Reader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
 from .exact import INF, IDENTITY, Mat2Z
-from .natural_ext import OmegaPoint, ito_backstep, ito_jump, ito_step
+from .natural_ext import OmegaPoint, ito_jump, ito_step
 
 
 # slow steps without a visit before an x-only walk watches for a repeated x-state
@@ -70,13 +69,16 @@ class Region:
 
     altered: bool = False      # uses the top-edge-adjusted induced map
     unit_s: bool = False       # guarantees s_R(z) = 1 for z in R
-    meets_y_zero: bool = False  # region intersects the y = 0 line
-    x_only: bool = False       # forward walks decide visits from x alone;
-                               # no point of the x = 0 line is a member
+    meets_x_zero: bool = True  # False: no point of the x = 0 line is a member
+    x_only: bool = False       # forward walks decide visits from x alone
     name: str = "region"
 
     def contains(self, z: OmegaPoint) -> bool:
         raise NotImplementedError
+
+    def mirrored(self) -> "Region":
+        """{(y, x) : (x, y) in the region}; by default a `_Mirrored`."""
+        return _Mirrored(self)
 
     def first_in_run(self, z: OmegaPoint, m: int):
         """The least k in 1..m whose run point, the k-th slow image
@@ -97,9 +99,7 @@ class Region:
 class InducedRecord:
     """One induced step: return/hitting time N, the branch product
     A_R = A_eps1 ... A_epsN with entries ((u, t), (s, r)), and the
-    landing point.
-
-    The entries are kept as four ints, u, t, s and r, and `A` builds
+    landing point.  The entries are kept as four ints, and `A` builds
     their `Mat2Z` when it is read.  Every construction checks s >= 1 and
     0 <= u <= s (AssertionError).  Records compare by value, are not
     hashable and are read-only by convention."""
@@ -145,16 +145,16 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     run per iteration (see the module docstring); the record's N counts
     slow steps all the same.
     """
-    contains, first_in_run, x_only = region.contains, region.first_in_run, region.x_only
+    contains, first_in_run = region.contains, region.first_in_run
     cur = z
     a, b, c, d = 1, 0, 0, 1
     n = 0
-    watch_from = NEVER_ENTERS_AFTER if x_only else cap
+    watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
     first = None
     while n < cap:
         a1 = cur.xd.head()
         if a1 > 1:
-            if a1 is INF and x_only:  # x stays 0, and no x-only region holds x = 0
+            if a1 is INF and not region.meets_x_zero:  # x stays 0 off the region
                 raise NeverEnters(f"orbit never enters {region.name}: it has reached "
                                   f"the x = 0 line after {n} steps")
             k = first_in_run(cur, min(a1 - 1, cap - n))
@@ -250,33 +250,25 @@ def digit_pair(s_prev: int, rec: InducedRecord, nxt: InducedRecord):
 
 def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
     """Preimage under the induced map: (record, z_prev), or None when the
-    backward orbit certifiably never visits the region (it is stuck on
-    the y = 0 line and the region avoids it)."""
-    contains = region.contains
-    cur = z
-    a, b, c, d = 1, 0, 0, 1
-    for n in range(1, cap + 1):
-        b1 = cur.yd.head()
-        if b1 is INF and not region.meets_y_zero:
-            return None
-        # the step back undoes a forward step with branch digit [b1 == 1],
-        # whose matrix joins A_R on the left
-        if b1 == 1:
-            a, b, c, d = c, d, a + c, b + d  # A1 @ A_R
-        else:
-            c, d = a + c, b + d  # A0 @ A_R
-        cur = ito_backstep(cur)
-        if contains(cur):
-            return InducedRecord._of(n, a, b, c, d, z), cur
-    raise BackwardCapExceeded(
-        f"no backward visit of {region.name} within {cap} steps"
-    )
+    backward orbit certifiably never visits the region: the forward walk
+    of sigma z = (y, x) through the mirrored region, T^-1 being sigma T
+    sigma, with None for its NeverEnters.  Its product M = ((u, t), (s, r))
+    folds the branch matrices backwards; A1 is symmetric and A1 A0^T A1^-1
+    = A0, so A_R = A1 M^T A1^-1 = ((r-t, t), (s+r-u-t, u+t))."""
+    try:
+        rec = induced_step(region.mirrored(), z.mirrored(), cap)
+    except NeverEnters:
+        return None
+    except CapExceeded:
+        raise BackwardCapExceeded(f"no backward visit of {region.name} within {cap} steps") from None
+    u, t, s, r = rec.u, rec.t, rec.s, rec.r
+    return InducedRecord._of(rec.N, r - t, t, s + r - u - t, u + t, z), rec.z_next.mirrored()
 
 
 def d_map(region: Region, z: OmegaPoint, cap: int) -> int:
-    """s-entry of the matrix at the induced preimage; 1 when the
-    preimage provably does not exist.  A backward walk that reaches
-    `cap` raises BackwardCapExceeded."""
+    """s-entry of the matrix at the induced preimage; 1 when there is
+    provably none (the y = 0 line off the region, or a repeated y-state);
+    BackwardCapExceeded at `cap`."""
     back = backward_induced_step(region, z, cap)
     return 1 if back is None else back[0].s
 
@@ -289,13 +281,27 @@ def digit_maps(region: Region, z: OmegaPoint, cap: int):
     return (d,) + digit_pair(d, rec0, rec1)
 
 
+class _Mirrored(Region):
+    """The mirror of a region: it swaps each point it is asked about."""
+
+    meets_x_zero = False
+
+    def __init__(self, region: Region):
+        self.region, self.name = region, region.name
+
+    def contains(self, z: OmegaPoint) -> bool:
+        return self.region.contains(z.mirrored())
+
+
 class OmegaRegion(Region):
-    meets_y_zero = True
     unit_s = True
     name = "omega"
 
     def contains(self, z: OmegaPoint) -> bool:
         return True
+
+    def mirrored(self) -> Region:
+        return self
 
     def first_in_run(self, z: OmegaPoint, m: int):
         return 1
@@ -310,6 +316,7 @@ class CellRegion(Region):
     """
 
     x_only = True  # y's head is 1 at every landing
+    meets_x_zero = False
 
     def __init__(self, cells, name="cells", altered=False):
         self.cells = [tuple(c) for c in cells]
@@ -329,6 +336,9 @@ class CellRegion(Region):
             if (ca is None or ca == a) and (cb is None or cb == b):
                 return True
         return False
+
+    def mirrored(self) -> Region:
+        return CellRegion([(b, a) for a, b in self.cells], self.name, self.altered)
 
     def first_in_run(self, z: OmegaPoint, m: int):
         """Solves a1 - k = ca and b1 + k = cb per cell."""
@@ -360,7 +370,7 @@ class RectRegion(Region):
     list every reader reads: corners cast to Fraction, a degenerate
     rectangle (x0 > x1 or y0 > y1) refused with ValueError, each
     rectangle clamped to the unit square and dropped when it misses it,
-    since every point lies inside the square.  Membership, the y = 0
+    since every point lies inside the square.  Membership, the x = 0
     flag, `describe()` and every mass in `measure` read this list, so a
     set gets one membership and one mass however its rectangles are
     written."""
@@ -379,9 +389,12 @@ class RectRegion(Region):
             if r[0] <= 1 and r[1] >= 0 and r[2] <= 1 and r[3] >= 0
         ]
         self.name = name
-        self.meets_y_zero = any(y0 == 0 for _, _, y0, _ in self.rects)
+        self.meets_x_zero = any(x0 == 0 for x0, _, _, _ in self.rects)
         self.x_only = not self.rects  # no member: no visit, whatever x is
         self._corners = [tuple(Reader(fraction_digits(v)) for v in r) for r in self.rects]
+
+    def mirrored(self) -> Region:
+        return RectRegion([(y0, y1, x0, x1) for x0, x1, y0, y1 in self.rects], self.name)
 
     def contains(self, z: OmegaPoint) -> bool:
         return self.contains_rational(Reader([], z.xd), Reader([], z.yd))

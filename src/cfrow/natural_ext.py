@@ -15,8 +15,8 @@ probability density 1/(log2 (1+xy)^2).
 
 Exact coordinate values (Fraction or Surd) are optional and lazy.  Every
 step moves the point by one integer branch matrix C: the slow map's
-A0 = ((1,0),(1,1)) or A1 = ((0,1),(1,1)), their inverses for the
-backward step, and ((0,1),(1,a1)) for the fast map.  It acts as
+A0 = ((1,0),(1,1)) or A1 = ((0,1),(1,1)), and ((0,1),(1,a1)) for the
+fast map.  It acts as
 
     x' = C^-1 . x,      y' = C . y,
 
@@ -26,10 +26,10 @@ with y = Q . y0, updated by P' = P C and Q' = C Q.  Over moves
 C1, ..., Ck the two products grow in opposite orders, P by C1...Ck and
 Q by Ck...C1, so `ito_jump`, which takes the slow steps of one
 partial-quotient run as one move, hands `_moved` one matrix per
-coordinate.
-A move is then a digit edit plus two 2x2 integer products; no Fraction
-or Surd is built until `x_val` or `y_val` is read, which applies the
-product once and caches the value.
+coordinate.  A move is then a digit edit plus two 2x2 integer products;
+no Fraction or Surd is built until `x_val` or `y_val` is read, which
+applies the product once and caches the value.  The slow map's inverse
+is the map seen through the swap (x, y) -> (y, x), `OmegaPoint.mirrored`.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
 
 # Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
 _ID = (1, 0, 0, 1)
-_A0_INV = (1, 0, -1, 1)
-_A1_INV = (-1, 1, 1, 0)
 
 _PENDING = object()  # value not yet computed from the base value
 
@@ -157,6 +155,15 @@ class OmegaPoint:
                 w._y0, w._qy = y, cy
         return w
 
+    def mirrored(self) -> "OmegaPoint":
+        """The point (y, x), its values unread: P and Q become Q^-1 and P^-1."""
+        w = OmegaPoint.__new__(OmegaPoint)
+        w.xd, w.yd, w._x0, w._y0, w._x, w._y = self.yd, self.xd, self._y0, self._x0, self._y, self._x
+        a, b, c, d = self._px if self._x is not None else _ID
+        e, f, g, h = self._qy if self._y is not None else _ID
+        w._px, w._qy, w._orbit = (h, -f, -g, e), (d, -b, -c, a), None  # adjugates
+        return w
+
     def cell(self) -> CellIndex:
         return CellIndex(self.xd.head(), self.yd.head())
 
@@ -198,16 +205,8 @@ def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:
-    """The inverse step; total on the symbolic representation."""
-    b1 = z.yd.head()
-    if b1 == 1:
-        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV, _A1_INV)
-    a1 = z.xd.head()
-    xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
-    if b1 is INF:
-        # y = 0 line: x |-> x/(1+x) keeps y at 0
-        return z._moved(xd, z.yd, _A0_INV, _A0_INV)
-    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV, _A0_INV)
+    """The inverse step, the forward step of the mirrored point."""
+    return ito_step(z.mirrored()).mirrored()
 
 
 def epsilon_of(z: OmegaPoint) -> int:

@@ -133,9 +133,9 @@ def bilateral_digits(region: Region, z: OmegaPoint, m: int, n: int, cap: int = 1
 
     future[k] = (alpha, beta) at the k-th forward induced image of z,
     k = 0..n; past[k] the same at the (k+1)-st backward image,
-    k = 0..m-1.  When the backward orbit certifiably never visits the
-    region again (stuck on the bottom edge), the past is truncated
-    there; an empty past encodes the all-zero tail Y = 0.
+    k = 0..m-1.  Where the backward orbit certifiably never visits the
+    region again (it meets the y = 0 line off it, or its y-state
+    repeats), the past stops; an empty past encodes Y = 0.
     """
     _require_unit_s(region)
     recs = induced_records(region, z, n + 2, cap)

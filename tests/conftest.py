@@ -102,6 +102,79 @@ def assert_as_checked(g, n: int, ints: bool = True):
         assert all(type(a) is int and type(b) is int for a, b in g._buf)
 
 
+def transpose(m):
+    """The transpose of a `Mat2Z`."""
+    from cfrow.exact import Mat2Z
+
+    return Mat2Z(m.a, m.c, m.b, m.d)
+
+
+# -- the backward slow map and induced step, walked one slow step at a time --
+# Independent oracles of `ito_backstep` and `backward_induced_step`, which
+# walk the mirrored point forward: neither reads `mirrored`.
+
+_A0_INV = (1, 0, -1, 1)
+_A1_INV = (-1, 1, 1, 0)
+
+
+def backstep_by_digits(z):
+    """The inverse slow step by its three digit cases: b1 = 1 undoes an
+    A1 step, any other b1 an A0 step, and on the y = 0 line (b1 = INF)
+    x |-> x/(1+x) keeps y at 0."""
+    from cfrow.digits import Cons
+    from cfrow.exact import INF
+
+    b1 = z.yd.head()
+    if b1 == 1:
+        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV, _A1_INV)
+    a1 = z.xd.head()
+    xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
+    if b1 is INF:
+        return z._moved(xd, z.yd, _A0_INV, _A0_INV)
+    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV, _A0_INV)
+
+
+def meets_y_zero(region) -> bool:
+    """Does the region hold a point of the y = 0 line?  Read off each
+    class's own membership: omega holds all of it, a rectangle set holds
+    it where a rectangle reaches y = 0, and no cell, alpha or S-expansion
+    region does, as each of their members has a finite b1."""
+    from cfrow.induced import OmegaRegion, RectRegion
+
+    if isinstance(region, OmegaRegion):
+        return True
+    if isinstance(region, RectRegion):
+        return any(y0 == 0 for _, _, y0, _ in region.rects)
+    return False
+
+
+def slow_backward_induced_step(region, z, cap):
+    """`backward_induced_step` by the slow backward map, one step at a
+    time: (record, z_prev), None once the walk stands on the y = 0 line
+    of a region that misses it, or BackwardCapExceeded after `cap` steps.
+    Each step back undoes a forward step with branch digit [b1 == 1],
+    whose matrix joins A_R on the left."""
+    from cfrow.errors import BackwardCapExceeded
+    from cfrow.exact import INF
+    from cfrow.induced import InducedRecord
+
+    meets = meets_y_zero(region)
+    cur = z
+    a, b, c, d = 1, 0, 0, 1
+    for n in range(1, cap + 1):
+        b1 = cur.yd.head()
+        if b1 is INF and not meets:
+            return None
+        if b1 == 1:
+            a, b, c, d = c, d, a + c, b + d  # A1 @ A_R
+        else:
+            c, d = a + c, b + d  # A0 @ A_R
+        cur = backstep_by_digits(cur)
+        if region.contains(cur):
+            return InducedRecord._of(n, a, b, c, d, z), cur
+    raise BackwardCapExceeded(f"no backward visit of {region.name} within {cap} steps")
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

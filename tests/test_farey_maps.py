@@ -25,7 +25,7 @@ from cfrow.farey_maps import (
 from cfrow.gcf import convergents, validate_srcf
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
-from conftest import assert_as_checked, random_stream_digits, random_surd
+from conftest import assert_as_checked, random_stream_digits, random_surd, transpose
 
 G = golden_fraction()
 S2 = parse_real("sqrt(2)-1")
@@ -222,7 +222,7 @@ def test_conjugation_identity(rng):
         for n in (1, 2, 5, 12):
             f = a_matrix_forward(x, n)
             b = a_matrix_backward(x, n)
-            assert A1 @ f.transpose() == b @ A1
+            assert A1 @ transpose(f) == b @ A1
 
 
 def test_farey_convergents_examples():

@@ -25,7 +25,7 @@ from cfrow.induced import (
     induced_step,
 )
 from cfrow.measure import measure_of, rect_mass_exact
-from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_backstep, ito_jump, ito_step
+from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_jump, ito_step
 from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
@@ -38,7 +38,15 @@ from cfrow.regions import (
 )
 from cfrow.reals import golden_fraction, parse_real, rcf_digits
 
-from conftest import random_rich_surd, random_surd, random_surd_with_digit, surd_from_periodic_digits
+from conftest import (
+    backstep_by_digits,
+    meets_y_zero,
+    random_rich_surd,
+    random_surd,
+    random_surd_with_digit,
+    slow_backward_induced_step,
+    surd_from_periodic_digits,
+)
 
 S2 = parse_real("sqrt(2)-1")
 G = golden_fraction()
@@ -242,7 +250,7 @@ def test_rect_region_membership_refines():
     assert R.contains(inside)
     assert not R.contains(outside)
     assert R.contains(irr)  # 0.414 in [1/3, 1/2]
-    assert R.meets_y_zero is False
+    assert R.mirrored().meets_x_zero is False
 
 
 def _interval_vs_range(iv, lo, hi):
@@ -436,10 +444,10 @@ def test_rect_region_reads_one_clamped_list():
     for R in regions:
         assert R.rects == [(quarter, third, 0, half)]
         assert R.describe() == {"name": "rects", "rects": [["1/4", "1/3", "0", "1/2"]]}
-        assert R.meets_y_zero is True
+        assert R.mirrored().meets_x_zero is True
         assert d_map(R, z, 1000) == 2
     outside = RectRegion([(Fraction(3, 2), 2, third, half), (-1, Fraction(-1, 2), 0, 1)])
-    assert outside.rects == [] and outside.meets_y_zero is False
+    assert outside.rects == [] and outside.mirrored().meets_x_zero is False
     assert not outside.contains(top(Fraction(1)))
 
 
@@ -508,7 +516,7 @@ def check_backward_fold(region, z, cap):
     rec, prev = back
     path = [z]
     for _ in range(rec.N):
-        path.append(ito_backstep(path[-1]))
+        path.append(backstep_by_digits(path[-1]))
     assert all(not region.contains(p) for p in path[1:-1])
     assert region.contains(path[-1])
     mat = Mat2Z(1, 0, 0, 1)
@@ -656,14 +664,28 @@ def test_induced_step_equals_slow_map_loop(k):
         for _ in range(3):
             want = outcome(slow_induced_step, region, cur, 3000)
             got = outcome(induced_step, region, cur, 3000)
-            if got is NeverEnters and region.x_only:
-                # an x-only walk on the x = 0 line proves what the slow
-                # loop only finds at its cap
+            if got is NeverEnters and not region.meets_x_zero:
+                # a walk on the x = 0 line of a region that holds none of
+                # it proves what the slow loop only finds at its cap
                 got = CapExceeded
             assert got == want, (region.name, z)
             if isinstance(want, type):
                 break
             cur = induced_step(region, cur, 3000).z_next
+
+
+def test_rect_walk_on_the_x_zero_line_stops_at_once():
+    """The orbit of x = 1/3 reaches the x = 0 line, which the rectangle
+    [1/3, 1/2]^2 misses: the walk raises NeverEnters there instead of
+    stepping along the line to its cap (`cfrow orbit --x 1/3`)."""
+    R = region_from_spec('{"rects":[{"x":["1/3","1/2"],"y":["1/3","1/2"]}]}')
+    assert not R.meets_x_zero
+    z = top(Fraction(1, 3))
+    start = time.perf_counter()
+    with pytest.raises(NeverEnters, match="x = 0 line"):
+        for _ in range(4):
+            z = induced_step(R, z, 10**6).z_next
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("k", range(len(oracle_regions())))
@@ -816,3 +838,96 @@ def test_kept_records_belong_to_one_region():
     for region in (h1, v2, h1, h1_again, v2):
         assert outcomes(induced_records(region, z, 5, 10**6)) == chain(region, fresh(z), 5)
 
+
+
+# -- the backward walk, the forward walk of the mirrored point, against the
+# slow backward loop ---------------------------------------------------------
+
+
+def value_points():
+    """Points that carry exact values, on the axes too."""
+    return [OmegaPoint.from_values(x, y) for x, y in (
+        (S2, Fraction(2, 5)), (Fraction(3, 7), Fraction(5, 8)), (G, S2), (S2, Fraction(1)),
+        (Fraction(0), Fraction(2, 9)), (Fraction(0), G),  # x = 0 line
+        (Fraction(3, 7), Fraction(0)), (S2, Fraction(0)),  # y = 0 line
+    )]
+
+
+def backward_outcome(step, region, z, cap):
+    """(N, u, t, s, r, 60-digit prefixes of the preimage's streams, its
+    exact values or None), None, or the type of the error the step
+    raised."""
+    try:
+        back = step(region, z, cap)
+    except CfrowError as exc:
+        return type(exc)
+    if back is None:
+        return None
+    rec, prev = back
+    assert rec.z_next is z
+    return (rec.N, rec.u, rec.t, rec.s, rec.r, prev.xd.prefix(60), prev.yd.prefix(60),
+            prev.x_val, prev.y_val)
+
+
+def membership(region, z):
+    """region.contains(z), or the type of the error it raised."""
+    try:
+        return region.contains(z)
+    except CfrowError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("k", range(len(oracle_regions())))
+def test_mirrored_region_holds_the_mirrored_points(k):
+    region = oracle_regions()[k]
+    mirror = region.mirrored()
+    assert mirror.meets_x_zero == meets_y_zero(region)
+    rng = random.Random(9300 + k)
+    for z in oracle_points(rng) + value_points():
+        for w in (z, ito_step(z), ito_step(ito_step(z))):
+            assert membership(mirror, w.mirrored()) == membership(region, w), (region.name, w)
+
+
+@pytest.mark.parametrize("k", range(len(oracle_regions())))
+def test_backward_step_equals_slow_backward_loop(k):
+    """Records, preimages, None and BackwardCapExceeded all equal the slow
+    loop's, three backward visits deep, at caps below NEVER_ENTERS_AFTER
+    (past it a repeated y-state may prove what the loop cannot)."""
+    region = oracle_regions()[k]
+    rng = random.Random(9400 + k)
+    for z in oracle_points(rng) + value_points():
+        for cap in (40, 3000):
+            cur = z
+            for _ in range(3):
+                want = backward_outcome(slow_backward_induced_step, region, cur, cap)
+                got = backward_outcome(backward_induced_step, region, cur, cap)
+                assert got == want, (region.name, z, cap)
+                if want is None or isinstance(want, type):
+                    break
+                cur = backward_induced_step(region, cur, cap)[1]
+
+
+def test_backward_walk_jumps_a_long_run():
+    """Back from y = [0; 300000, ...] the slow loop takes 300 000 single
+    steps inside one run; the mirrored walk takes the run at once."""
+    h1 = region_h1()
+    z = OmegaPoint.from_streams(from_digits([2, 3, 1]), from_digits([300000, 2, 5]))
+    start = time.perf_counter()
+    backward_induced_step(h1, z, 10**6)
+    assert time.perf_counter() - start < 0.01
+    want = backward_outcome(slow_backward_induced_step, h1, z, 10**6)
+    assert backward_outcome(backward_induced_step, h1, z, 10**6) == want
+    assert want[0] == 299999
+
+
+def test_backward_walk_proves_a_repeated_y_state():
+    """Back from y = g every step has b1 = 1 and pushes a 1 onto x, so x
+    never heads 3 and V_3 is never visited: the slow loop only reaches
+    its cap, and the mirrored walk proves it from g's repeated state."""
+    v3 = region_v(3)
+    z = OmegaPoint.from_values(parse_real("sqrt(3)-1"), G)
+    with pytest.raises(BackwardCapExceeded):
+        slow_backward_induced_step(v3, z, 2000)
+    start = time.perf_counter()
+    assert d_map(v3, z, 10**5) == 1
+    assert time.perf_counter() - start < 0.5

@@ -22,7 +22,7 @@ from cfrow.natural_ext import (
 )
 from cfrow.reals import as_real, golden_fraction, parse_real, rcf_digits
 
-from conftest import random_surd
+from conftest import backstep_by_digits, random_surd
 
 S2 = parse_real("sqrt(2)-1")
 G = golden_fraction()
@@ -109,11 +109,55 @@ def test_backstep_inverts(rng):
         cur = z
         for _ in range(25):
             nxt = ito_step(cur)
-            back = ito_backstep(nxt)
-            assert back.xd.prefix(5) == cur.xd.prefix(5)
-            assert back.yd.prefix(5) == cur.yd.prefix(5)
-            assert back.x_val == cur.x_val and back.y_val == cur.y_val
+            for back in (ito_backstep(nxt), backstep_by_digits(nxt)):
+                assert back.xd.prefix(5) == cur.xd.prefix(5)
+                assert back.yd.prefix(5) == cur.yd.prefix(5)
+                assert back.x_val == cur.x_val and back.y_val == cur.y_val
             cur = nxt
+
+
+def test_backstep_equals_backstep_by_digits(rng):
+    """The forward step of the mirrored point against the inverse step's
+    three digit cases, on both axes, at the origin and at b1 = 1, from
+    values read at random moments and from streams alone."""
+    starts = [(Fraction(0), Fraction(1, 3)), (Fraction(2, 5), Fraction(0)),
+              (Fraction(0), Fraction(0)), (S2, Fraction(1)), (G, G)]
+    for _ in range(10):
+        starts.append((random_surd(rng), Fraction(rng.randint(0, 12), 12)))
+        starts.append((random_surd(rng, 7), random_surd(rng, 7)))
+    for x, y in starts:
+        for z in (OmegaPoint.from_values(x, y), OmegaPoint.from_streams(rcf_digits(x), rcf_digits(y))):
+            for _ in range(40):
+                got, want = ito_backstep(z), backstep_by_digits(z)
+                assert (got.xd.prefix(8), got.yd.prefix(8)) == (want.xd.prefix(8), want.yd.prefix(8))
+                if rng.random() < 0.3:
+                    assert (got.x_val, got.y_val) == (want.x_val, want.y_val)
+                z = got if rng.random() < 0.5 else want
+            assert (got.x_val, got.y_val) == (want.x_val, want.y_val)
+
+
+def test_mirrored_twice_gives_back_the_point_with_no_value_read(rng, monkeypatch):
+    from cfrow import natural_ext
+
+    mobius, read = natural_ext._mobius, []
+    monkeypatch.setattr(natural_ext, "_mobius", lambda m, v: read.append(m) or mobius(m, v))
+    for x, y in ((random_surd(rng), Fraction(2, 7)), (Fraction(3, 8), random_surd(rng)),
+                 (G, S2), (Fraction(0), Fraction(0)), (Fraction(5, 9), Fraction(1))):
+        z = OmegaPoint.from_values(x, y)
+        for k in range(6):
+            z = ito_step(z)  # values pending behind the products
+            if k == 3:
+                z.x_val  # and a read value as the base of later moves
+        read.clear()
+        w = z.mirrored()
+        back = w.mirrored()
+        assert read == []
+        assert (w.xd, w.yd) == (z.yd, z.xd) and (back.xd, back.yd) == (z.xd, z.yd)
+        assert (w.x_val, w.y_val) == (z.y_val, z.x_val)
+        assert (back.x_val, back.y_val) == (z.x_val, z.y_val)
+    z = OmegaPoint.from_streams(from_digits([3, 1]), from_digits([2]))
+    back = z.mirrored().mirrored()
+    assert (back.xd, back.yd, back.x_val, back.y_val) == (z.xd, z.yd, None, None)
 
 
 def test_gauss_ne_examples():
