@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--region", required=True)
     pf.add_argument("--x", required=True)
     pf.add_argument("--digits", type=count, default=10)
-    pf.add_argument("--cap", type=int, default=10**6)
+    pf.add_argument("--cap", type=count, default=10**6)
     pf.set_defaults(func=cmd_cfe)
 
     po = sub.add_parser("orbit", help="orbit track as CSV")
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--x", required=True)
     po.add_argument("--y", default="1")
     po.add_argument("--n", type=count, default=50)
-    po.add_argument("--cap", type=int, default=10**6)
+    po.add_argument("--cap", type=count, default=10**6)
     po.add_argument("--csv", default="-")
     po.add_argument("--space", choices=["plane", "shift"], default="plane")
     po.set_defaults(func=cmd_orbit)

@@ -118,6 +118,14 @@ class Mat2Z:
 IDENTITY = Mat2Z(1, 0, 0, 1)
 
 
+def reversed_product(m):
+    """Ck...C1 from m = (u, t, s, r) = C1...Ck, for a word over the slow
+    map's A0 = ((1,0),(1,1)), A1 = ((0,1),(1,1)) and their inverses: each
+    has A1 C^T A1^-1 = C, so Ck...C1 = A1 m^T A1^-1 = ((r-t, t), (s+r-u-t, u+t))."""
+    u, t, s, r = m
+    return (r - t, t, s + r - u - t, u + t)
+
+
 def mobius_apply(m: Mat2Z, z: ExtRational) -> ExtRational:
     """Evaluate (az+b)/(cz+d) with the conventions c/0 = inf, c/inf = 0."""
     if m.det() == 0:

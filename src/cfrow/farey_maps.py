@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .digits import DigitStream
 from .errors import OutOfDomain, ZeroInput
-from .exact import INF, IDENTITY, Mat2Z
+from .exact import INF, IDENTITY, Mat2Z, reversed_product
 from .gcf import Gcf, classify_farey_index
 from .reals import RealRep, as_real, floor_of, rcf_digits
 
@@ -168,12 +168,9 @@ def a_matrix_forward(x, n: int) -> Mat2Z:
 
 
 def a_matrix_backward(x, n: int) -> Mat2Z:
-    """A_[n,0] = A_epsn ... A_eps1, from the forward entries:
-    [[r - t, t], [s + r - (u + t), u + t]].
-    """
+    """A_[n,0] = A_epsn ... A_eps1, the `reversed_product` of A_[0,n]."""
     f = a_matrix_forward(x, n)
-    u, t, s, r = f.a, f.b, f.c, f.d
-    return Mat2Z(r - t, t, s + r - (u + t), u + t)
+    return Mat2Z(*reversed_product((f.a, f.b, f.c, f.d)))
 
 
 def farey_convergents(x, n: int):

@@ -20,8 +20,11 @@ inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
 asks `contains` once at the run's top-strip landing.  The x = 0 line is
 the run a1 = INF, which never ends: a None there ends the walk at once.
 A walk keeps A_R as four ints, and so does its record (`InducedRecord.A`
-builds the `Mat2Z` when read).  A backward walk is the forward walk of
-the mirrored point (`backward_induced_step`).
+builds the `Mat2Z` when read).  The walk carries no values: from a point
+with values it walks a value-free copy, and only the landing point takes
+the start's values, moved by A_R, which is exactly the walk's product.
+A backward walk is the forward walk of the mirrored point
+(`backward_induced_step`).
 
 A region whose visits a forward walk decides from x alone
 (`Region.x_only`: every `CellRegion`, and an empty `RectRegion`) is
@@ -56,7 +59,7 @@ from itertools import islice
 
 from .digits import Reader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
-from .exact import INF, IDENTITY, Mat2Z
+from .exact import INF, IDENTITY, Mat2Z, reversed_product
 from .natural_ext import OmegaPoint, ito_jump, ito_step
 
 
@@ -146,7 +149,8 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     slow steps all the same.
     """
     contains, first_in_run = region.contains, region.first_in_run
-    cur = z
+    valued = z._x0 is not None or z._y0 is not None
+    cur = OmegaPoint(z.xd, z.yd) if valued else z  # the walk carries no values
     a, b, c, d = 1, 0, 0, 1
     n = 0
     watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
@@ -159,17 +163,17 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
                                   f"the x = 0 line after {n} steps")
             k = first_in_run(cur, min(a1 - 1, cap - n))
             if k is not None:  # A_R @ A0^k
-                return InducedRecord._of(n + k, a + k * b, b, c + k * d, d,
-                                         ito_jump(cur, k))
-            if a1 is INF:  # the x = 0 line: a run without end, and no visit in reach
+                n, a, c, cur = n + k, a + k * b, c + k * d, ito_jump(cur, k)
                 break
+            if a1 is INF:  # the x = 0 line: a run without end, and no visit in reach
+                raise _cap_exceeded(region, cap)
         n += a1
         if n > cap:
-            break
+            raise _cap_exceeded(region, cap)
         a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
         cur = ito_jump(cur, a1)
         if contains(cur):
-            return InducedRecord._of(n, a, b, c, d, cur)
+            break
         if n >= watch_from:
             # a region that reads only x: the walk from a repeated x-state
             # repeats, so no visit in between means none ever
@@ -182,7 +186,11 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
                 if state == first:
                     raise NeverEnters(f"orbit never enters {region.name}: its x-state "
                                       f"repeats after {n} steps with no visit")
-    raise _cap_exceeded(region, cap)
+    else:
+        raise _cap_exceeded(region, cap)
+    if valued:  # the landing takes z's values moved by A_R, the walk's product
+        cur = z._moved(cur.xd, cur.yd, (a, b, c, d))
+    return InducedRecord._of(n, a, b, c, d, cur)
 
 
 def _cap_exceeded(region: Region, cap: int) -> CapExceeded:
@@ -252,17 +260,16 @@ def backward_induced_step(region: Region, z: OmegaPoint, cap: int):
     """Preimage under the induced map: (record, z_prev), or None when the
     backward orbit certifiably never visits the region: the forward walk
     of sigma z = (y, x) through the mirrored region, T^-1 being sigma T
-    sigma, with None for its NeverEnters.  Its product M = ((u, t), (s, r))
-    folds the branch matrices backwards; A1 is symmetric and A1 A0^T A1^-1
-    = A0, so A_R = A1 M^T A1^-1 = ((r-t, t), (s+r-u-t, u+t))."""
+    sigma, with None for its NeverEnters.  Its product M folds the branch
+    matrices backwards, so A_R is `reversed_product(M)`."""
     try:
         rec = induced_step(region.mirrored(), z.mirrored(), cap)
     except NeverEnters:
         return None
     except CapExceeded:
         raise BackwardCapExceeded(f"no backward visit of {region.name} within {cap} steps") from None
-    u, t, s, r = rec.u, rec.t, rec.s, rec.r
-    return InducedRecord._of(rec.N, r - t, t, s + r - u - t, u + t, z), rec.z_next.mirrored()
+    A = reversed_product((rec.u, rec.t, rec.s, rec.r))
+    return InducedRecord._of(rec.N, *A, z), rec.z_next.mirrored()
 
 
 def d_map(region: Region, z: OmegaPoint, cap: int) -> int:

@@ -13,23 +13,21 @@ The fast (two-sided shift) map moves one whole partial quotient:
 ([0;a1,a2,...],[0;b1,...]) -> ([0;a2,...],[0;a1,b1,...]) with invariant
 probability density 1/(log2 (1+xy)^2).
 
-Exact coordinate values (Fraction or Surd) are optional and lazy.  Every
-step moves the point by one integer branch matrix C: the slow map's
-A0 = ((1,0),(1,1)) or A1 = ((0,1),(1,1)), and ((0,1),(1,a1)) for the
-fast map.  It acts as
-
-    x' = C^-1 . x,      y' = C . y,
-
-so a point keeps base values (x0, y0), its launch values or the last
-values read on its way, and two products, P with x = P^-1 . x0 and Q
-with y = Q . y0, updated by P' = P C and Q' = C Q.  Over moves
-C1, ..., Ck the two products grow in opposite orders, P by C1...Ck and
-Q by Ck...C1, so `ito_jump`, which takes the slow steps of one
-partial-quotient run as one move, hands `_moved` one matrix per
-coordinate.  A move is then a digit edit plus two 2x2 integer products;
-no Fraction or Surd is built until `x_val` or `y_val` is read, which
-applies the product once and caches the value.  The slow map's inverse
-is the map seen through the swap (x, y) -> (y, x), `OmegaPoint.mirrored`.
+Exact coordinate values (Fraction or Surd) are optional and lazy.  A
+slow step by the branch matrix C, A0 = ((1,0),(1,1)) or A1 =
+((0,1),(1,1)) (a backward step by C's inverse), acts as x' = C^-1 . x
+and y' = C . y.  So over moves C1, ..., Ck x moves by P = C1...Ck and y
+by Ck...C1, which is A1 P^T A1^-1 (`exact.reversed_product`), since each
+such C has A1 C^T A1^-1 = C.  A point keeps base values (x0, y0), taken
+at one moment of its way, and one product P, with x = P^-1 . x0 and
+y = reversed_product(P) . y0.  A move by C (`ito_jump` passes a whole
+run's product) sets P' = P C, or starts from the values, P' = C, when
+they are all read or absent.  No Fraction or Surd is built until `x_val`
+or `y_val` is read, which applies the product once and caches the
+value.  The slow map's inverse is the map seen through the swap
+(x, y) -> (y, x), `OmegaPoint.mirrored`.  The fast map moves y by its
+matrix ((0,1),(1,a1)) itself, not by its reverse, so `gauss_ne_step`
+builds its image from the read values.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from fractions import Fraction
 
 from .digits import Cons, DigitStream
 from .errors import OutOfDomain
-from .exact import INF, RationalInterval
+from .exact import INF, RationalInterval, reversed_product
 from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
 
 # Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
@@ -79,12 +77,12 @@ class OmegaPoint:
 
     `x_val`/`y_val` are optional exact coordinate values (Fraction or
     Surd), None when the point was built from streams alone.  The point
-    stores a base value per coordinate and the integer matrix from it to
-    the current point (see the module docstring); the first read applies
-    the matrix and caches the value, and steps taken from a point whose
-    value was read start from that value.  A value is rational iff its
-    base is, so enclosures of irrational points read the streams without
-    building a value.  The y-stream is whatever the symbolic dynamics
+    stores a base value per coordinate and one integer product P, which
+    takes x's base to x and, reversed, y's base to y (see the module
+    docstring); the first read applies it and caches the value, and moves
+    from a point whose values are all read start from those values.  A
+    value is rational iff its base is, so enclosures of irrational points
+    read the streams without building a value.  The y-stream is whatever the symbolic dynamics
     produced and is deliberately NOT re-canonicalised: a trailing
     [...,1, inf] tail encodes a boundary point of the cell the orbit
     logic needs it to be in.
@@ -94,14 +92,14 @@ class OmegaPoint:
     alone reads and writes it.
     """
 
-    __slots__ = ("xd", "yd", "_x0", "_y0", "_px", "_qy", "_x", "_y", "_orbit")
+    __slots__ = ("xd", "yd", "_x0", "_y0", "_p", "_x", "_y", "_orbit")
 
     def __init__(self, xd: DigitStream, yd: DigitStream, x_val=None, y_val=None):
         self.xd = xd
         self.yd = yd
         self._x0 = self._x = x_val
         self._y0 = self._y = y_val
-        self._px = self._qy = _ID
+        self._p = _ID
         self._orbit = None
 
     @staticmethod
@@ -116,7 +114,7 @@ class OmegaPoint:
     def x_val(self):
         v = self._x
         if v is _PENDING:
-            a, b, c, d = self._px
+            a, b, c, d = self._p
             v = self._x = _mobius((d, -b, -c, a), self._x0)  # P^-1, up to det = +-1
         return v
 
@@ -124,44 +122,33 @@ class OmegaPoint:
     def y_val(self):
         v = self._y
         if v is _PENDING:
-            v = self._y = _mobius(self._qy, self._y0)
+            v = self._y = _mobius(reversed_product(self._p), self._y0)
         return v
 
-    def _moved(self, xd: DigitStream, yd: DigitStream, cx, cy) -> "OmegaPoint":
-        """The point with streams (xd, yd) reached by the moves whose
-        products are cx for x (P' = P cx) and cy for y (Q' = cy Q); a
-        single step passes its branch matrix as both."""
+    def _moved(self, xd: DigitStream, yd: DigitStream, c) -> "OmegaPoint":
+        """The point with streams (xd, yd) reached by the slow moves whose
+        product is c (P' = P c): a branch matrix, a run's product or a
+        walk's A_R."""
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd = xd
         w.yd = yd
         w._orbit = None
-        x = self._x
-        if x is None:
-            w._x0 = w._x = None
-        else:
-            w._x = _PENDING
-            if x is _PENDING:
-                w._x0, w._px = self._x0, _mul(self._px, cx)
-            else:
-                w._x0, w._px = x, cx
-        y = self._y
-        if y is None:
-            w._y0 = w._y = None
-        else:
-            w._y = _PENDING
-            if y is _PENDING:
-                w._y0, w._qy = self._y0, _mul(cy, self._qy)
-            else:
-                w._y0, w._qy = y, cy
+        x, y = self._x, self._y
+        if x is _PENDING or y is _PENDING:
+            w._x0, w._y0, w._p = self._x0, self._y0, _mul(self._p, c)
+        else:  # every value read or absent: start from the values
+            w._x0, w._y0, w._p = x, y, c
+        w._x = None if w._x0 is None else _PENDING
+        w._y = None if w._y0 is None else _PENDING
         return w
 
     def mirrored(self) -> "OmegaPoint":
-        """The point (y, x), its values unread: P and Q become Q^-1 and P^-1."""
+        """The point (y, x), reading no value: the bases swap, and P becomes
+        y's inverse product adj(reversed_product(P)), whose reverse is P^-1."""
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd, w.yd, w._x0, w._y0, w._x, w._y = self.yd, self.xd, self._y0, self._x0, self._y, self._x
-        a, b, c, d = self._px if self._x is not None else _ID
-        e, f, g, h = self._qy if self._y is not None else _ID
-        w._px, w._qy, w._orbit = (h, -f, -g, e), (d, -b, -c, a), None  # adjugates
+        u, t, s, r = reversed_product(self._p)
+        w._p, w._orbit = (r, -t, -s, u), None
         return w
 
     def cell(self) -> CellIndex:
@@ -189,19 +176,17 @@ def ito_step(z: OmegaPoint) -> OmegaPoint:
 def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
     """k slow steps inside z's partial quotient a1 as one move, for
     1 <= k <= a1.  The steps walk the cells (a1-k, b1+k) with every
-    other digit fixed, so for k < a1 they are A0^k = ((1,0),(k,1)) on
-    both coordinates; the whole run k = a1 moves x by A0^(a1-1) A1 =
-    ((0,1),(1,a1)) and y by A1 A0^(a1-1) = ((a1-1,1),(a1,1)) and lands in
-    the top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...]).  On the x = 0
+    other digit fixed, so for k < a1 they are A0^k = ((1,0),(k,1)); the
+    whole run k = a1 is A0^(a1-1) A1 = ((0,1),(1,a1)) and lands in the
+    top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...]).  On the x = 0
     line a1 = INF: the run never ends, x's stream stays as it is and
     y's head grows by k (y |-> y/(1+ky))."""
     a1, b1 = z.xd.head(), z.yd.head()
     if k < a1:
-        c = (1, 0, k, 1)
         xd = z.xd if a1 is INF else Cons(a1 - k, z.xd.tail())
-        return z._moved(xd, Cons(b1 + k, z.yd.tail()), c, c)
+        return z._moved(xd, Cons(b1 + k, z.yd.tail()), (1, 0, k, 1))
     yd = z.yd if a1 == 1 else Cons(b1 + a1 - 1, z.yd.tail())
-    return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1), (a1 - 1, 1, a1, 1))
+    return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1))
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:
@@ -225,12 +210,15 @@ def ito_orbit(z: OmegaPoint, n: int):
 
 
 def gauss_ne_step(w: OmegaPoint) -> OmegaPoint:
-    """One step of the fast two-sided shift."""
+    """One step of the fast two-sided shift, built from w's read values:
+    y moves by ((0,1),(1,a1)) itself, not by its reverse as in a slow move."""
     a1 = w.xd.head()
     if a1 is INF:
         return w
-    c = (0, 1, 1, a1)
-    return w._moved(w.xd.tail(), Cons(a1, w.yd), c, c)
+    x, y = w.x_val, w.y_val
+    return OmegaPoint(w.xd.tail(), Cons(a1, w.yd),
+                      None if x is None else _mobius((a1, -1, -1, 0), x),
+                      None if y is None else _mobius((0, 1, 1, a1), y))
 
 
 def mu_bar_density(x, y):

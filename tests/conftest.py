@@ -126,12 +126,12 @@ def backstep_by_digits(z):
 
     b1 = z.yd.head()
     if b1 == 1:
-        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV, _A1_INV)
+        return z._moved(Cons(1, z.xd), z.yd.tail(), _A1_INV)
     a1 = z.xd.head()
     xd = Cons(a1 + 1, z.xd.tail()) if a1 is not INF else z.xd
     if b1 is INF:
-        return z._moved(xd, z.yd, _A0_INV, _A0_INV)
-    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV, _A0_INV)
+        return z._moved(xd, z.yd, _A0_INV)
+    return z._moved(xd, Cons(b1 - 1, z.yd.tail()), _A0_INV)
 
 
 def meets_y_zero(region) -> bool:

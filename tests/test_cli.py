@@ -126,6 +126,11 @@ def test_malformed_library_input_exits_2(capsys, args):
         ["orbit", "--x", "g", "--n", "0"],
         ["entropy", "--region", "alpha:1/2", "--samples", "0"],
         ["sweep-alpha", "--alphas", "1/2", "--samples", "x"],
+        # a cap below 1 is refused before any walk, not reported as reached
+        ["cfe", "--region", "h1", "--x", "g", "--cap", "0"],
+        ["cfe", "--region", "h1", "--x", "g", "--cap", "-3"],
+        ["orbit", "--region", "h1", "--x", "g", "--n", "3", "--cap", "0"],
+        ["orbit", "--region", "h1", "--x", "g", "--n", "3", "--cap", "-3"],
     ],
 )
 def test_count_options_below_1_exit_2(capsys, args):

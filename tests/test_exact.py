@@ -12,6 +12,7 @@ from cfrow.exact import (
     Mat2Z,
     RationalInterval,
     mobius_apply,
+    reversed_product,
 )
 
 A0 = Mat2Z(1, 0, 1, 1)
@@ -77,6 +78,27 @@ def test_determinant_multiplicative(ms):
     for m in ms:
         expected *= m.det()
     assert prod.det() == expected
+
+
+def _mul2(m, n):
+    """The 2x2 product of two 4-tuples ((a, b), (c, d)), written out."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+# the slow map's branch matrices A0, A1 and their inverses, as 4-tuples
+branches = st.sampled_from([(1, 0, 1, 1), (0, 1, 1, 1), (1, 0, -1, 1), (-1, 1, 1, 0)])
+
+
+@given(st.lists(branches, max_size=40))
+def test_reversed_product_is_the_product_of_the_reversed_word(word):
+    forward = backward = (1, 0, 0, 1)
+    for c in word:
+        forward = _mul2(forward, c)
+    for c in reversed(word):
+        backward = _mul2(backward, c)
+    assert reversed_product(forward) == backward
 
 
 def test_adjugate_inverts_as_action():

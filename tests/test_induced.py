@@ -36,7 +36,7 @@ from cfrow.regions import (
     region_omega,
     region_v,
 )
-from cfrow.reals import golden_fraction, parse_real, rcf_digits
+from cfrow.reals import as_real, golden_fraction, parse_real, rcf_digits
 
 from conftest import (
     backstep_by_digits,
@@ -744,6 +744,37 @@ def test_jumped_values_equal_stepped_values(rng):
             assert (cur.x_val, cur.y_val) == (slow.x_val, slow.y_val)
             assert type(cur.x_val) is type(x) and type(cur.y_val) is type(y)
     assert checked > 60
+
+
+def test_walk_from_values_takes_the_time_of_a_walk_from_streams():
+    """A walk from a point with exact values multiplies no value product
+    per run: the rectangle below is never entered, and the walk to a cap
+    of 10^5 from values takes about as long as from the streams alone
+    (it took 4x as long, and superlinear time in the cap, when every run
+    was multiplied into the values' products)."""
+    R = RectRegion([(Fraction(2, 3), 1, Fraction(5, 6), Fraction(11, 12))])
+    x = parse_real("(-15+sqrt(1806))/34")  # [0; 1, 4, 4, 2, 1, 1 repeating]
+    times = []
+    for z in (OmegaPoint.from_streams(rcf_digits(x), rcf_digits(Fraction(1))), top(x)):
+        z.xd.prefix(10)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            induced_step(R, z, 10**5)
+        times.append(time.perf_counter() - start)
+    streams, values = times
+    assert values < 2 * streams, times
+
+
+def test_walk_multiplies_one_value_product_per_record(rng, monkeypatch):
+    """The walk carries no values; each landing takes its start's values
+    moved by the record's A_R, one 2x2 product at most."""
+    from cfrow import natural_ext
+
+    mul, calls = natural_ext._mul, []
+    monkeypatch.setattr(natural_ext, "_mul", lambda m, n: calls.append(m) or mul(m, n))
+    z = OmegaPoint.from_values(random_surd(rng), as_real(random_surd(rng) / 2 + Fraction(1, 2)))
+    recs = induced_records(region_h1(), z, 12, 10**6)
+    assert len(recs) == 12 and 0 < len(calls) <= len(recs)
 
 
 @pytest.mark.parametrize("region, n", [(region_v(2), 5), (region_h1(), 7)])
