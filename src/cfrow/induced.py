@@ -368,25 +368,28 @@ class CellRegion(Region):
         return {"name": self.name, "altered": self.altered, "cells": self.cells}
 
 
+def fraction_rects(rects) -> list:
+    """The rectangles (x0, x1, y0, y1) with their corners cast to
+    Fraction: the one place a rectangle's corners are cast."""
+    return [(Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)) for x0, x1, y0, y1 in rects]
+
+
 class RectRegion(Region):
     """Finite union of closed rational rectangles, decided exactly by
     `digits.order`: the point's x and y digits are compared with each
     corner's canonical digits, so a point on an edge is decided too.
 
     The constructor normalises the rectangles once into `rects`, the one
-    list every reader reads: corners cast to Fraction, a degenerate
-    rectangle (x0 > x1 or y0 > y1) refused with ValueError, each
-    rectangle clamped to the unit square and dropped when it misses it,
-    since every point lies inside the square.  Membership, the x = 0
+    list every reader reads: corners cast to Fraction (`fraction_rects`),
+    a degenerate rectangle (x0 > x1 or y0 > y1) refused with ValueError,
+    each rectangle clamped to the unit square and dropped when it misses
+    it, since every point lies inside the square.  Membership, the x = 0
     flag, `describe()` and every mass in `measure` read this list, so a
     set gets one membership and one mass however its rectangles are
     written."""
 
     def __init__(self, rects, name="rects"):
-        rects = [
-            (Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
-            for (x0, x1, y0, y1) in rects
-        ]
+        rects = fraction_rects(rects)
         for x0, x1, y0, y1 in rects:
             if x0 > x1 or y0 > y1:
                 raise ValueError("degenerate rectangle")

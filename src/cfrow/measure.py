@@ -6,11 +6,15 @@ over rectangles:
     m([x0,x1]x[y0,y1]) = log( (y0+(1-y0)x1)(y1+(1-y1)x0)
                               / ((y0+(1-y0)x0)(y1+(1-y1)x1)) ),
 
-so cell and rectangle regions get exact values, singularisation
-regions the strip mass minus their pulled-back rectangles, and the
-alpha regions, known only by their membership oracle, seeded Monte
-Carlo under the restriction of the measure to a covering union of
-horizontal strips.
+so cell and rectangle regions get exact values, and the alpha
+regions, known only by their membership oracle, seeded Monte Carlo
+under the restriction of the measure to a covering union of
+horizontal strips.  A singularisation region has the strip mass
+log 2 (1 - mu_G(S)): the strip isomorphism carries the slow measure
+on the top strip to log 2 times the Gauss measure mu_G, so each
+rectangle of the area S, read in the fast-map coordinates where S is
+defined, takes off the log of its exact Gauss ratio
+(`gauss_rect_ratio`).
 Each sample is drawn in floats and snapped to the rational that
 `Fraction.limit_denominator(10**12)` gives, as a reader of its
 canonical digits (`digits.SnapReader`: one resumable integer Euclid
@@ -67,12 +71,16 @@ def rect_mass_ratio(x0, x1, y0, y1) -> Fraction:
     return num / den
 
 
+def gauss_rect_ratio(x0, x1, y0, y1) -> Fraction:
+    """The exact rational whose log is log 2 times a rectangle's fast-map
+    invariant probability."""
+    x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
+    return (1 + x1 * y1) * (1 + x0 * y0) / ((1 + x1 * y0) * (1 + x0 * y1))
+
+
 def gauss_rect_mass(x0, x1, y0, y1) -> float:
     """Fast-map invariant probability of a rectangle."""
-    x0, x1, y0, y1 = Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1)
-    num = (1 + x1 * y1) * (1 + x0 * y0)
-    den = (1 + x1 * y0) * (1 + x0 * y1)
-    return math.log(num / den) / math.log(2)
+    return math.log(gauss_rect_ratio(x0, x1, y0, y1)) / math.log(2)
 
 
 def _cell_rects(region) -> list:
@@ -206,15 +214,6 @@ def _quadrature(rects, tol: float) -> MeasureEstimate:
     return MeasureEstimate(total, max(err, tol), "quadrature")
 
 
-def _sexp_pre_rects(region: SExpansionRegion):
-    """Pulled-back exclusion rectangles inside the top strip."""
-    out = []
-    for u0, u1, v0, v1 in region.area.gauss_image_rects():
-        # y with 1/y - 1 in [v0, v1]
-        out.append((u0, u1, Fraction(1, 1 + v1), Fraction(1, 1 + v0)))
-    return out
-
-
 _METHODS = ("auto", "exact", "exact-integral", "quadrature", "monte-carlo")
 
 
@@ -233,8 +232,8 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
 
     * cell and rectangle regions: "exact" (alias "exact-integral"),
       "quadrature" and "monte-carlo";
-    * singularisation regions: "exact" (strip mass minus pulled-back
-      rectangles);
+    * singularisation regions: "exact" (strip mass minus the log of
+      each area rectangle's Gauss ratio);
     * the one-parameter alpha regions: "monte-carlo" (seeded).
 
     A method the region's class lacks raises NoMeasurePath, and a
@@ -249,8 +248,8 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
     if isinstance(region, SExpansionRegion):
         _require_method(region, method, ("exact", "exact-integral"))
         total = rect_mass_exact(0, 1, Fraction(1, 2), 1)
-        for r in _sexp_pre_rects(region):
-            total -= rect_mass_exact(*r)
+        for r in region.area.rects:
+            total -= math.log(gauss_rect_ratio(*r))
         return MeasureEstimate(total, 1e-15, "exact-integral")
     rects = _region_rects(region)
     if rects is not None:
@@ -336,8 +335,13 @@ def _alpha_window(region: AlphaRegion) -> Fraction:
 
 def entropy_of(region: Region, tol: float = 1e-9, method: str = "auto",
                seed: int | None = None, samples: int = 200_000):
-    """pi^2 / (6 m(R)); returns (entropy, MeasureEstimate)."""
+    """pi^2 / (6 m(R)); returns (entropy, MeasureEstimate).  A Monte
+    Carlo estimate of 0, no sample a member, raises NonIntegrable."""
     est = measure_of(region, tol=tol, method=method, seed=seed, samples=samples)
+    if est.value == 0:
+        raise NonIntegrable(
+            f"no sample of {est.samples} hit region {region.name}, so its measure "
+            f"estimate is 0 and its entropy infinite; raise --samples")
     return math.pi**2 / (6 * est.value), est
 
 

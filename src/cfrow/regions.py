@@ -6,11 +6,13 @@ Three families:
   convergent denominators q_n), vertical strips V_a, and rectangles
   V_{a-lam} n H_{lam+1};
 
-* complements of singularisation areas, pulled back into the top strip
-  through the fast-map isomorphism: a finite union of rational
-  rectangles S inside the right half (x >= 1/2) with S disjoint from
-  its fast-map image determines the region whose induced expansions
-  skip exactly the orbit visits to S;
+* complements of singularisation areas: an area S, a finite union of
+  rational rectangles inside the right half (x >= 1/2) disjoint from
+  its fast-map image, is the `RectRegion` of its rectangles in the
+  fast-map coordinates where S is defined, and its region holds the
+  top-strip points whose pull-back through the strip isomorphism
+  misses S, so its induced expansions skip exactly the orbit visits
+  to S;
 
 * the one-parameter regions realising the maps x |-> 1/|x| - floor(1/|x|+1-alpha):
   a point of the top strip belongs iff the number of backward top-strip
@@ -40,7 +42,7 @@ from .errors import (
     OutOfDomain,
 )
 from .exact import INF
-from .induced import CellRegion, OmegaRegion, RectRegion, Region
+from .induced import CellRegion, OmegaRegion, RectRegion, Region, fraction_rects
 from .natural_ext import OmegaPoint
 from .reals import RealRep, as_real, is_rational, surd_digits
 
@@ -71,60 +73,60 @@ def region_cell(a: int, lam: int) -> Region:
 # -- singularisation-area regions -----------------------------------------
 
 
-class SingularisationArea:
-    """Finite union of closed rational rectangles S with S in the right
-    half strip and S disjoint from its fast-map image (checked exactly:
-    the image of a rectangle under (x, y) |-> (1/x - 1, 1/(1+y)) is a
-    rectangle with rational corners)."""
+def _interiors_meet(r, s) -> bool:
+    """Do closed rectangles r and s, each (x0, x1, y0, y1), share an interior point?"""
+    return max(r[0], s[0]) < min(r[1], s[1]) and max(r[2], s[2]) < min(r[3], s[3])
+
+
+def _fast_map_image(r):
+    """The image of a right-half rectangle under the fast map
+    (x, y) |-> (1/x - 1, 1/(1+y)): a rectangle with rational corners."""
+    x0, x1, y0, y1 = r
+    return 1 / x1 - 1, 1 / x0 - 1, Fraction(1, 1 + y1), Fraction(1, 1 + y0)
+
+
+class SingularisationArea(RectRegion):
+    """A singularisation area S in the fast-map coordinates (t, v) where
+    it is defined: a finite union of closed rational rectangles inside
+    the right half strip t >= 1/2, no two sharing an interior point, and
+    S disjoint from its fast-map image (condition (b), checked exactly on
+    the image's rational corners, `gauss_image_rects`).  The area is the
+    `RectRegion` of its rectangles, so `rects` is its one list: membership
+    of (t, v) readers (`contains_rational`), the S-expansion region's
+    exclusion test and the region's mass in `measure` all read it."""
 
     def __init__(self, rects):
-        self.rects = [
-            (Fraction(x0), Fraction(x1), Fraction(y0), Fraction(y1))
-            for (x0, x1, y0, y1) in rects
-        ]
-        for x0, x1, y0, y1 in self.rects:
+        rects = fraction_rects(rects)
+        for x0, x1, y0, y1 in rects:
             if x0 > x1 or y0 > y1:
                 raise InvalidSingularisationArea("a", "degenerate rectangle")
             if x0 < Fraction(1, 2) or x1 > 1 or y0 < 0 or y1 > 1:
                 raise InvalidSingularisationArea(
                     "a", f"rectangle [{x0},{x1}]x[{y0},{y1}] not within the right half"
                 )
-        # component rectangles must not overlap each other
-        for i, (x0, x1, y0, y1) in enumerate(self.rects):
-            for u0, u1, v0, v1 in self.rects[i + 1 :]:
-                if max(x0, u0) < min(x1, u1) and max(y0, v0) < min(y1, v1):
-                    raise InvalidSingularisationArea("a", "overlapping rectangles")
-        # condition (b): S and its image have disjoint interiors
-        for ix0, ix1, iy0, iy1 in self.gauss_image_rects():
-            for u0, u1, v0, v1 in self.rects:
-                if max(ix0, u0) < min(ix1, u1) and max(iy0, v0) < min(iy1, v1):
-                    raise InvalidSingularisationArea(
-                        "b", "area overlaps its own image"
-                    )
+        if any(_interiors_meet(r, s) for i, r in enumerate(rects) for s in rects[i + 1:]):
+            raise InvalidSingularisationArea("a", "overlapping rectangles")
+        if any(_interiors_meet(_fast_map_image(r), s) for r in rects for s in rects):
+            raise InvalidSingularisationArea("b", "area overlaps its own image")
+        super().__init__(rects, "S")
 
     def contains_value(self, x, y) -> bool:
         """Exact membership of a point with exact rational/quadratic coords."""
-        for x0, x1, y0, y1 in self.rects:
-            if x0 <= x <= x1 and y0 <= y <= y1:
-                return True
-        return False
+        return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, x1, y0, y1 in self.rects)
 
     def gauss_image_rects(self):
-        out = []
-        for x0, x1, y0, y1 in self.rects:
-            out.append((1 / x1 - 1, 1 / x0 - 1, Fraction(1, 1 + y1), Fraction(1, 1 + y0)))
-        return out
+        return [_fast_map_image(r) for r in self.rects]
 
 
 class SExpansionRegion(Region):
     """Top-strip region whose induced expansions realise the
     singularisation of regular expansions over the area S.
 
-    Membership of a top-strip point z: pull z back through one fast-map
-    preimage of the strip isomorphism, i.e. test the point
-    ([0;b2,a1,a2,...],[0;b3,b4,...]) against S, where (a_i) and (b_i)
-    are z's digit streams.  Equivalently z is excluded iff that point
-    lands in S.
+    A top-strip point z with digit streams x = [0;a1,a2,...] and
+    y = [0;1,b2,b3,...] is pulled back through one fast-map preimage of
+    the strip isomorphism to the point ([0;b2,a1,a2,...], [0;b3,b4,...])
+    in S's own coordinates, and z is excluded iff that point lies in S:
+    the area answers on readers of those digits, with no point built.
     """
 
     unit_s = True
@@ -133,19 +135,13 @@ class SExpansionRegion(Region):
     def __init__(self, area: SingularisationArea, name="s-expansion"):
         self.area = area
         self.name = name
-        self.excluded = RectRegion(area.rects, name=name + "-S") if area.rects else None
 
     def contains(self, z: OmegaPoint) -> bool:
         if z.yd.head() != 1:
             return False
-        if self.excluded is None:
-            return True
-        b2 = z.yd.tail().head()
-        if b2 is INF:
-            # pulled-back x-coordinate is 0, never inside the right half
-            return True
-        pulled = OmegaPoint.from_streams(Cons(b2, z.xd), z.yd.tail().tail())
-        return not self.excluded.contains(pulled)
+        y = z.yd.tail()
+        # b2 = INF pulls x back to 0, outside the right half: a member
+        return not self.area.contains_rational(Reader([], Cons(y.head(), z.xd)), Reader([], y.tail()))
 
     def first_in_run(self, z: OmegaPoint, m: int):
         return None  # run points have b >= 2, below the top strip
@@ -371,10 +367,27 @@ def region_from_spec(spec) -> Region:
 
 
 def _rects(items):
-    return [
-        (_parse_frac(r["x"][0]), _parse_frac(r["x"][1]), _parse_frac(r["y"][0]), _parse_frac(r["y"][1]))
-        for r in items
-    ]
+    """The rectangles (x0, x1, y0, y1) of a spec's "rects" list, whose
+    entries each give "x" and "y" as lists of exactly two rational
+    corners (surd corners are not read yet).  Any other entry or corner
+    raises BadRegionSpec naming it."""
+    out = []
+    for i, r in enumerate(items):
+        corners = []
+        for axis in ("x", "y"):
+            pair = r[axis]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise BadRegionSpec(f"rects entry {i}: {axis} = {pair!r} is not a list of two corners")
+            for k, text in enumerate(pair):
+                try:
+                    v = _parse_frac(text)
+                except (ArithmeticError, ValueError, OutOfDomain):
+                    v = None
+                if v is None or not is_rational(v):
+                    raise BadRegionSpec(f"rects entry {i}: corner {axis}[{k}] = {text!r} is not a rational")
+                corners.append(as_real(v))
+        out.append(tuple(corners))
+    return out
 
 
 # builder name -> the region it builds from its params

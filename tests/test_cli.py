@@ -409,12 +409,28 @@ def test_bad_seed_env_subprocess_has_no_traceback():
 
 @pytest.mark.parametrize(
     "spec",
-    ['{"builder":"alpha"}', '{"builder":"beta","params":{}}', "cell:3", "h:x", "{oops"],
+    ['{"builder":"alpha"}', '{"builder":"beta","params":{}}', "cell:3", "h:x", "{oops",
+     '{"rects":[{"x":["1/3","1/2","7"],"y":["1/3","1/2"]}]}'],
 )
 def test_region_info_malformed_spec_exits_2(capsys, spec):
     code, out, err = run_cli(["region-info", "--region", spec], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["entropy", "--region", "alpha:1/50", "--samples", "2", "--seed", "1"],
+        ["entropy", "--region", "cell:5,1", "--method", "monte-carlo", "--samples", "3", "--seed", "1"],
+        ["sweep-alpha", "--alphas", "1/50", "--samples", "2", "--seed", "1"],
+    ],
+)
+def test_monte_carlo_estimate_of_0_exits_2_asking_for_more_samples(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: no sample of ") and err.rstrip().endswith("raise --samples")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_console_entry_point():

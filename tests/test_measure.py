@@ -4,10 +4,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfrow import measure
-from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits
-from cfrow.errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
+from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits, from_digits
+from cfrow.errors import (
+    BadTolerance,
+    CapExceeded,
+    CfrowError,
+    InvalidSingularisationArea,
+    NoMeasurePath,
+    NonIntegrable,
+)
 from cfrow.induced import CellRegion, RectRegion
 from cfrow.measure import (
     MeasureEstimate,
@@ -20,12 +28,15 @@ from cfrow.measure import (
     empirical_denominator_growth,
     entropy_of,
     gauss_rect_mass,
+    gauss_rect_ratio,
     log_of_big,
     measure_of,
     rect_mass_exact,
+    rect_mass_ratio,
 )
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import (
+    SingularisationArea,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -35,6 +46,8 @@ from cfrow.regions import (
     region_v,
 )
 from cfrow.reals import Surd, golden_fraction, parse_real
+
+from test_regions import GOOD_AREAS
 
 G = golden_fraction()
 LOG_GOLDEN_PLUS_1 = math.log(1 + (math.sqrt(5) - 1) / 2)
@@ -100,13 +113,91 @@ def test_rejects_unknown_method():
 
 
 def test_s_expansion_measure_exact():
-    # strip mass minus the pulled-back rectangle mass, against the
-    # fast-map probability of the excluded area
+    # log 2 times the Gauss measure of the area's complement, the strip
+    # isomorphism's image of the slow measure on the top strip; measure_of
+    # reads the same Gauss ratio of the area's rectangles, so the check
+    # independent of it is the pulled-back oracle below
     rects = [(Fraction(1, 2), 1, 0, Fraction(1, 2))]
     R = build_s_expansion_region(rects)
     got = measure_of(R).value
     nu_s = gauss_rect_mass(*rects[0])
     assert abs(got - math.log(2) * (1 - nu_s)) < 1e-12
+
+
+def pulled_back(rect):
+    """The top-strip rectangle of the points whose pull-back through the
+    strip isomorphism, ([0;b2,a1,a2,...], [0;b3,...]), lies in the
+    fast-map rectangle rect = (t0, t1, v0, v1) of the right half: b2 = 1,
+    x in [1/t1 - 1, 1/t0 - 1] and y = 1/(1 + 1/(1 + v)), v in [v0, v1]."""
+    t0, t1, v0, v1 = (Fraction(c) for c in rect)
+    return 1 / t1 - 1, 1 / t0 - 1, (1 + v0) / (2 + v0), (1 + v1) / (2 + v1)
+
+
+def pulled_back_mass(rects) -> float:
+    """The S-region's mass by the slow-map closed form: the strip mass
+    minus each pulled-back rectangle's, in the area's order."""
+    total = rect_mass_exact(0, 1, Fraction(1, 2), 1)
+    for r in rects:
+        total -= math.log(rect_mass_ratio(*pulled_back(r)))
+    return total
+
+
+def random_valid_areas(rng, count):
+    """count random areas of one to three rectangles with corners in
+    24ths of the right half, each passing SingularisationArea."""
+    areas = []
+    while len(areas) < count:
+        rects = []
+        for _ in range(rng.randint(1, 3)):
+            x0, x1 = sorted(rng.sample(range(12, 25), 2))
+            y0, y1 = sorted(rng.sample(range(25), 2))
+            rects.append((Fraction(x0, 24), Fraction(x1, 24), Fraction(y0, 24), Fraction(y1, 24)))
+        try:
+            SingularisationArea(rects)
+        except InvalidSingularisationArea:
+            continue
+        areas.append(rects)
+    return areas
+
+
+def test_s_expansion_mass_equals_the_pulled_back_oracle_bit_for_bit():
+    areas = GOOD_AREAS + random_valid_areas(random.Random(24), 200)
+    assert sum(len(rects) > 1 for rects in areas) >= 20
+    for rects in areas:
+        assert measure_of(build_s_expansion_region(rects)).value == pulled_back_mass(rects)
+
+
+_RIGHT_HALF = st.fractions(Fraction(1, 2), 1, max_denominator=10**6)
+_UNIT = st.fractions(0, 1, max_denominator=10**6)
+
+
+@given(_RIGHT_HALF, _RIGHT_HALF, _UNIT, _UNIT)
+def test_pulled_back_slow_ratio_is_the_gauss_ratio(t0, t1, v0, v1):
+    rect = (min(t0, t1), max(t0, t1), min(v0, v1), max(v0, v1))
+    assert rect_mass_ratio(*pulled_back(rect)) == gauss_rect_ratio(*rect)
+
+
+@pytest.mark.parametrize("rects", GOOD_AREAS)
+def test_s_expansion_mass_matches_monte_carlo_of_its_membership(rects):
+    # the exact mass reads the area's rectangles and membership pulls each
+    # point back to them: top-strip samples, snapped and read to the end,
+    # hit the region in the share its mass gives
+    R = build_s_expansion_region(rects)
+    sample, rng, n = _strip_sampler(Fraction(1, 2)), random.Random(7), 10_000
+    hits = 0
+    for _ in range(n):
+        xd, yd = (r.read_all() for r in sample(rng))
+        hits += R.contains(OmegaPoint.from_streams(from_digits(xd), from_digits(yd)))
+    p = hits / n
+    sigma = math.log(2) * math.sqrt(p * (1 - p) / n)
+    assert abs(math.log(2) * p - measure_of(R).value) < 3 * sigma
+
+
+def test_monte_carlo_estimate_of_0_has_no_entropy():
+    with pytest.raises(NonIntegrable, match="no sample of 2 hit region alpha:1/50.*raise --samples"):
+        entropy_of(build_alpha_region(Fraction(1, 50)), seed=1, samples=2)
+    with pytest.raises(NonIntegrable, match="no sample of 3 hit region cell5,1"):
+        entropy_of(region_cell(5, 1), method="monte-carlo", seed=1, samples=3)
 
 
 def test_alpha_measure_constant_branch():

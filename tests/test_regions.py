@@ -398,11 +398,35 @@ def test_region_spec_unknown_builder():
 @pytest.mark.parametrize(
     "spec",
     ["h:x", "v:", "cell:3", "cell:a,b", "beta:1/2", "{not json", "[1]",
-     {"rects": [{"x": ["1/3"], "y": ["1/3", "1/2"]}]}, {"cells": [3]}],
+     {"rects": [{"x": ["1/3"], "y": ["1/3", "1/2"]}]}, {"cells": [3]},
+     {"rects": [{"x": ["1/3", "1/2", "7"], "y": ["1/3", "1/2"]}]},
+     {"rects": [{"x": "1/3", "y": ["1/3", "1/2"]}]},
+     {"rects": [{"x": ["g", "1"], "y": ["1/3", "1/2"]}]},
+     {"builder": "s_expansion",
+      "params": {"rects": [{"x": ["1/2", "1", "7"], "y": ["0", "1/2"]}]}}],
 )
 def test_region_spec_malformed(spec):
     with pytest.raises(BadRegionSpec):
         region_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        (["1/3", "1/2", "7"], ["1/3", "1/2"], "x = ['1/3', '1/2', '7'] is not a list of two corners"),
+        ("1/3", ["1/3", "1/2"], "x = '1/3' is not a list of two corners"),
+        (["1/3", "1/2"], ["1/2"], "y = ['1/2'] is not a list of two corners"),
+        (["1/3", "1/2"], ["1/3", "g"], "corner y[1] = 'g' is not a rational"),
+        (["1/x", "1/2"], ["1/3", "1/2"], "corner x[0] = '1/x' is not a rational"),
+    ],
+)
+def test_rect_spec_names_its_malformed_entry_and_corner(x, y, message):
+    good, entry = {"x": ["1/3", "1/2"], "y": ["1/3", "1/2"]}, {"x": x, "y": y}
+    for spec in ({"rects": [good, entry]},
+                 {"builder": "s_expansion", "params": {"rects": [good, entry]}}):
+        with pytest.raises(BadRegionSpec) as e:
+            region_from_spec(spec)
+        assert str(e.value) == "rects entry 1: " + message
 
 
 # -- the alpha walker against the stream walker it replaced ---------------------
