@@ -7,7 +7,8 @@ the symbolic interval maps only ever need three O(1) edits (replace the
 head, drop the head, push a new head), so a cons-cell view over a shared
 memoised source is the natural representation.  `prefix` reads a run of
 digits as a list without a head/tail step per digit: cons cells are
-walked directly and a memoised view slices its buffer.
+walked directly and a memoised view slices its buffer; `enclosure` reads
+its window that way too.
 
 Monte Carlo samples are floats snapped to nearby rationals; their digits
 come from a `SnapReader`, a resumable integer Euclid loop that exposes a
@@ -16,8 +17,10 @@ membership test that decides on the first digits leaves the rest of the
 expansion undone.  A reader holds its float in `src` until its first
 read, which starts the loop, so a coordinate the test never asks about
 costs no Euclid step; it takes only a finite float >= 0 and raises
-ValueError for anything else.  `snapped_digits` is such a reader read to
-its end.
+ValueError for anything else.  The snap is monotone and fixes the
+rationals of denominator <= max_den, so a float between two such
+rationals snaps between them, a fact a test may use before the loop
+starts.  `snapped_digits` is such a reader read to its end.
 
 Numbers are compared exactly by their digits: `order` reads two
 `Reader`s in the alternating lexicographic order of continued
@@ -77,13 +80,10 @@ class DigitStream:
         """
         # value = (a*t + b)/(c*t + d) with t = remaining tail in [0, 1]
         a, b, c, d = 1, 0, 0, 1
-        s = self
-        for _ in range(depth):
-            h = s.head()
+        for h in self.prefix(depth):
             if h is INF:
                 return RationalInterval.point(Fraction(b, d))
             a, b, c, d = b, a + b * h, d, c + d * h
-            s = s.tail()
         lo = Fraction(b, d)
         hi = Fraction(a + b, c + d)
         if lo > hi:
@@ -261,20 +261,27 @@ class SnapReader:
     written canonically [..., b + 1].  That end rule can change only the
     last two digits, so a digit is exposed once a digit other than 1
     follows it, or two digits follow it; until then it waits in `ahead`.
+
+    The snap is monotone and fixes every rational p/q with q <= max_den:
+    a nearest point of a set never moves down as t moves up, and p/q is
+    its own nearest point.  So t >= p/q snaps to a rational >= p/q, and
+    t <= p/q to one <= p/q: a float inside a closed interval whose ends
+    have denominators <= max_den snaps inside it, which lets the alpha
+    walker answer some samples from t before their Euclid loop starts.
     """
 
-    __slots__ = ("got", "src", "ahead", "_n", "_den", "_q0", "_q1", "_max")
+    __slots__ = ("got", "src", "ahead", "max_den", "_n", "_den", "_q0", "_q1")
 
     def __init__(self, t: float, max_den: int = 10**12):
         # a float is told from a started loop's int remainder by its type
         if type(t) is not float or not 0.0 <= t < math.inf:
             raise ValueError(f"a snap reads a finite float >= 0, not {t!r}")
-        self.got, self.ahead, self.src, self._max = [], (), t, max_den
+        self.got, self.ahead, self.src, self.max_den = [], (), t, max_den
 
     def more(self, pause: bool = True):
         """Expose at least one more digit, or complete `got`; with pause
         False, read on to the end."""
-        got, d, max_den = self.got, self.src, self._max
+        got, d, max_den = self.got, self.src, self.max_den
         if type(d) is float:  # the first read: t = [a0; a1, ...]
             n, den = d.as_integer_ratio()
             a0, d = divmod(n, den)

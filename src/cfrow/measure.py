@@ -22,7 +22,10 @@ loop per coordinate, started on its first read).  Monte Carlo asks the
 region's own reader membership, `contains_rational`, which pulls only
 the digits it needs from those readers, with no Fraction per sample.
 An alpha region reads y first and x only when its walker asks, so most
-samples never start x's loop.
+samples never start x's loop, and a y in an interval that its first
+digits settle is answered from the drawn float before its reader starts
+(the snap is monotone and fixes the interval's small-denominator ends,
+so the estimate is the walker's, bit for bit).
 Cell and rectangle regions also take quadrature and Monte Carlo, as
 cross-checks of their closed form.  All three methods read one list of
 rectangles, clamped to the unit square (`induced.RectRegion.rects`, or

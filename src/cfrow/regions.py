@@ -26,11 +26,15 @@ Three families:
   and orders the pulled-back digits against alpha's with `digits.order`,
   the one comparator; an irrational alpha is read by its preperiod and
   period, and its tail compared with x's by their recurrence states.
+  A Monte Carlo sample whose y lies in an interval that y's first
+  digits settle is answered from its float before any Euclid step.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .digits import Cons, LazyDigits, Reader, fraction_digits, order
@@ -186,6 +190,52 @@ class _Pulled:
         return self._x.state(k - self._j) if k > self._j else None
 
 
+# the depth-2 intervals for b2 = k past this are together under 1/(64 a1)
+# wide, so the table stops there however large a1 is
+_DECIDED_K = 64
+# the b2 = 1 interval starts at [0; 1, 1, M + 1], not at its infimum 1/2,
+# whose canonical digits are [2]; the y between, 2.5e-7 wide, go through
+# the walker
+_DECIDED_M = 10**6
+
+
+def _float_at_least(v: Fraction) -> float:
+    f = float(v)
+    return f if Fraction(f) >= v else math.nextafter(f, math.inf)
+
+
+def _float_at_most(v: Fraction) -> float:
+    f = float(v)
+    return f if Fraction(f) <= v else math.nextafter(f, -math.inf)
+
+
+def _decided_table(a1: int, back_cap: int):
+    """The top-strip y-intervals whose digits settle `_odd_depth` before
+    x is read, for alpha's first digit a1: depth 1 (a member) on
+    [(a1+1)/(a1+2), 1], where b2 > a1 or y = 1, and depth 2 (no member) on
+    [k/(k+1), (kA+1)/((k+1)A+1)], A = a1 + 1, where b2 = k < a1 and b3 > a1
+    or y ends after b2.  A depth needs back_cap >= depth, or the walker
+    raises.  Returns the float bounds, flat and ascending, as [lo, hi)
+    pairs: lo is the least float >= the interval's left end and hi the
+    float after the greatest float <= its right end; and per interval the
+    answer and the largest denominator of its two ends."""
+    spans = []
+    if back_cap >= 2:
+        A = a1 + 1
+        for k in range(1, min(a1, _DECIDED_K + 1)):
+            lo = Fraction(_DECIDED_M + 2, 2 * _DECIDED_M + 3) if k == 1 else Fraction(k, k + 1)
+            spans.append((lo, Fraction(k * A + 1, (k + 1) * A + 1), False))
+    if back_cap >= 1:
+        spans.append((Fraction(a1 + 1, a1 + 2), Fraction(1), True))
+    ends, answers = [], []
+    for lo, hi, member in spans:
+        f_lo, f_hi = _float_at_least(lo), _float_at_most(hi)
+        if f_lo <= f_hi:
+            ends += [f_lo, math.nextafter(f_hi, math.inf)]
+            answers.append((member, max(lo.denominator, hi.denominator)))
+    return ends, answers
+
+
 class AlphaRegion(Region):
     """Region inducing the map x |-> 1/|x| - floor(1/|x| + 1 - alpha).
 
@@ -209,6 +259,18 @@ class AlphaRegion(Region):
     An alpha whose preperiod and period run past `back_cap` digits,
     which no comparison may match, keeps its first back_cap + 1 digits
     and period None.
+
+    With a1 = alpha_list[0], y's digits alone settle the walker in two
+    families of top-strip points, each a closed y-interval whose ends
+    have small denominators and lie in it: depth 1, a member, where
+    b2 > a1 or y = 1, which is [(a1+1)/(a1+2), 1]; and depth 2, no member,
+    where b2 = k < a1 and b3 > a1 or y ends after b2, which is
+    [k/(k+1), (k(a1+1)+1)/((k+1)(a1+1)+1)] (for k = 1 the table starts at
+    [0; 1, 1, 10**6 + 1], since 1/2 reads [2]).  A snap is monotone and
+    fixes such ends, so `contains_rational` answers an unstarted
+    `SnapReader` y whose float lies in one, between exact float bounds
+    built once (`_decided_table`), before its Euclid loop starts; every
+    other point goes through the walker.
     """
 
     unit_s = True
@@ -232,6 +294,7 @@ class AlphaRegion(Region):
             self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
+        self._decided_ends, self._decided = _decided_table(self.alpha_list[0], back_cap)
         self.name = name or f"alpha:{alpha}"
 
     def _below(self, y, j: int, x) -> bool:
@@ -254,7 +317,9 @@ class AlphaRegion(Region):
 
     def _odd_depth(self, x, y) -> bool:
         """Parity of the least backward depth j whose pulled-back
-        x-coordinate is < alpha."""
+        x-coordinate is < alpha.  y alone answers depth 1 when b2 > a1 or
+        y = 1, and depth 2 when b2 < a1 and b3 > a1 or y ends after b2:
+        the two families `contains_rational` reads off a snap's float."""
         a1 = self.alpha_list[0]
         bs = y.got
         for j in range(1, self.back_cap + 1):
@@ -310,10 +375,19 @@ class AlphaRegion(Region):
         complete list.  The same walker pulls only the digits it needs,
         y's first: x's reader is started only on the slide path or when a
         comparison against alpha runs off the digits of y, so a top-strip
-        point decided by y alone leaves x unread.  y = 0 (no digits) is
-        no member; x = 0 is one only where `contains` finds it in the top
-        strip.  Below the top strip x's reader is left holding the slid
-        point's first digit c."""
+        point decided by y alone leaves x unread.  An unstarted snap y
+        whose float lies in one of the two families of `_odd_depth` is
+        answered before its reader starts, when its max_den admits the
+        interval's ends.  y = 0 (no digits) is no member; x = 0 is one
+        only where `contains` finds it in the top strip.  Below the top
+        strip x's reader is left holding the slid point's first digit c."""
+        t = y.src
+        if type(t) is float:  # an unstarted snap: its float may settle the walker
+            i = bisect_right(self._decided_ends, t)
+            if i & 1:
+                member, den = self._decided[i >> 1]
+                if den <= y.max_den:
+                    return member
         if not y.got and y.src is not None:
             y.more()
         if not y.got:

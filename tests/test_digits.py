@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfrow.digits import (
     ZERO_STREAM,
@@ -25,7 +26,7 @@ from cfrow.digits import (
     tail_state,
 )
 from cfrow.errors import BoundaryUndecidable
-from cfrow.exact import INF
+from cfrow.exact import INF, RationalInterval
 from cfrow.reals import golden_fraction, rcf_digits
 
 from conftest import random_surd
@@ -85,6 +86,29 @@ def test_prefix_equals_head_tail_walk(rng):
         for s in sample_streams(rng):
             for n in (1, 2, 7, rng.randint(0, 500), 500):
                 assert s.prefix(n) == walk(s, n)
+
+
+def enclosure_by_steps(stream, depth):
+    """The head/tail enclosure loop `enclosure` used before it read its
+    window with one `prefix`, kept as its oracle."""
+    a, b, c, d = 1, 0, 0, 1
+    s = stream
+    for _ in range(depth):
+        h = s.head()
+        if h is INF:
+            return RationalInterval.point(Fraction(b, d))
+        a, b, c, d = b, a + b * h, d, c + d * h
+        s = s.tail()
+    lo, hi = Fraction(b, d), Fraction(a + b, c + d)
+    return RationalInterval(min(lo, hi), max(lo, hi))
+
+
+def test_enclosure_equals_head_tail_loop(rng):
+    for _ in range(20):
+        for s in sample_streams(rng):
+            for depth in (0, 1, 2, 7, rng.randint(0, 200)):
+                got, want = s.enclosure(depth), enclosure_by_steps(s, depth)
+                assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 def test_shared_memo_survives_overlapping_prefixes():
@@ -184,6 +208,30 @@ def test_snapped_digits_semiconvergent_fold_and_tie():
     assert snapped_digits(0.5, 1) == limited(0.5, 1) == []
     for j in range(1, 60):
         assert snapped_digits(2.0 ** -(j + 1), 2**j) == limited(2.0 ** -(j + 1), 2**j) == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(1, 10**12), st.integers(-3, 3))
+def test_snap_is_monotone_and_fixes_small_denominators(t, q, dp):
+    # a float on one side of a rational p/q with q <= max_den snaps to
+    # that side of it (or onto it): random p/q near t, and t's own
+    # convergents and semiconvergents, which fall on both sides of it
+    snapped, exact = digits_fraction(snapped_digits(t)), Fraction(t)
+    near = [Fraction(min(max(round(exact * q) + dp, 0), q), q)]
+    own = []
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    for a in fraction_digits(exact):
+        # (p0 + j p1)/(q0 + j q1): j = a is the next convergent, and the
+        # largest j within the bound the semiconvergent the snap weighs
+        for j in {1, a // 2, a, (10**12 - q0) // q1}:
+            if 1 <= j <= a:
+                own.append(Fraction(p0 + j * p1, q0 + j * q1))
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+    for r in near + [c for c in own if c.denominator <= 10**12]:
+        if exact >= r:
+            assert snapped >= r, (t, r)
+        if exact <= r:
+            assert snapped <= r, (t, r)
 
 
 def read_in_steps(t, max_den, rng):

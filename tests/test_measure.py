@@ -47,7 +47,7 @@ from cfrow.regions import (
 )
 from cfrow.reals import Surd, golden_fraction, parse_real
 
-from test_regions import GOOD_AREAS
+from test_regions import GOOD_AREAS, TABLE_ALPHAS
 
 G = golden_fraction()
 LOG_GOLDEN_PLUS_1 = math.log(1 + (math.sqrt(5) - 1) / 2)
@@ -424,6 +424,31 @@ def test_alpha_measure_matches_reference_samples(alpha):
 
     for seed in (1, 8, 30):
         assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)
+
+
+def started_y_mc(R, seed, samples):
+    """`measure_of`'s alpha estimate with every y reader started before
+    the walker sees it, so no sample is answered from its float."""
+    rng = random.Random(seed)
+    y_min = _alpha_window(R)
+    sample = _strip_sampler(y_min)
+    w_mass = rect_mass_exact(0, 1, y_min, 1)
+    hits = 0
+    for _ in range(samples):
+        x, y = sample(rng)
+        y.more()
+        hits += R.contains_rational(x, y)
+    p = hits / samples
+    sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
+    return w_mass * p, 3 * sigma
+
+
+@pytest.mark.parametrize("alpha", TABLE_ALPHAS + [Fraction(1, 10**6)], ids=str)
+def test_alpha_measure_equals_the_started_walker(alpha):
+    R = build_alpha_region(alpha)
+    for seed in (1, 4, 9, 331):
+        est = measure_of(R, seed=seed, samples=2000)
+        assert (est.value, est.error_bound) == started_y_mc(R, seed, 2000), seed
 
 
 def test_cell_monte_carlo_matches_reference_samples():

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -775,6 +776,116 @@ def test_contains_rational_reads_x_only_when_the_walker_asks():
         got = R.contains_rational(x, y)
         assert x.got[0] == a1 + 1
         assert got == R.contains(point(SnapReader(t), y))
+
+
+# the walker's alphas, plus a1 = 3 (1/3, 3/10, (sqrt(5)-1)/4), 7, 1 and 2000
+TABLE_ALPHAS = WALKER_ALPHAS + [Fraction(1, 3), Fraction(3, 10), Fraction(1, 7), Fraction(11, 20),
+                                Fraction(1, 2000), parse_real("(sqrt(5)-1)/4")]
+
+
+def decided_floats(R, rng, interior=20):
+    """Per interval of R's table: its float ends, their inward neighbours
+    and random floats between, then the float just outside each end."""
+    ends = R._decided_ends
+    for i in range(0, len(ends), 2):
+        lo, hi = ends[i], math.nextafter(ends[i + 1], -math.inf)
+        inside = [lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
+        inside += [rng.uniform(lo, hi) for _ in range(interior)]
+        outside = [t for t in (math.nextafter(lo, -math.inf), ends[i + 1]) if t <= 1.0]
+        yield i // 2, inside, outside
+
+
+def started(t, max_den=10**12):
+    """A snap of t whose reader has started, so the table is skipped."""
+    y = SnapReader(t, max_den)
+    y.more()
+    return y
+
+
+def test_decided_intervals_answer_as_the_walker():
+    rng = random.Random(25)
+    for alpha in TABLE_ALPHAS:
+        R = build_alpha_region(alpha)
+        a1 = R.alpha_list[0]
+        assert R._decided, alpha
+        for k, inside, outside in decided_floats(R, rng):
+            member = R._decided[k][0]
+            for t in inside:
+                # the family the interval stands for, read off the snap's digits
+                ys = snapped_digits(t)
+                if member:
+                    assert ys == [1] or ys[:1] == [1] and ys[1] > a1, (alpha, t, ys)
+                else:
+                    assert ys[:1] == [1] and ys[1] < a1 and (len(ys) == 2 or ys[2] > a1), (alpha, t, ys)
+            for t in inside + outside:
+                for xv in (0.0, 1.0, 5e-324, rng.random()):
+                    y = SnapReader(t)
+                    got = R.contains_rational(SnapReader(xv), y)
+                    assert got == R.contains_rational(SnapReader(xv), started(t)), (alpha, t, xv)
+                    if t in inside:
+                        assert got == member and type(y.src) is float, (alpha, t)
+        # floats the table does not hold go through the walker unchanged
+        for _ in range(300):
+            t, xv = rng.random(), rng.random()
+            assert (R.contains_rational(SnapReader(xv), SnapReader(t))
+                    == R.contains_rational(SnapReader(xv), started(t))), (alpha, t, xv)
+
+
+def test_alpha_region_table_is_small_for_tiny_alpha():
+    start = time.perf_counter()
+    R = AlphaRegion(Fraction(1, 10**6))
+    assert time.perf_counter() - start < 0.05
+    assert R.alpha_list == [10**6] and 0 < len(R._decided) <= 65
+    assert len(R._decided_ends) == 2 * len(R._decided)
+    assert R._decided_ends == sorted(R._decided_ends)
+
+
+def test_decided_intervals_need_the_depth_they_answer():
+    # back_cap 0 answers nothing, not even y = 1, from its table or its
+    # walker; back_cap 1 answers depth 1 only, and depth-2 samples raise
+    # as the walker does; back_cap 2 answers both
+    depth1, depth2 = 0.9, 0.52  # y = [0; 1, 9, ...] and [0; 1, 1, 12], alpha = 1/2
+    for back_cap, answers in ((0, {}), (1, {depth1: True}), (2, {depth1: True, depth2: False})):
+        R = build_alpha_region(Fraction(1, 2), back_cap=back_cap)
+        assert [m for m, _ in R._decided] == [False, True][2 - back_cap:]
+        for t in (depth1, depth2, 1.0):
+            y = SnapReader(t)
+            if t == 1.0 and back_cap:
+                assert R.contains_rational(SnapReader(0.3), y) and type(y.src) is float
+            elif t in answers:
+                assert R.contains_rational(SnapReader(0.3), y) == answers[t]
+                assert type(y.src) is float
+            else:
+                with pytest.raises(BackwardCapExceeded):
+                    R.contains_rational(SnapReader(0.3), y)
+                with pytest.raises(BackwardCapExceeded):
+                    R.contains_rational(SnapReader(0.3), started(t))
+
+
+def test_decided_intervals_need_ends_within_the_snap_bound():
+    # alpha = 1/2: depth 1 is [3/4, 1].  Under max_den 3, 0.76 snaps to
+    # 2/3 = [0; 1, 2], outside that interval, and b2 = a1 sends the walker
+    # into x; under max_den 4 it snaps into [3/4, 1]
+    R = build_alpha_region(Fraction(1, 2))
+    assert snapped_digits(0.76, 3) == [1, 2]
+    answers = set()
+    for xv in (0.0, 0.1, 0.3, 0.45, 0.7, 1.0):
+        y = SnapReader(0.76, 3)
+        got = R.contains_rational(SnapReader(xv, 3), y)
+        assert y.got and got == R.contains_rational(SnapReader(xv, 3), started(0.76, 3))
+        answers.add(got)
+        y = SnapReader(0.76, 4)
+        assert R.contains_rational(SnapReader(xv, 4), y) and type(y.src) is float
+    assert answers == {False, True}
+    # the b2 = 1 interval's left end has denominator 2 * 10**6 + 3
+    rng = random.Random(3)
+    lo, hi = R._decided_ends[:2]
+    for max_den in (10**6, 2 * 10**6 + 2, 2 * 10**6 + 3, 10**12):
+        for t in [lo, math.nextafter(hi, 0.0)] + [rng.uniform(lo, hi) for _ in range(200)]:
+            y = SnapReader(t, max_den)
+            got = R.contains_rational(SnapReader(0.4, max_den), y)
+            assert got == R.contains_rational(SnapReader(0.4, max_den), started(t, max_den))
+            assert (type(y.src) is float) == (max_den >= 2 * 10**6 + 3)
 
 
 def test_alpha_list_is_preperiod_and_period():
