@@ -16,11 +16,13 @@ digit only once the snap's end rule can no longer change it, so a
 membership test that decides on the first digits leaves the rest of the
 expansion undone.  A reader holds its float in `src` until its first
 read, which starts the loop, so a coordinate the test never asks about
-costs no Euclid step; it takes only a finite float >= 0 and raises
-ValueError for anything else.  The snap is monotone and fixes the
-rationals of denominator <= max_den, so a float between two such
-rationals snaps between them, a fact a test may use before the loop
-starts.  `snapped_digits` is such a reader read to its end.
+costs no Euclid step; it takes only a finite float >= 0 and an int
+max_den >= 1, and raises ValueError for anything else.  The snap is
+monotone and fixes the rationals of denominator <= max_den, so a float
+between two such rationals snaps between them: an alpha region answers
+a sample whose two floats lie in a product of cylinders its walker has
+classified before either loop starts.  `snapped_digits` is such a
+reader read to its end.
 
 Numbers are compared exactly by their digits: `order` reads two
 `Reader`s in the alternating lexicographic order of continued
@@ -266,8 +268,12 @@ class SnapReader:
     a nearest point of a set never moves down as t moves up, and p/q is
     its own nearest point.  So t >= p/q snaps to a rational >= p/q, and
     t <= p/q to one <= p/q: a float inside a closed interval whose ends
-    have denominators <= max_den snaps inside it, which lets the alpha
-    walker answer some samples from t before their Euclid loop starts.
+    have denominators <= max_den snaps inside it.  The alpha regions'
+    cylinder tables rest on this: an interval inside a product of
+    cylinders the walker decides answers every float pair inside it
+    before either Euclid loop starts.  A max_den below 1 admits no
+    rational at all (`limit_denominator` refuses it too) and raises
+    ValueError, as a bad t does.
     """
 
     __slots__ = ("got", "src", "ahead", "max_den", "_n", "_den", "_q0", "_q1")
@@ -276,6 +282,8 @@ class SnapReader:
         # a float is told from a started loop's int remainder by its type
         if type(t) is not float or not 0.0 <= t < math.inf:
             raise ValueError(f"a snap reads a finite float >= 0, not {t!r}")
+        if type(max_den) is not int or max_den < 1:
+            raise ValueError(f"a snap needs an int max_den >= 1, not {max_den!r}")
         self.got, self.ahead, self.src, self.max_den = [], (), t, max_den
 
     def more(self, pause: bool = True):

@@ -95,6 +95,10 @@ class BadTolerance(CfrowError):
     """A quadrature tolerance that is not a finite float > 0."""
 
 
+class BadSampleCount(CfrowError):
+    """A Monte Carlo sample count that is not an int >= 1."""
+
+
 class NullSetPoint(CfrowError):
     pass
 

@@ -22,10 +22,11 @@ loop per coordinate, started on its first read).  Monte Carlo asks the
 region's own reader membership, `contains_rational`, which pulls only
 the digits it needs from those readers, with no Fraction per sample.
 An alpha region reads y first and x only when its walker asks, so most
-samples never start x's loop, and a y in an interval that its first
-digits settle is answered from the drawn float before its reader starts
-(the snap is monotone and fixes the interval's small-denominator ends,
-so the estimate is the walker's, bit for bit).
+samples never start x's loop, and a sample whose two floats lie in a
+product of cylinders that the walker has classified is answered from
+them before either reader starts (the snap is monotone and fixes the
+ends of the region's table intervals, so the estimate is the walker's,
+bit for bit).
 Cell and rectangle regions also take quadrature and Monte Carlo, as
 cross-checks of their closed form.  All three methods read one list of
 rectangles, clamped to the unit square (`induced.RectRegion.rects`, or
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .digits import SnapReader
-from .errors import BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
+from .errors import BadSampleCount, BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
 from .regions import AlphaRegion, SExpansionRegion
@@ -239,8 +240,10 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
       each area rectangle's Gauss ratio);
     * the one-parameter alpha regions: "monte-carlo" (seeded).
 
-    A method the region's class lacks raises NoMeasurePath, and a
-    quadrature `tol` that is not a finite float > 0 raises BadTolerance.
+    A method the region's class lacks raises NoMeasurePath, a
+    quadrature `tol` that is not a finite float > 0 raises BadTolerance,
+    and a Monte Carlo `samples` that is not an int >= 1 raises
+    BadSampleCount.
     """
     if method not in _METHODS:
         raise CfrowError(f"unknown measure method {method!r}; known: {', '.join(_METHODS)}")
@@ -314,6 +317,8 @@ def _strip_monte_carlo(y_min: Fraction, hit, seed: int, samples: int) -> Measure
     y > y_min: the strip's exact mass times the share of `samples`
     points of `_strip_sampler(y_min)` whose coordinate readers x, y
     satisfy `hit(x, y)`."""
+    if type(samples) is not int or samples < 1:
+        raise BadSampleCount(f"Monte Carlo samples {samples!r} is not an int >= 1")
     rng = random.Random(seed)
     sample = _strip_sampler(y_min)
     w_mass = rect_mass_exact(0, 1, y_min, 1)

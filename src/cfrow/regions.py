@@ -26,12 +26,14 @@ Three families:
   and orders the pulled-back digits against alpha's with `digits.order`,
   the one comparator; an irrational alpha is read by its preperiod and
   period, and its tail compared with x's by their recurrence states.
-  A Monte Carlo sample whose y lies in an interval that y's first
-  digits settle is answered from its float before any Euclid step.
+  A Monte Carlo sample whose floats lie in a product of cylinders that
+  the walker itself has classified is answered from them before any
+  Euclid step.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -190,50 +192,265 @@ class _Pulled:
         return self._x.state(k - self._j) if k > self._j else None
 
 
-# the depth-2 intervals for b2 = k past this are together under 1/(64 a1)
-# wide, so the table stops there however large a1 is
-_DECIDED_K = 64
-# the b2 = 1 interval starts at [0; 1, 1, M + 1], not at its infimum 1/2,
-# whose canonical digits are [2]; the y between, 2.5e-7 wide, go through
-# the walker
-_DECIDED_M = 10**6
+# a class of last digits [lo, hi] spans [.., lo] to [.., hi, 1, _FAR],
+# inside hi's cylinder, or to [.., max(lo, _FAR)] when hi is unbounded
+# or past _FAR
+_FAR = 10**6
+# y's first three digits and x's first two are classified, no more
+_Y_DEPTH, _X_DEPTH = 3, 2
+# a product of cylinder classes that its first run leaves undecided is
+# classified further only when it is at least 1/_SPAN in area, counted
+# over the members its leaves are copied to; smaller ones go through the
+# walker
+_SPAN = 2**14
+# and a class is split into its first _MEMBERS members at most
+_MEMBERS = 64
+# (alpha_list, period, back_cap) -> cylinder table, the latest used last
+_TABLES = {}
+_TABLES_KEPT = 32
 
 
-def _float_at_least(v: Fraction) -> float:
-    f = float(v)
-    return f if Fraction(f) >= v else math.nextafter(f, math.inf)
+class _PastPrefix(Exception):
+    """A `_Prefix` reader was read past its digits."""
 
 
-def _float_at_most(v: Fraction) -> float:
-    f = float(v)
-    return f if Fraction(f) <= v else math.nextafter(f, -math.inf)
+class _Prefix:
+    """Reader of a cylinder's first digits that raises _PastPrefix when
+    read past them: a walker run on such readers that returns gives its
+    answer for every point whose digits begin so."""
+
+    __slots__ = ("got", "src")
+
+    def __init__(self, got: list):
+        self.got, self.src = got, self
+
+    def more(self):
+        raise _PastPrefix(self)
+
+    def state(self, k: int):
+        return None
 
 
-def _decided_table(a1: int, back_cap: int):
-    """The top-strip y-intervals whose digits settle `_odd_depth` before
-    x is read, for alpha's first digit a1: depth 1 (a member) on
-    [(a1+1)/(a1+2), 1], where b2 > a1 or y = 1, and depth 2 (no member) on
-    [k/(k+1), (kA+1)/((k+1)A+1)], A = a1 + 1, where b2 = k < a1 and b3 > a1
-    or y ends after b2.  A depth needs back_cap >= depth, or the walker
-    raises.  Returns the float bounds, flat and ascending, as [lo, hi)
-    pairs: lo is the least float >= the interval's left end and hi the
-    float after the greatest float <= its right end; and per interval the
-    answer and the largest denominator of its two ends."""
+def _classes(crit, shift: int = 0):
+    """The digits d >= 1 that no comparison of d + shift with a value in
+    crit tells apart, as (lo, hi) classes ascending; the last has hi None."""
+    out, lo = [], 1
+    for v in sorted(crit):
+        v -= shift
+        if v >= lo:
+            if v > lo:
+                out.append((lo, v - 1))
+            out.append((v, v))
+            lo = v + 1
+    out.append((lo, None))
+    return out
+
+
+def _width(prefix: list, lo: int, hi):
+    """(n, m): the union of the cylinders [prefix..., d], d in [lo, hi],
+    is an interval n/m wide."""
+    q0, q1 = 0, 1
+    for a in prefix:
+        q0, q1 = q1, a * q1 + q0
+    if hi is None:
+        return 1, q1 * (lo * q1 + q0)
+    return hi + 1 - lo, (lo * q1 + q0) * ((hi + 1) * q1 + q0)
+
+
+def _wide(width, other=(1, 1)) -> bool:
+    """Is a product of intervals these wide at least 1/_SPAN in area?"""
+    return _SPAN * width[0] * other[0] >= width[1] * other[1]
+
+
+def _members(prefix: list, lo: int, hi, other=(1, 1)):
+    """The digits d of the class [lo, hi], ascending, as long as the
+    cylinder [prefix..., d] times an interval `other` wide is `_wide`."""
+    d = lo
+    while (hi is None or d <= hi) and d < lo + _MEMBERS and _wide(_width(prefix, d, d), other):
+        yield d
+        d += 1
+
+
+def _ratio(ds: list):
+    """(p, q) with p/q = [0; ds...] in lowest terms."""
+    p, q = 0, 1
+    for a in reversed(ds):
+        p, q = q, a * q + p
+    return p, q
+
+
+def _float_beside(p: int, q: int, up: bool) -> float:
+    """The least float >= p/q (up) or the greatest float <= p/q; int
+    true division is correctly rounded."""
+    f = p / q
+    n, d = f.as_integer_ratio()
+    if n * q != p * d and (n * q < p * d) == up:
+        f = math.nextafter(f, math.inf if up else -math.inf)
+    return f
+
+
+def _leaf(prefix: list, lo: int, hi, answer):
+    """The leaf of the class [lo, hi] of digits after prefix: (near, far,
+    answer), two canonical digit lists beginning so whose closed interval
+    lies inside the union of the cylinders [prefix..., d], d in [lo, hi]:
+    [prefix..., lo] and [prefix..., hi, 1, _FAR], or [prefix..., max(lo,
+    _FAR)] for a class unbounded or past _FAR."""
+    # a last digit 1 is not canonical: that cylinder holds only longer lists
+    near = prefix + ([1, _FAR] if lo == 1 and prefix else [lo])
+    return near, prefix + ([hi, 1, _FAR] if hi is not None and hi < _FAR else [max(lo, _FAR)]), answer
+
+
+def _float_table(leaves):
+    """Leaves (near, far, answer), disjoint, as float bounds for
+    `bisect_right`: flat and ascending [lo, hi) pairs, lo the least float
+    >= the lesser end and hi the float after the greatest float <= the
+    other, and per pair the answer and the larger denominator of the two
+    ends.  A leaf that holds no float is dropped."""
     spans = []
-    if back_cap >= 2:
-        A = a1 + 1
-        for k in range(1, min(a1, _DECIDED_K + 1)):
-            lo = Fraction(_DECIDED_M + 2, 2 * _DECIDED_M + 3) if k == 1 else Fraction(k, k + 1)
-            spans.append((lo, Fraction(k * A + 1, (k + 1) * A + 1), False))
-    if back_cap >= 1:
-        spans.append((Fraction(a1 + 1, a1 + 2), Fraction(1), True))
+    for near, far, answer in leaves:
+        (p, q), (r, s) = _ratio(near), _ratio(far)
+        if p * s > r * q:
+            p, q, r, s = r, s, p, q
+        spans.append((_float_beside(p, q, True), _float_beside(r, s, False), max(q, s), answer))
     ends, answers = [], []
-    for lo, hi, member in spans:
-        f_lo, f_hi = _float_at_least(lo), _float_at_most(hi)
-        if f_lo <= f_hi:
-            ends += [f_lo, math.nextafter(f_hi, math.inf)]
-            answers.append((member, max(lo.denominator, hi.denominator)))
+    for lo, hi, den, answer in sorted(spans, key=lambda span: span[0]):
+        if lo <= hi:
+            ends += [lo, math.nextafter(hi, math.inf)]
+            answers.append((answer, den))
     return ends, answers
+
+
+class _Cylinders:
+    """Builds an alpha region's cylinder table by running its walker on
+    `_Prefix` readers of product cylinders [b1..bk] x [a1..am].
+
+    The walker compares a point's digit only with alpha's digits (<, =, >
+    and the fold d +- 1 = e), with 1 (`digits.ends_with`) and, for x's
+    first digit a below the top strip, through c = a + b1 - 1 likewise.
+    So the digits that no such comparison tells apart form one class
+    (`_classes`), and one run on its least member answers for all of
+    them: a y class that settles the walker is a leaf; one that needs x
+    gets an x list of its own leaves; one that needs more of y is split
+    into its members, each followed by the next digit's classes, and
+    since the members are alike, the leaves found under the least are
+    copied to the others.  b1 is split at once below the top strip,
+    where x's classes depend on it.  A member's own point, which none of
+    the longer cylinders holds, is a leaf when the walker answers it
+    from y alone.  Products too narrow to pay for more runs (`_SPAN`,
+    `_MEMBERS`) are left to the walker, and so is a run that raises
+    BackwardCapExceeded, which raises there as before."""
+
+    def __init__(self, region):
+        self.region = region
+        crit = {1} | {e + k for e in region.alpha_list for k in (-1, 0, 1)} - {0}
+        self.classes = functools.cache(lambda shift: _classes(crit, shift))
+
+    def run(self, ys: list, xs: list, ended: bool = False):
+        """The walker on the cylinder [ys...] x [xs...], or on the point
+        y = [ys...] when ended: its answer, or "y" or "x" for the prefix
+        it reads past, or None when it raises."""
+        y, x = Reader(list(ys)) if ended else _Prefix(list(ys)), _Prefix(list(xs))
+        try:
+            return self.region._walk(x, y)
+        except _PastPrefix as exc:
+            return "y" if exc.args[0] is y else "x"
+        except BackwardCapExceeded:
+            return None
+
+    def table(self):
+        out = []
+        if self.region.slides:
+            # x's classes below the top strip depend on b1; past a1 + 1,
+            # where c > a1 whatever x is, the walker answers at once
+            for b1 in _members([], 1, self.region.alpha_list[0] + 1):
+                self.y_leaves([], b1, b1, out)
+        else:
+            self.y_leaves([], 1, 1, out)
+            self.y_leaves([], 2, None, out)
+        return _float_table(out)
+
+    def y_leaves(self, prefix: list, lo: int, hi, out: list, copies: int = 1):
+        """Adds the leaves of y's class [lo, hi] after prefix, which are
+        copied to as many members of the classes before it."""
+        ys = prefix + [lo]
+        n, m = _width(prefix, lo, hi)
+        wy = n * copies, m
+        # y alone settles the walker only in the top strip, b1 = 1; below
+        # it the first thing read is x's first digit
+        if not _wide(wy) and ys[0] > 1:
+            return
+        got = self.run(ys, [])
+        if got in ("x", "y") and not _wide(wy):
+            return
+        if got == "x":
+            # below _Y_DEPTH, x's classes that need more of y are settled
+            # in the members' x lists
+            stop, xs = len(ys) < _Y_DEPTH, []
+            for x_lo, x_hi in self.classes(ys[0] - 1):
+                if self.x_leaves(ys, wy, [], x_lo, x_hi, xs, stop):
+                    break
+            else:
+                if xs:
+                    out.append(_leaf(prefix, lo, hi, _float_table(xs)))
+                return
+            got = "y"
+        if got == "y":
+            if len(ys) < _Y_DEPTH:
+                ds, first, k = list(_members(prefix, lo, hi, (copies, 1))), [], len(prefix)
+                self.member(ys, first, copies * len(ds))
+                for d in ds:
+                    out += [(near[:k] + [d] + near[k + 1:], far[:k] + [d] + far[k + 1:], answer)
+                            for near, far, answer in first]
+        elif got is not None:
+            out.append(_leaf(prefix, lo, hi, got))
+
+    def member(self, ys: list, out: list, copies: int):
+        """Adds the leaves of the cylinder [ys...] that needs y's next
+        digit, and of its own point [ys...] when the walker answers it
+        from y alone.  The leaf of the last, unbounded class then reaches
+        the point, if it answers alike: the lists between are that
+        class's."""
+        classes, start = self.classes(0), len(out)
+        for c_lo, c_hi in classes:
+            self.y_leaves(ys, c_lo, c_hi, out, copies)
+        # a last digit 1 is not canonical
+        point = self.run(ys, [], ended=True) if ys[0] == 1 and (ys[-1] > 1 or len(ys) == 1) else None
+        if type(point) is bool:
+            leaf = _leaf(ys, classes[-1][0], None, point)
+            try:
+                out[out.index(leaf, start)] = leaf[0], ys, point
+            except ValueError:
+                out.append((ys, ys, point))
+
+    def x_leaves(self, ys: list, wy, prefix: list, lo: int, hi, out: list, stop: bool) -> bool:
+        """Adds the x leaves of x's class [lo, hi] after prefix, under y's
+        cylinder [ys...], wy wide; with stop, it stops at the first run
+        that reads past ys and returns True."""
+        if not _wide(_width(prefix, lo, hi), wy):
+            return False
+        got = self.run(ys, prefix + [lo])
+        if got == "y":
+            return stop
+        if got == "x":
+            if len(prefix) + 1 < _X_DEPTH:
+                for d in _members(prefix, lo, hi, wy):
+                    for c_lo, c_hi in self.classes(0):
+                        if self.x_leaves(ys, wy, prefix + [d], c_lo, c_hi, out, stop):
+                            return True
+        elif got is not None:
+            out.append(_leaf(prefix, lo, hi, got))
+        return False
+
+
+def _cylinder_table(region):
+    """The region's cylinder table, from the bounded module cache: it
+    depends only on alpha's digits, period and back_cap."""
+    key = (tuple(region.alpha_list), region.period, region.back_cap)
+    table = _TABLES.pop(key, None) or _Cylinders(region).table()
+    _TABLES[key] = table
+    if len(_TABLES) > _TABLES_KEPT:
+        del _TABLES[next(iter(_TABLES))]
+    return table
 
 
 class AlphaRegion(Region):
@@ -260,17 +477,16 @@ class AlphaRegion(Region):
     which no comparison may match, keeps its first back_cap + 1 digits
     and period None.
 
-    With a1 = alpha_list[0], y's digits alone settle the walker in two
-    families of top-strip points, each a closed y-interval whose ends
-    have small denominators and lie in it: depth 1, a member, where
-    b2 > a1 or y = 1, which is [(a1+1)/(a1+2), 1]; and depth 2, no member,
-    where b2 = k < a1 and b3 > a1 or y ends after b2, which is
-    [k/(k+1), (k(a1+1)+1)/((k+1)(a1+1)+1)] (for k = 1 the table starts at
-    [0; 1, 1, 10**6 + 1], since 1/2 reads [2]).  A snap is monotone and
-    fixes such ends, so `contains_rational` answers an unstarted
-    `SnapReader` y whose float lies in one, between exact float bounds
-    built once (`_decided_table`), before its Euclid loop starts; every
-    other point goes through the walker.
+    A Monte Carlo sample is first looked up in a cylinder table that
+    the walker builds itself (`_Cylinders`): it classifies product
+    cylinders [b1..bk] x [a1..am], k <= 3 and m <= 2, on prefix readers
+    that raise when read past, and keeps each one it decides as a closed
+    interval whose ends are canonical lists beginning so.  A snap is
+    monotone and fixes such ends (`digits.SnapReader`), so an unstarted
+    snap whose float lies in one, between exact float bounds, is
+    answered before its Euclid loop starts.  The table depends only on
+    alpha's digits and back_cap; it is built on the first sample that
+    asks, and kept in a bounded module cache shared by equal regions.
     """
 
     unit_s = True
@@ -294,7 +510,7 @@ class AlphaRegion(Region):
             self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
-        self._decided_ends, self._decided = _decided_table(self.alpha_list[0], back_cap)
+        self._table = None  # the cylinder table, fetched on the first unstarted snap
         self.name = name or f"alpha:{alpha}"
 
     def _below(self, y, j: int, x) -> bool:
@@ -317,9 +533,9 @@ class AlphaRegion(Region):
 
     def _odd_depth(self, x, y) -> bool:
         """Parity of the least backward depth j whose pulled-back
-        x-coordinate is < alpha.  y alone answers depth 1 when b2 > a1 or
-        y = 1, and depth 2 when b2 < a1 and b3 > a1 or y ends after b2:
-        the two families `contains_rational` reads off a snap's float."""
+        x-coordinate is < alpha.  A digit b_{j+1} other than a1 decides
+        depth j at once, from y alone; b_{j+1} = a1 asks `_below`, which
+        may read on into x."""
         a1 = self.alpha_list[0]
         bs = y.got
         for j in range(1, self.back_cap + 1):
@@ -372,22 +588,43 @@ class AlphaRegion(Region):
         """contains() for the point with rational coordinates read by x
         and y: readers of their canonical digit lists, such as the Monte
         Carlo sampler's `digits.SnapReader`s or `digits.Reader(list)` for a
-        complete list.  The same walker pulls only the digits it needs,
-        y's first: x's reader is started only on the slide path or when a
-        comparison against alpha runs off the digits of y, so a top-strip
-        point decided by y alone leaves x unread.  An unstarted snap y
-        whose float lies in one of the two families of `_odd_depth` is
-        answered before its reader starts, when its max_den admits the
-        interval's ends.  y = 0 (no digits) is no member; x = 0 is one
-        only where `contains` finds it in the top strip.  Below the top
-        strip x's reader is left holding the slid point's first digit c."""
+        complete list.  A sample whose snaps are both unstarted is first
+        looked up in the region's cylinder table (`_Cylinders`): one
+        bisect of y's float gives the walker's answer, or a list of
+        x-intervals that a second bisect of x's float may answer from,
+        each interval used only when the snap's max_den admits its ends.
+        Every other point goes through the walker (`_walk`)."""
         t = y.src
         if type(t) is float:  # an unstarted snap: its float may settle the walker
-            i = bisect_right(self._decided_ends, t)
+            ends, answers = self._table or self._cylinders()
+            i = bisect_right(ends, t)
             if i & 1:
-                member, den = self._decided[i >> 1]
+                answer, den = answers[i >> 1]
                 if den <= y.max_den:
-                    return member
+                    if type(answer) is bool:
+                        return answer
+                    s = x.src
+                    if type(s) is float:
+                        ends, answers = answer
+                        i = bisect_right(ends, s)
+                        if i & 1:
+                            answer, den = answers[i >> 1]
+                            if den <= x.max_den:
+                                return answer
+        return self._walk(x, y)
+
+    def _cylinders(self):
+        self._table = _cylinder_table(self)
+        return self._table
+
+    def _walk(self, x, y) -> bool:
+        """The walker of `contains_rational`: it pulls only the digits it
+        needs, y's first, and starts x's reader only on the slide path or
+        when a comparison against alpha runs off the digits of y, so a
+        top-strip point decided by y alone leaves x unread.  y = 0 (no
+        digits) is no member; x = 0 is one only where `contains` finds it
+        in the top strip.  Below the top strip x's reader is left holding
+        the slid point's first digit c."""
         if not y.got and y.src is not None:
             y.more()
         if not y.got:

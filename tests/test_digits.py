@@ -286,6 +286,19 @@ def test_snap_reader_reads_only_finite_floats_from_0(t):
         snapped_digits(t)
 
 
+@pytest.mark.parametrize("max_den", [0, -3, 2.5, None])
+def test_snap_reader_needs_max_den_at_least_1(max_den):
+    # under max_den 0 no rational is admitted: limit_denominator refuses
+    # it, and a snap must not read 0.3 as 0
+    with pytest.raises(ValueError):
+        Fraction(0.3).limit_denominator(0)
+    with pytest.raises(ValueError, match="max_den"):
+        SnapReader(0.3, max_den)
+    with pytest.raises(ValueError, match="max_den"):
+        snapped_digits(0.3, max_den)
+    assert snapped_digits(0.3, 1) == [] and snapped_digits(0.7, 1) == [1]
+
+
 def test_snap_reader_starts_on_its_first_read():
     r = SnapReader(0.3)
     assert (r.got, r.ahead, r.src) == ([], (), 0.3)

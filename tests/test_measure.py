@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from cfrow import measure
 from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits, from_digits
 from cfrow.errors import (
+    BadSampleCount,
     BadTolerance,
     CapExceeded,
     CfrowError,
@@ -40,6 +42,7 @@ from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
+    region_from_spec,
     region_h,
     region_h1,
     region_omega,
@@ -47,7 +50,7 @@ from cfrow.regions import (
 )
 from cfrow.reals import Surd, golden_fraction, parse_real
 
-from test_regions import GOOD_AREAS, TABLE_ALPHAS
+from test_regions import GOOD_AREAS, TABLE_ALPHAS, y_families
 
 G = golden_fraction()
 LOG_GOLDEN_PLUS_1 = math.log(1 + (math.sqrt(5) - 1) / 2)
@@ -275,6 +278,16 @@ def test_quadrature_refuses_a_tolerance_it_cannot_meet(monkeypatch, tol):
         measure_of(region_h1(), tol=tol, method="quadrature")
 
 
+@pytest.mark.parametrize("samples", [0, -5, 2.5, "10", True, None])
+@pytest.mark.parametrize("spec", ["alpha:1/2", "h1"])
+def test_monte_carlo_refuses_a_bad_sample_count(spec, samples):
+    # typed and named, not a ZeroDivisionError, a math domain error or a
+    # TypeError from inside the sampler
+    with pytest.raises(BadSampleCount, match=f"samples {samples!r} is not an int >= 1"):
+        measure_of(region_from_spec(spec), method="monte-carlo", seed=1, samples=samples)
+    assert measure_of(region_from_spec(spec), method="monte-carlo", seed=1, samples=1).samples == 1
+
+
 def test_quadrature_runs_without_scipy(monkeypatch):
     for name in ["scipy"] + [m for m in sys.modules if m.startswith("scipy.")]:
         monkeypatch.setitem(sys.modules, name, None)
@@ -426,29 +439,57 @@ def test_alpha_measure_matches_reference_samples(alpha):
         assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)
 
 
-def started_y_mc(R, seed, samples):
-    """`measure_of`'s alpha estimate with every y reader started before
-    the walker sees it, so no sample is answered from its float."""
-    rng = random.Random(seed)
-    y_min = _alpha_window(R)
-    sample = _strip_sampler(y_min)
-    w_mass = rect_mass_exact(0, 1, y_min, 1)
-    hits = 0
-    for _ in range(samples):
-        x, y = sample(rng)
-        y.more()
-        hits += R.contains_rational(x, y)
-    p = hits / samples
-    sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
-    return w_mass * p, 3 * sigma
+def started(r):
+    """The reader r with its first read done, so no table answers it."""
+    r.more()
+    return r
 
 
 @pytest.mark.parametrize("alpha", TABLE_ALPHAS + [Fraction(1, 10**6)], ids=str)
 def test_alpha_measure_equals_the_started_walker(alpha):
+    # the oracle starts both readers of every sample before the walker
+    # sees them, so no sample is answered from its floats
     R = build_alpha_region(alpha)
+
+    def hit(x, y):
+        return R.contains_rational(started(x), started(y))
+
     for seed in (1, 4, 9, 331):
         est = measure_of(R, seed=seed, samples=2000)
-        assert (est.value, est.error_bound) == started_y_mc(R, seed, 2000), seed
+        assert est == _strip_monte_carlo(_alpha_window(R), hit, seed, 2000), seed
+
+
+def y_family_ends(a1: int):
+    """The float bounds of the two families of top-strip y-intervals that
+    y's first digits settle before x is read (`test_regions.y_families`),
+    flat and ascending as `bisect_right` reads them."""
+    ends = []
+    for lo, hi, _ in sorted(y_families(a1)):
+        f_lo, f_hi = float(lo), float(hi)
+        if Fraction(f_lo) < lo:
+            f_lo = math.nextafter(f_lo, 2.0)
+        if Fraction(f_hi) > hi:
+            f_hi = math.nextafter(f_hi, -1.0)
+        ends += [f_lo, math.nextafter(f_hi, 2.0)]
+    return ends
+
+
+@pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=str)
+def test_alpha_samples_answered_from_floats(alpha):
+    # at seed 1 the cylinder table answers at least the share of samples
+    # that the two y-families alone would; samples answered from their
+    # floats leave both readers unstarted
+    R = build_alpha_region(alpha)
+    family_ends = y_family_ends(R.alpha_list[0])
+    rng, sample = random.Random(1), _strip_sampler(_alpha_window(R))
+    from_floats = in_families = 0
+    for _ in range(20_000):
+        x, y = sample(rng)
+        t = y.src
+        in_families += bisect_right(family_ends, t) % 2
+        R.contains_rational(x, y)
+        from_floats += type(y.src) is float
+    assert from_floats >= in_families, (from_floats, in_families)
 
 
 def test_cell_monte_carlo_matches_reference_samples():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -21,11 +22,14 @@ from cfrow.errors import BackwardCapExceeded, BadRegionSpec, InvalidSingularisat
 from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
+from cfrow import regions
 from cfrow.induced import CellRegion, OmegaRegion, induced_records, induced_step
+from cfrow.measure import _alpha_window
 from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
     SingularisationArea,
+    _Cylinders,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -757,21 +761,25 @@ def test_contains_rational_reads_x_only_when_the_walker_asks():
     def point(x, y):
         return OmegaPoint.from_streams(from_digits(x.read_all()), from_digits(y.read_all()))
 
+    # the walker's reads: each y reader is started first, which skips the
+    # cylinder table (unstarted snaps may be answered from their floats,
+    # reading neither coordinate)
     # alpha = g has a1 = 1: a top-strip point with b2 = 3 is decided by y
     # alone, and x's reader is never started
     R = build_alpha_region(G)
-    x, y = SnapReader(0.37), SnapReader(7 / 9)  # y = [0; 1, 3, 2]
-    got = R.contains_rational(x, y)
-    assert x.got == [] and type(x.src) is float
-    assert got == R.contains(point(x, y))
+    for y in (SnapReader(7 / 9), started(7 / 9)):  # y = [0; 1, 3, 2]
+        x = SnapReader(0.37)
+        got = R.contains_rational(x, y)
+        assert x.got == [] and type(x.src) is float
+        assert got == R.contains(point(x, y))
     # b2 = a1: the comparison against alpha runs on into x
-    x, y = SnapReader(0.37), SnapReader(0.6)  # y = [0; 1, 1, 2]
+    x, y = SnapReader(0.37), started(0.6)  # y = [0; 1, 1, 2]
     got = R.contains_rational(x, y)
     assert x.got and got == R.contains(point(x, y))
     # the slide path reads x's first digit and leaves the slid c there
     R = build_alpha_region(Fraction(1, 4))
     for t in (0.3, 0.21, 0.9):
-        x, y = SnapReader(t), SnapReader(0.4)  # y = [0; 2, 2]
+        x, y = SnapReader(t), started(0.4)  # y = [0; 2, 2]
         a1 = snapped_digits(t)[0]
         got = R.contains_rational(x, y)
         assert x.got[0] == a1 + 1
@@ -783,18 +791,6 @@ TABLE_ALPHAS = WALKER_ALPHAS + [Fraction(1, 3), Fraction(3, 10), Fraction(1, 7),
                                 Fraction(1, 2000), parse_real("(sqrt(5)-1)/4")]
 
 
-def decided_floats(R, rng, interior=20):
-    """Per interval of R's table: its float ends, their inward neighbours
-    and random floats between, then the float just outside each end."""
-    ends = R._decided_ends
-    for i in range(0, len(ends), 2):
-        lo, hi = ends[i], math.nextafter(ends[i + 1], -math.inf)
-        inside = [lo, hi, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf)]
-        inside += [rng.uniform(lo, hi) for _ in range(interior)]
-        outside = [t for t in (math.nextafter(lo, -math.inf), ends[i + 1]) if t <= 1.0]
-        yield i // 2, inside, outside
-
-
 def started(t, max_den=10**12):
     """A snap of t whose reader has started, so the table is skipped."""
     y = SnapReader(t, max_den)
@@ -802,90 +798,269 @@ def started(t, max_den=10**12):
     return y
 
 
+def walker(R, xv, t, max_den=10**12):
+    """R's walker on the snaps of (xv, t): y's reader is started first."""
+    return R.contains_rational(SnapReader(xv, max_den), started(t, max_den))
+
+
+def from_floats(R, xv, t, max_den=10**12):
+    """contains_rational on unstarted snaps of (xv, t), and whether both
+    were left unstarted, that is, answered from the floats."""
+    x, y = SnapReader(xv, max_den), SnapReader(t, max_den)
+    got = R.contains_rational(x, y)
+    return got, type(x.src) is float and type(y.src) is float
+
+
+def leaf_floats(ends, rng, interior):
+    """Per leaf of a float table: its float ends, their inward neighbours
+    and random floats between, then the floats just outside each end."""
+    for i in range(0, len(ends), 2):
+        lo, hi = ends[i], math.nextafter(ends[i + 1], -math.inf)
+        inside = [lo, hi] + [t for t in (math.nextafter(lo, 1.0), math.nextafter(hi, 0.0)) if lo <= t <= hi]
+        inside += [rng.uniform(lo, hi) for _ in range(interior)]
+        outside = [t for t in (math.nextafter(lo, -math.inf), ends[i + 1]) if 0.0 <= t <= 1.0]
+        yield i // 2, inside, outside
+
+
+def in_table(ends, t) -> bool:
+    return bisect_right(ends, t) % 2 == 1
+
+
 def test_decided_intervals_answer_as_the_walker():
     rng = random.Random(25)
     for alpha in TABLE_ALPHAS:
         R = build_alpha_region(alpha)
-        a1 = R.alpha_list[0]
-        assert R._decided, alpha
-        for k, inside, outside in decided_floats(R, rng):
-            member = R._decided[k][0]
-            for t in inside:
-                # the family the interval stands for, read off the snap's digits
-                ys = snapped_digits(t)
-                if member:
-                    assert ys == [1] or ys[:1] == [1] and ys[1] > a1, (alpha, t, ys)
-                else:
-                    assert ys[:1] == [1] and ys[1] < a1 and (len(ys) == 2 or ys[2] > a1), (alpha, t, ys)
-            for t in inside + outside:
-                for xv in (0.0, 1.0, 5e-324, rng.random()):
-                    y = SnapReader(t)
-                    got = R.contains_rational(SnapReader(xv), y)
-                    assert got == R.contains_rational(SnapReader(xv), started(t)), (alpha, t, xv)
-                    if t in inside:
-                        assert got == member and type(y.src) is float, (alpha, t)
+        ends, leaves = R._cylinders()
+        assert leaves, alpha
+        for k, inside, outside in leaf_floats(ends, rng, 20):
+            answer = leaves[k][0]
+            if type(answer) is bool:
+                for t in inside:
+                    for xv in (0.0, 1.0, 5e-324, rng.random()):
+                        assert from_floats(R, xv, t) == (answer, True), (alpha, t, xv)
+                        assert walker(R, xv, t) == answer, (alpha, t, xv)
+            else:  # an x list: its floats answer, the floats beside it go through the walker
+                x_ends, x_leaves = answer
+                assert x_leaves, (alpha, k)
+                for t in inside[:4] + inside[-2:]:
+                    for j, x_in, x_out in leaf_floats(x_ends, rng, 4):
+                        for xv in x_in:
+                            assert from_floats(R, xv, t) == (x_leaves[j][0], True), (alpha, t, xv)
+                            assert walker(R, xv, t) == x_leaves[j][0], (alpha, t, xv)
+                        for xv in x_out:
+                            if not in_table(x_ends, xv):
+                                got, unread = from_floats(R, xv, t)
+                                assert got == walker(R, xv, t) and not unread, (alpha, t, xv)
+            # floats just outside a leaf go through the walker unchanged
+            for t in outside:
+                if not in_table(ends, t):
+                    for xv in (0.0, 1.0, 5e-324, rng.random()):
+                        got, unread = from_floats(R, xv, t)
+                        assert got == walker(R, xv, t) and not unread, (alpha, t, xv)
         # floats the table does not hold go through the walker unchanged
         for _ in range(300):
             t, xv = rng.random(), rng.random()
-            assert (R.contains_rational(SnapReader(xv), SnapReader(t))
-                    == R.contains_rational(SnapReader(xv), started(t))), (alpha, t, xv)
+            assert from_floats(R, xv, t)[0] == walker(R, xv, t), (alpha, t, xv)
+
+
+def test_cylinder_table_leaves_are_disjoint_and_ascending():
+    for alpha in TABLE_ALPHAS:
+        ends, leaves = build_alpha_region(alpha)._cylinders()
+        tables = [(ends, leaves)] + [a for a, _ in leaves if type(a) is not bool]
+        for e, ls in tables:
+            assert len(e) == 2 * len(ls) and e == sorted(e), alpha
+            assert all(e[i] < e[i + 1] for i in range(0, len(e), 2)), alpha
+            assert all(0.0 <= t <= math.nextafter(1.0, 2.0) for t in e), alpha
+
+
+def test_cylinder_classes_agree_with_their_representative():
+    # the walker tells no two digits of one class apart, at any position
+    # of y's or x's prefix: digits up to 10**6 and the class's own ends,
+    # in open cylinders and, for y, at its complete list
+    rng = random.Random(26)
+    # 7/15 = [0; 2, 7] and 8/25 = [0; 3, 8] end on a digit e whose e - 1
+    # only the fold tells apart from the digits below it
+    for alpha in TABLE_ALPHAS + [Fraction(7, 15), Fraction(8, 25)]:
+        C = _Cylinders(build_alpha_region(alpha))
+        classes = C.classes(0)
+
+        def members(cls):
+            lo, hi = cls
+            top = 10**6 if hi is None else hi
+            ds = {lo, lo + 1, top, top + 1, rng.randint(lo, max(lo, top))}
+            return sorted(d for d in ds if lo <= d and (hi is None or d <= hi))
+
+        def class_of(d, shift=0):
+            return next(c for c in C.classes(shift) if c[0] <= d and (c[1] is None or d <= c[1]))
+
+        reps = [lo for lo, _ in classes]
+        ys_list = [[1]] + [[1, b] for b in reps] + [[1, b, c] for b in reps for c in reps[:4]]
+        ys_list += [[2], [3]] + [[b1, b] for b1 in (2, 3) for b in reps]
+        for ys in ys_list:
+            x_reps = [lo for lo, _ in C.classes(ys[0] - 1)]
+            xs_list = [[]] + [[a] for a in x_reps] + [[a, a2] for a in x_reps[:3] for a2 in reps]
+            for xs in xs_list:
+                for ended in (False, True):
+                    base = C.run(ys, xs, ended)
+                    if len(ys) > 1:
+                        for d in members(class_of(ys[-1])):
+                            assert C.run(ys[:-1] + [d], xs, ended) == base, (alpha, ys, d, xs)
+                    for i, a in enumerate(xs):
+                        for d in members(class_of(a, ys[0] - 1 if i == 0 else 0)):
+                            assert C.run(ys, xs[:i] + [d] + xs[i + 1:], ended) == base, (alpha, ys, xs, i, d)
+
+
+def test_cylinder_table_at_the_sampler_edges():
+    # x = 0.0 and 5e-324 snap to 0, y = 1.0 is the complete list [1] and
+    # y = y_min the strip's lower edge, which the sampler clamps to
+    rng = random.Random(27)
+    for alpha in TABLE_ALPHAS:
+        R = build_alpha_region(alpha)
+        y_min = float(_alpha_window(R))
+        for t in (1.0, y_min, math.nextafter(y_min, 1.0), math.nextafter(1.0, 0.0)):
+            for xv in (0.0, 5e-324, 1.0, 0.5, rng.random()):
+                assert from_floats(R, xv, t)[0] == walker(R, xv, t), (alpha, t, xv)
+        for xv in (0.0, 5e-324):
+            for _ in range(50):
+                t = rng.uniform(y_min, 1.0)
+                assert from_floats(R, xv, t)[0] == walker(R, xv, t), (alpha, t, xv)
+
+
+def y_families(a1: int):
+    """The two families of top-strip y-intervals that y's first digits
+    settle before x is read: depth 1, a member, on [(a1+1)/(a1+2), 1],
+    where b2 > a1 or y = 1; depth 2, no member, on
+    [k/(k+1), (kA+1)/((k+1)A+1)], A = a1 + 1, where b2 = k < a1 and
+    b3 > a1 or y ends after b2, for k < 65 (k = 1 from [0; 1, 1, 10**6 + 1],
+    as 1/2 reads [2])."""
+    A = a1 + 1
+    for k in range(1, min(a1, 65)):
+        lo = Fraction(10**6 + 2, 2 * 10**6 + 3) if k == 1 else Fraction(k, k + 1)
+        yield lo, Fraction(k * A + 1, (k + 1) * A + 1), False
+    yield Fraction(a1 + 1, a1 + 2), Fraction(1), True
+
+
+def test_cylinder_table_answers_the_y_families():
+    # the table holds the two families y alone settles, so their samples
+    # are still answered from the floats: random floats inside (the
+    # table leaves gaps about 10**-6 of a cylinder wide between leaves)
+    rng = random.Random(28)
+    for alpha in TABLE_ALPHAS:
+        R = build_alpha_region(alpha)
+        a1 = R.alpha_list[0]
+        for lo, hi, member in y_families(a1):
+            for t in [1.0] * member + [rng.uniform(float(lo), float(hi)) for _ in range(20)]:
+                for xv in (0.0, 0.3, rng.random()):
+                    assert from_floats(R, xv, t) == (member, True), (alpha, t, xv)
 
 
 def test_alpha_region_table_is_small_for_tiny_alpha():
-    start = time.perf_counter()
     R = AlphaRegion(Fraction(1, 10**6))
+    regions._TABLES.pop((tuple(R.alpha_list), R.period, R.back_cap), None)
+    start = time.perf_counter()
+    ends, leaves = R._cylinders()
     assert time.perf_counter() - start < 0.05
-    assert R.alpha_list == [10**6] and 0 < len(R._decided) <= 65
-    assert len(R._decided_ends) == 2 * len(R._decided)
-    assert R._decided_ends == sorted(R._decided_ends)
+    assert R.alpha_list == [10**6] and 0 < len(leaves) <= 65
+    assert len(ends) == 2 * len(leaves) and ends == sorted(ends)
+    # y = 1 is a depth-1 member, read off its float
+    assert from_floats(R, 0.3, 1.0) == (True, True)
+
+
+def test_cylinder_tables_build_quickly():
+    # the best of three builds from scratch, per alpha
+    for alpha in TABLE_ALPHAS:
+        R = build_alpha_region(alpha)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            _Cylinders(R).table()
+            best = min(best, time.perf_counter() - start)
+        assert best <= 0.02, (alpha, best)
+
+
+def test_cylinder_table_is_built_by_the_first_unstarted_snap():
+    # contains, the walks and started readers never build a table; the
+    # first unstarted snap fetches it from the cache that equal regions share
+    alpha = Fraction(3, 7)
+    R = build_alpha_region(alpha)
+    regions._TABLES.pop((tuple(R.alpha_list), R.period, R.back_cap), None)
+    R.contains(OmegaPoint.from_values(Fraction(1, 3), Fraction(5, 7)))
+    cfe_direct(R, top(S2), 3, CAP)
+    R.contains_rational(SnapReader(0.3), started(0.8))
+    R.contains_rational(Reader([3]), Reader([1, 4]))
+    assert R._table is None and (tuple(R.alpha_list), R.period, R.back_cap) not in regions._TABLES
+    R.contains_rational(SnapReader(0.3), SnapReader(0.8))
+    twin = build_alpha_region(alpha)
+    twin.contains_rational(SnapReader(0.3), SnapReader(0.8))
+    assert R._table is twin._table is regions._TABLES[(tuple(R.alpha_list), R.period, R.back_cap)]
+    assert build_alpha_region(alpha, back_cap=5)._cylinders() is not R._table
+    # the cache keeps only the latest tables
+    for k in range(regions._TABLES_KEPT + 3):
+        build_alpha_region(Fraction(1, 3 + k))._cylinders()
+    assert len(regions._TABLES) == regions._TABLES_KEPT
 
 
 def test_decided_intervals_need_the_depth_they_answer():
-    # back_cap 0 answers nothing, not even y = 1, from its table or its
-    # walker; back_cap 1 answers depth 1 only, and depth-2 samples raise
-    # as the walker does; back_cap 2 answers both
+    # back_cap 0 answers nothing in the top strip, not even y = 1, from its
+    # table or its walker; back_cap 1 answers depth 1 only, and depth-2
+    # samples raise as the walker does; back_cap 2 answers both
     depth1, depth2 = 0.9, 0.52  # y = [0; 1, 9, ...] and [0; 1, 1, 12], alpha = 1/2
     for back_cap, answers in ((0, {}), (1, {depth1: True}), (2, {depth1: True, depth2: False})):
         R = build_alpha_region(Fraction(1, 2), back_cap=back_cap)
-        assert [m for m, _ in R._decided] == [False, True][2 - back_cap:]
+        ends, leaves = R._cylinders()
+        top = set()  # the answers of the top strip's leaves, y > 1/2
+        for i, (answer, _) in enumerate(leaves):
+            if ends[2 * i] > 0.5:
+                top |= {answer} if type(answer) is bool else {a for a, _ in answer[1]}
+        assert top == [set(), {True}, {True, False}][back_cap]
         for t in (depth1, depth2, 1.0):
-            y = SnapReader(t)
             if t == 1.0 and back_cap:
-                assert R.contains_rational(SnapReader(0.3), y) and type(y.src) is float
+                assert from_floats(R, 0.3, t) == (True, True)
             elif t in answers:
-                assert R.contains_rational(SnapReader(0.3), y) == answers[t]
-                assert type(y.src) is float
+                assert from_floats(R, 0.3, t) == (answers[t], True)
             else:
                 with pytest.raises(BackwardCapExceeded):
-                    R.contains_rational(SnapReader(0.3), y)
+                    R.contains_rational(SnapReader(0.3), SnapReader(t))
                 with pytest.raises(BackwardCapExceeded):
                     R.contains_rational(SnapReader(0.3), started(t))
 
 
 def test_decided_intervals_need_ends_within_the_snap_bound():
-    # alpha = 1/2: depth 1 is [3/4, 1].  Under max_den 3, 0.76 snaps to
-    # 2/3 = [0; 1, 2], outside that interval, and b2 = a1 sends the walker
-    # into x; under max_den 4 it snaps into [3/4, 1]
+    # alpha = 1/2.  Under max_den 3, 0.76 snaps to 2/3 = [0; 1, 2], and
+    # b2 = a1 sends the walker into x
     R = build_alpha_region(Fraction(1, 2))
     assert snapped_digits(0.76, 3) == [1, 2]
     answers = set()
     for xv in (0.0, 0.1, 0.3, 0.45, 0.7, 1.0):
         y = SnapReader(0.76, 3)
         got = R.contains_rational(SnapReader(xv, 3), y)
-        assert y.got and got == R.contains_rational(SnapReader(xv, 3), started(0.76, 3))
+        assert y.got and got == walker(R, xv, 0.76, 3)
         answers.add(got)
-        y = SnapReader(0.76, 4)
-        assert R.contains_rational(SnapReader(xv, 4), y) and type(y.src) is float
     assert answers == {False, True}
-    # the b2 = 1 interval's left end has denominator 2 * 10**6 + 3
+    # a leaf answers only under a max_den that admits both its ends: at
+    # the y level, and at the x level under a y leaf that y's bound admits
+    ends, leaves = R._cylinders()
     rng = random.Random(3)
-    lo, hi = R._decided_ends[:2]
-    for max_den in (10**6, 2 * 10**6 + 2, 2 * 10**6 + 3, 10**12):
-        for t in [lo, math.nextafter(hi, 0.0)] + [rng.uniform(lo, hi) for _ in range(200)]:
-            y = SnapReader(t, max_den)
-            got = R.contains_rational(SnapReader(0.4, max_den), y)
-            assert got == R.contains_rational(SnapReader(0.4, max_den), started(t, max_den))
-            assert (type(y.src) is float) == (max_den >= 2 * 10**6 + 3)
+    k = bisect_right(ends, 0.9) // 2  # y = [0; 1, 9, ...], a member
+    (answer, den), lo, hi = leaves[k], ends[2 * k], math.nextafter(ends[2 * k + 1], 0.0)
+    assert answer is True
+    for max_den in (den - 1, den, 10**12):
+        for t in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
+            for xv in (0.0, 0.4, 0.8):
+                got, unread = from_floats(R, xv, t, max_den)
+                assert got == walker(R, xv, t, max_den) and unread == (max_den >= den), (t, max_den)
+    k = next(i for i, (a, _) in enumerate(leaves) if type(a) is not bool)
+    (x_ends, x_leaves), y_den = leaves[k]
+    t = ends[2 * k]
+    j = max(range(len(x_leaves)), key=lambda i: x_ends[2 * i + 1] - x_ends[2 * i])
+    member, den = x_leaves[j]
+    lo, hi = x_ends[2 * j], math.nextafter(x_ends[2 * j + 1], 0.0)
+    for max_den in (den - 1, den, 10**12):
+        for xv in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
+            x, y = SnapReader(xv, max_den), SnapReader(t)
+            got = R.contains_rational(x, y)
+            assert got == R.contains_rational(SnapReader(xv, max_den), started(t)), (xv, max_den)
+            assert (type(x.src) is float) == (max_den >= den), (xv, max_den)
 
 
 def test_alpha_list_is_preperiod_and_period():
