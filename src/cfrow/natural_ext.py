@@ -54,12 +54,24 @@ def _mul(m, n):
 
 
 def _mobius(m, v):
-    """(a*v + b)/(c*v + d), exact, with v a Fraction, int or Surd."""
+    """(a*v + b)/(c*v + d), exact, with v a Fraction, int or Surd.
+
+    The image's type follows its value, as `as_real` would make it: an
+    irrational image is the Surd `Surd.mobius` builds, returned as built
+    (an integer map of nonzero determinant keeps an irrational v
+    irrational), and a rational image is a Fraction, built once from
+    v's numerator and denominator (a rational Surd's p and r)."""
     a, b, c, d = m
-    if isinstance(v, Surd):
-        return as_real(v.mobius(a, b, c, d))
-    v = Fraction(v)
-    n, k = v.numerator, v.denominator
+    if type(v) is Fraction:
+        n, k = v.numerator, v.denominator
+    elif isinstance(v, Surd):
+        if v.q:
+            w = v.mobius(a, b, c, d)
+            return w if w.q else Fraction(w.p, w.r)
+        n, k = v.p, v.r
+    else:
+        v = Fraction(v)
+        n, k = v.numerator, v.denominator
     return Fraction(a * n + b * k, c * n + d * k)
 
 
@@ -181,11 +193,11 @@ def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
     top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...]).  On the x = 0
     line a1 = INF: the run never ends, x's stream stays as it is and
     y's head grows by k (y |-> y/(1+ky))."""
-    a1, b1 = z.xd.head(), z.yd.head()
+    a1 = z.xd.head()
     if k < a1:
         xd = z.xd if a1 is INF else Cons(a1 - k, z.xd.tail())
-        return z._moved(xd, Cons(b1 + k, z.yd.tail()), (1, 0, k, 1))
-    yd = z.yd if a1 == 1 else Cons(b1 + a1 - 1, z.yd.tail())
+        return z._moved(xd, Cons(z.yd.head() + k, z.yd.tail()), (1, 0, k, 1))
+    yd = z.yd if a1 == 1 else Cons(z.yd.head() + a1 - 1, z.yd.tail())
     return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1))
 
 

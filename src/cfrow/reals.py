@@ -156,7 +156,9 @@ class Surd:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (Surd, int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # an irrational equals no rational
+            return not self.q and self._cmp(other) == 0
+        if isinstance(other, Surd):
             return self._cmp(other) == 0
         return NotImplemented
 

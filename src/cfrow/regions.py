@@ -475,7 +475,10 @@ class AlphaRegion(Region):
     period's length (0 for a rational alpha, whose list is complete).
     An alpha whose preperiod and period run past `back_cap` digits,
     which no comparison may match, keeps its first back_cap + 1 digits
-    and period None.
+    and period None.  `contains` and the run test make the walker's
+    first test on a point's streams before they build readers: a
+    top-strip b2 past alpha's first digit is depth 1, a slid c past it
+    no member, and a region that does not slide has no run member.
 
     A Monte Carlo sample is first looked up in a cylinder table that
     the walker builds itself (`_Cylinders`): it classifies product
@@ -566,8 +569,14 @@ class AlphaRegion(Region):
         return self._odd_depth(x, y)
 
     def contains(self, z: OmegaPoint) -> bool:
-        if z.yd.head() == 1:
-            return self._odd_depth(Reader([], z.xd), Reader([], z.yd))
+        yd = z.yd
+        if yd.head() == 1:
+            # the walker's first test, before it builds readers: a b2 past
+            # alpha's first digit, or y = 1 with no b2, is depth 1 (at
+            # back_cap 0 the walker raises instead)
+            if yd.tail().head() > self.alpha_list[0] and self.back_cap:
+                return True
+            return self._odd_depth(Reader([], z.xd), Reader([], yd))
         return self._run_member(z)
 
     def first_in_run(self, z: OmegaPoint, m: int):
@@ -577,11 +586,17 @@ class AlphaRegion(Region):
         """Membership of the points (a1-k, b1+k) of z's run that lie
         below the top strip, k = 0 included when b1 >= 2, and none on the
         x = 0 line (a1 = INF).  It is one answer for all of them: each
-        slides back to the same c = a1+b1-1 with both tails fixed."""
+        slides back to the same c = a1+b1-1 with both tails fixed.  A c
+        past alpha's first digit is no member, the first test of `_slid`,
+        made here before any reader is built."""
+        if not self.slides:
+            return False
         a1, b1 = z.xd.head(), z.yd.head()
-        if a1 is INF or b1 is INF or not self.slides:
+        if a1 is INF or b1 is INF:
             return False
         c = a1 + b1 - 1
+        if c > self.alpha_list[0]:
+            return False
         return self._slid(c, Reader([c], z.xd), Reader([], z.yd))
 
     def contains_rational(self, x, y) -> bool:

@@ -17,6 +17,13 @@ makes every s- and d-factor equal to 1, so the digit pair at a region
 point w is `induced.digit_pair(1, A_R(w), A_R(next step))`, which is
 
     alpha(w) = -det(A_R(w)),        beta(w) = r_R(w) + u_R(next step).
+
+One step therefore costs the next induced record, which `tau_orbit`
+reads off the orbit kept on its start point, and two integer Moebius
+maps (`natural_ext._mobius`), which keep each coordinate in its exact
+type: an irrational coordinate stays one Surd, built once per step,
+and a rational one one Fraction.  The unit-s condition is checked
+once per orbit, by the coordinate change, and on every `tau_step`.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ def _require_unit_s(region: Region):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class ShiftPoint:
     """Image of a region point z under the coordinate change, with its
     provenance kept so the dynamics can be driven exactly: `rec` is the
@@ -77,12 +84,13 @@ def _change(region: Region, z: OmegaPoint, pull) -> ShiftPoint:
     return ShiftPoint(as_real(x - 1), as_real(1 - y), z, rec)
 
 
-def _shift(region: Region, w: ShiftPoint, pull) -> ShiftPoint:
+def _shift(w: ShiftPoint, pull) -> ShiftPoint:
     """One shift step from w; `pull()` returns the record after w.rec,
     and is called only once w is known to be off the fixed ray.  The new
     coordinates X' = (-beta X + alpha)/X and Y' = 1/(alpha Y + beta) are
-    one Moebius map each, so a surd coordinate costs one construction."""
-    _require_unit_s(region)
+    one Moebius map each (`natural_ext._mobius`), so an irrational
+    coordinate costs one Surd construction and a rational one one
+    Fraction.  The caller has checked the region's unit s-entries."""
     if w.X == 0:
         raise FixedRay("X = 0 is fixed")
     rec0 = w.rec
@@ -113,17 +121,20 @@ def phi_inverse(region: Region, X, Y) -> OmegaPoint:
 def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:
     """One shift step: exact on quadratic/rational coordinates.  One
     induced walk, from w's landing point; w's own walk is w.rec."""
-    return _shift(region, w, lambda: induced_step(region, w.rec.z_next, cap))
+    _require_unit_s(region)
+    return _shift(w, lambda: induced_step(region, w.rec.z_next, cap))
 
 
 def tau_orbit(region: Region, z: OmegaPoint, n: int, cap: int = 100000):
     """[(X_k, Y_k)] shift points for k = 0..n from the region point z,
-    read lazily off z's induced orbit (see `induced.induced_orbit`)."""
+    read lazily off z's induced orbit (see `induced.induced_orbit`).
+    The region's unit s-entries are checked once, by the coordinate
+    change."""
     pull = induced_orbit(region, z, cap).__next__
     w = _change(region, z, pull)
     out = [w]
     for _ in range(n):
-        w = _shift(region, w, pull)
+        w = _shift(w, pull)
         out.append(w)
     return out
 

@@ -615,6 +615,11 @@ def oracle_regions():
         build_s_expansion_region([(half, 1, 0, half)]),
         RectRegion([(Fraction(1, 5), Fraction(3, 5), Fraction(1, 7), Fraction(4, 7)),
                     (Fraction(2, 3), 1, 0, Fraction(1, 9))]),
+        # at 1/3 a slid point's c can equal alpha's only digit, the edge
+        # `_below` decides; at g the region does not slide
+        build_alpha_region(Fraction(2, 5)),
+        build_alpha_region(Fraction(1, 3)),
+        build_alpha_region(G),
     ]
 
 

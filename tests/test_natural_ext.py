@@ -20,7 +20,7 @@ from cfrow.natural_ext import (
     nu_g_density,
     orbit_csv_rows,
 )
-from cfrow.reals import as_real, golden_fraction, parse_real, rcf_digits
+from cfrow.reals import Surd, as_real, golden_fraction, parse_real, rcf_digits
 
 from conftest import backstep_by_digits, random_surd
 
@@ -345,3 +345,58 @@ def test_walk_builds_no_surd_until_read(rng, monkeypatch):
             assert xv == want
         assert last.x_val is xv  # cached
         built.clear()
+
+
+def mobius_by_the_old_route(m, v):
+    """(a*v + b)/(c*v + d) as `_mobius` used to make it, kept as its
+    oracle: a Surd through `Surd.mobius` and `as_real`, any other value
+    through Fraction(v)."""
+    a, b, c, d = m
+    if isinstance(v, Surd):
+        return as_real(v.mobius(a, b, c, d))
+    v = Fraction(v)
+    n, k = v.numerator, v.denominator
+    return Fraction(a * n + b * k, c * n + d * k)
+
+
+def random_unimodular(rng):
+    """A product of elementary integer matrices, of determinant +-1."""
+    m = (1, 0, 0, 1)
+    for _ in range(rng.randint(1, 6)):
+        k = rng.randint(-4, 4)
+        e = rng.choice([(1, k, 0, 1), (1, 0, k, 1), (0, 1, 1, 0), (-1, 0, 0, 1)])
+        a, b, c, d = m
+        m = (a * e[0] + b * e[2], a * e[1] + b * e[3], c * e[0] + d * e[2], c * e[1] + d * e[3])
+    return m
+
+
+def test_mobius_gives_the_old_value_and_type(rng):
+    """`_mobius` answers in the value's exact type: an irrational Surd
+    image as built, a rational one (from a rational Surd, or from an
+    irrational one by a map of determinant 0) as a Fraction, and a
+    Fraction or int argument read as it is.  Value and type equal the
+    old route's, and so does a pole's ZeroDivisionError."""
+    from cfrow.natural_ext import _mobius
+
+    def outcome(f, m, v):
+        try:
+            return f(m, v)
+        except ZeroDivisionError:
+            return ZeroDivisionError
+
+    args = [0, 1, -2, 7, Fraction(2, 7), Fraction(-5, 3), Surd(3, 0, 2, 5), Surd(-4, 0, 2, 7),
+            Surd(6, 0, 1, 8), G, S2, Surd(1, 3, 4, 8)]
+    args += [random_surd(rng) for _ in range(8)]
+    args += [Fraction(rng.randint(-30, 30), rng.randint(1, 30)) for _ in range(8)]
+    matrices = [random_unimodular(rng) for _ in range(40)]
+    matrices += [(2, 4, 1, 2), (1, 1, 1, 1), (0, 1, 1, 2), (1, 2, 0, 1)]  # det 0, and poles at -2
+    assert any(a * d - b * c == 0 for a, b, c, d in matrices)
+    assert all(abs(a * d - b * c) == 1 for a, b, c, d in matrices[:40])
+    seen = set()
+    for m in matrices:
+        for v in args:
+            want, got = outcome(mobius_by_the_old_route, m, v), outcome(_mobius, m, v)
+            assert type(got) is type(want), (m, v, got, want)
+            assert got == want, (m, v)
+            seen.add(want if want is ZeroDivisionError else type(want))
+    assert seen == {Fraction, Surd, ZeroDivisionError}

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfrow.digits import compare, from_digits, from_fraction
 from cfrow.errors import OutOfDomain
@@ -133,6 +134,61 @@ def test_mobius_matches_field_arithmetic(rng):
         if a * d == b * c:
             continue
         assert x.mobius(a, b, c, d) == (a * x + b) / (c * x + d)
+
+
+# surds over Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), with d written both
+# square-free and not (8 = 4 * 2, 20 = 4 * 5); q = 0 gives rational surds
+_SURD_D = st.sampled_from([2, 3, 5, 8, 20])
+
+
+@st.composite
+def surds(draw, q=st.integers(-6, 6)):
+    return Surd(draw(st.integers(-40, 40)), draw(q), draw(st.integers(1, 30)), draw(_SURD_D))
+
+
+@st.composite
+def surd_and_comparand(draw):
+    """A surd and a value to compare it with: an int, a bool, a Fraction
+    or a surd drawn apart from it, or a number written from its own
+    p, q and r, so that equal values are drawn often."""
+    x = draw(surds())
+    k = draw(st.integers(1, 4))
+    near = [Fraction(x.p, x.r), x.p // x.r, Surd(k * x.p, k * x.q, k * x.r, x.d),
+            Surd(x.p, 0, x.r, draw(_SURD_D)), Surd(x.p, x.q, x.r + 1, x.d)]
+    if x.q % 2 == 0:  # the same value written over 4d
+        near.append(Surd(x.p, x.q // 2, x.r, 4 * x.d))
+    other = draw(st.one_of(st.integers(-5, 5), st.booleans(),
+                           st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                           surds(), surds(q=st.just(0)), st.sampled_from(near)))
+    return x, other
+
+
+@given(surd_and_comparand())
+@settings(max_examples=400, deadline=None)
+def test_surd_equality_agrees_with_the_comparison(pair):
+    """`==` answers an int or Fraction comparand of an irrational surd
+    False before it compares; every answer equals `_cmp(other) == 0`,
+    from either side, and raises where `_cmp` raises (two irrational
+    surds of different fields).  Equal values hash equal."""
+    x, other = pair
+    try:
+        want = x._cmp(other) == 0
+    except ValueError:
+        with pytest.raises(ValueError, match="mixed surd fields"):
+            x == other  # noqa: B015
+        return
+    assert (x == other) is want
+    assert (other == x) is want
+    assert (x != other) is not want
+    if want:
+        assert hash(x) == hash(other)
+
+
+def test_rational_surd_equals_its_fraction():
+    assert Surd(3, 0, 2, 5) == Fraction(3, 2) and hash(Surd(3, 0, 2, 5)) == hash(Fraction(3, 2))
+    assert Surd(4, 0, 2, 7) == 2 and Surd(1, 0, 1, 3) == True  # noqa: E712
+    assert golden_fraction() != Fraction(-1, 2) and golden_fraction() != 0
+    assert Surd(-1, 1, 2, 5) == Surd(-2, 1, 4, 20)  # g, with d = 20 split to 4 * 5
 
 
 # -- the integer digit recurrence and construction-free comparisons -----------

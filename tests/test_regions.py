@@ -610,6 +610,57 @@ def test_alpha_walker_on_stream_points(rng):
         assert seen >= {True, False}
 
 
+def test_alpha_run_tests_come_before_readers(rng, monkeypatch):
+    """The first test of each walker path is made before any reader is
+    built, with the walker's answer: a top-strip b2 past alpha's first
+    digit (or y = 1, no b2) is depth 1, at every back_cap but 0, where
+    the parity search raises; a slid c past alpha's first digit is no
+    member; and a region that does not slide answers a run without
+    reading the point."""
+    built = []
+
+    class CountingReader(regions.Reader):
+        __slots__ = ()
+
+        def __init__(self, got, src=None):
+            built.append(1)
+            super().__init__(got, src)
+
+    monkeypatch.setattr(regions, "Reader", CountingReader)
+    for alpha in WALKER_ALPHAS:
+        a = oracle_alpha_list(alpha)[0][0]
+        for back_cap in (0, 1, 2000):
+            R = build_alpha_region(alpha, back_cap=back_cap)
+            for b2 in (None, 1, a - 1, a, a + 1, a + 7):
+                if b2 == 0:
+                    continue
+                tail, tv = surd_tail(rng)
+                xs = digits_near(rng, alpha, 3)
+                ys = [1] if b2 is None else [1, b2] + digits_near(rng, alpha, 3)
+                z = OmegaPoint.from_streams(stream(xs, tail), stream(ys))
+                del built[:]
+                agree(R, z, stream_value(xs, tv), back_cap=back_cap)
+                if back_cap and (b2 is None or b2 > a):
+                    assert not built, (alpha, b2)
+            for b1 in (2, 3, a + 2):
+                c = rng.randint(1, 6)
+                z = OmegaPoint.from_streams(stream([c] + digits_near(rng, alpha, 3)), stream([b1, 2]))
+                del built[:]
+                if not R.slides or c + b1 - 1 > a:
+                    assert R.first_in_run(z, c - 1 or 1) is None and not R.contains(z)
+                    assert not built, (alpha, b1, c)
+
+    class Unread:
+        @property
+        def xd(self):
+            raise AssertionError("a run of a region that does not slide was read")
+
+        yd = xd
+
+    for alpha in (Fraction(7, 10), G, Fraction(1)):
+        assert build_alpha_region(alpha).first_in_run(Unread(), 5) is None
+
+
 def test_alpha_walker_on_surd_orbits(rng):
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)

@@ -127,6 +127,18 @@ def test_fixed_ray():
         tau_step(h1, w)
 
 
+def test_tau_step_checks_the_region_on_every_call():
+    """`tau_step` refuses a region without unit bottom-left entries
+    itself, before it walks: the check left the per-step shift, which
+    `tau_orbit` runs after one check in the coordinate change."""
+    w = phi(region_h1(), top(S2))
+    v2 = region_v(2)
+    with pytest.raises(ValueError, match="unit bottom-left entries"):
+        tau_step(v2, w)
+    with pytest.raises(ValueError, match="unit bottom-left entries"):
+        tau_orbit(v2, top(S2), 3)
+
+
 def test_bilateral_top_edge():
     past, future = bilateral_digits(region_h1(), top(S2), 5, 5)
     assert past == []
@@ -266,12 +278,13 @@ def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
         walks.clear()
         return out, count
 
-    n = 8
-    for region in (region_h1(), build_alpha_region(Fraction(1, 2)),
-                   build_alpha_region(Fraction(1, 4))):
-        for _ in range(3):
-            x = random_surd(rng)
-            z = OmegaPoint.from_values(x, Fraction(3, 4))
+    n = 30
+    regions = [region_h1()] + [build_alpha_region(a) for a in (
+        Fraction(1, 2), Fraction(1, 4), Fraction(2, 5), Fraction(7, 10), S2, G)]
+    for region in regions:
+        for x, y in [(random_surd(rng), y) for _ in range(3)
+                     for y in (Fraction(3, 4), Fraction(1), Fraction(2, 3))]:
+            z = OmegaPoint.from_values(x, y)
             orb, count = walks_of(lambda: tau_orbit(region, z, n))
             assert count == n + 1
             # the records are kept on z: a second orbit walks nothing
@@ -279,7 +292,7 @@ def test_tau_orbit_walks_once_per_step(rng, monkeypatch):
             assert count == 0
             assert [(w.X, w.Y, w.rec) for w in again] == [(w.X, w.Y, w.rec) for w in orb]
             # nor does an orbit after cfe_direct, which walked the same records
-            z2 = OmegaPoint.from_values(x, Fraction(3, 4))
+            z2 = OmegaPoint.from_values(x, y)
             _, count = walks_of(lambda: cfe_direct(region, z2, n, 100000))
             assert count == n + 1
             after, count = walks_of(lambda: tau_orbit(region, z2, n))
