@@ -113,10 +113,3 @@ def cfe_convergents_report(res: CfeResult):
             raise MismatchAt(checked, "reduced fractions differ")
         checked += 1
     return {"checked": checked, "ok": True}
-
-
-def routes_agree(region: Region, z: OmegaPoint, n: int, cap: int) -> bool:
-    """Executable agreement of the two constructions, digit for digit."""
-    by_contraction = cfe_by_contraction(region, z, n, cap)
-    direct = cfe_direct(region, z, n, cap)
-    return by_contraction.pairs(n + 1) == direct.digits.pairs(n + 1)

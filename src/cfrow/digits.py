@@ -92,11 +92,6 @@ class DigitStream:
             lo, hi = hi, lo
         return RationalInterval(lo, hi)
 
-    def exact_value(self, cap: int = 10_000):
-        """Exact Fraction if the stream terminates within cap digits, else None."""
-        iv = self.enclosure(cap)
-        return iv.lo if iv.is_point() else None
-
 
 class Cons(DigitStream):
     __slots__ = ("_head", "_tail")
@@ -286,9 +281,8 @@ class SnapReader:
             raise ValueError(f"a snap needs an int max_den >= 1, not {max_den!r}")
         self.got, self.ahead, self.src, self.max_den = [], (), t, max_den
 
-    def more(self, pause: bool = True):
-        """Expose at least one more digit, or complete `got`; with pause
-        False, read on to the end."""
+    def more(self):
+        """Expose at least one more digit, or complete `got`."""
         got, d, max_den = self.got, self.src, self.max_den
         if type(d) is float:  # the first read: t = [a0; a1, ...]
             n, den = d.as_integer_ratio()
@@ -313,13 +307,13 @@ class SnapReader:
                 return self._finish()
             n, d, q0, q1 = d, r, q1, q2
             # the end rule can no longer reach the digits before an a other than 1
-            if pause and ahead and a != 1:
+            if ahead and a != 1:
                 got += ahead
                 ahead.clear()
                 ahead.append(a)
                 break
             ahead.append(a)
-            if pause and len(ahead) == 3:  # two digits follow ahead[0]
+            if len(ahead) == 3:  # two digits follow ahead[0]
                 got.append(ahead.pop(0))
                 break
         self._n, self.src, self._q0, self._q1 = n, d, q0, q1
@@ -329,9 +323,9 @@ class SnapReader:
         return None
 
     def read_all(self) -> list:
-        """The complete digit list, the rest read in one run."""
-        if self.src is not None:
-            self.more(pause=False)
+        """The complete digit list."""
+        while self.src is not None:
+            self.more()
         return self.got
 
     def _finish(self):

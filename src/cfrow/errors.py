@@ -5,10 +5,6 @@ class CfrowError(Exception):
     """Base class for all package errors."""
 
 
-class ZeroDeterminant(CfrowError):
-    pass
-
-
 class IndexBeyondExpansion(CfrowError):
     pass
 

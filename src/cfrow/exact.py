@@ -1,16 +1,15 @@
-"""Exact arithmetic core: rationals extended by a point at infinity,
-2x2 integer matrices acting as Moebius transformations, and rational
-interval enclosures.
+"""Exact arithmetic core: the point at infinity, 2x2 integer matrices
+and rational interval enclosures.
 
-Everything here is exact; no floating point enters any code path.
+A matrix acts on a coordinate as a Moebius transformation through
+`natural_ext._mobius`, the one evaluator.  Everything here is exact; no
+floating point enters any code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import ZeroDeterminant
 
 
 class _Infinity:
@@ -65,17 +64,11 @@ class _Infinity:
 
 INF = _Infinity()
 
-#: An extended rational is either a Fraction or INF.
-ExtRational = object
-
 
 @dataclass(frozen=True)
 class Mat2Z:
-    """A 2x2 matrix with exact integer (or rational) entries.
-
-    Used as a Moebius transformation; construction does not require a
-    nonzero determinant, but `mobius` does.
-    """
+    """A 2x2 matrix ((a, b), (c, d)) with exact integer (or rational)
+    entries; construction does not require a nonzero determinant."""
 
     a: object
     b: object
@@ -93,24 +86,6 @@ class Mat2Z:
             self.c * other.b + self.d * other.d,
         )
 
-    def __mul__(self, other):
-        if isinstance(other, Mat2Z):
-            return self @ other
-        return Mat2Z(self.a * other, self.b * other, self.c * other, self.d * other)
-
-    __rmul__ = __mul__
-
-    def adjugate(self) -> "Mat2Z":
-        """Unscaled inverse: M @ M.adjugate() == det(M) * I.
-
-        As a Moebius action the adjugate IS the inverse, since scalar
-        multiples act identically.
-        """
-        return Mat2Z(self.d, -self.b, -self.c, self.a)
-
-    def mobius(self, z: ExtRational) -> ExtRational:
-        return mobius_apply(self, z)
-
     def __repr__(self):
         return f"Mat2Z({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -124,22 +99,6 @@ def reversed_product(m):
     has A1 C^T A1^-1 = C, so Ck...C1 = A1 m^T A1^-1 = ((r-t, t), (s+r-u-t, u+t))."""
     u, t, s, r = m
     return (r - t, t, s + r - u - t, u + t)
-
-
-def mobius_apply(m: Mat2Z, z: ExtRational) -> ExtRational:
-    """Evaluate (az+b)/(cz+d) with the conventions c/0 = inf, c/inf = 0."""
-    if m.det() == 0:
-        raise ZeroDeterminant(f"{m} is singular")
-    if z is INF:
-        if m.c == 0:
-            return INF
-        return Fraction(m.a, m.c)
-    z = Fraction(z)
-    den = m.c * z + m.d
-    num = m.a * z + m.b
-    if den == 0:
-        return INF
-    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

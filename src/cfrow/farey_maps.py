@@ -144,12 +144,6 @@ def farey_expansion(x, n: int) -> Gcf:
     return Gcf._of(pairs)
 
 
-def lehner_pairs(x, n: int):
-    """The raw digit pairs (b_k, e_{k+1}), k = 0..n, of x + 1."""
-    es = epsilon_prefix(x, n + 2)
-    return [(2 - es[k], 2 * es[k] - 1) for k in range(n + 1)]
-
-
 def a_matrix_forward(x, n: int) -> Mat2Z:
     """A_[0,n] = A_eps1 ... A_epsn via the convergent/mediant closed form."""
     digits = x if isinstance(x, DigitStream) else rcf_digits(x)
@@ -171,21 +165,3 @@ def a_matrix_backward(x, n: int) -> Mat2Z:
     """A_[n,0] = A_epsn ... A_eps1, the `reversed_product` of A_[0,n]."""
     f = a_matrix_forward(x, n)
     return Mat2Z(*reversed_product((f.a, f.b, f.c, f.d)))
-
-
-def farey_convergents(x, n: int):
-    """(u_k, s_k) for k = 0..n: left columns of A_[0,k], read off
-    `a_matrix_forward`'s closed form.
-
-    The sequence runs through every convergent and every mediant in
-    order of appearance.
-    """
-    return [(m.a, m.c) for m in (a_matrix_forward(x, k) for k in range(n + 1))]
-
-
-def gauss_jump_length(x: RealRep) -> int:
-    """Number of tent-map steps the Gauss map compresses at x."""
-    _check_unit(x)
-    if x == 0:
-        raise ZeroInput("no jump at the fixed point 0")
-    return floor_of(1 / x)

@@ -176,13 +176,6 @@ class Gcf:
             "beta": [encode_digit(b) for _, b in ps],
         }
 
-    def to_json(self, n: int | None = None) -> str:
-        if n is None:
-            if self.length() is None:
-                raise ValueError("cannot serialise an infinite expansion without n")
-            n = self.length()
-        return json.dumps(self.as_dict(n), sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "Gcf":
         """The expansion of {"alpha": [...], "beta": [...]}, two digit

@@ -5,9 +5,9 @@ digit cells from leading digits, unions of rectangles by comparing the
 point's digits with each corner's (`digits.order`, so a point on an edge
 is decided too), and the regions of `regions` through their own
 walkers.  The induced engine walks the slow map, accumulates the
-branch-matrix product A_R between visits, and exposes hitting times,
-induced steps, accumulated products and the three integer digit maps
-built from consecutive matrices.  The digit-pair formula lives in one
+branch-matrix product A_R between visits, and exposes induced steps
+(a record's N is the hitting time), accumulated products and the three
+integer digit maps built from consecutive matrices.  The digit-pair formula lives in one
 place, `digit_pair`; the CFE route, the digit maps and the shift space
 all read their digits through it.
 
@@ -133,11 +133,6 @@ class InducedRecord:
 
     def __repr__(self):
         return f"InducedRecord(N={self.N}, A={self.A!r}, z_next={self.z_next!r})"
-
-
-def hitting_time(region: Region, z: OmegaPoint, cap: int) -> int:
-    """Least n >= 1 with the n-th image in the region."""
-    return induced_step(region, z, cap).N
 
 
 def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:

@@ -238,7 +238,13 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
       "quadrature" and "monte-carlo";
     * singularisation regions: "exact" (strip mass minus the log of
       each area rectangle's Gauss ratio);
-    * the one-parameter alpha regions: "monte-carlo" (seeded).
+    * the one-parameter alpha regions: "monte-carlo" (seeded).  Below
+      alpha of about 1/20 this is not an estimate of the mass: the
+      walker decides a top-strip sample at the first of y's digits b2,
+      b3, ... that is >= alpha's first digit a1, which a random y shows
+      only after about 1/log2(1 + 1/a1) digits, and a 10**12 snap of y
+      has about 23, so most samples are decided by the parity of the
+      snap's digit count (`AlphaRegion._odd_depth`).
 
     A method the region's class lacks raises NoMeasurePath, a
     quadrature `tol` that is not a finite float > 0 raises BadTolerance,

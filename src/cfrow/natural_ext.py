@@ -206,21 +206,6 @@ def ito_backstep(z: OmegaPoint) -> OmegaPoint:
     return ito_step(z.mirrored()).mirrored()
 
 
-def epsilon_of(z: OmegaPoint) -> int:
-    """Branch digit the next slow step will use (1 iff x > 1/2)."""
-    return 1 if z.xd.head() == 1 else 0
-
-
-def ito_orbit(z: OmegaPoint, n: int):
-    """[(z_0, cell_0), ..., (z_n, cell_n)] under the slow map."""
-    out = [(z, z.cell())]
-    cur = z
-    for _ in range(n):
-        cur = ito_step(cur)
-        out.append((cur, cur.cell()))
-    return out
-
-
 def gauss_ne_step(w: OmegaPoint) -> OmegaPoint:
     """One step of the fast two-sided shift, built from w's read values:
     y moves by ((0,1),(1,a1)) itself, not by its reverse as in a slow move."""

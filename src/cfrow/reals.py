@@ -159,7 +159,10 @@ class Surd:
         if isinstance(other, (int, Fraction)):  # an irrational equals no rational
             return not self.q and self._cmp(other) == 0
         if isinstance(other, Surd):
-            return self._cmp(other) == 0
+            try:
+                return self._cmp(other) == 0
+            except ValueError:  # irrationals of two fields are never equal
+                return False
         return NotImplemented
 
     def __hash__(self):

@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .digits import Cons, LazyDigits, Reader, fraction_digits, order
+from .digits import Cons, LazyDigits, Reader, digits_fraction, fraction_digits, order
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
@@ -115,10 +115,6 @@ class SingularisationArea(RectRegion):
         if any(_interiors_meet(_fast_map_image(r), s) for r in rects for s in rects):
             raise InvalidSingularisationArea("b", "area overlaps its own image")
         super().__init__(rects, "S")
-
-    def contains_value(self, x, y) -> bool:
-        """Exact membership of a point with exact rational/quadratic coords."""
-        return any(x0 <= x <= x1 and y0 <= y <= y1 for x0, x1, y0, y1 in self.rects)
 
     def gauss_image_rects(self):
         return [_fast_map_image(r) for r in self.rects]
@@ -271,14 +267,6 @@ def _members(prefix: list, lo: int, hi, other=(1, 1)):
         d += 1
 
 
-def _ratio(ds: list):
-    """(p, q) with p/q = [0; ds...] in lowest terms."""
-    p, q = 0, 1
-    for a in reversed(ds):
-        p, q = q, a * q + p
-    return p, q
-
-
 def _float_beside(p: int, q: int, up: bool) -> float:
     """The least float >= p/q (up) or the greatest float <= p/q; int
     true division is correctly rounded."""
@@ -308,9 +296,8 @@ def _float_table(leaves):
     ends.  A leaf that holds no float is dropped."""
     spans = []
     for near, far, answer in leaves:
-        (p, q), (r, s) = _ratio(near), _ratio(far)
-        if p * s > r * q:
-            p, q, r, s = r, s, p, q
+        lesser, greater = sorted((digits_fraction(near), digits_fraction(far)))
+        (p, q), (r, s) = lesser.as_integer_ratio(), greater.as_integer_ratio()
         spans.append((_float_beside(p, q, True), _float_beside(r, s, False), max(q, s), answer))
     ends, answers = [], []
     for lo, hi, den, answer in sorted(spans, key=lambda span: span[0]):

@@ -15,15 +15,12 @@ from cfrow.farey_maps import (
     alpha_step,
     epsilon_prefix,
     epsilon_stream,
-    farey_convergents,
     farey_expansion,
     farey_step,
-    gauss_jump_length,
     gauss_step,
-    lehner_pairs,
 )
 from cfrow.gcf import convergents, validate_srcf
-from cfrow.reals import golden_fraction, parse_real, rcf_digits
+from cfrow.reals import as_real, floor_of, golden_fraction, parse_real, rcf_digits
 
 from conftest import assert_as_checked, random_stream_digits, random_surd, transpose
 
@@ -69,7 +66,7 @@ def test_gauss_is_jump_transformation(rng):
         eps, cur = farey_step(cur)
         assert eps == 1
         assert cur == gx
-        assert gauss_jump_length(x) == a
+        assert floor_of(1 / x) == a  # the jump's length
 
 
 def test_alpha_step_examples():
@@ -226,14 +223,18 @@ def test_conjugation_identity(rng):
 
 
 def test_farey_convergents_examples():
-    assert farey_convergents(S2, 6) == [(1, 0), (1, 1), (0, 1), (1, 3), (1, 2), (3, 7), (2, 5)]
-    assert farey_convergents(G, 5) == [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 5)]
+    """The left columns of A_[0,k] run through every convergent and
+    every mediant in order of appearance."""
+    fs = [a_matrix_forward(S2, k) for k in range(7)]
+    assert [(f.a, f.c) for f in fs] == [(1, 0), (1, 1), (0, 1), (1, 3), (1, 2), (3, 7), (2, 5)]
+    fs = [a_matrix_forward(G, k) for k in range(6)]
+    assert [(f.a, f.c) for f in fs] == [(1, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 5)]
 
 
 def test_farey_convergents_are_expansion_convergents(rng):
     for _ in range(15):
         x = random_surd(rng)
-        fc = farey_convergents(x, 12)
+        fc = [(f.a, f.c) for f in (a_matrix_forward(x, k) for k in range(13))]
         fe = farey_expansion(x, 12)
         cv = convergents(fe, 11)
         assert [(c.P, c.Q) for c in cv[1:]] == fc
@@ -243,7 +244,7 @@ def test_farey_convergents_interleave(rng):
     # consecutive values straddle x with shrinking gaps inside each run
     for _ in range(10):
         x = random_surd(rng)
-        fc = farey_convergents(x, 20)[1:]
+        fc = [(f.a, f.c) for f in (a_matrix_forward(x, k) for k in range(1, 21))]
         vals = [Fraction(u, s) for u, s in fc]
         above = [v for v in vals if v > x]
         below = [v for v in vals if v < x]
@@ -251,7 +252,37 @@ def test_farey_convergents_interleave(rng):
         assert below == sorted(below)
 
 
-def test_lehner_pairs():
-    assert lehner_pairs(G, 3) == [(1, 1)] * 4
-    assert lehner_pairs(Fraction(0), 2) == [(2, -1)] * 3
-    assert lehner_pairs(S2, 3) == [(2, -1), (1, 1), (2, -1), (1, 1)]
+def lehner_digits(y, n: int):
+    """The first n pairs (b, e) of the Lehner expansion y = b + e/y' of
+    y in [1, 2], by the Lehner map: (2, -1) and y' = 1/(2 - y) for
+    y <= 3/2, else (1, 1) and y' = 1/(y - 1)."""
+    out = []
+    for _ in range(n):
+        if y <= Fraction(3, 2):
+            out.append((2, -1))
+            y = as_real(1 / (2 - y))
+        else:
+            out.append((1, 1))
+            y = as_real(1 / (y - 1))
+    return out
+
+
+def test_lehner_pairs(rng):
+    """The Lehner pairs of x + 1 are x's Farey pairs (a_k, b_k)
+    re-indexed: pair k is (b_k, a_{k+1}), and (b_0 + 1, a_1) at k = 0.
+    `cfrow expand --kind lehner` prints the Farey pairs by this relation."""
+    assert lehner_digits(G + 1, 4) == [(1, 1)] * 4
+    assert lehner_digits(Fraction(1), 3) == [(2, -1)] * 3
+    assert lehner_digits(S2 + 1, 4) == [(2, -1), (1, 1), (2, -1), (1, 1)]
+    n = 12
+    xs = [G, S2, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 3)]
+    xs += [random_surd(rng) for _ in range(30)]
+    for _ in range(30):
+        q = rng.randint(2, 400)
+        xs.append(Fraction(rng.randint(1, q - 1), q))
+    for x in xs:
+        (a0, b0), *rest = farey_expansion(x, n + 1).pairs(n + 2)
+        a = [a0] + [ak for ak, _ in rest]
+        b = [b0] + [bk for _, bk in rest]
+        want = [(b[0] + 1, a[1])] + [(b[k], a[k + 1]) for k in range(1, n + 1)]
+        assert lehner_digits(x + 1, n + 1) == want, x

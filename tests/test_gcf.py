@@ -313,11 +313,11 @@ def test_classify_consistency_with_digit_sums(rng):
 
 def test_json_roundtrip():
     g = Gcf([(1, 0), (-1, 2), (Fraction(3, 2), 5)])
-    text = g.to_json()
+    text = json.dumps(g.as_dict(g.length()), sort_keys=True)
     back = Gcf.from_json(text)
     assert back.pairs(3) == g.pairs(3)
     g2 = Gcf([(1, 4), (1, INF)])
-    assert Gcf.from_json(g2.to_json(2)).length() == 1
+    assert Gcf.from_json(json.dumps(g2.as_dict(2), sort_keys=True)).length() == 1
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,13 @@ from cfrow.induced import (
     backward_induced_step,
     d_map,
     digit_maps,
-    hitting_time,
     induced_orbit,
     induced_products,
     induced_records,
     induced_step,
 )
 from cfrow.measure import measure_of, rect_mass_exact
-from cfrow.natural_ext import OmegaPoint, epsilon_of, ito_jump, ito_step
+from cfrow.natural_ext import OmegaPoint, ito_jump, ito_step
 from cfrow.regions import (
     build_alpha_region,
     build_s_expansion_region,
@@ -60,19 +59,19 @@ def test_hitting_time_top_strip(rng):
     h1 = region_h1()
     for _ in range(20):
         x = random_surd(rng)
-        assert hitting_time(h1, top(x), 10**6) == rcf_digits(x).head()
+        assert induced_step(h1, top(x), 10**6).N == rcf_digits(x).head()
 
 
 def test_hitting_time_omega_and_h2():
-    assert hitting_time(region_omega(), top(S2), 10) == 1
+    assert induced_step(region_omega(), top(S2), 10).N == 1
     x3 = parse_real("(0+1*sqrt(10))/10")
-    assert hitting_time(region_h(2), top(x3), 10) == 1
+    assert induced_step(region_h(2), top(x3), 10).N == 1
 
 
 def test_cap_exceeded():
     v5 = region_v(5)
     with pytest.raises(CapExceeded):
-        hitting_time(v5, top(G), 50)  # golden expansion never shows digit 5
+        induced_step(v5, top(G), 50)  # golden expansion never shows digit 5
 
 
 def test_induced_step_top_strip_matrix(rng):
@@ -275,8 +274,9 @@ def oracle_in_rect(z, rect):
             return False
         if vx is True and vy is True:
             return True
-    xv, yv = z.xd.exact_value(), z.yd.exact_value()
-    return x0 <= xv <= x1 and y0 <= yv <= y1
+    xe, ye = z.xd.enclosure(10_000), z.yd.enclosure(10_000)
+    assert xe.is_point() and ye.is_point()
+    return x0 <= xe.lo <= x1 and y0 <= ye.lo <= y1
 
 
 CORNERS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3),
@@ -492,12 +492,14 @@ def random_stream_point(rng: random.Random) -> OmegaPoint:
 
 def check_forward_fold(region, z, records):
     """Each record's A equals the product of A0/A1 over the branch digits
-    of the slow orbit, which first re-enters the region at its landing point."""
+    of the slow orbit, which first re-enters the region at its landing
+    point.  A step's branch digit is 1 iff x > 1/2, iff x's first partial
+    quotient is 1."""
     cur = z
     for rec in records:
         mat = Mat2Z(1, 0, 0, 1)
         for step in range(1, rec.N + 1):
-            mat = mat @ a_matrix(epsilon_of(cur))
+            mat = mat @ a_matrix(cur.xd.head() == 1)
             cur = ito_step(cur)
             assert region.contains(cur) == (step == rec.N)
         assert rec.A == mat
@@ -521,7 +523,7 @@ def check_backward_fold(region, z, cap):
     assert region.contains(path[-1])
     mat = Mat2Z(1, 0, 0, 1)
     for p in reversed(path[1:]):
-        mat = mat @ a_matrix(epsilon_of(p))
+        mat = mat @ a_matrix(p.xd.head() == 1)
     assert rec.A == mat and rec.z_next is z
     assert (prev.xd.prefix(8), prev.yd.prefix(8)) == (path[-1].xd.prefix(8),
                                                       path[-1].yd.prefix(8))
@@ -628,7 +630,7 @@ def slow_induced_step(region, z, cap):
     cur = z
     mat = Mat2Z(1, 0, 0, 1)
     for n in range(1, cap + 1):
-        mat = mat @ a_matrix(epsilon_of(cur))
+        mat = mat @ a_matrix(cur.xd.head() == 1)
         cur = ito_step(cur)
         if region.contains(cur):
             return InducedRecord(n, mat, cur)

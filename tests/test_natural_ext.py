@@ -14,7 +14,6 @@ from cfrow.natural_ext import (
     OmegaPoint,
     gauss_ne_step,
     ito_backstep,
-    ito_orbit,
     ito_step,
     mu_bar_density,
     nu_g_density,
@@ -65,7 +64,10 @@ def test_slide_down_and_right(rng):
 def test_cell_tour_from_v3():
     x = parse_real("(0+1*sqrt(10))/10")  # first digit 3
     z = OmegaPoint.from_values(x, Fraction(1))
-    cells = [(c.a, c.b) for _, c in ito_orbit(z, 3)]
+    cells = [(z.cell().a, z.cell().b)]
+    for _ in range(3):
+        z = ito_step(z)
+        cells.append((z.cell().a, z.cell().b))
     assert cells[:3] == [(3, 1), (2, 2), (1, 3)]
     assert cells[3][1] == 1  # back in the top strip
 

@@ -168,20 +168,30 @@ def surd_and_comparand(draw):
 def test_surd_equality_agrees_with_the_comparison(pair):
     """`==` answers an int or Fraction comparand of an irrational surd
     False before it compares; every answer equals `_cmp(other) == 0`,
-    from either side, and raises where `_cmp` raises (two irrational
-    surds of different fields).  Equal values hash equal."""
+    from either side, and is False where `_cmp` raises (two irrational
+    surds of different fields, which are never equal).  Equal values
+    hash equal."""
     x, other = pair
     try:
         want = x._cmp(other) == 0
     except ValueError:
-        with pytest.raises(ValueError, match="mixed surd fields"):
-            x == other  # noqa: B015
-        return
+        want = False
     assert (x == other) is want
     assert (other == x) is want
     assert (x != other) is not want
     if want:
         assert hash(x) == hash(other)
+
+
+def test_surds_of_different_fields_are_unequal():
+    """`==` and `in` answer across fields; arithmetic and order still raise."""
+    r2, r3 = Surd(0, 1, 1, 2), Surd(0, 1, 1, 3)
+    assert (r2 == r3) is False and (r2 != r3) is True
+    assert r2 not in [r3, Surd(1, 1, 2, 5)] and r2 in [r3, Surd(0, 1, 2, 8)]
+    with pytest.raises(ValueError, match="mixed surd fields"):
+        r2 < r3  # noqa: B015
+    with pytest.raises(ValueError, match="mixed surd fields"):
+        r2 - r3
 
 
 def test_rational_surd_equals_its_fraction():

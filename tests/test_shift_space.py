@@ -212,7 +212,7 @@ def test_density_invariance_monte_carlo():
 def test_alpha_region_shift_invariance_monte_carlo():
     # the closed-form shift over the alpha(1/2) region preserves the
     # empirical rectangle frequencies of region samples
-    from cfrow.digits import Reader, from_digits
+    from cfrow.digits import Reader, digits_fraction
     from cfrow.measure import _strip_sampler
     from cfrow.regions import build_alpha_region
 
@@ -225,7 +225,7 @@ def test_alpha_region_shift_invariance_monte_carlo():
     while len(X) < target:
         xd, yd = (r.read_all() for r in sample(rng))
         if R.contains_rational(Reader(xd), Reader(yd)):
-            x, y = (float(from_digits(ds).exact_value()) for ds in (xd, yd))
+            x, y = (float(digits_fraction(ds)) for ds in (xd, yd))
             if x < alpha:
                 X.append(x)
                 Y.append((1 - y) / y)

@@ -1,0 +1,71 @@
+"""The declared library surface: the README's "Library API" section.
+
+Each name listed there resolves, and each public module-level function
+or class in `src/cfrow` is either used by other src code or listed
+there, so code that only tests call cannot sit in src undeclared.
+"""
+
+import ast
+import importlib
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cfrow"
+
+
+def declared_api(readme: str) -> dict:
+    """{module: [name, ...]} from the bullets of the README's "Library
+    API" section, each "* `cfrow.<module>`: `name`, `name`, ..."."""
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    api = {}
+    for bullet in re.split(r"\n\* ", "\n" + section)[1:]:
+        module, *names = re.findall(r"`([^`]+)`", bullet.split("\n\n", 1)[0])
+        assert module.startswith("cfrow.") and module not in api, module
+        api[module[len("cfrow."):]] = names
+    return api
+
+
+def uncalled_public_defs(src: pathlib.Path) -> dict:
+    """{module: [name, ...]}: the public module-level functions and
+    classes that no src code names outside their own body."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    out = {}
+    for module, tree in trees.items():
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            if not any(name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
+                       for m, line, name in uses):
+                out.setdefault(module, []).append(d.name)
+    return out
+
+
+API = declared_api((ROOT / "README.md").read_text())
+
+
+def test_every_declared_name_resolves():
+    assert len(API) >= 10
+    for module, names in API.items():
+        mod = importlib.import_module(f"cfrow.{module}")
+        assert names, module
+        for name in names:
+            assert not name.startswith("_"), (module, name)
+            assert hasattr(mod, name), f"README declares cfrow.{module}.{name}, which is gone"
+
+
+def test_every_uncalled_public_def_is_declared():
+    undeclared = [f"cfrow.{module}.{name}"
+                  for module, names in uncalled_public_defs(SRC).items()
+                  for name in names if name not in API.get(module, [])]
+    assert not undeclared, ("public and called by no src code: call it, make it private, "
+                            f"delete it or declare it in the README's Library API: {undeclared}")
+
+
+def test_the_scan_sees_an_uncalled_def(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    return 1\n\n\ndef unused():\n    return used()\n")
+    (tmp_path / "b.py").write_text("from .a import used\n\n\ndef _private():\n    return used\n")
+    assert uncalled_public_defs(tmp_path) == {"a": ["unused"]}
