@@ -27,8 +27,12 @@ from .gcf import Gcf, convergents, encode_digit
 from .induced import induced_step
 from .natural_ext import OmegaPoint, orbit_csv_rows
 from .reals import parse_real, rcf_digits
-from .regions import region_from_spec
+from .regions import AlphaRegion, build_alpha_region, region_from_spec
 from .shift_space import tau_orbit
+
+# alpha's first digit from which a Monte Carlo estimate of its region is
+# mostly the parity of the snaps' digit counts (`measure.measure_of`)
+_PARITY_A1 = 20
 
 
 def _seed(args) -> int:
@@ -44,6 +48,16 @@ def _seed(args) -> int:
 
 def _emit(obj):
     print(json.dumps(obj, sort_keys=True))
+
+
+def _note_small_alpha(region):
+    """One note on stderr on the estimate of an alpha region below about
+    1/20, whose first digit a1 is _PARITY_A1 or more; stdout is left as
+    it is."""
+    if isinstance(region, AlphaRegion) and region.alpha_list[0] >= _PARITY_A1:
+        print(f"note: {region.name} has first digit a1 = {region.alpha_list[0]} >= {_PARITY_A1}: "
+              "its Monte Carlo estimate mostly measures the parity of the 10^12 snaps' "
+              "digit counts, not the region's mass", file=sys.stderr)
 
 
 def cmd_expand(args) -> int:
@@ -187,6 +201,7 @@ def cmd_entropy(args) -> int:
         seed=_seed(args),
         samples=args.samples,
     )
+    _note_small_alpha(region)
     out = {"measure": est.value, "entropy": ent}
     out.update({k: v for k, v in est.as_dict().items() if k not in ("value",)})
     _emit(out)
@@ -200,8 +215,6 @@ def cmd_region_info(args) -> int:
 
 
 def cmd_sweep_alpha(args) -> int:
-    from .regions import build_alpha_region
-
     if not args.alphas.strip(","):
         raise CfrowError(f"--alphas {args.alphas!r} names no alpha")
     alphas = _entries("--alphas", args.alphas)
@@ -211,6 +224,7 @@ def cmd_sweep_alpha(args) -> int:
         alpha = parse_real(atext)
         region = build_alpha_region(alpha)
         ent, est = measure.entropy_of(region, seed=seed + i, samples=args.samples)
+        _note_small_alpha(region)
         ent_err = ent * est.error_bound / est.value
         rows.append(
             (atext, est.value, est.error_bound, ent, ent_err, seed + i)

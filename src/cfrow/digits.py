@@ -167,7 +167,9 @@ class _Memo:
 
 
 class LazyDigits(DigitStream):
-    """View into a memoised digit source starting at index `start`."""
+    """View into a memoised digit source starting at index `start`.
+    `head` and `tail` read a digit the buffer holds directly; only a
+    read past the buffer goes through `_Memo.at`."""
 
     __slots__ = ("_memo", "_start")
 
@@ -176,12 +178,18 @@ class LazyDigits(DigitStream):
         self._start = start
 
     def head(self):
-        return self._memo.at(self._start)
+        i, memo = self._start, self._memo
+        buf = memo.buf
+        return buf[i] if i < len(buf) else memo.at(i)
 
     def tail(self) -> DigitStream:
-        if self.head() is INF:
+        i, memo = self._start, self._memo
+        buf = memo.buf
+        if (buf[i] if i < len(buf) else memo.at(i)) is INF:
             return self
-        return LazyDigits(None, self._start + 1, _memo=self._memo)
+        t = LazyDigits.__new__(LazyDigits)
+        t._memo, t._start = memo, i + 1
+        return t
 
     def prefix(self, n: int):
         if n <= 0:
@@ -280,6 +288,14 @@ class SnapReader:
         if type(max_den) is not int or max_den < 1:
             raise ValueError(f"a snap needs an int max_den >= 1, not {max_den!r}")
         self.got, self.ahead, self.src, self.max_den = [], (), t, max_den
+
+    @classmethod
+    def _of(cls, t: float) -> "SnapReader":
+        """The reader of t at max_den 10**12, without the checks: for a
+        caller whose t is a finite float >= 0 by construction."""
+        r = object.__new__(cls)
+        r.got, r.ahead, r.src, r.max_den = [], (), t, 10**12
+        return r
 
     def more(self):
         """Expose at least one more digit, or complete `got`."""

@@ -1,15 +1,16 @@
 """Induced transformations of the slow planar map over subregions.
 
-A Region answers membership for symbolic points, exactly: unions of
-digit cells from leading digits, unions of rectangles by comparing the
-point's digits with each corner's (`digits.order`, so a point on an edge
-is decided too), and the regions of `regions` through their own
-walkers.  The induced engine walks the slow map, accumulates the
-branch-matrix product A_R between visits, and exposes induced steps
-(a record's N is the hitting time), accumulated products and the three
-integer digit maps built from consecutive matrices.  The digit-pair formula lives in one
-place, `digit_pair`; the CFE route, the digit maps and the shift space
-all read their digits through it.
+A Region answers membership from a point's two digit streams,
+`contains(xd, yd)`, exactly: unions of digit cells from leading digits,
+unions of rectangles by comparing the point's digits with each corner's
+(`digits.order`, so a point on an edge is decided too), and the regions
+of `regions` through their own walkers.  The induced engine walks the
+slow map, accumulates the branch-matrix product A_R between visits, and
+exposes induced steps (a record's N is the hitting time), accumulated
+products and the three integer digit maps built from consecutive
+matrices.  The digit-pair formula lives in one place, `digit_pair`; the
+CFE route, the digit maps and the shift space all read their digits
+through it.
 
 The forward walk moves one partial-quotient run at a time: inside the
 partial quotient a1 the slow orbit walks the cells (a1-k, b1+k) with
@@ -20,11 +21,12 @@ inside the run or A0^(a1-1) A1 = ((0,1),(1,a1)) for the whole run, then
 asks `contains` once at the run's top-strip landing.  The x = 0 line is
 the run a1 = INF, which never ends: a None there ends the walk at once.
 A walk keeps A_R as four ints, and so does its record (`InducedRecord.A`
-builds the `Mat2Z` when read).  The walk carries no values: from a point
-with values it walks a value-free copy, and only the landing point takes
-the start's values, moved by A_R, which is exactly the walk's product.
-A backward walk is the forward walk of the mirrored point
-(`backward_induced_step`).
+builds the `Mat2Z` when read).  The walk carries no point and no values:
+it moves the two streams (xd, yd) by `natural_ext.run_move`, the move
+`ito_jump` makes too, and asks membership of them.  It builds one
+OmegaPoint per record, the landing, which takes the start's values, if
+any, moved by A_R, exactly the walk's product.  A backward walk is the
+forward walk of the mirrored point (`backward_induced_step`).
 
 A region whose visits a forward walk decides from x alone
 (`Region.x_only`: every `CellRegion`, and an empty `RectRegion`) is
@@ -57,10 +59,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .digits import Reader, fraction_digits, order, surd_steps, tail_state
+from .digits import DigitStream, Reader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
 from .exact import INF, IDENTITY, Mat2Z, reversed_product
-from .natural_ext import OmegaPoint, ito_jump, ito_step
+from .natural_ext import OmegaPoint, run_move
 
 
 # slow steps without a visit before an x-only walk watches for a repeated x-state
@@ -76,22 +78,24 @@ class Region:
     x_only: bool = False       # forward walks decide visits from x alone
     name: str = "region"
 
-    def contains(self, z: OmegaPoint) -> bool:
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
+        """Is the point with digit streams (xd, yd) in the region?"""
         raise NotImplementedError
 
     def mirrored(self) -> "Region":
         """{(y, x) : (x, y) in the region}; by default a `_Mirrored`."""
         return _Mirrored(self)
 
-    def first_in_run(self, z: OmegaPoint, m: int):
+    def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
         """The least k in 1..m whose run point, the k-th slow image
-        (a1-k, b1+k) of z, is in the region, or None; m < a1, and a1 is
-        INF on the x = 0 line, whose run never ends.  This default walks
-        the slow map, so any region is answered correctly; a region that
-        can decide a whole run at once overrides it, exactly."""
+        (a1-k, b1+k) of the point (xd, yd), is in the region, or None;
+        m < a1, and a1 is INF on the x = 0 line, whose run never ends.
+        This default asks `contains` at each run point in turn, so any
+        region is answered correctly; a region that can decide a whole
+        run at once overrides it, exactly."""
+        a1 = xd.head()
         for k in range(1, m + 1):
-            z = ito_step(z)
-            if self.contains(z):
+            if self.contains(*run_move(xd, yd, a1, k)):
                 return k
         return None
 
@@ -144,21 +148,21 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     slow steps all the same.
     """
     contains, first_in_run = region.contains, region.first_in_run
-    valued = z._x0 is not None or z._y0 is not None
-    cur = OmegaPoint(z.xd, z.yd) if valued else z  # the walk carries no values
+    xd, yd = z.xd, z.yd  # the walk carries the two streams, no point
     a, b, c, d = 1, 0, 0, 1
     n = 0
     watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
     first = None
     while n < cap:
-        a1 = cur.xd.head()
+        a1 = xd.head()
         if a1 > 1:
             if a1 is INF and not region.meets_x_zero:  # x stays 0 off the region
                 raise NeverEnters(f"orbit never enters {region.name}: it has reached "
                                   f"the x = 0 line after {n} steps")
-            k = first_in_run(cur, min(a1 - 1, cap - n))
+            k = first_in_run(xd, yd, min(a1 - 1, cap - n))
             if k is not None:  # A_R @ A0^k
-                n, a, c, cur = n + k, a + k * b, c + k * d, ito_jump(cur, k)
+                n, a, c = n + k, a + k * b, c + k * d
+                xd, yd = run_move(xd, yd, a1, k)
                 break
             if a1 is INF:  # the x = 0 line: a run without end, and no visit in reach
                 raise _cap_exceeded(region, cap)
@@ -166,14 +170,14 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
         if n > cap:
             raise _cap_exceeded(region, cap)
         a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
-        cur = ito_jump(cur, a1)
-        if contains(cur):
+        xd, yd = run_move(xd, yd, a1, a1)
+        if contains(xd, yd):
             break
         if n >= watch_from:
             # a region that reads only x: the walk from a repeated x-state
             # repeats, so no visit in between means none ever
             if first is None:
-                first = state = tail_state(cur.xd, 0)
+                first = state = tail_state(xd, 0)
                 if first is None:
                     watch_from = cap  # x is rational: the x = 0 line ends the walk
             else:
@@ -183,9 +187,10 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
                                       f"repeats after {n} steps with no visit")
     else:
         raise _cap_exceeded(region, cap)
-    if valued:  # the landing takes z's values moved by A_R, the walk's product
-        cur = z._moved(cur.xd, cur.yd, (a, b, c, d))
-    return InducedRecord._of(n, a, b, c, d, cur)
+    if z._x0 is None and z._y0 is None:
+        return InducedRecord._of(n, a, b, c, d, OmegaPoint(xd, yd))
+    # the landing takes z's values moved by A_R, the walk's product
+    return InducedRecord._of(n, a, b, c, d, z._moved(xd, yd, (a, b, c, d)))
 
 
 def _cap_exceeded(region: Region, cap: int) -> CapExceeded:
@@ -291,21 +296,21 @@ class _Mirrored(Region):
     def __init__(self, region: Region):
         self.region, self.name = region, region.name
 
-    def contains(self, z: OmegaPoint) -> bool:
-        return self.region.contains(z.mirrored())
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
+        return self.region.contains(yd, xd)
 
 
 class OmegaRegion(Region):
     unit_s = True
     name = "omega"
 
-    def contains(self, z: OmegaPoint) -> bool:
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         return True
 
     def mirrored(self) -> Region:
         return self
 
-    def first_in_run(self, z: OmegaPoint, m: int):
+    def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
         return 1
 
 
@@ -330,8 +335,8 @@ class CellRegion(Region):
         self.altered = altered
         self.unit_s = self.cells == [(None, 1)]
 
-    def contains(self, z: OmegaPoint) -> bool:
-        a, b = z.xd.head(), z.yd.head()
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
+        a, b = xd.head(), yd.head()
         if a is INF or b is INF:
             return False
         for ca, cb in self.cells:
@@ -342,9 +347,9 @@ class CellRegion(Region):
     def mirrored(self) -> Region:
         return CellRegion([(b, a) for a, b in self.cells], self.name, self.altered)
 
-    def first_in_run(self, z: OmegaPoint, m: int):
+    def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
         """Solves a1 - k = ca and b1 + k = cb per cell."""
-        a1, b1 = z.xd.head(), z.yd.head()
+        a1, b1 = xd.head(), yd.head()
         if a1 is INF or b1 is INF:
             return None
         best = None
@@ -401,8 +406,8 @@ class RectRegion(Region):
     def mirrored(self) -> Region:
         return RectRegion([(y0, y1, x0, x1) for x0, x1, y0, y1 in self.rects], self.name)
 
-    def contains(self, z: OmegaPoint) -> bool:
-        return self.contains_rational(Reader([], z.xd), Reader([], z.yd))
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
+        return self.contains_rational(Reader([], xd), Reader([], yd))
 
     def contains_rational(self, x, y) -> bool:
         """Membership of the point whose coordinates the readers x and y

@@ -313,7 +313,8 @@ def _strip_sampler(y_min: Fraction):
         inv_a = 1.0 / a
         t = inv_a + v * (1.0 - inv_a)
         y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-        return SnapReader(x), SnapReader(min(max(y, y0), 1.0))
+        # both floats are finite and >= 0 by construction
+        return SnapReader._of(x), SnapReader._of(min(max(y, y0), 1.0))
 
     return sample
 

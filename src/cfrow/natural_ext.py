@@ -187,18 +187,26 @@ def ito_step(z: OmegaPoint) -> OmegaPoint:
 
 def ito_jump(z: OmegaPoint, k: int) -> OmegaPoint:
     """k slow steps inside z's partial quotient a1 as one move, for
-    1 <= k <= a1.  The steps walk the cells (a1-k, b1+k) with every
-    other digit fixed, so for k < a1 they are A0^k = ((1,0),(k,1)); the
-    whole run k = a1 is A0^(a1-1) A1 = ((0,1),(1,a1)) and lands in the
-    top strip at ([0;a2,...], [0;1,b1+a1-1,b2,...]).  On the x = 0
-    line a1 = INF: the run never ends, x's stream stays as it is and
-    y's head grows by k (y |-> y/(1+ky))."""
+    1 <= k <= a1: the streams move by `run_move`, and the values by
+    A0^k = ((1,0),(k,1)) for k < a1 or, for the whole run k = a1, by
+    A0^(a1-1) A1 = ((0,1),(1,a1))."""
     a1 = z.xd.head()
+    xd, yd = run_move(z.xd, z.yd, a1, k)
+    return z._moved(xd, yd, (1, 0, k, 1) if k < a1 else (0, 1, 1, a1))
+
+
+def run_move(xd: DigitStream, yd: DigitStream, a1, k: int):
+    """The streams (xd', yd') k slow steps on from (xd, yd), whose x
+    has the partial quotient a1 = xd.head(), for 1 <= k <= a1.  The
+    steps walk the cells (a1-k, b1+k) with every other digit fixed; the
+    whole run k = a1 lands in the top strip at ([0;a2,...],
+    [0;1,b1+a1-1,b2,...]).  On the x = 0 line a1 = INF: the run never
+    ends, x's stream stays as it is and y's head grows by k
+    (y |-> y/(1+ky))."""
     if k < a1:
-        xd = z.xd if a1 is INF else Cons(a1 - k, z.xd.tail())
-        return z._moved(xd, Cons(z.yd.head() + k, z.yd.tail()), (1, 0, k, 1))
-    yd = z.yd if a1 == 1 else Cons(z.yd.head() + a1 - 1, z.yd.tail())
-    return z._moved(z.xd.tail(), Cons(1, yd), (0, 1, 1, a1))
+        return (xd if a1 is INF else Cons(a1 - k, xd.tail()),
+                Cons(yd.head() + k, yd.tail()))
+    return xd.tail(), Cons(1, yd if a1 == 1 else Cons(yd.head() + a1 - 1, yd.tail()))
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:

@@ -39,7 +39,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .digits import Cons, LazyDigits, Reader, digits_fraction, fraction_digits, order
+from .digits import Cons, DigitStream, LazyDigits, Reader, digits_fraction, fraction_digits, order
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
@@ -49,7 +49,6 @@ from .errors import (
 )
 from .exact import INF
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, fraction_rects
-from .natural_ext import OmegaPoint
 from .reals import RealRep, as_real, is_rational, surd_digits
 
 
@@ -96,7 +95,7 @@ class SingularisationArea(RectRegion):
     it is defined: a finite union of closed rational rectangles inside
     the right half strip t >= 1/2, no two sharing an interior point, and
     S disjoint from its fast-map image (condition (b), checked exactly on
-    the image's rational corners, `gauss_image_rects`).  The area is the
+    the image's rational corners, `_fast_map_image`).  The area is the
     `RectRegion` of its rectangles, so `rects` is its one list: membership
     of (t, v) readers (`contains_rational`), the S-expansion region's
     exclusion test and the region's mass in `measure` all read it."""
@@ -115,9 +114,6 @@ class SingularisationArea(RectRegion):
         if any(_interiors_meet(_fast_map_image(r), s) for r in rects for s in rects):
             raise InvalidSingularisationArea("b", "area overlaps its own image")
         super().__init__(rects, "S")
-
-    def gauss_image_rects(self):
-        return [_fast_map_image(r) for r in self.rects]
 
 
 class SExpansionRegion(Region):
@@ -138,14 +134,14 @@ class SExpansionRegion(Region):
         self.area = area
         self.name = name
 
-    def contains(self, z: OmegaPoint) -> bool:
-        if z.yd.head() != 1:
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
+        if yd.head() != 1:
             return False
-        y = z.yd.tail()
+        y = yd.tail()
         # b2 = INF pulls x back to 0, outside the right half: a member
-        return not self.area.contains_rational(Reader([], Cons(y.head(), z.xd)), Reader([], y.tail()))
+        return not self.area.contains_rational(Reader([], Cons(y.head(), xd)), Reader([], y.tail()))
 
-    def first_in_run(self, z: OmegaPoint, m: int):
+    def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
         return None  # run points have b >= 2, below the top strip
 
     def describe(self) -> dict:
@@ -555,22 +551,21 @@ class AlphaRegion(Region):
             return False
         return self._odd_depth(x, y)
 
-    def contains(self, z: OmegaPoint) -> bool:
-        yd = z.yd
+    def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         if yd.head() == 1:
             # the walker's first test, before it builds readers: a b2 past
             # alpha's first digit, or y = 1 with no b2, is depth 1 (at
             # back_cap 0 the walker raises instead)
             if yd.tail().head() > self.alpha_list[0] and self.back_cap:
                 return True
-            return self._odd_depth(Reader([], z.xd), Reader([], yd))
-        return self._run_member(z)
+            return self._odd_depth(Reader([], xd), Reader([], yd))
+        return self._run_member(xd, yd)
 
-    def first_in_run(self, z: OmegaPoint, m: int):
-        return 1 if self._run_member(z) else None
+    def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
+        return 1 if self._run_member(xd, yd) else None
 
-    def _run_member(self, z: OmegaPoint) -> bool:
-        """Membership of the points (a1-k, b1+k) of z's run that lie
+    def _run_member(self, xd: DigitStream, yd: DigitStream) -> bool:
+        """Membership of the points (a1-k, b1+k) of (xd, yd)'s run that lie
         below the top strip, k = 0 included when b1 >= 2, and none on the
         x = 0 line (a1 = INF).  It is one answer for all of them: each
         slides back to the same c = a1+b1-1 with both tails fixed.  A c
@@ -578,13 +573,13 @@ class AlphaRegion(Region):
         made here before any reader is built."""
         if not self.slides:
             return False
-        a1, b1 = z.xd.head(), z.yd.head()
+        a1, b1 = xd.head(), yd.head()
         if a1 is INF or b1 is INF:
             return False
         c = a1 + b1 - 1
         if c > self.alpha_list[0]:
             return False
-        return self._slid(c, Reader([c], z.xd), Reader([], z.yd))
+        return self._slid(c, Reader([c], xd), Reader([], yd))
 
     def contains_rational(self, x, y) -> bool:
         """contains() for the point with rational coordinates read by x

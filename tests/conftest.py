@@ -170,7 +170,7 @@ def slow_backward_induced_step(region, z, cap):
         else:
             c, d = a + c, b + d  # A0 @ A_R
         cur = backstep_by_digits(cur)
-        if region.contains(cur):
+        if region.contains(cur.xd, cur.yd):
             return InducedRecord._of(n, a, b, c, d, z), cur
     raise BackwardCapExceeded(f"no backward visit of {region.name} within {cap} steps")
 

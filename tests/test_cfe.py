@@ -207,7 +207,7 @@ def test_digit_maps_agree_with_orbit_shortcut(rng):
         for _ in range(4):
             x = random_rich_surd(rng)
             z0 = top(x)
-            if not R.contains(z0):
+            if not R.contains(z0.xd, z0.yd):
                 z0 = induced_step(R, z0, CAP).z_next  # return-time semantics
             res = cfe_direct(R, z0, 8, CAP)
             pairs = res.digits.pairs(9)

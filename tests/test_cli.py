@@ -295,6 +295,30 @@ def test_entropy_seed_recorded(capsys):
     assert obj["seed"] == 9 and obj["samples"] == 4000
 
 
+def test_small_alpha_monte_carlo_notes_itself_on_stderr(capsys):
+    """Below alpha of about 1/20 (first digit a1 >= 20) a Monte Carlo
+    estimate mostly measures the parity of the snaps' digit counts:
+    `entropy` and `sweep-alpha` say so on stderr once per such alpha
+    they estimate and leave stdout as it is; from alpha = 1/4 up there
+    is no note."""
+    code, out, err = run_cli(
+        ["entropy", "--region", "alpha:1/2000", "--samples", "300", "--seed", "1"], capsys)
+    assert code == 0 and json.loads(out)["samples"] == 300
+    assert err.splitlines() == [line for line in err.splitlines()
+                                if line.startswith("note: alpha:1/2000 has first digit a1 = 2000 ")]
+    assert len(err.splitlines()) == 1 and "parity" in err
+    code, out, err = run_cli(["sweep-alpha", "--alphas", "1/1000000,1/20,1/19,1/4,g,1",
+                              "--samples", "300", "--seed", "5"], capsys)
+    assert code == 0 and len(out.splitlines()) == 7 and "note" not in out
+    assert [line.split(" has ")[0] for line in err.splitlines()] == ["note: alpha:1/1000000",
+                                                                   "note: alpha:1/20"]
+    for args in (["entropy", "--region", "alpha:1/4", "--samples", "300", "--seed", "1"],
+                 ["sweep-alpha", "--alphas", "1/4,sqrt(2)-1,2/5,1/2,g,7/10,1",
+                  "--samples", "300", "--seed", "5"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 0 and out and err == ""
+
+
 def test_orbit_row_count(tmp_path, capsys):
     out_path = tmp_path / "orbit.csv"
     code, _, _ = run_cli(

@@ -15,6 +15,7 @@ from cfrow.induced import (
     InducedRecord,
     RectRegion,
     Region,
+    _Mirrored,
     backward_induced_step,
     d_map,
     digit_maps,
@@ -246,9 +247,9 @@ def test_rect_region_membership_refines():
     inside = OmegaPoint.from_values(Fraction(2, 5), Fraction(2, 5))
     outside = OmegaPoint.from_values(Fraction(3, 5), Fraction(2, 5))
     irr = OmegaPoint.from_values(S2, Fraction(2, 5))
-    assert R.contains(inside)
-    assert not R.contains(outside)
-    assert R.contains(irr)  # 0.414 in [1/3, 1/2]
+    assert R.contains(inside.xd, inside.yd)
+    assert not R.contains(outside.xd, outside.yd)
+    assert R.contains(irr.xd, irr.yd)  # 0.414 in [1/3, 1/2]
     assert R.mirrored().meets_x_zero is False
 
 
@@ -324,7 +325,7 @@ def test_rect_region_equals_enclosure_route(rng):
             rects.append((x0, x1, y0, y1))
         R = RectRegion(rects)
         for z in rect_points(rng):
-            got = R.contains(z)
+            got = R.contains(z.xd, z.yd)
             assert got == any(oracle_in_rect(z, r) for r in rects)
             seen.add(got)
         # the region's one list is the clamped rectangles, and every mass
@@ -353,10 +354,10 @@ def test_point_on_a_rational_edge_is_decided():
     for R in (RectRegion([(half, 1, 0, half)]), RectRegion([(third, half, third, half)])):
         for xd in on_edge:
             for yd in on_edge:
-                assert R.contains(OmegaPoint.from_streams(xd, yd))
+                assert R.contains(xd, yd)
     R = RectRegion([(0, third, 0, third)])
-    assert not R.contains(OmegaPoint.from_streams(from_digits([2]), from_digits([3])))
-    assert R.contains(OmegaPoint.from_streams(from_digits([2, 1]), from_digits([3])))
+    assert not R.contains(from_digits([2]), from_digits([3]))
+    assert R.contains(from_digits([2, 1]), from_digits([3]))
 
 
 def test_x_only_region_that_is_never_entered_stops_early():
@@ -448,17 +449,18 @@ def test_rect_region_reads_one_clamped_list():
         assert d_map(R, z, 1000) == 2
     outside = RectRegion([(Fraction(3, 2), 2, third, half), (-1, Fraction(-1, 2), 0, 1)])
     assert outside.rects == [] and outside.mirrored().meets_x_zero is False
-    assert not outside.contains(top(Fraction(1)))
+    one = top(Fraction(1))
+    assert not outside.contains(one.xd, one.yd)
 
 
 def test_cell_region_membership_from_digits():
     h1 = region_h1()
-    assert h1.contains(OmegaPoint.from_streams(rcf_digits(S2), rcf_digits(Fraction(2, 3))))
+    assert h1.contains(rcf_digits(S2), rcf_digits(Fraction(2, 3)))
     v2 = region_v(2)
-    assert v2.contains(OmegaPoint.from_values(S2, Fraction(1, 7)))
+    assert v2.contains(rcf_digits(S2), rcf_digits(Fraction(1, 7)))
     c = region_cell(3, 1)  # V_2 n H_2
     z = OmegaPoint.from_values(parse_real("(0+1*sqrt(6))/6"), Fraction(2, 5))
-    assert c.contains(z)  # x ~ .408 -> digit 2; y 2/5 -> digit 2
+    assert c.contains(z.xd, z.yd)  # x ~ .408 -> digit 2; y 2/5 -> digit 2
 
 
 def test_altered_flag_assignment():
@@ -501,7 +503,7 @@ def check_forward_fold(region, z, records):
         for step in range(1, rec.N + 1):
             mat = mat @ a_matrix(cur.xd.head() == 1)
             cur = ito_step(cur)
-            assert region.contains(cur) == (step == rec.N)
+            assert region.contains(cur.xd, cur.yd) == (step == rec.N)
         assert rec.A == mat
         cur = rec.z_next
 
@@ -519,8 +521,8 @@ def check_backward_fold(region, z, cap):
     path = [z]
     for _ in range(rec.N):
         path.append(backstep_by_digits(path[-1]))
-    assert all(not region.contains(p) for p in path[1:-1])
-    assert region.contains(path[-1])
+    assert all(not region.contains(p.xd, p.yd) for p in path[1:-1])
+    assert region.contains(path[-1].xd, path[-1].yd)
     mat = Mat2Z(1, 0, 0, 1)
     for p in reversed(path[1:]):
         mat = mat @ a_matrix(p.xd.head() == 1)
@@ -632,7 +634,7 @@ def slow_induced_step(region, z, cap):
     for n in range(1, cap + 1):
         mat = mat @ a_matrix(cur.xd.head() == 1)
         cur = ito_step(cur)
-        if region.contains(cur):
+        if region.contains(cur.xd, cur.yd):
             return InducedRecord(n, mat, cur)
     raise CapExceeded(f"no visit within {cap} steps")
 
@@ -706,12 +708,12 @@ def test_first_in_run_equals_the_default_walk(k):
         # the x = 0 line is the run a1 = INF, which never ends
         for m in (1, 7, 60) if a1 is INF else sorted({1, a1 // 2, a1 - 1}):
             try:
-                want = Region.first_in_run(region, z, m)
+                want = Region.first_in_run(region, z.xd, z.yd, m)
             except CfrowError as exc:
                 with pytest.raises(type(exc)):
-                    region.first_in_run(z, m)
+                    region.first_in_run(z.xd, z.yd, m)
                 continue
-            assert region.first_in_run(z, m) == want, (region.name, z, m)
+            assert region.first_in_run(z.xd, z.yd, m) == want, (region.name, z, m)
 
 
 def test_jumped_values_equal_stepped_values(rng):
@@ -782,6 +784,65 @@ def test_walk_multiplies_one_value_product_per_record(rng, monkeypatch):
     z = OmegaPoint.from_values(random_surd(rng), as_real(random_surd(rng) / 2 + Fraction(1, 2)))
     recs = induced_records(region_h1(), z, 12, 10**6)
     assert len(recs) == 12 and 0 < len(calls) <= len(recs)
+
+
+def count_calls(monkeypatch, cls, name):
+    """A list that grows by one at each call of cls.name."""
+    calls, method = [], getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("region", [region_h1(), build_alpha_region(Fraction(2, 5))])
+def test_walk_builds_one_point_per_record(rng, region, monkeypatch):
+    """The walk moves two streams: its one point per record is the
+    landing, the start's values moved by A_R, or a point of streams alone
+    from a start without values."""
+    x = random_surd(rng)
+    valued = OmegaPoint.from_values(x, Fraction(1))
+    bare = OmegaPoint.from_streams(rcf_digits(x), rcf_digits(Fraction(1)))
+    moved = count_calls(monkeypatch, OmegaPoint, "_moved")
+    built = count_calls(monkeypatch, OmegaPoint, "__init__")
+    recs = induced_records(region, valued, 12, 10**6)
+    assert len(recs) == 12 and (len(moved), len(built)) == (12, 0)
+    del moved[:]
+    assert [rec.N for rec in induced_records(region, bare, 12, 10**6)] == [rec.N for rec in recs]
+    assert (len(moved), len(built)) == (0, 12)
+
+
+@pytest.mark.parametrize("region", [build_alpha_region(Fraction(2, 5)), build_alpha_region(G),
+                                    build_s_expansion_region([(Fraction(1, 2), 1, 0, Fraction(1, 2))])])
+def test_backward_walk_mirrors_its_start_and_landing_only(rng, region, monkeypatch):
+    mirrored = count_calls(monkeypatch, OmegaPoint, "mirrored")
+    found = 0
+    for _ in range(10):
+        z = OmegaPoint.from_values(random_surd(rng), random_surd(rng))
+        del mirrored[:]
+        back = backward_induced_step(region, z, 10**6)
+        assert len(mirrored) == (1 if back is None else 2)
+        found += back is not None
+    assert found
+
+
+@pytest.mark.parametrize("k", range(len(oracle_regions())))
+def test_mirrored_region_swaps_the_streams(k):
+    region = oracle_regions()[k]
+    mirror = _Mirrored(region)
+    rng = random.Random(9500 + k)
+    for z in oracle_points(rng):
+        for xd, yd in ((z.xd, z.yd), (z.yd, z.xd)):
+            try:
+                want = region.contains(yd, xd)
+            except CfrowError as exc:
+                with pytest.raises(type(exc)):
+                    mirror.contains(xd, yd)
+                continue
+            assert mirror.contains(xd, yd) == want, (region.name, z)
 
 
 @pytest.mark.parametrize("region, n", [(region_v(2), 5), (region_h1(), 7)])
@@ -908,9 +969,9 @@ def backward_outcome(step, region, z, cap):
 
 
 def membership(region, z):
-    """region.contains(z), or the type of the error it raised."""
+    """region.contains(z.xd, z.yd), or the type of the error it raised."""
     try:
-        return region.contains(z)
+        return region.contains(z.xd, z.yd)
     except CfrowError as exc:
         return type(exc)
 

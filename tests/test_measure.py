@@ -190,7 +190,7 @@ def test_s_expansion_mass_matches_monte_carlo_of_its_membership(rects):
     hits = 0
     for _ in range(n):
         xd, yd = (r.read_all() for r in sample(rng))
-        hits += R.contains(OmegaPoint.from_streams(from_digits(xd), from_digits(yd)))
+        hits += R.contains(from_digits(xd), from_digits(yd))
     p = hits / n
     sigma = math.log(2) * math.sqrt(p * (1 - p) / n)
     assert abs(math.log(2) * p - measure_of(R).value) < 3 * sigma

@@ -12,6 +12,7 @@ from cfrow.cfe import cfe_direct
 from cfrow.digits import (
     ZERO_STREAM,
     Cons,
+    DigitStream,
     Reader,
     SnapReader,
     digits_fraction,
@@ -58,13 +59,14 @@ def top(x):
 
 def test_cell_membership_examples():
     h1 = region_h1()
-    assert h1.contains(OmegaPoint.from_values(S2, Fraction(2, 3)))
-    assert not h1.contains(OmegaPoint.from_values(S2, Fraction(1, 3)))
+    xd = rcf_digits(S2)
+    assert h1.contains(xd, rcf_digits(Fraction(2, 3)))
+    assert not h1.contains(xd, rcf_digits(Fraction(1, 3)))
     v2 = region_v(2)
-    assert v2.contains(OmegaPoint.from_values(S2, Fraction(1, 5)))
+    assert v2.contains(xd, rcf_digits(Fraction(1, 5)))
     cell = region_cell(3, 1)
     z = OmegaPoint.from_values(parse_real("(0+1*sqrt(6))/6"), Fraction(2, 5))
-    assert cell.contains(z)
+    assert cell.contains(z.xd, z.yd)
     with pytest.raises(ValueError):
         region_cell(2, 2)
 
@@ -167,7 +169,8 @@ def test_s_expansion_three_route_equality(rng):
 def test_s_expansion_region_structure():
     # membership of z pulls one step back through the strip isomorphism
     R = build_s_expansion_region([(Fraction(1, 2), 1, 0, Fraction(1, 2))])
-    assert R.contains(top(S2))
+    z = top(S2)
+    assert R.contains(z.xd, z.yd)
     # matrices per the two branches: [[0,1],[1,a1]] or [[1,a2],[1,a2+1]]
     for x in (S2, G, parse_real("sqrt(3)-1")):
         recs = induced_records(R, top(x), 10, CAP)
@@ -193,7 +196,7 @@ def test_alpha_one_is_top_strip(rng):
         x = random_surd(rng)
         y = Fraction(rng.randint(1, 10), rng.randint(10, 20))
         z = OmegaPoint.from_values(x, y)
-        assert R.contains(z) == region_h1().contains(z)
+        assert R.contains(z.xd, z.yd) == region_h1().contains(z.xd, z.yd)
 
 
 def test_alpha_above_half_has_no_pushed_cells(rng):
@@ -201,7 +204,7 @@ def test_alpha_above_half_has_no_pushed_cells(rng):
     for _ in range(30):
         x = random_surd(rng)
         y = Fraction(rng.randint(1, 9), 20)  # below the top strip
-        assert not R.contains(OmegaPoint.from_values(x, y))
+        assert not R.contains(rcf_digits(x), rcf_digits(y))
 
 
 def test_alpha_return_times(rng):
@@ -211,7 +214,7 @@ def test_alpha_return_times(rng):
     for _ in range(25):
         x = random_surd(rng)
         z = top(x)
-        if not R.contains(z):
+        if not R.contains(z.xd, z.yd):
             continue
         cur = z
         for _ in range(6):
@@ -299,7 +302,7 @@ def test_region_spec_shorthands():
     assert region_from_spec(spec).cells == [(2, 1)]
     rects = {"rects": [{"x": ["1/3", "1/2"], "y": ["1/3", "1/2"]}]}
     R = region_from_spec(rects)
-    assert R.contains(OmegaPoint.from_values(Fraction(2, 5), Fraction(2, 5)))
+    assert R.contains(rcf_digits(Fraction(2, 5)), rcf_digits(Fraction(2, 5)))
     sexp = {
         "builder": "s_expansion",
         "params": {"rects": [{"x": ["1/2", "1"], "y": ["0", "1/2"]}]},
@@ -555,16 +558,16 @@ WALKER_ALPHAS = [Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(7, 10)
 
 
 def agree(R, z, xv=None, back_cap=2000):
-    """R.contains(z) equals the oracle, raising included; xv is z's exact
+    """R.contains(z.xd, z.yd) equals the oracle, raising included; xv is z's exact
     x-coordinate, z.x_val by default."""
     xv = z.x_val if xv is None else xv
     try:
         want = oracle_contains(R.alpha, z, xv, back_cap)
     except BackwardCapExceeded:
         with pytest.raises(BackwardCapExceeded):
-            R.contains(z)
+            R.contains(z.xd, z.yd)
         return None
-    assert R.contains(z) == want
+    assert R.contains(z.xd, z.yd) == want
     return want
 
 
@@ -650,18 +653,18 @@ def test_alpha_run_tests_come_before_readers(rng, monkeypatch):
                 z = OmegaPoint.from_streams(stream([c] + digits_near(rng, alpha, 3)), stream([b1, 2]))
                 del built[:]
                 if not R.slides or c + b1 - 1 > a:
-                    assert R.first_in_run(z, c - 1 or 1) is None and not R.contains(z)
+                    assert R.first_in_run(z.xd, z.yd, c - 1 or 1) is None
+                    assert not R.contains(z.xd, z.yd)
                     assert not built, (alpha, b1, c)
 
-    class Unread:
-        @property
-        def xd(self):
+    class Unread(DigitStream):
+        def head(self):
             raise AssertionError("a run of a region that does not slide was read")
 
-        yd = xd
+        tail = head
 
     for alpha in (Fraction(7, 10), G, Fraction(1)):
-        assert build_alpha_region(alpha).first_in_run(Unread(), 5) is None
+        assert build_alpha_region(alpha).first_in_run(Unread(), Unread(), 5) is None
 
 
 def test_alpha_walker_on_surd_orbits(rng):
@@ -765,7 +768,7 @@ def test_alpha_walker_folds_and_reads_alpha_by_its_period():
     R54 = build_alpha_region(Fraction(4, 21))
     z = OmegaPoint.from_streams(ZERO_STREAM, from_digits([1, 1, 3, 5]))
     assert not R54._below(Reader([1, 1, 3, 5]), 3, Reader([]))
-    assert R54.contains(z) == oracle_contains(R54.alpha, z, Fraction(0))
+    assert R54.contains(z.xd, z.yd) == oracle_contains(R54.alpha, z, Fraction(0))
     # alpha = sqrt(7) - 2 = [0; 1, 1, 1, 4, ...], period 4: x = alpha's own
     # tail under y = [1, b2, ..., b_{j+1}] pulls back to alpha, found by the
     # one state test after j + 4 digits, also when that is back_cap + 1
@@ -806,14 +809,14 @@ def test_contains_rational_zero_coordinate_is_outside():
         for y in ([1], [1, 3], [1, 1, 2], [2], [3, 2]):
             z = OmegaPoint.from_streams(ZERO_STREAM, from_digits(y))
             for x in (Reader([]), SnapReader(0.0)):
-                assert R.contains_rational(x, Reader(list(y))) == R.contains(z)
+                assert R.contains_rational(x, Reader(list(y))) == R.contains(z.xd, z.yd)
         assert not R.contains_rational(Reader([3]), Reader([]))
         assert not R.contains_rational(Reader([]), Reader([]))
 
 
 def test_contains_rational_reads_x_only_when_the_walker_asks():
-    def point(x, y):
-        return OmegaPoint.from_streams(from_digits(x.read_all()), from_digits(y.read_all()))
+    def member(R, x, y):
+        return R.contains(from_digits(x.read_all()), from_digits(y.read_all()))
 
     # the walker's reads: each y reader is started first, which skips the
     # cylinder table (unstarted snaps may be answered from their floats,
@@ -825,11 +828,11 @@ def test_contains_rational_reads_x_only_when_the_walker_asks():
         x = SnapReader(0.37)
         got = R.contains_rational(x, y)
         assert x.got == [] and type(x.src) is float
-        assert got == R.contains(point(x, y))
+        assert got == member(R, x, y)
     # b2 = a1: the comparison against alpha runs on into x
     x, y = SnapReader(0.37), started(0.6)  # y = [0; 1, 1, 2]
     got = R.contains_rational(x, y)
-    assert x.got and got == R.contains(point(x, y))
+    assert x.got and got == member(R, x, y)
     # the slide path reads x's first digit and leaves the slid c there
     R = build_alpha_region(Fraction(1, 4))
     for t in (0.3, 0.21, 0.9):
@@ -837,7 +840,7 @@ def test_contains_rational_reads_x_only_when_the_walker_asks():
         a1 = snapped_digits(t)[0]
         got = R.contains_rational(x, y)
         assert x.got[0] == a1 + 1
-        assert got == R.contains(point(SnapReader(t), y))
+        assert got == member(R, SnapReader(t), y)
 
 
 # the walker's alphas, plus a1 = 3 (1/3, 3/10, (sqrt(5)-1)/4), 7, 1 and 2000
@@ -1038,7 +1041,7 @@ def test_cylinder_table_is_built_by_the_first_unstarted_snap():
     alpha = Fraction(3, 7)
     R = build_alpha_region(alpha)
     regions._TABLES.pop((tuple(R.alpha_list), R.period, R.back_cap), None)
-    R.contains(OmegaPoint.from_values(Fraction(1, 3), Fraction(5, 7)))
+    R.contains(rcf_digits(Fraction(1, 3)), rcf_digits(Fraction(5, 7)))
     cfe_direct(R, top(S2), 3, CAP)
     R.contains_rational(SnapReader(0.3), started(0.8))
     R.contains_rational(Reader([3]), Reader([1, 4]))

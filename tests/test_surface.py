@@ -1,11 +1,13 @@
 """The declared library surface: the README's "Library API" section.
 
 Each name listed there resolves, and each public module-level function
-or class in `src/cfrow` is either used by other src code or listed
-there, so code that only tests call cannot sit in src undeclared.
+or class in `src/cfrow`, and each public method of a public class, is
+either used by other src code or listed there, so code that only tests
+call cannot sit in src undeclared.
 """
 
 import ast
+import functools
 import importlib
 import pathlib
 import re
@@ -16,32 +18,45 @@ SRC = ROOT / "src" / "cfrow"
 
 def declared_api(readme: str) -> dict:
     """{module: [name, ...]} from the bullets of the README's "Library
-    API" section, each "* `cfrow.<module>`: `name`, `name`, ..."."""
+    API" section, each "* `cfrow.<module>`: `name`, `Class.method`, ...":
+    a dotted name declares a method of one of the module's classes."""
     section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
     api = {}
     for bullet in re.split(r"\n\* ", "\n" + section)[1:]:
         module, *names = re.findall(r"`([^`]+)`", bullet.split("\n\n", 1)[0])
         assert module.startswith("cfrow.") and module not in api, module
+        for name in names:
+            assert re.fullmatch(r"\w+(\.\w+)?", name), (module, name)
         api[module[len("cfrow."):]] = names
     return api
 
 
 def uncalled_public_defs(src: pathlib.Path) -> dict:
     """{module: [name, ...]}: the public module-level functions and
-    classes that no src code names outside their own body."""
+    classes, and the public methods of public classes as "Class.method",
+    that no src code names outside their own body."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
     uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
             for module, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
+
+    def uncalled(module, d):
+        return not d.name.startswith("_") and not any(
+            name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
+            for m, line, name in uses)
+
     out = {}
     for module, tree in trees.items():
         for d in tree.body:
             if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
                 continue
-            if not any(name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
-                       for m, line, name in uses):
+            if uncalled(module, d):
                 out.setdefault(module, []).append(d.name)
-    return out
+            if isinstance(d, ast.ClassDef):
+                out.setdefault(module, []).extend(
+                    f"{d.name}.{f.name}" for f in d.body
+                    if isinstance(f, ast.FunctionDef) and uncalled(module, f))
+    return {module: names for module, names in out.items() if names}
 
 
 API = declared_api((ROOT / "README.md").read_text())
@@ -54,7 +69,10 @@ def test_every_declared_name_resolves():
         assert names, module
         for name in names:
             assert not name.startswith("_"), (module, name)
-            assert hasattr(mod, name), f"README declares cfrow.{module}.{name}, which is gone"
+            try:
+                functools.reduce(getattr, name.split("."), mod)
+            except AttributeError:
+                raise AssertionError(f"README declares cfrow.{module}.{name}, which is gone") from None
 
 
 def test_every_uncalled_public_def_is_declared():
@@ -69,3 +87,16 @@ def test_the_scan_sees_an_uncalled_def(tmp_path):
     (tmp_path / "a.py").write_text("def used():\n    return 1\n\n\ndef unused():\n    return used()\n")
     (tmp_path / "b.py").write_text("from .a import used\n\n\ndef _private():\n    return used\n")
     assert uncalled_public_defs(tmp_path) == {"a": ["unused"]}
+
+
+def test_the_scan_sees_an_uncalled_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class P:\n"
+        "    def __init__(self):\n        self.used()\n\n"
+        "    def used(self):\n        return self\n\n"
+        "    def unused(self):\n        return self.unused\n\n"
+        "    def _private(self):\n        return 1\n\n\n"
+        "class _Q:\n    def hidden(self):\n        return 1\n\n\n"
+        "def f():\n    return P(), _Q()\n")
+    assert uncalled_public_defs(tmp_path) == {"a": ["P.unused", "f"]}
+    assert declared_api("\n## Library API\n\n* `cfrow.a`: `f`, `P.unused`\n") == {"a": ["f", "P.unused"]}
