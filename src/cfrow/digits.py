@@ -10,19 +10,21 @@ digits as a list without a head/tail step per digit: cons cells are
 walked directly and a memoised view slices its buffer; `enclosure` reads
 its window that way too.
 
-Monte Carlo samples are floats snapped to nearby rationals; their digits
-come from a `SnapReader`, a resumable integer Euclid loop that exposes a
-digit only once the snap's end rule can no longer change it, so a
-membership test that decides on the first digits leaves the rest of the
-expansion undone.  A reader holds its float in `src` until its first
-read, which starts the loop, so a coordinate the test never asks about
-costs no Euclid step; it takes only a finite float >= 0 and an int
-max_den >= 1, and raises ValueError for anything else.  The snap is
-monotone and fixes the rationals of denominator <= max_den, so a float
-between two such rationals snaps between them: an alpha region answers
-a sample whose two floats lie in a product of cylinders its walker has
-classified before either loop starts.  `snapped_digits` is such a
-reader read to its end.
+Monte Carlo samples are floats snapped to nearby rationals, at the one
+snap denominator `SNAP_DEN`.  A sample stays two floats until a
+membership test needs its digits; they then come from a `SnapReader`, a
+resumable integer Euclid loop that exposes a digit only once the snap's
+end rule can no longer change it, so a test that decides on the first
+digits leaves the rest of the expansion undone.  A reader holds its
+float in `src` until its first read, which starts the loop, so a
+coordinate the test never asks about costs no Euclid step; it takes
+only a finite float >= 0 and an int max_den >= 1, and raises ValueError
+for anything else.  The snap is monotone and fixes the rationals of
+denominator <= max_den, so a float between two such rationals snaps
+between them: an alpha region answers a sample whose two floats lie in
+a product of cylinders its walker has classified, with ends of
+denominator <= SNAP_DEN, before any reader is built.  `snapped_digits`
+is such a reader read to its end.
 
 Numbers are compared exactly by their digits: `order` reads two
 `Reader`s in the alternating lexicographic order of continued
@@ -42,6 +44,9 @@ from fractions import Fraction
 
 from .errors import BoundaryUndecidable
 from .exact import INF, RationalInterval
+
+# the denominator bound of a Monte Carlo sample's snap
+SNAP_DEN = 10**12
 
 
 class DigitStream:
@@ -272,16 +277,16 @@ class SnapReader:
     its own nearest point.  So t >= p/q snaps to a rational >= p/q, and
     t <= p/q to one <= p/q: a float inside a closed interval whose ends
     have denominators <= max_den snaps inside it.  The alpha regions'
-    cylinder tables rest on this: an interval inside a product of
-    cylinders the walker decides answers every float pair inside it
-    before either Euclid loop starts.  A max_den below 1 admits no
-    rational at all (`limit_denominator` refuses it too) and raises
-    ValueError, as a bad t does.
+    cylinder tables rest on this: an interval with ends of denominator
+    <= SNAP_DEN inside a product of cylinders the walker decides answers
+    every sample whose floats lie inside it, before any reader is built.
+    A max_den below 1 admits no rational at all (`limit_denominator`
+    refuses it too) and raises ValueError, as a bad t does.
     """
 
     __slots__ = ("got", "src", "ahead", "max_den", "_n", "_den", "_q0", "_q1")
 
-    def __init__(self, t: float, max_den: int = 10**12):
+    def __init__(self, t: float, max_den: int = SNAP_DEN):
         # a float is told from a started loop's int remainder by its type
         if type(t) is not float or not 0.0 <= t < math.inf:
             raise ValueError(f"a snap reads a finite float >= 0, not {t!r}")
@@ -291,10 +296,10 @@ class SnapReader:
 
     @classmethod
     def _of(cls, t: float) -> "SnapReader":
-        """The reader of t at max_den 10**12, without the checks: for a
+        """The reader of t at max_den SNAP_DEN, without the checks: for a
         caller whose t is a finite float >= 0 by construction."""
         r = object.__new__(cls)
-        r.got, r.ahead, r.src, r.max_den = [], (), t, 10**12
+        r.got, r.ahead, r.src, r.max_den = [], (), t, SNAP_DEN
         return r
 
     def more(self):
@@ -354,7 +359,7 @@ class SnapReader:
         self.src = None
 
 
-def snapped_digits(t: float, max_den: int = 10**12) -> list:
+def snapped_digits(t: float, max_den: int = SNAP_DEN) -> list:
     """fraction_digits(Fraction(t).limit_denominator(max_den)) for a float
     t >= 0: a `SnapReader` read to its end."""
     return SnapReader(t, max_den).read_all()

@@ -59,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 
-from .digits import DigitStream, Reader, fraction_digits, order, surd_steps, tail_state
+from .digits import DigitStream, Reader, SnapReader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
 from .exact import INF, IDENTITY, Mat2Z, reversed_product
 from .natural_ext import OmegaPoint, run_move
@@ -409,10 +409,15 @@ class RectRegion(Region):
     def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         return self.contains_rational(Reader([], xd), Reader([], yd))
 
+    def contains_sample(self, x: float, y: float) -> bool:
+        """Membership of a Monte Carlo sample: the point whose coordinates
+        are the snaps of the floats x, y >= 0 (`digits.SnapReader`)."""
+        return self.contains_rational(SnapReader._of(x), SnapReader._of(y))
+
     def contains_rational(self, x, y) -> bool:
         """Membership of the point whose coordinates the readers x and y
-        read: `digits.Reader`s of a point's streams (`contains`) or the
-        Monte Carlo sampler's `digits.SnapReader`s."""
+        read: `digits.Reader`s of a point's streams (`contains`) or a
+        Monte Carlo sample's `digits.SnapReader`s."""
         for x0, x1, y0, y1 in self._corners:
             if order(x, x0) >= 0 and order(x, x1) <= 0 and order(y, y0) >= 0 and order(y, y1) <= 0:
                 return True

@@ -15,18 +15,19 @@ on the top strip to log 2 times the Gauss measure mu_G, so each
 rectangle of the area S, read in the fast-map coordinates where S is
 defined, takes off the log of its exact Gauss ratio
 (`gauss_rect_ratio`).
-Each sample is drawn in floats and snapped to the rational that
-`Fraction.limit_denominator(10**12)` gives, as a reader of its
-canonical digits (`digits.SnapReader`: one resumable integer Euclid
-loop per coordinate, started on its first read).  Monte Carlo asks the
-region's own reader membership, `contains_rational`, which pulls only
-the digits it needs from those readers, with no Fraction per sample.
-An alpha region reads y first and x only when its walker asks, so most
-samples never start x's loop, and a sample whose two floats lie in a
-product of cylinders that the walker has classified is answered from
-them before either reader starts (the snap is monotone and fixes the
-ends of the region's table intervals, so the estimate is the walker's,
-bit for bit).
+A sample is two floats, and it stands for the point of rationals that
+`Fraction.limit_denominator(10**12)` snaps them to.  The sampler only
+draws; Monte Carlo asks the region's sample membership,
+`contains_sample(x, y)`, with no Fraction per sample.  An alpha region
+answers a sample whose two floats lie in a product of cylinders that
+its walker has classified from the floats alone (the snap is monotone
+and fixes the ends of the region's table intervals, so the estimate is
+the walker's, bit for bit), and builds readers of the snaps' canonical
+digits (`digits.SnapReader`: one resumable integer Euclid loop per
+coordinate, started on its first read) only for the other samples,
+for its walker `contains_rational`.  That walker reads y first and x
+only when it asks, so most of those samples never start x's loop.  A
+rectangle region reads every sample through the two readers.
 Cell and rectangle regions also take quadrature and Monte Carlo, as
 cross-checks of their closed form.  All three methods read one list of
 rectangles, clamped to the unit square (`induced.RectRegion.rects`, or
@@ -51,7 +52,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digits import SnapReader
 from .errors import BadSampleCount, BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
 from .natural_ext import OmegaPoint
@@ -278,12 +278,12 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
             y_min = min(y0 for _, _, y0, _ in rects)
             if y_min == 0:
                 raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
-            return _strip_monte_carlo(y_min, RectRegion(rects).contains_rational,
+            return _strip_monte_carlo(y_min, RectRegion(rects).contains_sample,
                                       seed if seed is not None else 0, samples)
         return _quadrature(rects, tol)
     if isinstance(region, AlphaRegion):
         _require_method(region, method, ("monte-carlo",))
-        return _strip_monte_carlo(_alpha_window(region), region.contains_rational,
+        return _strip_monte_carlo(_alpha_window(region), region.contains_sample,
                                   seed if seed is not None else 0, samples)
     raise NonIntegrable(f"no measure path for region {region.name}")
 
@@ -291,13 +291,11 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
 def _strip_sampler(y_min: Fraction):
     """The sampler of the invariant measure restricted to y > y_min:
     `sample(rng)` draws one point by inverse CDF in x then in y and
-    returns two readers (`SnapReader`: integers only) of the canonical
-    digits of its coordinates snapped to the rationals with denominator
-    at most 10**12 that `limit_denominator` would give.  A reader
-    starts its Euclid loop on its first read and expands digits only as
-    they are pulled, so a membership test that decides early leaves the
-    rest of the snap undone, or all of it.  The float constants of the
-    strip are computed once, here."""
+    returns its two coordinates as floats, x in [0, 1] and y clamped to
+    [y_min, 1].  A sample stands for the rationals with denominator at
+    most `digits.SNAP_DEN` that `limit_denominator` snaps the floats to;
+    the region reads the draw (`contains_sample`), so the sampler builds
+    nothing.  The float constants of the strip are computed once, here."""
     y0 = float(y_min)
     inv_y0 = 1.0 / y0
     one_minus_y0 = 1.0 - y0
@@ -313,8 +311,10 @@ def _strip_sampler(y_min: Fraction):
         inv_a = 1.0 / a
         t = inv_a + v * (1.0 - inv_a)
         y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-        # both floats are finite and >= 0 by construction
-        return SnapReader._of(x), SnapReader._of(min(max(y, y0), 1.0))
+        # both floats are finite and >= 0 by construction; y is clamped
+        # to [y0, 1] (by comparisons: min(max(y, y0), 1.0) gives the same
+        # float at several times the cost)
+        return x, y0 if y < y0 else 1.0 if y > 1.0 else y
 
     return sample
 
@@ -322,8 +322,8 @@ def _strip_sampler(y_min: Fraction):
 def _strip_monte_carlo(y_min: Fraction, hit, seed: int, samples: int) -> MeasureEstimate:
     """Seeded Monte Carlo under the measure restricted to the strip
     y > y_min: the strip's exact mass times the share of `samples`
-    points of `_strip_sampler(y_min)` whose coordinate readers x, y
-    satisfy `hit(x, y)`."""
+    points of `_strip_sampler(y_min)` whose float coordinates x, y
+    satisfy `hit(x, y)`, a region's `contains_sample`."""
     if type(samples) is not int or samples < 1:
         raise BadSampleCount(f"Monte Carlo samples {samples!r} is not an int >= 1")
     rng = random.Random(seed)

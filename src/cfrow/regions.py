@@ -26,9 +26,10 @@ Three families:
   and orders the pulled-back digits against alpha's with `digits.order`,
   the one comparator; an irrational alpha is read by its preperiod and
   period, and its tail compared with x's by their recurrence states.
-  A Monte Carlo sample whose floats lie in a product of cylinders that
-  the walker itself has classified is answered from them before any
-  Euclid step.
+  A Monte Carlo sample is two floats: one whose floats lie in a product
+  of cylinders that the walker itself has classified is answered from
+  them (`contains_sample`), and only the others are read by the walker,
+  through snap readers built for it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,17 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .digits import Cons, DigitStream, LazyDigits, Reader, digits_fraction, fraction_digits, order
+from .digits import (
+    SNAP_DEN,
+    Cons,
+    DigitStream,
+    LazyDigits,
+    Reader,
+    SnapReader,
+    digits_fraction,
+    fraction_digits,
+    order,
+)
 from .errors import (
     BackwardCapExceeded,
     BadRegionSpec,
@@ -288,18 +299,20 @@ def _float_table(leaves):
     """Leaves (near, far, answer), disjoint, as float bounds for
     `bisect_right`: flat and ascending [lo, hi) pairs, lo the least float
     >= the lesser end and hi the float after the greatest float <= the
-    other, and per pair the answer and the larger denominator of the two
-    ends.  A leaf that holds no float is dropped."""
+    other, and per pair the answer.  A sample's snap fixes only the
+    rationals of denominator <= SNAP_DEN, so a leaf with an end past that
+    is dropped, and so is a leaf that holds no float."""
     spans = []
     for near, far, answer in leaves:
         lesser, greater = sorted((digits_fraction(near), digits_fraction(far)))
         (p, q), (r, s) = lesser.as_integer_ratio(), greater.as_integer_ratio()
-        spans.append((_float_beside(p, q, True), _float_beside(r, s, False), max(q, s), answer))
+        if max(q, s) <= SNAP_DEN:
+            spans.append((_float_beside(p, q, True), _float_beside(r, s, False), answer))
     ends, answers = [], []
-    for lo, hi, den, answer in sorted(spans, key=lambda span: span[0]):
+    for lo, hi, answer in sorted(spans, key=lambda span: span[0]):
         if lo <= hi:
             ends += [lo, math.nextafter(hi, math.inf)]
-            answers.append((answer, den))
+            answers.append(answer)
     return ends, answers
 
 
@@ -334,7 +347,7 @@ class _Cylinders:
         it reads past, or None when it raises."""
         y, x = Reader(list(ys)) if ended else _Prefix(list(ys)), _Prefix(list(xs))
         try:
-            return self.region._walk(x, y)
+            return self.region.contains_rational(x, y)
         except _PastPrefix as exc:
             return "y" if exc.args[0] is y else "x"
         except BackwardCapExceeded:
@@ -463,16 +476,17 @@ class AlphaRegion(Region):
     top-strip b2 past alpha's first digit is depth 1, a slid c past it
     no member, and a region that does not slide has no run member.
 
-    A Monte Carlo sample is first looked up in a cylinder table that
-    the walker builds itself (`_Cylinders`): it classifies product
-    cylinders [b1..bk] x [a1..am], k <= 3 and m <= 2, on prefix readers
-    that raise when read past, and keeps each one it decides as a closed
-    interval whose ends are canonical lists beginning so.  A snap is
-    monotone and fixes such ends (`digits.SnapReader`), so an unstarted
-    snap whose float lies in one, between exact float bounds, is
-    answered before its Euclid loop starts.  The table depends only on
-    alpha's digits and back_cap; it is built on the first sample that
-    asks, and kept in a bounded module cache shared by equal regions.
+    A Monte Carlo sample's floats are first looked up in a cylinder
+    table that the walker builds itself (`_Cylinders`): it classifies
+    product cylinders [b1..bk] x [a1..am], k <= 3 and m <= 2, on prefix
+    readers that raise when read past, and keeps each one it decides as a
+    closed interval whose ends are canonical lists beginning so.  A snap
+    is monotone and fixes such ends when their denominators are at most
+    `digits.SNAP_DEN` (`digits.SnapReader`), so a sample whose floats lie
+    in one, between exact float bounds, is answered before any reader is
+    built (`contains_sample`).  The table depends only on alpha's digits
+    and back_cap; it is built on the first sample, and kept in a bounded
+    module cache shared by equal regions.
     """
 
     unit_s = True
@@ -496,7 +510,7 @@ class AlphaRegion(Region):
             self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
-        self._table = None  # the cylinder table, fetched on the first unstarted snap
+        self._table = None  # the cylinder table, fetched on the first sample
         self.name = name or f"alpha:{alpha}"
 
     def _below(self, y, j: int, x) -> bool:
@@ -581,41 +595,34 @@ class AlphaRegion(Region):
             return False
         return self._slid(c, Reader([c], xd), Reader([], yd))
 
-    def contains_rational(self, x, y) -> bool:
-        """contains() for the point with rational coordinates read by x
-        and y: readers of their canonical digit lists, such as the Monte
-        Carlo sampler's `digits.SnapReader`s or `digits.Reader(list)` for a
-        complete list.  A sample whose snaps are both unstarted is first
-        looked up in the region's cylinder table (`_Cylinders`): one
-        bisect of y's float gives the walker's answer, or a list of
-        x-intervals that a second bisect of x's float may answer from,
-        each interval used only when the snap's max_den admits its ends.
-        Every other point goes through the walker (`_walk`)."""
-        t = y.src
-        if type(t) is float:  # an unstarted snap: its float may settle the walker
-            ends, answers = self._table or self._cylinders()
-            i = bisect_right(ends, t)
+    def contains_sample(self, x: float, y: float) -> bool:
+        """Membership of a Monte Carlo sample: the point whose coordinates
+        are the snaps of the floats x, y >= 0 (`digits.SnapReader`).  One
+        bisect of y in the region's cylinder table (`_Cylinders`) gives
+        the walker's answer, or a list of x-intervals that a bisect of x
+        may answer from; only a sample the table does not answer builds
+        readers, for `contains_rational`."""
+        ends, answers = self._table or self._cylinders()
+        i = bisect_right(ends, y)
+        if i & 1:
+            answer = answers[i >> 1]
+            if type(answer) is bool:
+                return answer
+            ends, answers = answer
+            i = bisect_right(ends, x)
             if i & 1:
-                answer, den = answers[i >> 1]
-                if den <= y.max_den:
-                    if type(answer) is bool:
-                        return answer
-                    s = x.src
-                    if type(s) is float:
-                        ends, answers = answer
-                        i = bisect_right(ends, s)
-                        if i & 1:
-                            answer, den = answers[i >> 1]
-                            if den <= x.max_den:
-                                return answer
-        return self._walk(x, y)
+                return answers[i >> 1]
+        return self.contains_rational(SnapReader._of(x), SnapReader._of(y))
 
     def _cylinders(self):
         self._table = _cylinder_table(self)
         return self._table
 
-    def _walk(self, x, y) -> bool:
-        """The walker of `contains_rational`: it pulls only the digits it
+    def contains_rational(self, x, y) -> bool:
+        """contains() for the point with rational coordinates read by x
+        and y: readers of their canonical digit lists, such as
+        `digits.SnapReader`s of a sample or `digits.Reader(list)` for a
+        complete list.  This is the walker: it pulls only the digits it
         needs, y's first, and starts x's reader only on the slide path or
         when a comparison against alpha runs off the digits of y, so a
         top-strip point decided by y alone leaves x unread.  y = 0 (no

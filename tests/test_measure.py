@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfrow import measure
-from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits, from_digits
+from cfrow.digits import Reader, SnapReader, digits_fraction, fraction_digits, from_digits, snapped_digits
 from cfrow.errors import (
     BadSampleCount,
     BadTolerance,
@@ -50,7 +50,7 @@ from cfrow.regions import (
 )
 from cfrow.reals import Surd, golden_fraction, parse_real
 
-from test_regions import GOOD_AREAS, TABLE_ALPHAS, y_families
+from test_regions import GOOD_AREAS, TABLE_ALPHAS, recorded_readers, started, y_families
 
 G = golden_fraction()
 LOG_GOLDEN_PLUS_1 = math.log(1 + (math.sqrt(5) - 1) / 2)
@@ -189,7 +189,7 @@ def test_s_expansion_mass_matches_monte_carlo_of_its_membership(rects):
     sample, rng, n = _strip_sampler(Fraction(1, 2)), random.Random(7), 10_000
     hits = 0
     for _ in range(n):
-        xd, yd = (r.read_all() for r in sample(rng))
+        xd, yd = (snapped_digits(t) for t in sample(rng))
         hits += R.contains(from_digits(xd), from_digits(yd))
     p = hits / n
     sigma = math.log(2) * math.sqrt(p * (1 - p) / n)
@@ -395,7 +395,7 @@ def test_sampler_draws_the_reference_samples():
         sample = _strip_sampler(y_min)
         for _ in range(4000):
             fx, fy = reference_sample(ref, y_min)
-            xd, yd = (r.read_all() for r in sample(rng))
+            xd, yd = (snapped_digits(t) for t in sample(rng))
             assert (xd, yd) == (fraction_digits(fx), fraction_digits(fy))
 
 
@@ -404,27 +404,17 @@ def test_monte_carlo_snap_is_lazy(monkeypatch):
     # samples' readers expand little more than those (a snap expanded to
     # the end has 23.0 / 23.7 digits per coordinate here); it reads y
     # first and x only when a comparison runs off y's digits, so most x
-    # readers are never started
-    readers = []
-
-    def recording_sampler(y_min):
-        sample = _strip_sampler(y_min)
-
-        def record(rng):
-            pair = sample(rng)
-            readers.append(pair)
-            return pair
-
-        return record
-
-    monkeypatch.setattr(measure, "_strip_sampler", recording_sampler)
-    measure_of(build_alpha_region(G), seed=1, samples=20_000)
-    assert len(readers) == 20_000
+    # readers are never started.  A sample the cylinder table answers
+    # builds no reader: it expands 0 digits and leaves x unstarted
+    readers, samples = recorded_readers(monkeypatch), 20_000
+    measure_of(build_alpha_region(G), seed=1, samples=samples)
+    pairs = list(zip(readers[::2], readers[1::2]))  # contains_sample builds x, then y
+    assert len(readers) == 2 * len(pairs) < 2 * samples
     for k, bound in ((0, 1.5), (1, 6)):
-        expanded = sum(len(pair[k].got) + len(pair[k].ahead) for pair in readers)
-        assert expanded / len(readers) <= bound, k
-    unstarted = sum(type(x.src) is float for x, _ in readers)
-    assert unstarted >= len(readers) / 2
+        expanded = sum(len(pair[k].got) + len(pair[k].ahead) for pair in pairs)
+        assert expanded / samples <= bound, k
+    x_started = sum(type(x.src) is not float for x, _ in pairs)
+    assert samples - x_started >= samples / 2
 
 
 @pytest.mark.parametrize("alpha", ["1/4", "2/5", "1/2", "g", "7/10", "1"])
@@ -439,16 +429,10 @@ def test_alpha_measure_matches_reference_samples(alpha):
         assert measure_of(R, seed=seed, samples=1500) == reference_mc(hit, y_min, seed, 1500)
 
 
-def started(r):
-    """The reader r with its first read done, so no table answers it."""
-    r.more()
-    return r
-
-
 @pytest.mark.parametrize("alpha", TABLE_ALPHAS + [Fraction(1, 10**6)], ids=str)
 def test_alpha_measure_equals_the_started_walker(alpha):
-    # the oracle starts both readers of every sample before the walker
-    # sees them, so no sample is answered from its floats
+    # the oracle starts a reader of each of every sample's floats before
+    # the walker sees them, so no sample is answered from its floats
     R = build_alpha_region(alpha)
 
     def hit(x, y):
@@ -475,20 +459,21 @@ def y_family_ends(a1: int):
 
 
 @pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=str)
-def test_alpha_samples_answered_from_floats(alpha):
+def test_alpha_samples_answered_from_floats(alpha, monkeypatch):
     # at seed 1 the cylinder table answers at least the share of samples
-    # that the two y-families alone would; samples answered from their
-    # floats leave both readers unstarted
+    # that the two y-families alone would; a sample answered from its
+    # floats builds no reader
     R = build_alpha_region(alpha)
     family_ends = y_family_ends(R.alpha_list[0])
     rng, sample = random.Random(1), _strip_sampler(_alpha_window(R))
+    readers = recorded_readers(monkeypatch)
     from_floats = in_families = 0
     for _ in range(20_000):
         x, y = sample(rng)
-        t = y.src
-        in_families += bisect_right(family_ends, t) % 2
-        R.contains_rational(x, y)
-        from_floats += type(y.src) is float
+        in_families += bisect_right(family_ends, y) % 2
+        built = len(readers)
+        R.contains_sample(x, y)
+        from_floats += len(readers) == built
     assert from_floats >= in_families, (from_floats, in_families)
 
 
@@ -508,10 +493,10 @@ def test_cell_monte_carlo_matches_reference_samples():
 
 def fraction_in_rects(rects):
     """The Fraction membership Monte Carlo sampled before it asked
-    `RectRegion.contains_rational`, kept as its oracle: both snaps read
-    to their ends and compared with the corners as Fractions."""
+    `RectRegion.contains_sample`, kept as its oracle: both floats'
+    snaps read to their ends and compared with the corners as Fractions."""
     def in_rects(x, y):
-        fx, fy = digits_fraction(x.read_all()), digits_fraction(y.read_all())
+        fx, fy = digits_fraction(snapped_digits(x)), digits_fraction(snapped_digits(y))
         return any(x0 <= fx <= x1 and y0 <= fy <= y1 for x0, x1, y0, y1 in rects)
 
     return in_rects
@@ -529,26 +514,24 @@ ORACLE_RECTS = [
 EDGES = [0.0, 0.2, 0.25, 1 / 3, 0.4, 0.5, 2 / 3, 0.75, 1.0]  # snap to the corners
 
 
-def twin_snaps():
-    """Pairs of equal samples, one for each membership: 20 000 sampler
-    draws, then every pair of EDGES."""
-    sample = _strip_sampler(Fraction(1, 5))
-    rng, twin = random.Random(5), random.Random(5)
+def rect_samples():
+    """20 000 sampler draws, then every pair of EDGES."""
+    sample, rng = _strip_sampler(Fraction(1, 5)), random.Random(5)
     for _ in range(20_000):
-        yield sample(rng), sample(twin)
+        yield sample(rng)
     for u in EDGES:
         for v in EDGES:
-            yield (SnapReader(u), SnapReader(v)), (SnapReader(u), SnapReader(v))
+            yield u, v
 
 
 def test_rect_reader_membership_equals_the_fraction_oracle():
     regions = [RectRegion(rects) for rects in ORACLE_RECTS]
     oracles = [fraction_in_rects(rects) for rects in ORACLE_RECTS]
     seen = set()
-    for (x, y), (fx, fy) in twin_snaps():
+    for x, y in rect_samples():
         for R, oracle in zip(regions, oracles):
-            got = R.contains_rational(x, y)
-            assert got == oracle(fx, fy)
+            got = R.contains_sample(x, y)
+            assert got == oracle(x, y) == R.contains_rational(SnapReader(x), SnapReader(y))
             seen.add(got)
     assert seen == {True, False}
 

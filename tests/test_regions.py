@@ -10,6 +10,7 @@ import pytest
 
 from cfrow.cfe import cfe_direct
 from cfrow.digits import (
+    SNAP_DEN,
     ZERO_STREAM,
     Cons,
     DigitStream,
@@ -25,12 +26,13 @@ from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
 from cfrow import regions
 from cfrow.induced import CellRegion, OmegaRegion, induced_records, induced_step
-from cfrow.measure import _alpha_window
+from cfrow.measure import _alpha_window, _strip_sampler
 from cfrow.natural_ext import OmegaPoint, ito_step
 from cfrow.regions import (
     AlphaRegion,
     SingularisationArea,
     _Cylinders,
+    _float_table,
     build_alpha_region,
     build_s_expansion_region,
     region_cell,
@@ -782,18 +784,19 @@ def test_alpha_walker_folds_and_reads_alpha_by_its_period():
 
 
 def test_contains_rational_matches_oracle_on_sampler_points():
-    from cfrow.measure import _strip_sampler
-
-    # the walker pulls from the sampler's lazy readers; the oracle gets
-    # the same sample's complete lists, drawn again from a twin generator
-    rng, twin = random.Random(17), random.Random(17)
+    # the walker pulls from lazy readers of a sample's floats, and the
+    # sample entry answers as it does; the oracle gets the snaps'
+    # complete lists
+    rng = random.Random(17)
     sample = _strip_sampler(Fraction(1, 5))
     for alpha in WALKER_ALPHAS:
         R = build_alpha_region(alpha)
         hits = 0
         for _ in range(1500):
-            xd, yd = (r.read_all() for r in sample(twin))
-            got = R.contains_rational(*sample(rng))
+            xv, t = sample(rng)
+            xd, yd = snapped_digits(xv), snapped_digits(t)
+            got = R.contains_rational(SnapReader(xv), SnapReader(t))
+            assert R.contains_sample(xv, t) == got
             if xd:
                 z = OmegaPoint.from_streams(from_digits(xd), from_digits(yd))
                 assert got == oracle_contains(alpha, z, digits_fraction(xd))
@@ -818,9 +821,8 @@ def test_contains_rational_reads_x_only_when_the_walker_asks():
     def member(R, x, y):
         return R.contains(from_digits(x.read_all()), from_digits(y.read_all()))
 
-    # the walker's reads: each y reader is started first, which skips the
-    # cylinder table (unstarted snaps may be answered from their floats,
-    # reading neither coordinate)
+    # the walker's reads, from unstarted and started y readers alike (the
+    # cylinder table is `contains_sample`'s, never the walker's)
     # alpha = g has a1 = 1: a top-strip point with b2 = 3 is decided by y
     # alone, and x's reader is never started
     R = build_alpha_region(G)
@@ -848,24 +850,38 @@ TABLE_ALPHAS = WALKER_ALPHAS + [Fraction(1, 3), Fraction(3, 10), Fraction(1, 7),
                                 Fraction(1, 2000), parse_real("(sqrt(5)-1)/4")]
 
 
-def started(t, max_den=10**12):
-    """A snap of t whose reader has started, so the table is skipped."""
-    y = SnapReader(t, max_den)
+def started(t):
+    """A snap reader of the float t whose first read is done."""
+    y = SnapReader(t)
     y.more()
     return y
 
 
-def walker(R, xv, t, max_den=10**12):
+def walker(R, xv, t):
     """R's walker on the snaps of (xv, t): y's reader is started first."""
-    return R.contains_rational(SnapReader(xv, max_den), started(t, max_den))
+    return R.contains_rational(SnapReader(xv), started(t))
 
 
-def from_floats(R, xv, t, max_den=10**12):
-    """contains_rational on unstarted snaps of (xv, t), and whether both
-    were left unstarted, that is, answered from the floats."""
-    x, y = SnapReader(xv, max_den), SnapReader(t, max_den)
-    got = R.contains_rational(x, y)
-    return got, type(x.src) is float and type(y.src) is float
+def recorded_readers(mp) -> list:
+    """The list that each `SnapReader._of` call appends its reader to,
+    while the monkeypatch mp holds."""
+    readers, of = [], SnapReader._of
+
+    def record(t):
+        readers.append(of(t))
+        return readers[-1]
+
+    mp.setattr(SnapReader, "_of", staticmethod(record))
+    return readers
+
+
+def from_floats(R, xv, t):
+    """contains_sample on the floats (xv, t), and whether it answered
+    from them, building no reader."""
+    with pytest.MonkeyPatch.context() as mp:
+        readers = recorded_readers(mp)
+        got = R.contains_sample(xv, t)
+    return got, not readers
 
 
 def leaf_floats(ends, rng, interior):
@@ -890,7 +906,7 @@ def test_decided_intervals_answer_as_the_walker():
         ends, leaves = R._cylinders()
         assert leaves, alpha
         for k, inside, outside in leaf_floats(ends, rng, 20):
-            answer = leaves[k][0]
+            answer = leaves[k]
             if type(answer) is bool:
                 for t in inside:
                     for xv in (0.0, 1.0, 5e-324, rng.random()):
@@ -902,8 +918,8 @@ def test_decided_intervals_answer_as_the_walker():
                 for t in inside[:4] + inside[-2:]:
                     for j, x_in, x_out in leaf_floats(x_ends, rng, 4):
                         for xv in x_in:
-                            assert from_floats(R, xv, t) == (x_leaves[j][0], True), (alpha, t, xv)
-                            assert walker(R, xv, t) == x_leaves[j][0], (alpha, t, xv)
+                            assert from_floats(R, xv, t) == (x_leaves[j], True), (alpha, t, xv)
+                            assert walker(R, xv, t) == x_leaves[j], (alpha, t, xv)
                         for xv in x_out:
                             if not in_table(x_ends, xv):
                                 got, unread = from_floats(R, xv, t)
@@ -923,7 +939,7 @@ def test_decided_intervals_answer_as_the_walker():
 def test_cylinder_table_leaves_are_disjoint_and_ascending():
     for alpha in TABLE_ALPHAS:
         ends, leaves = build_alpha_region(alpha)._cylinders()
-        tables = [(ends, leaves)] + [a for a, _ in leaves if type(a) is not bool]
+        tables = [(ends, leaves)] + [a for a in leaves if type(a) is not bool]
         for e, ls in tables:
             assert len(e) == 2 * len(ls) and e == sorted(e), alpha
             assert all(e[i] < e[i + 1] for i in range(0, len(e), 2)), alpha
@@ -1035,20 +1051,22 @@ def test_cylinder_tables_build_quickly():
         assert best <= 0.02, (alpha, best)
 
 
-def test_cylinder_table_is_built_by_the_first_unstarted_snap():
-    # contains, the walks and started readers never build a table; the
-    # first unstarted snap fetches it from the cache that equal regions share
+def test_cylinder_table_is_built_by_the_first_sample():
+    # contains, the walks and the walker on any readers never build a
+    # table; the first sample fetches it from the cache that equal
+    # regions share
     alpha = Fraction(3, 7)
     R = build_alpha_region(alpha)
     regions._TABLES.pop((tuple(R.alpha_list), R.period, R.back_cap), None)
     R.contains(rcf_digits(Fraction(1, 3)), rcf_digits(Fraction(5, 7)))
     cfe_direct(R, top(S2), 3, CAP)
     R.contains_rational(SnapReader(0.3), started(0.8))
+    R.contains_rational(SnapReader(0.3), SnapReader(0.8))
     R.contains_rational(Reader([3]), Reader([1, 4]))
     assert R._table is None and (tuple(R.alpha_list), R.period, R.back_cap) not in regions._TABLES
-    R.contains_rational(SnapReader(0.3), SnapReader(0.8))
+    R.contains_sample(0.3, 0.8)
     twin = build_alpha_region(alpha)
-    twin.contains_rational(SnapReader(0.3), SnapReader(0.8))
+    twin.contains_sample(0.3, 0.8)
     assert R._table is twin._table is regions._TABLES[(tuple(R.alpha_list), R.period, R.back_cap)]
     assert build_alpha_region(alpha, back_cap=5)._cylinders() is not R._table
     # the cache keeps only the latest tables
@@ -1066,9 +1084,9 @@ def test_decided_intervals_need_the_depth_they_answer():
         R = build_alpha_region(Fraction(1, 2), back_cap=back_cap)
         ends, leaves = R._cylinders()
         top = set()  # the answers of the top strip's leaves, y > 1/2
-        for i, (answer, _) in enumerate(leaves):
+        for i, answer in enumerate(leaves):
             if ends[2 * i] > 0.5:
-                top |= {answer} if type(answer) is bool else {a for a, _ in answer[1]}
+                top |= {answer} if type(answer) is bool else set(answer[1])
         assert top == [set(), {True}, {True, False}][back_cap]
         for t in (depth1, depth2, 1.0):
             if t == 1.0 and back_cap:
@@ -1077,47 +1095,76 @@ def test_decided_intervals_need_the_depth_they_answer():
                 assert from_floats(R, 0.3, t) == (answers[t], True)
             else:
                 with pytest.raises(BackwardCapExceeded):
-                    R.contains_rational(SnapReader(0.3), SnapReader(t))
+                    R.contains_sample(0.3, t)
                 with pytest.raises(BackwardCapExceeded):
                     R.contains_rational(SnapReader(0.3), started(t))
 
 
-def test_decided_intervals_need_ends_within_the_snap_bound():
-    # alpha = 1/2.  Under max_den 3, 0.76 snaps to 2/3 = [0; 1, 2], and
-    # b2 = a1 sends the walker into x
-    R = build_alpha_region(Fraction(1, 2))
-    assert snapped_digits(0.76, 3) == [1, 2]
-    answers = set()
-    for xv in (0.0, 0.1, 0.3, 0.45, 0.7, 1.0):
-        y = SnapReader(0.76, 3)
-        got = R.contains_rational(SnapReader(xv, 3), y)
-        assert y.got and got == walker(R, xv, 0.76, 3)
-        answers.add(got)
-    assert answers == {False, True}
-    # a leaf answers only under a max_den that admits both its ends: at
-    # the y level, and at the x level under a y leaf that y's bound admits
-    ends, leaves = R._cylinders()
-    rng = random.Random(3)
-    k = bisect_right(ends, 0.9) // 2  # y = [0; 1, 9, ...], a member
-    (answer, den), lo, hi = leaves[k], ends[2 * k], math.nextafter(ends[2 * k + 1], 0.0)
-    assert answer is True
-    for max_den in (den - 1, den, 10**12):
-        for t in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
-            for xv in (0.0, 0.4, 0.8):
-                got, unread = from_floats(R, xv, t, max_den)
-                assert got == walker(R, xv, t, max_den) and unread == (max_den >= den), (t, max_den)
-    k = next(i for i, (a, _) in enumerate(leaves) if type(a) is not bool)
-    (x_ends, x_leaves), y_den = leaves[k]
-    t = ends[2 * k]
-    j = max(range(len(x_leaves)), key=lambda i: x_ends[2 * i + 1] - x_ends[2 * i])
-    member, den = x_leaves[j]
-    lo, hi = x_ends[2 * j], math.nextafter(x_ends[2 * j + 1], 0.0)
-    for max_den in (den - 1, den, 10**12):
-        for xv in [lo, hi] + [rng.uniform(lo, hi) for _ in range(50)]:
-            x, y = SnapReader(xv, max_den), SnapReader(t)
-            got = R.contains_rational(x, y)
-            assert got == R.contains_rational(SnapReader(xv, max_den), started(t)), (xv, max_den)
-            assert (type(x.src) is float) == (max_den >= den), (xv, max_den)
+def edge_floats(ends):
+    """Each bound of a float table's intervals, its first and last float,
+    with the floats one ulp either side, those in [0, 1]."""
+    for i in range(0, len(ends), 2):
+        lo, hi = ends[i], math.nextafter(ends[i + 1], -math.inf)
+        for t in (lo, hi):
+            for f in (math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)):
+                if 0.0 <= f <= 1.0:
+                    yield f
+
+
+def test_table_edges_answer_as_the_started_walker():
+    # at every bound of a y leaf and of an x list, and one ulp either side,
+    # the sample entry gives the answer of the walker on started readers:
+    # y edges are paired with sampler-drawn x, x edges with sampler-drawn
+    # y and with floats of the y leaf that holds the x list
+    rng = random.Random(29)
+    for alpha in TABLE_ALPHAS + [Fraction(1, 10**6)]:
+        R = build_alpha_region(alpha)
+        sample = _strip_sampler(_alpha_window(R))
+        draws = [sample(rng) for _ in range(8)]
+        ends, leaves = R._cylinders()
+
+        def check(xv, t):
+            want = R.contains_rational(started(xv), started(t))
+            assert R.contains_sample(xv, t) == want, (alpha, xv, t)
+
+        for t in edge_floats(ends):
+            for xv, _ in draws:
+                check(xv, t)
+        for k, answer in enumerate(leaves):
+            if type(answer) is not bool:
+                lo, hi = ends[2 * k], math.nextafter(ends[2 * k + 1], -math.inf)
+                ys = [lo, hi, rng.uniform(lo, hi)] + [t for _, t in draws[:3]]
+                for xv in edge_floats(answer[0]):
+                    for t in ys:
+                        check(xv, t)
+
+
+def test_float_table_drops_leaves_past_the_snap_denominator():
+    # a leaf whose end needs a denominator above SNAP_DEN is dropped when
+    # the table is built, since a snap need not fix that end; ends at
+    # SNAP_DEN are kept
+    at = ([SNAP_DEN], [SNAP_DEN - 10], True)   # [1/10**12, 1/(10**12 - 10)]
+    past = ([SNAP_DEN + 10], [SNAP_DEN + 1], False)
+    deep = ([3, 10**6, 10**6], [3, 10**6, 10**6 + 5], False)  # q about 3 * 10**12
+    kept = [([1, 2], [1, 2, 1, 10**6], True), ([3], [3, 1, 10**6], False)]
+    assert all(digits_fraction(far).denominator > SNAP_DEN for _, far, _ in (past, deep))
+    assert _float_table(kept + [at, past, deep]) == _float_table(kept + [at])
+    ends, answers = _float_table(kept + [at])
+    assert answers == [True, False, True] and len(ends) == 6
+    # no tested alpha has a leaf past SNAP_DEN: every leaf a table is built
+    # from has both ends within it, so none is dropped so
+    seen = []
+
+    def recording(leaves):
+        seen.extend(leaves)
+        return _float_table(leaves)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_float_table", recording)
+        for alpha in TABLE_ALPHAS + [Fraction(1, 10**6)]:
+            _Cylinders(build_alpha_region(alpha)).table()
+    assert seen
+    assert max(digits_fraction(ds).denominator for near, far, _ in seen for ds in (near, far)) <= SNAP_DEN
 
 
 def test_alpha_list_is_preperiod_and_period():

@@ -212,7 +212,7 @@ def test_density_invariance_monte_carlo():
 def test_alpha_region_shift_invariance_monte_carlo():
     # the closed-form shift over the alpha(1/2) region preserves the
     # empirical rectangle frequencies of region samples
-    from cfrow.digits import Reader, digits_fraction
+    from cfrow.digits import Reader, digits_fraction, snapped_digits
     from cfrow.measure import _strip_sampler
     from cfrow.regions import build_alpha_region
 
@@ -223,7 +223,7 @@ def test_alpha_region_shift_invariance_monte_carlo():
     X, Y = [], []
     target = 120_000
     while len(X) < target:
-        xd, yd = (r.read_all() for r in sample(rng))
+        xd, yd = (snapped_digits(t) for t in sample(rng))
         if R.contains_rational(Reader(xd), Reader(yd)):
             x, y = (float(digits_fraction(ds)) for ds in (xd, yd))
             if x < alpha:
