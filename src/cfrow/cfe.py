@@ -35,7 +35,7 @@ its expansion by `Gcf._of` (int digits, a != 0, no INF).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .contraction import ContractionPlan, contract
 from .errors import MismatchAt, OutOfDomain
@@ -83,9 +83,14 @@ def cfe_direct(region: Region, z: OmegaPoint, n: int, cap: int) -> "CfeResult":
 class CfeResult:
     digits: Gcf
     records: list
+    _convergents: list = field(default=None, init=False, compare=False, repr=False)
 
     def convergents(self):
-        return convergents(self.digits, len(self.records) - 1)[2:]
+        """(P_k, Q_k) for k = 0..(digit count - 1), computed on the first
+        call and kept: later calls return the same list."""
+        if self._convergents is None:
+            self._convergents = convergents(self.digits, len(self.records) - 1)[2:]
+        return self._convergents
 
     def scalars(self):
         """c_k = prod_{j<k} s(z_j), k = 0..(digit count - 1)."""

@@ -19,7 +19,12 @@ k + 1 (Seidel/Perron; Jones & Thron 1980, section 2.4),
 so a'_{k+1} = det(M_k) a_p Q(M_{k-1}) Q(M_{k+1}) and b'_{k+1} is row 2
 of M_k B_p times column 2 of M_{k+1}, where Q(M) is M's bottom-right
 entry.  Output pair k + 1 walks block k + 1 alone and carries M_k's
-second row, det(M_k) and Q(M_{k-1}) on to the next pair.
+second row, det(M_k) and Q(M_{k-1}) on to the next pair.  Its plan
+index and pivot pair are read straight from the plan's and the source's
+buffers while those hold them, and through `ContractionPlan.index` and
+`Gcf.has_pair` past them; the block itself is walked by `gcf._block`
+through `Gcf._through`, the one checked slice.  An int result is
+yielded as it is, and only a Fraction one goes through `_num`.
 """
 
 from __future__ import annotations
@@ -106,13 +111,19 @@ def contract(g: Gcf, cplan) -> Gcf:
 
     computed in one pass from the blocks M_j = B_[n_{j-1}+2, n_j] (see
     the module docstring): each output pair walks block k + 1 once.
-    Raises NotContractable naming the vanishing block if g is not
-    contractable deep enough.
+    The output is lazy, and a list plan or source reads the same as a
+    lazy one: it ends where the plan ends or where its next index runs
+    past g, and digits are as `_num` leaves them (an integral Fraction
+    is an int).  Raises NotContractable naming the vanishing block if g
+    is not contractable deep enough.
     """
     if not isinstance(cplan, ContractionPlan):
         cplan = ContractionPlan(cplan)
 
     def gen():
+        # both buffers only grow, so an index they hold is read directly;
+        # past them the plan and the expansion are read as far as asked
+        plan, buf = cplan._memo.buf, g._buf
         # what later pairs read of M_k and M_{k-1}; M_-1 and M_-2 are
         # empty blocks, the identity
         n_k = -1
@@ -120,14 +131,17 @@ def contract(g: Gcf, cplan) -> Gcf:
         q_km1 = 1                # Q(M_{k-1})
         k = -1
         while True:
-            try:
-                n_kp1 = cplan.index(k + 1)
-            except IndexError:
-                return
-            if not g.has_pair(n_kp1):
+            if k + 1 < len(plan):
+                n_kp1 = plan[k + 1]
+            else:
+                try:
+                    n_kp1 = cplan.index(k + 1)
+                except IndexError:
+                    return
+            if n_kp1 >= len(buf) and not g.has_pair(n_kp1):
                 return
             p = n_k + 1
-            a_p, b_p = g._buf[p]
+            a_p, b_p = buf[p]
             p0, p1, q0, q1 = _block(g, p + 1, n_kp1)
             # Q(M_{k-1}) passed this test as Q(M_{k+1}) two steps back;
             # the block [m+1, n], m >= 0, is nonzero when g is contractable
@@ -135,7 +149,8 @@ def contract(g: Gcf, cplan) -> Gcf:
                 raise NotContractable(p + 1, n_kp1)
             # row 2 of M_k B_p, then its product with column 2 of M_{k+1}
             c0, c1 = r1, a_p * r0 + b_p * r1
-            yield (_num(det_k * a_p * q_km1 * q1), _num(c0 * p1 + c1 * q1))
+            a, b = det_k * a_p * q_km1 * q1, c0 * p1 + c1 * q1
+            yield (a if type(a) is int else _num(a), b if type(b) is int else _num(b))
             q_km1, det_k, r0, r1 = r1, p0 * q1 - p1 * q0, q0, q1
             n_k = n_kp1
             k += 1

@@ -130,18 +130,42 @@ def epsilon_prefix(x, n: int) -> list:
 
 # (2 eps_k - 1, 2 - eps_{k+1}) at index 2 eps_k + eps_{k+1}
 _FAREY_PAIRS = ((-1, 2), (-1, 1), (1, 2), (1, 1))
+# a run's inner pairs (eps_k = 0), then its last, by the next run's eps
+_INNER, _BEFORE_END, _END_LONG_NEXT, _END_ONE_NEXT = _FAREY_PAIRS
 
 
 def farey_expansion(x, n: int) -> Gcf:
     """SRCF generated by the tent-map branch digits, n+1 digit pairs.
 
     Digits: a0 = 1, b0 = 1 - eps_1, and (a_k, b_k) = (2 eps_k - 1,
-    2 - eps_{k+1}) for k >= 1, looked up in `_FAREY_PAIRS`.
+    2 - eps_{k+1}) for k >= 1, the `_FAREY_PAIRS` of the branch digits
+    `epsilon_prefix` gives.  They are built a partial quotient at a time,
+    as eps = 0^(a1-1) 1 0^(a2-1) 1 ... makes them: b0 is 0 iff a1 = 1; a
+    run a >= 2 gives a - 2 pairs (-1, 2) and then (-1, 1); each run ends
+    with (1, 1) when the next partial quotient is 1 and with (1, 2)
+    otherwise; past the end of a rational x (INF), eps is 0 and every
+    pair is (-1, 2).  The partial quotients are read in prefixes, each
+    long enough for half the pairs still missing.
     """
-    need = epsilon_prefix(x, n + 1)
-    pairs = [(1, 1 - need[0])]
-    pairs += [_FAREY_PAIRS[2 * e + f] for e, f in zip(need, need[1:])]
-    return Gcf._of(pairs)
+    digits = x if isinstance(x, DigitStream) else rcf_digits(x)
+    ds = digits.prefix(2 + n // 2)
+    pairs = [(1, 0 if ds[0] == 1 else 1)]
+    start = 0
+    while True:
+        for a, b in zip(ds[start:], ds[start + 1:]):  # a run, then the next quotient
+            if a > 1:
+                rest = n + 1 - len(pairs)
+                if a is INF or a - 2 >= rest:  # the run's inner pairs fill the rest
+                    pairs += [_INNER] * rest
+                    return Gcf._of(pairs)
+                pairs += [_INNER] * (a - 2)
+                pairs.append(_BEFORE_END)
+            pairs.append(_END_ONE_NEXT if b == 1 else _END_LONG_NEXT)
+            if len(pairs) > n:
+                del pairs[n + 1:]
+                return Gcf._of(pairs)
+        start = len(ds) - 1
+        ds = digits.prefix(len(ds) + 1 + (n + 1 - len(pairs)) // 2)
 
 
 def a_matrix_forward(x, n: int) -> Mat2Z:

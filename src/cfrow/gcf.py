@@ -24,7 +24,10 @@ block loop, `_block`, which fills the buffer once and walks a slice of
 it to the four entries of B_[m,n] = B_m ... B_n; `partial_pq`,
 `partial_matrix` and `contraction.contract` read it, and `convergents`
 runs the same recurrence over one slice from index 0.  Plain int digits
-stay ints throughout.
+stay ints throughout, and a value that is already an int is kept
+without a `_num` call: `convergents` builds an int pair as the tuple it
+is, and `contract` reads its plan's and its source's buffers directly
+while they hold the index it asks for.
 """
 
 from __future__ import annotations
@@ -209,10 +212,14 @@ def convergents(g: Gcf, n: int):
         # the source has ended: its first missing index is the buffer's length
         raise IndexBeyondExpansion(f"expansion ends before index {len(g._buf)}")
     P0, P1, Q0, Q1 = 0, 1, 1, 0
+    pair = tuple.__new__
     for a, b in g._buf[:n + 1]:
         P0, P1 = P1, b * P1 + a * P0
         Q0, Q1 = Q1, b * Q1 + a * Q0
-        out.append(ConvergentPair(_num(P1), _num(Q1)))
+        if type(P1) is int and type(Q1) is int:  # what _num would leave
+            out.append(pair(ConvergentPair, (P1, Q1)))
+        else:
+            out.append(ConvergentPair(_num(P1), _num(Q1)))
     return out
 
 

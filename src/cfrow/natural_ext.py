@@ -202,11 +202,23 @@ def run_move(xd: DigitStream, yd: DigitStream, a1, k: int):
     whole run k = a1 lands in the top strip at ([0;a2,...],
     [0;1,b1+a1-1,b2,...]).  On the x = 0 line a1 = INF: the run never
     ends, x's stream stays as it is and y's head grows by k
-    (y |-> y/(1+ky))."""
+    (y |-> y/(1+ky)).  A `Cons` stream is read through its slots, which
+    hold its head and tail when the head is not INF; any other stream,
+    and an INF head, is read by `head()` and `tail()`."""
     if k < a1:
-        return (xd if a1 is INF else Cons(a1 - k, xd.tail()),
-                Cons(yd.head() + k, yd.tail()))
-    return xd.tail(), Cons(1, yd if a1 == 1 else Cons(yd.head() + a1 - 1, yd.tail()))
+        if a1 is not INF:
+            xd = Cons(a1 - k, xd._tail if type(xd) is Cons else xd.tail())
+        grow = k
+    else:
+        xd = xd._tail if type(xd) is Cons else xd.tail()
+        if a1 == 1:
+            return xd, Cons(1, yd)
+        grow = a1 - 1
+    if type(yd) is Cons and yd._head is not INF:
+        y = Cons(yd._head + grow, yd._tail)
+    else:
+        y = Cons(yd.head() + grow, yd.tail())
+    return (xd, y) if k < a1 else (xd, Cons(1, y))
 
 
 def ito_backstep(z: OmegaPoint) -> OmegaPoint:

@@ -271,6 +271,27 @@ def test_cfe_top_strip(capsys):
     assert obj["verified"] is True
 
 
+def test_cfe_computes_its_convergents_once(capsys, monkeypatch):
+    # the report and the printed convergents read one list, kept on the
+    # result: one continuant run per command
+    import cfrow.cfe
+
+    calls = []
+    real = cfrow.cfe.convergents
+
+    def counting(g, n):
+        calls.append(n)
+        return real(g, n)
+
+    monkeypatch.setattr(cfrow.cfe, "convergents", counting)
+    code, out, _ = run_cli(
+        ["cfe", "--region", "alpha:1/4", "--x", "sqrt(3)-1", "--digits", "10"], capsys
+    )
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert len(json.loads(out)["convergents"]) == 10
+    assert calls == [9]
+
+
 def test_cfe_rational_rejected(capsys):
     code, _, err = run_cli(["cfe", "--region", "h1", "--x", "2/5", "--digits", "4"], capsys)
     assert code == 2

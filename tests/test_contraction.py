@@ -301,3 +301,63 @@ def test_contract_pairs_are_the_checked_ones(rng):
         except NotContractable:
             pass
     assert checked >= 30
+
+
+@pytest.mark.parametrize("fractions", [False, True])
+def test_buffered_contract_equals_the_lazy_one(rng, fractions):
+    # contract reads the plan's and the source's buffers directly while
+    # they hold the index; a list source and plan fill both at once, lazy
+    # ones are read as far as asked, so the two must agree pair for pair,
+    # name the same vanishing block, and stop at the same index
+    if fractions:
+        alphas = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+        betas = [0, 1, 2, Fraction(1, 3), Fraction(-1, 2)]
+    else:
+        alphas, betas = [1, -1, 2, -3], [0, 1, 1, 2, 3]
+    raised = short = 0
+    for _ in range(150):
+        pairs = [(rng.choice(alphas), rng.choice(betas)) for _ in range(rng.randint(1, 16))]
+        idxs = _random_plan(rng, len(pairs) + 2)
+        count = rng.randint(1, len(idxs) + 2)
+        buffered = contract(Gcf(pairs), ContractionPlan(idxs))
+        lazy = contract(Gcf(lambda: iter(pairs)), ContractionPlan(lambda: iter(idxs)))
+        try:
+            want = buffered.pairs(count)
+        except NotContractable as exc:
+            raised += 1
+            with pytest.raises(NotContractable) as got:
+                lazy.pairs(count)
+            assert (got.value.m, got.value.n) == (exc.m, exc.n)
+            continue
+        assert lazy.pairs(count) == want
+        assert [tuple(map(type, p)) for p in lazy.pairs(count)] == [tuple(map(type, p)) for p in want]
+        if len(want) < count:  # the plan ran past the expansion, or ended
+            short += 1
+            assert lazy.length() == buffered.length() == len(want)
+    assert raised >= 10 and short >= 10
+
+
+def test_contract_reads_a_plan_filled_while_it_runs():
+    # a lazy plan read ahead of the contraction, and past it, by another
+    # reader of the same buffers: the output is the list plan's
+    pairs = [(1, 2), (1, 3), (-1, 2), (1, 1), (2, 5), (1, 2), (-1, 3), (1, 4)]
+    want = contract(Gcf(pairs), ContractionPlan([0, 2, 3, 6])).pairs(4)
+    g = Gcf(lambda: iter(pairs))
+    plan = ContractionPlan(lambda: iter([0, 2, 3, 6]))
+    c = contract(g, plan)
+    assert c.pairs(1) == want[:1]
+    assert plan.index(2) == 3 and g.pair(5) == (1, 2)
+    assert c.pairs(5) == want and c.length() == 4
+
+
+def test_contract_returns_an_integral_fraction_as_an_int():
+    # a result formed from Fraction digits is normalised by _num: the last
+    # partial denominator here is the Fraction 3, and comes back as the int
+    F = Fraction
+    g = Gcf(list(zip([1, F(1, 2), -1, F(3, 4), 2, 1, F(-2, 3), 1],
+                     [0, 2, F(5, 3), 1, 3, F(1, 2), 2, 4])))
+    got = contract(g, ContractionPlan([0, 2, 3, 6])).pairs(4)
+    assert got == [(1, 0), (F(5, 6), F(7, 3)), (F(3, 4), F(29, 12)), (F(10, 9), 3)]
+    assert got == _block_formula_pairs(g, [0, 2, 3, 6], 4)
+    assert [tuple(map(type, p)) for p in got] == [
+        (int, int), (Fraction, Fraction), (Fraction, Fraction), (Fraction, int)]

@@ -6,6 +6,7 @@ from cfrow.digits import from_digits
 from cfrow.errors import OutOfDomain, ZeroInput
 from cfrow.exact import IDENTITY, INF, Mat2Z
 from cfrow.farey_maps import (
+    _FAREY_PAIRS,
     A0,
     A1,
     a_matrix,
@@ -177,6 +178,34 @@ def test_farey_expansion_pairs_are_the_checked_branch_digit_pairs(rng):
             eps = epsilon_stream(x).prefix(n + 1)
             assert fe.pairs(n + 1) == [(1, 1 - eps[0])] + [
                 (2 * e - 1, 2 - f) for e, f in zip(eps, eps[1:])]
+
+
+def _farey_pairs_by_table(x, n):
+    """Pairs 0..n of the Farey expansion from the branch digits, looked
+    up in `_FAREY_PAIRS`: the oracle of the run-by-run construction."""
+    eps = epsilon_stream(x).prefix(n + 1)
+    return [(1, 1 - eps[0])] + [_FAREY_PAIRS[2 * e + f] for e, f in zip(eps, eps[1:])]
+
+
+def test_farey_expansion_built_run_by_run_equals_the_branch_digit_table(rng):
+    # the runs are built by list repetition; every n is checked, so each
+    # run's last index, and n on either side of it, is among them, up to
+    # well past the last partial quotient a stream or a rational has
+    streams = []
+    while len(streams) < 12:  # Gauss-Kuzmin digits, half with a1 = 1
+        ds = random_stream_digits(rng, 40)
+        if (ds[0] == 1) == (len(streams) % 2 == 0):
+            streams.append(ds)
+    streams += [[32] * 3 + [1] * 4, [1, 32, 1, 2]]
+    cases = [(from_digits(ds), sum(ds) + 40) for ds in streams]
+    surds = [parse_real(s) for s in ("sqrt(7)-2", "sqrt(2)-1", "g", "sqrt(19)-4")]
+    cases += [(x, 250) for x in surds + [random_surd(rng) for _ in range(4)]]
+    cases += [(Fraction(v), 40) for v in ("0", "1", "1/2", "3/7")]
+    for x, top in cases:
+        for n in range(top + 1):
+            fe = farey_expansion(x, n)
+            assert fe.length() == n + 1
+            assert fe.pairs(n + 1) == _farey_pairs_by_table(x, n), (x, n)
 
 
 def test_farey_expansion_converges_to_x(rng):

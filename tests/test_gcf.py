@@ -12,6 +12,7 @@ from cfrow.errors import (
 )
 from cfrow.exact import INF, Mat2Z
 from cfrow.gcf import (
+    ConvergentPair,
     Gcf,
     _block,
     _num,
@@ -506,3 +507,49 @@ def test_partial_pq_below_minus_one_raises():
     for f in (partial_pq, partial_det):
         with pytest.raises(IndexBeyondExpansion, match="at index -2$"):
             f(g, -2, 1)
+
+
+def _convergents_by_hand(pairs):
+    """(P_k, Q_k), k = -2..n, by the recurrence on Fractions, each entry
+    then normalised by `_num`."""
+    P0, P1, Q0, Q1 = Fraction(0), Fraction(1), Fraction(1), Fraction(0)
+    out = [(0, 1), (1, 0)]
+    for a, b in pairs:
+        P0, P1 = P1, b * P1 + a * P0
+        Q0, Q1 = Q1, b * Q1 + a * Q0
+        out.append((_num(P1), _num(Q1)))
+    return out
+
+
+def test_int_convergents_are_plain_pairs_of_ints(rng):
+    # an int pair is built as the tuple it is, without _num: it must still
+    # be a ConvergentPair of ints, with its fields and its fraction
+    for _ in range(30):
+        pairs = [(rng.choice([1, -1, 2, 5]), rng.randint(1, 9)) for _ in range(rng.randint(1, 25))]
+        cs = convergents(Gcf(pairs), len(pairs) - 1)
+        want = _convergents_by_hand(pairs)
+        assert cs == want
+        for c, (P, Q) in zip(cs, want):
+            assert type(c) is ConvergentPair and type(c.P) is int and type(c.Q) is int
+            assert (c.P, c.Q) == (P, Q) == tuple(c)
+            assert c.as_fraction() == (INF if Q == 0 else Fraction(P, Q))
+
+
+def test_fraction_convergents_are_normalised_as_before(rng):
+    # Fraction digits give Fraction entries, except where one is integral,
+    # which comes back as an int
+    F = Fraction
+    cs = convergents(Gcf([(1, F(1, 2)), (F(1, 2), 2), (2, F(3, 2))]), 2)[2:]
+    assert cs == [(F(1, 2), 1), (F(3, 2), 2), (F(13, 4), 5)]
+    assert [tuple(map(type, c)) for c in cs] == [(Fraction, int), (Fraction, int), (Fraction, int)]
+    kinds = set()
+    for _ in range(30):
+        pairs = [(F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])), F(rng.randint(1, 6), rng.choice([1, 3])))
+                 for _ in range(rng.randint(1, 12))]
+        cs = convergents(Gcf(pairs), len(pairs) - 1)
+        want = _convergents_by_hand(pairs)
+        assert cs == want
+        assert [tuple(map(type, c)) for c in cs] == [tuple(map(type, c)) for c in want]
+        assert all(type(c) is ConvergentPair for c in cs)
+        kinds.update(type(v) for c in cs for v in c)
+    assert kinds == {int, Fraction}

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfrow.digits import from_digits
+from cfrow.digits import ZERO_STREAM, Cons, from_digits, tail_state
 from cfrow.errors import OutOfDomain
 from cfrow.exact import INF
 from cfrow.gcf import classify_farey_index
@@ -18,6 +18,7 @@ from cfrow.natural_ext import (
     mu_bar_density,
     nu_g_density,
     orbit_csv_rows,
+    run_move,
 )
 from cfrow.reals import Surd, as_real, golden_fraction, parse_real, rcf_digits
 
@@ -402,3 +403,38 @@ def test_mobius_gives_the_old_value_and_type(rng):
             assert got == want, (m, v)
             seen.add(want if want is ZeroDivisionError else type(want))
     assert seen == {Fraction, Surd, ZeroDivisionError}
+
+
+def _run_move_by_methods(xd, yd, a1, k):
+    """The run move read through `head()` and `tail()` alone: the oracle
+    of `run_move`'s reads of a `Cons` stream's slots."""
+    if k < a1:
+        return (xd if a1 is INF else Cons(a1 - k, xd.tail()),
+                Cons(yd.head() + k, yd.tail()))
+    return xd.tail(), Cons(1, yd if a1 == 1 else Cons(yd.head() + a1 - 1, yd.tail()))
+
+
+def test_run_move_reads_slots_as_the_methods_would(rng):
+    # x and y as cons cells, as surd streams, as cells pushed onto a surd
+    # stream, and as the empty stream (x = 0, where a1 = INF, and an INF
+    # y head); every k of each run, and k up to 5 on the x = 0 line
+    def streams():
+        return [from_digits([rng.randint(1, 6) for _ in range(rng.randint(1, 6))]),
+                rcf_digits(random_surd(rng)),
+                Cons(rng.randint(1, 4), rcf_digits(random_surd(rng))),
+                ZERO_STREAM]
+
+    moves = 0
+    for _ in range(15):
+        for xd in streams():
+            for yd in streams():
+                a1 = xd.head()
+                for k in range(1, 6 if a1 is INF else a1 + 1):
+                    got = run_move(xd, yd, a1, k)
+                    want = _run_move_by_methods(xd, yd, a1, k)
+                    assert [s.prefix(12) for s in got] == [s.prefix(12) for s in want]
+                    # the tails kept are the streams' own: a surd tail is
+                    # still known by its recurrence state
+                    assert [tail_state(s, 2) for s in got] == [tail_state(s, 2) for s in want]
+                    moves += 1
+    assert moves > 500
