@@ -8,7 +8,9 @@ head, drop the head, push a new head), so a cons-cell view over a shared
 memoised source is the natural representation.  `prefix` reads a run of
 digits as a list without a head/tail step per digit: cons cells are
 walked directly and a memoised view slices its buffer; `enclosure` reads
-its window that way too.
+its window that way too.  A digit list is evaluated by the one
+continuant, `exact._continuant`: `enclosure` and `digits_fraction` read
+its matrix.
 
 Monte Carlo samples are floats snapped to nearby rationals, at the one
 snap denominator `SNAP_DEN`.  A sample stays two floats until a
@@ -43,7 +45,7 @@ import math
 from fractions import Fraction
 
 from .errors import BoundaryUndecidable
-from .exact import INF, RationalInterval
+from .exact import INF, RationalInterval, _continuant
 
 # the denominator bound of a Monte Carlo sample's snap
 SNAP_DEN = 10**12
@@ -85,14 +87,13 @@ class DigitStream:
         Consumes up to `depth` digits.  If the expansion terminates
         within that window the interval is a point (the exact value).
         """
-        # value = (a*t + b)/(c*t + d) with t = remaining tail in [0, 1]
-        a, b, c, d = 1, 0, 0, 1
-        for h in self.prefix(depth):
-            if h is INF:
-                return RationalInterval.point(Fraction(b, d))
-            a, b, c, d = b, a + b * h, d, c + d * h
-        lo = Fraction(b, d)
-        hi = Fraction(a + b, c + d)
+        # value = (p0*t + p1)/(q0*t + q1) with t = remaining tail in [0, 1]
+        ds = self.prefix(depth)
+        p0, p1, q0, q1 = _continuant(ds)
+        lo = Fraction(p1, q1)
+        if ds and ds[-1] is INF:  # INF pads a finished expansion to the end
+            return RationalInterval.point(lo)
+        hi = Fraction(p0 + p1, q0 + q1)
         if lo > hi:
             lo, hi = hi, lo
         return RationalInterval(lo, hi)
@@ -240,9 +241,7 @@ def fraction_digits(x: Fraction):
 def digits_fraction(ds) -> Fraction:
     """The rational [0; a1, ..., an] of a finite digit list: the inverse
     of fraction_digits (0 for the empty list)."""
-    p, q = 0, 1
-    for a in reversed(ds):
-        p, q = q, a * q + p
+    _, p, _, q = _continuant(ds)
     return Fraction(p, q)
 
 

@@ -1,15 +1,22 @@
 """Exact arithmetic core: the point at infinity, 2x2 integer matrices
 and rational interval enclosures.
 
-A matrix acts on a coordinate as a Moebius transformation through
-`natural_ext._mobius`, the one evaluator.  Everything here is exact; no
-floating point enters any code path.
+A matrix is one type, `Mat2Z`, the tuple (a, b, c, d) of ((a, b), (c,
+d)) that walks, points and induced records carry as four ints, so a
+plain 4-tuple is read as one too.  The product lives here, `_mul`, which
+`Mat2Z.__matmul__` and `natural_ext` share, and so does the continuant
+of a digit list, `_continuant`, the product of ((0,1),(1,a)) over its
+digits, which the digit enclosures, the cylinder widths of alpha regions
+and the Farey matrices read.  A matrix acts on a coordinate as a Moebius
+transformation through `natural_ext._mobius`, the one evaluator.
+Everything here is exact; no floating point enters any code path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class _Infinity:
@@ -65,8 +72,14 @@ class _Infinity:
 INF = _Infinity()
 
 
-@dataclass(frozen=True)
-class Mat2Z:
+def _mul(m, n):
+    """The product of two matrices (a, b, c, d), as a plain tuple."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+class Mat2Z(NamedTuple):
     """A 2x2 matrix ((a, b), (c, d)) with exact integer (or rational)
     entries; construction does not require a nonzero determinant."""
 
@@ -79,18 +92,26 @@ class Mat2Z:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "Mat2Z") -> "Mat2Z":
-        return Mat2Z(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Mat2Z._make(_mul(self, other))
 
     def __repr__(self):
         return f"Mat2Z({self.a}, {self.b}, {self.c}, {self.d})"
 
 
 IDENTITY = Mat2Z(1, 0, 0, 1)
+
+
+def _continuant(ds):
+    """(p0, p1, q0, q1), the product of ((0,1),(1,a)) over the digits a
+    of ds up to the first INF: p1/q1 = [0; a1, ..., an] and p0/q0 the
+    convergent before it."""
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for a in ds:
+        if a is INF:
+            break
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+    return p0, p1, q0, q1
 
 
 def reversed_product(m):

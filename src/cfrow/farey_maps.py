@@ -10,6 +10,11 @@ transformation past 1/2, and the one-parameter family
 
 interpolates the classical variants.  All evaluation is exact on
 rational and quadratic-surd inputs.
+
+The branch matrices are `exact.Mat2Z` tuples, and their product over
+eps_1 ... eps_n (`a_matrix_forward`) is read in closed form from the
+continuant of the partial quotients, `exact._continuant`, not multiplied
+out branch by branch.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from .digits import DigitStream
 from .errors import OutOfDomain, ZeroInput
-from .exact import INF, IDENTITY, Mat2Z, reversed_product
+from .exact import INF, IDENTITY, Mat2Z, _continuant, reversed_product
 from .gcf import Gcf, classify_farey_index
 from .reals import RealRep, as_real, floor_of, rcf_digits
 
@@ -106,28 +111,6 @@ def epsilon_stream(x) -> "DigitStream":
     return LazyDigits(gen())
 
 
-def epsilon_prefix(x, n: int) -> list:
-    """eps_1 ... eps_n as a list, `epsilon_stream(x).prefix(n)`: zeros
-    with a 1 at each partial sum a1 + ... + aj <= n.  The partial
-    quotients are read in prefixes, each long enough for half the
-    branch digits still missing."""
-    digits = x if isinstance(x, DigitStream) else rcf_digits(x)
-    out = [0] * n
-    s = k = 0
-    ds = []
-    while True:
-        if k == len(ds):
-            ds = digits.prefix(k + 1 + (n - s) // 2)
-        a = ds[k]
-        if a is INF:
-            return out
-        s += a
-        if s > n:
-            return out
-        out[s - 1] = 1
-        k += 1
-
-
 # (2 eps_k - 1, 2 - eps_{k+1}) at index 2 eps_k + eps_{k+1}
 _FAREY_PAIRS = ((-1, 2), (-1, 1), (1, 2), (1, 1))
 # a run's inner pairs (eps_k = 0), then its last, by the next run's eps
@@ -139,7 +122,7 @@ def farey_expansion(x, n: int) -> Gcf:
 
     Digits: a0 = 1, b0 = 1 - eps_1, and (a_k, b_k) = (2 eps_k - 1,
     2 - eps_{k+1}) for k >= 1, the `_FAREY_PAIRS` of the branch digits
-    `epsilon_prefix` gives.  They are built a partial quotient at a time,
+    `epsilon_stream` spells.  They are built a partial quotient at a time,
     as eps = 0^(a1-1) 1 0^(a2-1) 1 ... makes them: b0 is 0 iff a1 = 1; a
     run a >= 2 gives a - 2 pairs (-1, 2) and then (-1, 1); each run ends
     with (1, 1) when the next partial quotient is 1 and with (1, 2)
@@ -169,23 +152,17 @@ def farey_expansion(x, n: int) -> Gcf:
 
 
 def a_matrix_forward(x, n: int) -> Mat2Z:
-    """A_[0,n] = A_eps1 ... A_epsn via the convergent/mediant closed form."""
+    """A_[0,n] = A_eps1 ... A_epsn via the convergent/mediant closed form:
+    with n = a1 + ... + aj + lam, 0 <= lam < a_{j+1}, it is the continuant
+    of a1, ..., aj times A0^lam = ((1,0),(lam,1))."""
     digits = x if isinstance(x, DigitStream) else rcf_digits(x)
     if n == 0:
         return IDENTITY
     j, lam = classify_farey_index(digits, n)
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1  # (p_-1, q_-1), (p_0, q_0)
-    s = digits
-    for _ in range(j):
-        a = s.head()
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        s = s.tail()
-    return Mat2Z(lam * p + p_prev, p, lam * q + q_prev, q)
+    p0, p, q0, q = _continuant(digits.prefix(j))
+    return Mat2Z(lam * p + p0, p, lam * q + q0, q)
 
 
 def a_matrix_backward(x, n: int) -> Mat2Z:
     """A_[n,0] = A_epsn ... A_eps1, the `reversed_product` of A_[0,n]."""
-    f = a_matrix_forward(x, n)
-    return Mat2Z(*reversed_product((f.a, f.b, f.c, f.d)))
+    return Mat2Z._make(reversed_product(a_matrix_forward(x, n)))

@@ -251,7 +251,7 @@ def _block(g: Gcf, m: int, n: int):
 def partial_matrix(g: Gcf, m: int, n: int) -> Mat2Z:
     """B_m B_{m+1} ... B_n, on the ranges `partial_pq` takes; the empty
     range n = m - 1 is the identity."""
-    return Mat2Z(*map(_num, _block(g, m, n)))
+    return Mat2Z._make(map(_num, _block(g, m, n)))
 
 
 def partial_pq(g: Gcf, m: int, n: int):

@@ -114,7 +114,7 @@ class InducedRecord:
     __slots__ = ("N", "u", "t", "s", "r", "z_next")
 
     def __new__(cls, N: int, A: Mat2Z, z_next: OmegaPoint):
-        return cls._of(N, A.a, A.b, A.c, A.d, z_next)
+        return cls._of(N, *A, z_next)
 
     @classmethod
     def _of(cls, N, u, t, s, r, z_next):

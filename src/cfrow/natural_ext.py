@@ -20,14 +20,15 @@ and y' = C . y.  So over moves C1, ..., Ck x moves by P = C1...Ck and y
 by Ck...C1, which is A1 P^T A1^-1 (`exact.reversed_product`), since each
 such C has A1 C^T A1^-1 = C.  A point keeps base values (x0, y0), taken
 at one moment of its way, and one product P, with x = P^-1 . x0 and
-y = reversed_product(P) . y0.  A move by C (`ito_jump` passes a whole
-run's product) sets P' = P C, or starts from the values, P' = C, when
-they are all read or absent.  No Fraction or Surd is built until `x_val`
-or `y_val` is read, which applies the product once and caches the
-value.  The slow map's inverse is the map seen through the swap
-(x, y) -> (y, x), `OmegaPoint.mirrored`.  The fast map moves y by its
-matrix ((0,1),(1,a1)) itself, not by its reverse, so `gauss_ne_step`
-builds its image from the read values.
+y = reversed_product(P) . y0.  Matrices are the 4-tuples (a, b, c, d)
+of ((a, b), (c, d)) that `exact.Mat2Z` is, multiplied by `exact._mul`.
+A move by C (`ito_jump` passes a whole run's product) sets P' = P C, or
+starts from the values, P' = C, when they are all read or absent.  No
+Fraction or Surd is built until `x_val` or `y_val` is read, which
+applies the product once and caches the value.  The slow map's inverse
+is the map seen through the swap (x, y) -> (y, x), `OmegaPoint.mirrored`.
+The fast map moves y by its matrix ((0,1),(1,a1)) itself, not by its
+reverse, so `gauss_ne_step` builds its image from the read values.
 """
 
 from __future__ import annotations
@@ -38,19 +39,10 @@ from fractions import Fraction
 
 from .digits import Cons, DigitStream
 from .errors import OutOfDomain
-from .exact import INF, RationalInterval, reversed_product
+from .exact import IDENTITY, INF, RationalInterval, _mul, reversed_product
 from .reals import RealRep, Surd, as_real, is_rational, rcf_digits
 
-# Branch matrices (a, b, c, d) = ((a, b), (c, d)), as in farey_maps.
-_ID = (1, 0, 0, 1)
-
 _PENDING = object()  # value not yet computed from the base value
-
-
-def _mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _mobius(m, v):
@@ -111,7 +103,7 @@ class OmegaPoint:
         self.yd = yd
         self._x0 = self._x = x_val
         self._y0 = self._y = y_val
-        self._p = _ID
+        self._p = IDENTITY
         self._orbit = None
 
     @staticmethod

@@ -133,9 +133,6 @@ class Surd:
 
     # -- order -------------------------------------------------------------
 
-    def sign(self) -> int:
-        return _sign(self.p, self.q, self.d)  # r > 0
-
     def _cmp(self, other) -> int:
         ops = _operands(self, other)
         if ops is NotImplemented:

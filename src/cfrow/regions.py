@@ -58,9 +58,9 @@ from .errors import (
     InvalidSingularisationArea,
     OutOfDomain,
 )
-from .exact import INF
+from .exact import INF, _continuant
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, fraction_rects
-from .reals import RealRep, as_real, is_rational, surd_digits
+from .reals import RealRep, as_real, is_rational, parse_real, surd_digits
 
 
 def region_omega() -> Region:
@@ -252,9 +252,7 @@ def _classes(crit, shift: int = 0):
 def _width(prefix: list, lo: int, hi):
     """(n, m): the union of the cylinders [prefix..., d], d in [lo, hi],
     is an interval n/m wide."""
-    q0, q1 = 0, 1
-    for a in prefix:
-        q0, q1 = q1, a * q1 + q0
+    _, _, q0, q1 = _continuant(prefix)
     if hi is None:
         return 1, q1 * (lo * q1 + q0)
     return hi + 1 - lo, (lo * q1 + q0) * ((hi + 1) * q1 + q0)
@@ -657,12 +655,6 @@ def build_alpha_region(alpha: RealRep, back_cap: int = 2000) -> Region:
 # -- region spec parsing -----------------------------------------------------
 
 
-def _parse_frac(s):
-    from .reals import parse_real
-
-    return parse_real(str(s))
-
-
 def region_from_spec(spec) -> Region:
     """Region from the JSON spec or its shorthand string form.
 
@@ -695,7 +687,7 @@ def _rects(items):
                 raise BadRegionSpec(f"rects entry {i}: {axis} = {pair!r} is not a list of two corners")
             for k, text in enumerate(pair):
                 try:
-                    v = _parse_frac(text)
+                    v = parse_real(str(text))
                 except (ArithmeticError, ValueError, OutOfDomain):
                     v = None
                 if v is None or not is_rational(v):
@@ -712,7 +704,7 @@ _BUILDERS = {
     "h": lambda p: region_h(int(p["b"])),
     "v": lambda p: region_v(int(p["a"])),
     "cell": lambda p: region_cell(int(p["a"]), int(p["lam"])),
-    "alpha": lambda p: build_alpha_region(_parse_frac(p["alpha"])),
+    "alpha": lambda p: build_alpha_region(parse_real(str(p["alpha"]))),
     "s_expansion": lambda p: build_s_expansion_region(_rects(p["rects"])),
 }
 

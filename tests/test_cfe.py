@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from cfrow.cfe import cfe_by_contraction, cfe_convergents_report, cfe_direct
+from cfrow.cfe import CfeResult, cfe_by_contraction, cfe_convergents_report, cfe_direct
 from cfrow.digits import from_digits
-from cfrow.errors import OutOfDomain
+from cfrow.errors import MismatchAt, OutOfDomain
 from cfrow.farey_maps import farey_expansion
-from cfrow.gcf import convergents, validate_srcf
+from cfrow.gcf import Gcf, convergents, validate_srcf
 from cfrow.induced import induced_step
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import (
@@ -119,6 +119,21 @@ def test_convergent_scalars_relation(rng):
         res = cfe_direct(v2, top(x), 10, CAP)
         report = cfe_convergents_report(res)
         assert report["ok"] and report["checked"] >= 10
+
+
+def test_a_corrupted_digit_is_named_by_its_index(rng):
+    # one partial denominator off by one changes (P_k, Q_k) first at its own
+    # index (Q_{k-1} >= 1), so the report raises there, not before or after
+    v2 = region_v(2)
+    for _ in range(4):
+        res = cfe_direct(v2, top(random_rich_surd(rng)), 10, CAP)
+        for k in (0, 1, 5, 10):
+            pairs = res.digits.pairs(11)
+            a, b = pairs[k]
+            pairs[k] = (a, b + 1)
+            with pytest.raises(MismatchAt) as exc:
+                cfe_convergents_report(CfeResult(digits=Gcf._of(pairs), records=res.records))
+            assert exc.value.k == k
 
 
 def test_unit_scalars_on_top_strip(rng):

@@ -86,6 +86,23 @@ def test_contract_zero_numerator_exits_2(capsys, gcf, index):
     assert err.strip().splitlines() == [f"error: partial numerator 0 at index {index}"]
 
 
+def test_contract_reads_the_gcf_from_a_file_as_from_stdin(tmp_path, monkeypatch, capsys):
+    text = '{"alpha":[1,"1/2",-1,"3/4",2,1],"beta":[0,2,"5/3",1,3,"1/2"]}'
+    path = tmp_path / "gcf.json"
+    path.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    from_stdin = run_cli(["contract", "--gcf", "-", "--plan", "0,2,3"], capsys)
+    from_file = run_cli(["contract", "--gcf", str(path), "--plan", "0,2,3"], capsys)
+    assert from_stdin[0] == 0 and json.loads(from_stdin[1])["plan"] == [0, 2, 3]
+    assert from_file == from_stdin
+
+
+def test_expand_alpha_without_alpha_exits_2(capsys):
+    code, out, err = run_cli(["expand", "--kind", "alpha", "--x", "sqrt(2)-1"], capsys)
+    assert code == 2 and out == ""
+    assert "--alpha is required" in err
+
+
 def test_contract_prints_fraction_digits_as_strings(capsys):
     code, out, _ = run_cli(
         ["contract", "--gcf", '{"alpha":[1,"1/2",1],"beta":[1,2,3]}', "--plan", "0,2"], capsys

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfrow.digits import from_digits
+from cfrow.digits import DigitStream, from_digits
 from cfrow.errors import OutOfDomain, ZeroInput
 from cfrow.exact import IDENTITY, INF, Mat2Z
 from cfrow.farey_maps import (
@@ -14,7 +14,6 @@ from cfrow.farey_maps import (
     a_matrix_forward,
     alpha_orbit_digits,
     alpha_step,
-    epsilon_prefix,
     epsilon_stream,
     farey_expansion,
     farey_step,
@@ -32,7 +31,7 @@ S2 = parse_real("sqrt(2)-1")
 def a_matrix_forward_bruteforce(x, n: int) -> Mat2Z:
     """A_[0,n] as the literal product of the branch matrices A_eps1 ... A_epsn."""
     out = IDENTITY
-    for e in epsilon_prefix(x, n):
+    for e in epsilon_stream(x).prefix(n):
         out = out @ a_matrix(e)
     return out
 
@@ -130,9 +129,22 @@ def test_epsilon_factorisation_large_corpus(rng):
         assert eps == expected[:200]
 
 
+def spelled_epsilons(x, n: int) -> list:
+    """eps_1 ... eps_n spelled out from the partial quotients as
+    0^(a1-1) 1 0^(a2-1) 1 ..., with zeros past the end of a rational;
+    a run is cut at n, so a huge partial quotient is not written out."""
+    out = []
+    for a in (x if isinstance(x, DigitStream) else rcf_digits(x)):
+        if a is INF or len(out) >= n:
+            break
+        out += [0] * min(a - 1, n - len(out)) + [1]
+    return (out + [0] * n)[:n]
+
+
 def test_epsilon_prefix_equals_stream_prefix(rng):
-    # rationals (which end in zeros), surds, and streams: cons cells
-    # (finite, one with a huge digit) and memoised views over generators
+    # the stream's prefix is the literal spelling 0^(a-1) 1 of the partial
+    # quotients: rationals (which end in zeros), surds, and streams: cons
+    # cells (finite, one with a huge digit) and memoised views over generators
     xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(355, 1130), Fraction(1, 10**6)]
     xs += [Fraction(rng.randrange(0, 10**k + 1), 10**k) for k in range(1, 20)]
     xs += [G, S2] + [random_surd(rng) for _ in range(30)]
@@ -141,7 +153,7 @@ def test_epsilon_prefix_equals_stream_prefix(rng):
     xs += [rcf_digits(random_surd(rng)) for _ in range(10)]
     for x in xs:
         for n in (0, 1, 2, 5, 17, 64, 211):
-            assert epsilon_prefix(x, n) == epsilon_stream(x).prefix(n), (x, n)
+            assert epsilon_stream(x).prefix(n) == spelled_epsilons(x, n), (x, n)
 
 
 def test_epsilon_matches_dynamics(rng):

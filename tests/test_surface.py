@@ -34,16 +34,20 @@ def declared_api(readme: str) -> dict:
 def uncalled_public_defs(src: pathlib.Path) -> dict:
     """{module: [name, ...]}: the public module-level functions and
     classes, and the public methods of public classes as "Class.method",
-    that no src code names outside their own body."""
+    that no src code names outside their own body.  A method is named
+    only by an attribute access (`x.method`): a local variable of the
+    same name does not use it."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
-    uses = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+    uses = [(module, node.lineno, isinstance(node, ast.Attribute),
+             node.attr if isinstance(node, ast.Attribute) else node.id)
             for module, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
 
-    def uncalled(module, d):
+    def uncalled(module, d, method=False):
         return not d.name.startswith("_") and not any(
-            name == d.name and not (m == module and d.lineno <= line <= d.end_lineno)
-            for m, line, name in uses)
+            name == d.name and (attr or not method)
+            and not (m == module and d.lineno <= line <= d.end_lineno)
+            for m, line, attr, name in uses)
 
     out = {}
     for module, tree in trees.items():
@@ -55,7 +59,7 @@ def uncalled_public_defs(src: pathlib.Path) -> dict:
             if isinstance(d, ast.ClassDef):
                 out.setdefault(module, []).extend(
                     f"{d.name}.{f.name}" for f in d.body
-                    if isinstance(f, ast.FunctionDef) and uncalled(module, f))
+                    if isinstance(f, ast.FunctionDef) and uncalled(module, f, method=True))
     return {module: names for module, names in out.items() if names}
 
 
@@ -95,8 +99,10 @@ def test_the_scan_sees_an_uncalled_method(tmp_path):
         "    def __init__(self):\n        self.used()\n\n"
         "    def used(self):\n        return self\n\n"
         "    def unused(self):\n        return self.unused\n\n"
-        "    def _private(self):\n        return 1\n\n\n"
+        "    def _private(self):\n        return 1\n\n"
+        "    def shadowed(self):\n        return 1\n\n\n"
         "class _Q:\n    def hidden(self):\n        return 1\n\n\n"
-        "def f():\n    return P(), _Q()\n")
-    assert uncalled_public_defs(tmp_path) == {"a": ["P.unused", "f"]}
+        "def f():\n    shadowed = 2\n    return P(), _Q(), shadowed\n")
+    # a local variable named like a method does not use it
+    assert uncalled_public_defs(tmp_path) == {"a": ["P.unused", "P.shadowed", "f"]}
     assert declared_api("\n## Library API\n\n* `cfrow.a`: `f`, `P.unused`\n") == {"a": ["f", "P.unused"]}
