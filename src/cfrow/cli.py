@@ -26,7 +26,7 @@ from .farey_maps import alpha_orbit_digits, farey_expansion
 from .gcf import Gcf, convergents, encode_digit
 from .induced import induced_step
 from .natural_ext import OmegaPoint, orbit_csv_rows
-from .reals import as_real, floor_of, parse_real, rcf_digits
+from .reals import floor_of, parse_real, rcf_digits
 from .regions import AlphaRegion, build_alpha_region, region_from_spec
 from .shift_space import tau_orbit
 
@@ -77,7 +77,7 @@ def cmd_expand(args) -> int:
         if args.alpha is None:
             raise CfrowError("--alpha is required for kind=alpha")
         alpha = parse_real(args.alpha)
-        x0 = as_real(x - floor_of(x + 1 - alpha))  # reduce into [alpha-1, alpha)
+        x0 = x - floor_of(x + 1 - alpha)  # reduce into [alpha-1, alpha)
         pairs = alpha_orbit_digits(alpha, x0, n)
         _emit(
             {

@@ -42,28 +42,29 @@ def _check_unit(x: RealRep):
 
 def farey_step(x: RealRep):
     """One tent-map step: (eps, x') with eps = [x > 1/2]."""
+    x = as_real(x)
     _check_unit(x)
     if x > Fraction(1, 2):
-        return 1, as_real((1 - x) / x)
-    if x == 0:
-        return 0, Fraction(0)
-    return 0, as_real(x / (1 - x))
+        return 1, (1 - x) / x
+    return 0, x / (1 - x)
 
 
 def gauss_step(x: RealRep):
     """(a, x') with a = floor(1/x) (INF at 0) and x' = 1/x - a."""
+    x = as_real(x)
     _check_unit(x)
     if x == 0:
         return INF, Fraction(0)
     inv = 1 / x
     a = floor_of(inv)
-    return a, as_real(inv - a)
+    return a, inv - a
 
 
 def alpha_step(alpha: RealRep, x: RealRep):
     """(sign, d, x') for the parameterised map on [alpha-1, alpha)."""
     if not (0 < alpha <= 1):
         raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
+    x = as_real(x)
     if x < alpha - 1 or x >= alpha:
         raise OutOfDomain(f"{x} outside [alpha-1, alpha)")
     if x == 0:
@@ -72,7 +73,7 @@ def alpha_step(alpha: RealRep, x: RealRep):
     ax = x if sign > 0 else -x
     inv = 1 / ax
     d = floor_of(inv + 1 - alpha)
-    return sign, d, as_real(inv - d)
+    return sign, d, inv - d
 
 
 def alpha_orbit_digits(alpha: RealRep, x: RealRep, n: int):

@@ -48,19 +48,15 @@ _PENDING = object()  # value not yet computed from the base value
 def _mobius(m, v):
     """(a*v + b)/(c*v + d), exact, with v a Fraction, int or Surd.
 
-    The image's type follows its value, as `as_real` would make it: an
-    irrational image is the Surd `Surd.mobius` builds, returned as built
-    (an integer map of nonzero determinant keeps an irrational v
-    irrational), and a rational image is a Fraction, built once from
-    v's numerator and denominator (a rational Surd's p and r)."""
+    The image is in its value's one type: a Surd's image is what
+    `Surd.mobius` makes (a Fraction under a map of determinant 0), and
+    a rational v's is a Fraction, built once from v's numerator and
+    denominator."""
     a, b, c, d = m
     if type(v) is Fraction:
         n, k = v.numerator, v.denominator
     elif isinstance(v, Surd):
-        if v.q:
-            w = v.mobius(a, b, c, d)
-            return w if w.q else Fraction(w.p, w.r)
-        n, k = v.p, v.r
+        return v.mobius(a, b, c, d)
     else:
         v = Fraction(v)
         n, k = v.numerator, v.denominator
@@ -108,7 +104,8 @@ class OmegaPoint:
 
     @staticmethod
     def from_values(x: RealRep, y: RealRep) -> "OmegaPoint":
-        return OmegaPoint(rcf_digits(x), rcf_digits(as_real(y)), x, as_real(y))
+        x, y = as_real(x), as_real(y)
+        return OmegaPoint(rcf_digits(x), rcf_digits(y), x, y)
 
     @staticmethod
     def from_streams(xd, yd) -> "OmegaPoint":
@@ -160,12 +157,12 @@ class OmegaPoint:
 
     def x_enclosure(self, depth: int = 40) -> RationalInterval:
         if self._x is not None and is_rational(self._x0):
-            return RationalInterval.point(Fraction(self.x_val))
+            return RationalInterval.point(self.x_val)
         return self.xd.enclosure(depth)
 
     def y_enclosure(self, depth: int = 40) -> RationalInterval:
         if self._y is not None and is_rational(self._y0):
-            return RationalInterval.point(Fraction(self.y_val))
+            return RationalInterval.point(self.y_val)
         return self.yd.enclosure(depth)
 
     def __repr__(self):

@@ -1,9 +1,12 @@
-"""Exact real inputs: rationals and real quadratic surds.
+"""Exact real inputs: rationals and real quadratic irrationals.
 
-A surd (p + q*sqrt(d))/r supports field arithmetic, exact comparison and
-exact floor, which is all the interval maps need.  Orbits of quadratic
-irrationals stay inside one field Q(sqrt(d)), so every map iteration and
-digit extraction below is exact.
+Each exact value has one type: a rational is a `Fraction`, and a surd
+(p + q*sqrt(d))/r is always irrational (q != 0).  Surd arithmetic with a
+rational result (x - x, x times its conjugate), `Surd.mobius` and
+`parse_real` give the equal Fraction.  A surd supports field arithmetic,
+exact comparison and exact floor, which is all the interval maps need.
+Orbits of quadratic irrationals stay inside one field Q(sqrt(d)), so
+every map iteration and digit extraction below is exact.
 """
 
 from __future__ import annotations
@@ -40,18 +43,20 @@ def _square_free_split(d: int):
 
 
 class Surd:
-    """(p + q*sqrt(d)) / r with integers p, q, r (r > 0) and non-square d > 0."""
+    """The irrational (p + q*sqrt(d)) / r with integers p, q != 0, r > 0 and
+    non-square d > 0; a rational value is a Fraction (see `_surd`)."""
 
     __slots__ = ("p", "q", "r", "d")
 
     def __init__(self, p: int, q: int, r: int, d: int):
         if r == 0:
             raise ZeroDivisionError("surd with zero denominator")
+        if not q:
+            raise ValueError(f"q = 0 makes the rational {p}/{r}, a Fraction, not a surd")
         if d <= 0 or math.isqrt(d) ** 2 == d:
             raise ValueError(f"d={d} must be a positive non-square")
-        if q:
-            s, d = _square_free_split(d)
-            q *= s
+        s, d = _square_free_split(d)
+        q *= s
         if r < 0:
             p, q, r = -p, -q, -r
         g = math.gcd(math.gcd(abs(p), abs(q)), r)
@@ -59,20 +64,16 @@ class Surd:
             p, q, r = p // g, q // g, r // g
         self.p, self.q, self.r, self.d = p, q, r, d
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
-    def mobius(self, a: int, b: int, c: int, d: int) -> "Surd":
-        """(a*x + b)/(c*x + d) for integers a, b, c, d, as one construction."""
+    def mobius(self, a: int, b: int, c: int, d: int):
+        """(a*x + b)/(c*x + d) for integers a, b, c, d, as one construction:
+        a Surd, or the Fraction a/c (= b/d) when a*d = b*c."""
         p, q, r, dd = self.p, self.q, self.r, self.d
         # ((A + B sqrt(dd)) / (C + E sqrt(dd)), times the conjugate of the denominator
         A, B, C, E = a * p + b * r, a * q, c * p + d * r, c * q
-        return Surd(A * C - B * E * dd, B * C - A * E, C * C - E * E * dd, dd)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("irrational surd")
-        return Fraction(self.p, self.r)
+        q2 = B * C - A * E  # q r (a d - b c)
+        if q2:
+            return Surd(A * C - B * E * dd, q2, C * C - E * E * dd, dd)
+        return Fraction(A * C - B * E * dd, C * C - E * E * dd)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -81,7 +82,7 @@ class Surd:
         if ops is NotImplemented:
             return NotImplemented
         d, ap, aq, ar, bp, bq, br = ops
-        return Surd(ap * br + bp * ar, aq * br + bq * ar, ar * br, d)
+        return _surd(ap * br + bp * ar, aq * br + bq * ar, ar * br, d)
 
     __radd__ = __add__
 
@@ -93,30 +94,28 @@ class Surd:
         if ops is NotImplemented:
             return NotImplemented
         d, ap, aq, ar, bp, bq, br = ops
-        return Surd(ap * br - bp * ar, aq * br - bq * ar, ar * br, d)
+        return _surd(ap * br - bp * ar, aq * br - bq * ar, ar * br, d)
 
     def __rsub__(self, other):
         ops = _operands(self, other)
         if ops is NotImplemented:
             return NotImplemented
         d, ap, aq, ar, bp, bq, br = ops
-        return Surd(bp * ar - ap * br, bq * ar - aq * br, ar * br, d)
+        return _surd(bp * ar - ap * br, bq * ar - aq * br, ar * br, d)
 
     def __mul__(self, other):
         ops = _operands(self, other)
         if ops is NotImplemented:
             return NotImplemented
         d, ap, aq, ar, bp, bq, br = ops
-        return Surd(ap * bp + aq * bq * d, ap * bq + aq * bp, ar * br, d)
+        return _surd(ap * bp + aq * bq * d, ap * bq + aq * bp, ar * br, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        # r / (p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d)
-        n = self.p * self.p - self.q * self.q * self.d
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero surd")
-        return Surd(self.r * self.p, -self.r * self.q, n, self.d)
+        # r / (p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d), where p^2 != q^2 d
+        p, q, r, d = self.p, self.q, self.r, self.d
+        return Surd(r * p, -r * q, p * p - q * q * d, d)
 
     def __truediv__(self, other):
         ops = _operands(self, other)
@@ -153,54 +152,46 @@ class Surd:
         return self._cmp(other) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):  # an irrational equals no rational
-            return not self.q and self._cmp(other) == 0
         if isinstance(other, Surd):
             try:
                 return self._cmp(other) == 0
             except ValueError:  # irrationals of two fields are never equal
                 return False
+        if isinstance(other, (int, Fraction)):  # an irrational equals no rational
+            return False
         return NotImplemented
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.as_fraction())
         # (p/r, q^2 d/r^2, sign q) fixes the value whatever d's square part
         return hash((Fraction(self.p, self.r), Fraction(self.q * self.q * self.d, self.r * self.r),
                      self.q > 0))
 
     def floor(self) -> int:
-        """Exact floor via integer square-root bounds (no floats)."""
-        if self.q == 0:
-            return self.p // self.r
-        s = math.isqrt(self.q * self.q * self.d)  # s <= |q| sqrt(d) < s + 1
-        num_lo = self.p + s if self.q > 0 else self.p - s - 1
-        n = num_lo // self.r
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        """Exact floor, no floats: s = isqrt(q^2 d) < |q| sqrt(d) < s + 1, so
+        p + q sqrt(d) lies between consecutive integers, and no k*r between them."""
+        s = math.isqrt(self.q * self.q * self.d)
+        return (self.p + s) // self.r if self.q > 0 else (self.p - s - 1) // self.r
 
     def __float__(self):
         return (self.p + self.q * math.sqrt(self.d)) / self.r
 
     def __repr__(self):
-        if self.q == 0:
-            return f"{Fraction(self.p, self.r)}"
         return f"({self.p}+{self.q}*sqrt({self.d}))/{self.r}"
 
 
+def _surd(p: int, q: int, r: int, d: int):
+    """(p + q*sqrt(d))/r in its one type: the Surd, or the Fraction p/r when q = 0."""
+    return Surd(p, q, r, d) if q else Fraction(p, r)
+
+
 def _sign(p: int, q: int, d: int) -> int:
-    """Sign of p + q*sqrt(d), exactly."""
-    if q == 0:
-        return (p > 0) - (p < 0)
+    """Sign of p + q*sqrt(d), exactly (q = 0 included)."""
     if p == 0:
         return (q > 0) - (q < 0)
     if (p > 0) == (q > 0):
         return 1 if p > 0 else -1
     lhs, rhs = p * p, q * q * d
-    if p > 0:  # q < 0: sign of p^2 - q^2 d
+    if p > 0:  # q <= 0: sign of p^2 - q^2 d
         return (lhs > rhs) - (lhs < rhs)
     return (rhs > lhs) - (rhs < lhs)
 
@@ -211,10 +202,6 @@ def _operands(a: Surd, b):
     if isinstance(b, Surd):
         if a.d == b.d:
             return a.d, a.p, a.q, a.r, b.p, b.q, b.r
-        if a.q == 0:
-            return b.d, a.p, 0, a.r, b.p, b.q, b.r
-        if b.q == 0:
-            return a.d, a.p, a.q, a.r, b.p, 0, b.r
         # one field iff d1*d2 is a square k^2; then sqrt(d1) = (k/d2) sqrt(d2),
         # and both are written over the smaller d
         k = math.isqrt(a.d * b.d)
@@ -230,13 +217,13 @@ def _operands(a: Surd, b):
     return NotImplemented
 
 
-def _quotient(d, ap, aq, ar, bp, bq, br) -> Surd:
+def _quotient(d, ap, aq, ar, bp, bq, br):
     """((ap + aq sqrt(d))/ar) / ((bp + bq sqrt(d))/br), as one construction."""
     n = bp * bp - bq * bq * d
     if n == 0:
-        raise ZeroDivisionError("inverse of zero surd")
+        raise ZeroDivisionError("division by zero")
     # times the conjugate (bp - bq sqrt(d)) of the divisor
-    return Surd(br * (ap * bp - aq * bq * d), br * (aq * bp - ap * bq), ar * n, d)
+    return _surd(br * (ap * bp - aq * bq * d), br * (aq * bp - ap * bq), ar * n, d)
 
 
 #: Exact real input: Fraction or Surd.
@@ -244,9 +231,8 @@ RealRep = object
 
 
 def as_real(v) -> RealRep:
-    if isinstance(v, Surd):
-        return v.as_fraction() if v.is_rational() else v
-    return Fraction(v)
+    """An outside value in its one exact type: a Surd as it is, else its Fraction."""
+    return v if isinstance(v, Surd) else Fraction(v)
 
 
 def floor_of(x: RealRep) -> int:
@@ -256,7 +242,7 @@ def floor_of(x: RealRep) -> int:
 
 
 def is_rational(x: RealRep) -> bool:
-    return not isinstance(x, Surd) or x.is_rational()
+    return not isinstance(x, Surd)
 
 
 def golden_fraction() -> Surd:
@@ -279,7 +265,7 @@ def rcf_digits(x: RealRep) -> DigitStream:
     float is made per digit.
     """
     if is_rational(x):
-        xf = x.as_fraction() if isinstance(x, Surd) else Fraction(x)
+        xf = Fraction(x)
         if not 0 <= xf <= 1:
             raise OutOfDomain(f"{xf} outside [0, 1]")
         return from_fraction(xf)
@@ -307,6 +293,8 @@ _SQRT_RE = re.compile(
     r"(?P<tail>[+-]\d+)?"
     r"\)?(?:/(?P<r>\d+))?$"
 )
+# "[a0;a1,...,an]": an integer a0, then digits >= 1 with no empty entry
+_CF_RE = re.compile(r"\[(?P<a0>[+-]?\d+)(?:;(?P<digits>0*[1-9]\d*(?:,0*[1-9]\d*)*))?\]")
 
 
 def parse_real(text: str) -> RealRep:
@@ -314,30 +302,33 @@ def parse_real(text: str) -> RealRep:
 
     Accepted forms: "p/q", plain integers, "[0;a1,a2,...]", "sqrt(d)",
     "sqrt(d)-k", "(p+q*sqrt(d))/r", and the named constant "g" (alias
-    "phi-frac") for (sqrt(5)-1)/2.
+    "phi-frac") for (sqrt(5)-1)/2; "(1+0*sqrt(5))/2" is the Fraction 1/2.
+    Continued-fraction digits after a0 other than ints >= 1, and a zero
+    denominator, raise OutOfDomain.
     """
     t = text.strip().replace(" ", "")
     if t in ("g", "phi-frac", "golden"):
         return golden_fraction()
-    if t.startswith("[") and t.endswith("]"):
-        body = t[1:-1]
-        head, _, rest = body.partition(";")
-        a0 = int(head)
-        return a0 + digits_fraction([int(s) for s in rest.split(",") if s])
+    if t.startswith("["):
+        m = _CF_RE.fullmatch(t)
+        if not m:
+            raise OutOfDomain(f"cannot parse real {text!r}: a continued fraction takes "
+                              "an integer a0, then digits >= 1 with no empty entry")
+        ds = m.group("digits")
+        return int(m.group("a0")) + digits_fraction([int(s) for s in ds.split(",")] if ds else [])
     if "sqrt" in t:
         m = _SQRT_RE.match(t)
         if not m:
             raise OutOfDomain(f"cannot parse real {text!r}")
-        d = int(m.group("d"))
-        q = int(m.group("q") or 1)
-        if m.group("sign") == "-":
-            q = -q
-        p = int(m.group("p") or 0)
-        if m.group("tail"):
-            p += int(m.group("tail"))
+        p = int(m.group("p") or 0) + int(m.group("tail") or 0)
+        q = int((m.group("sign") or "") + (m.group("q") or "1"))
         r = int(m.group("r") or 1)
-        return Surd(p, q, r, d)
-    if "/" in t:
+        d = int(m.group("d"))
+    elif "/" in t:
         num, den = t.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(t))
+        p, q, r, d = int(num), 0, int(den), 0  # q = 0: `_surd` gives the Fraction p/r
+    else:
+        return Fraction(int(t))
+    if r == 0:
+        raise OutOfDomain(f"cannot parse real {text!r}: zero denominator")
+    return _surd(p, q, r, d)

@@ -491,11 +491,12 @@ class AlphaRegion(Region):
     altered = True
 
     def __init__(self, alpha: RealRep, back_cap: int = 2000, name=None):
+        alpha = as_real(alpha)
         if not (0 < alpha <= 1):
             raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
         self.alpha = alpha
         if is_rational(alpha):
-            self.alpha_list, self.period = fraction_digits(as_real(alpha)), 0
+            self.alpha_list, self.period = fraction_digits(alpha), 0
             self._alpha_reader = Reader(self.alpha_list)
         else:
             src = surd_digits(alpha)
@@ -688,13 +689,21 @@ def _rects(items):
             for k, text in enumerate(pair):
                 try:
                     v = parse_real(str(text))
-                except (ArithmeticError, ValueError, OutOfDomain):
+                except (ValueError, OutOfDomain):
                     v = None
                 if v is None or not is_rational(v):
                     raise BadRegionSpec(f"rects entry {i}: corner {axis}[{k}] = {text!r} is not a rational")
-                corners.append(as_real(v))
+                corners.append(v)
         out.append(tuple(corners))
     return out
+
+
+def _alpha(text: str) -> RealRep:
+    """The alpha of a spec; one that does not parse is a BadRegionSpec."""
+    try:
+        return parse_real(text)
+    except OutOfDomain as exc:
+        raise BadRegionSpec(f"bad alpha: {exc}") from exc
 
 
 # builder name -> the region it builds from its params
@@ -704,7 +713,7 @@ _BUILDERS = {
     "h": lambda p: region_h(int(p["b"])),
     "v": lambda p: region_v(int(p["a"])),
     "cell": lambda p: region_cell(int(p["a"]), int(p["lam"])),
-    "alpha": lambda p: build_alpha_region(parse_real(str(p["alpha"]))),
+    "alpha": lambda p: build_alpha_region(_alpha(str(p["alpha"]))),
     "s_expansion": lambda p: build_s_expansion_region(_rects(p["rects"])),
 }
 

@@ -41,7 +41,6 @@ from .induced import (
     induced_step,
 )
 from .natural_ext import OmegaPoint, _mobius
-from .reals import as_real
 
 
 def _require_unit_s(region: Region):
@@ -80,8 +79,8 @@ def _change(region: Region, z: OmegaPoint, pull) -> ShiftPoint:
     if rec.u == 0:
         if y == 0:
             raise NullSetPoint("y = 0 has no shift image on the u = 0 branch")
-        return ShiftPoint(as_real(x), as_real((1 - y) / y), z, rec)
-    return ShiftPoint(as_real(x - 1), as_real(1 - y), z, rec)
+        return ShiftPoint(x, (1 - y) / y, z, rec)
+    return ShiftPoint(x - 1, 1 - y, z, rec)
 
 
 def _shift(w: ShiftPoint, pull) -> ShiftPoint:
@@ -115,7 +114,7 @@ def phi_inverse(region: Region, X, Y) -> OmegaPoint:
         x, y = X, 1 / (Y + 1)
     else:
         x, y = X + 1, 1 - Y
-    return OmegaPoint.from_values(as_real(x), as_real(y))
+    return OmegaPoint.from_values(x, y)
 
 
 def tau_step(region: Region, w: ShiftPoint, cap: int = 100000) -> ShiftPoint:

@@ -37,7 +37,7 @@ from cfrow.regions import (
     region_omega,
     region_v,
 )
-from cfrow.reals import golden_fraction, parse_real, rcf_digits
+from cfrow.reals import floor_of, golden_fraction, parse_real, rcf_digits
 from cfrow.shift_space import phi, tau_orbit, tau_step
 
 from conftest import random_periodic_surd, random_surd, transpose
@@ -181,7 +181,7 @@ def test_criterion_5_alpha_realisation():
             # digit streams: region route vs direct one-map iteration
             res = cfe_direct(R, z, steps, CAP)
             pairs = res.digits.pairs(steps + 1)
-            x0 = x - (x + 1 - alpha).floor()
+            x0 = x - floor_of(x + 1 - alpha)  # x + 1 - alpha is a Fraction when x shares alpha's field
             cur = x0
             direct = []
             for _ in range(steps):

@@ -125,6 +125,10 @@ def test_contract_prints_fraction_digits_as_strings(capsys):
         ["cfe", "--region", '{"cells":[{"a":"x"}]}', "--x", "sqrt(2)-1"],
         ["orbit", "--space", "shift", "--x", "sqrt(2)-1", "--n", "3"],
         ["entropy", "--region", '{"rects":[{"x":["3/2","2"],"y":["1/3","1/2"]}]}'],
+        # a continued fraction with a digit below 1 or an empty entry, and
+        # a zero denominator
+        *(["expand", "--kind", "rcf", "--x", x, "--n", "3"]
+          for x in ("[0;2,-1]", "[0;0,5]", "[0;3,0,2]", "[0;2,,3]", "1/0", "[0;0]")),
     ],
 )
 def test_malformed_library_input_exits_2(capsys, args):
@@ -216,11 +220,26 @@ def test_cfe_on_a_region_the_orbit_never_enters_exits_early(capsys):
 
 def test_malformed_input_subprocess_has_no_traceback():
     for args in (["contract", "--gcf", '{"alpha":[1,2]}', "--plan", "0"],
-                 ["cfe", "--region", "h1", "--x", "g", "--digits", "0"]):
+                 ["cfe", "--region", "h1", "--x", "g", "--digits", "0"],
+                 ["expand", "--kind", "rcf", "--x", "[0;2,-1]"],
+                 ["expand", "--kind", "rcf", "--x", "1/0"]):
         proc = subprocess.run([sys.executable, "-m", "cfrow.cli", *args],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr
+
+
+def test_rational_surd_form_reads_as_its_fraction(capsys):
+    """"(1+0*sqrt(5))/2" is the Fraction 1/2 wherever a real is read."""
+    for args in (["expand", "--kind", "rcf", "--x", "{}", "--n", "4"],
+                 ["expand", "--kind", "alpha", "--alpha", "{}", "--x", "g", "--n", "8"],
+                 ["cfe", "--region", "alpha:{}", "--x", "sqrt(3)-1", "--digits", "10"]):
+        outs = []
+        for text in ("(1+0*sqrt(5))/2", "1/2"):
+            code, out, _ = run_cli([a.format(text) for a in args], capsys)
+            assert code == 0
+            outs.append({k: v for k, v in json.loads(out).items() if v != text})  # drop the echo
+        assert outs[0] == outs[1]
 
 
 def test_shared_parser_after_a_usage_error_prints_fresh_bytes(capsys):

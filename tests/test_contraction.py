@@ -57,6 +57,17 @@ def test_worked_scalars():
     assert cs == [1, 1, 3, 15, 105, 945]
 
 
+def test_plain_index_list_reads_as_its_plan():
+    """contract, seidel_scalars and seidel_check take a plain index list
+    as the ContractionPlan of it."""
+    g = harmonic_gcf()
+    idxs = [0, 2, 3, 5, 8, 9]
+    plan = ContractionPlan(idxs)
+    assert contract(g, idxs).pairs(6) == contract(g, plan).pairs(6)
+    assert seidel_scalars(g, idxs, 5) == seidel_scalars(g, plan, 5)
+    assert seidel_check(g, idxs, 5) is seidel_check(g, plan, 5) is True
+
+
 def test_worked_scaled_convergent_pairs():
     g = harmonic_gcf()
     cc = contract(g, even_plan())

@@ -297,6 +297,9 @@ def test_classify_farey_index():
     assert classify_farey_index([3, 1, 2], 0) == (0, 0)
     assert classify_farey_index([1] * 6, 5) == (5, 0)
     assert classify_farey_index(rcf_digits(Fraction(1, 3)), 7) == (1, 4)
+    # a finite list ends as INF would: the rest of n stays in lam
+    assert classify_farey_index([2, 3], 10) == (2, 5)
+    assert classify_farey_index([], 4) == (0, 4)
     with pytest.raises(IndexBeyondExpansion):
         classify_farey_index([2, 2], -1)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,13 +138,14 @@ def test_mobius_matches_field_arithmetic(rng):
 
 
 # surds over Q(sqrt 2), Q(sqrt 3) and Q(sqrt 5), with d written both
-# square-free and not (8 = 4 * 2, 20 = 4 * 5); q = 0 gives rational surds
+# square-free and not (8 = 4 * 2, 20 = 4 * 5); q is never 0
 _SURD_D = st.sampled_from([2, 3, 5, 8, 20])
+_SURD_Q = st.integers(-6, 6).filter(bool)
 
 
 @st.composite
-def surds(draw, q=st.integers(-6, 6)):
-    return Surd(draw(st.integers(-40, 40)), draw(q), draw(st.integers(1, 30)), draw(_SURD_D))
+def surds(draw):
+    return Surd(draw(st.integers(-40, 40)), draw(_SURD_Q), draw(st.integers(1, 30)), draw(_SURD_D))
 
 
 @st.composite
@@ -154,23 +156,23 @@ def surd_and_comparand(draw):
     x = draw(surds())
     k = draw(st.integers(1, 4))
     near = [Fraction(x.p, x.r), x.p // x.r, Surd(k * x.p, k * x.q, k * x.r, x.d),
-            Surd(x.p, 0, x.r, draw(_SURD_D)), Surd(x.p, x.q, x.r + 1, x.d)]
+            Surd(x.p, x.q, x.r + 1, x.d)]
     if x.q % 2 == 0:  # the same value written over 4d
         near.append(Surd(x.p, x.q // 2, x.r, 4 * x.d))
     other = draw(st.one_of(st.integers(-5, 5), st.booleans(),
                            st.fractions(min_value=-5, max_value=5, max_denominator=30),
-                           surds(), surds(q=st.just(0)), st.sampled_from(near)))
+                           surds(), st.sampled_from(near)))
     return x, other
 
 
 @given(surd_and_comparand())
 @settings(max_examples=400, deadline=None)
 def test_surd_equality_agrees_with_the_comparison(pair):
-    """`==` answers an int or Fraction comparand of an irrational surd
-    False before it compares; every answer equals `_cmp(other) == 0`,
-    from either side, and is False where `_cmp` raises (two irrational
-    surds of different fields, which are never equal).  Equal values
-    hash equal."""
+    """`==` answers an int or Fraction comparand of a surd, which is
+    irrational, False before it compares; every answer equals
+    `_cmp(other) == 0`, from either side, and is False where `_cmp`
+    raises (two surds of different fields, which are never equal).
+    Equal values hash equal."""
     x, other = pair
     try:
         want = x._cmp(other) == 0
@@ -195,9 +197,17 @@ def test_surds_of_different_fields_are_unequal():
 
 
 def test_rational_surd_equals_its_fraction():
-    assert Surd(3, 0, 2, 5) == Fraction(3, 2) and hash(Surd(3, 0, 2, 5)) == hash(Fraction(3, 2))
-    assert Surd(4, 0, 2, 7) == 2 and Surd(1, 0, 1, 3) == True  # noqa: E712
+    """A surd form with a rational value is its Fraction; a Surd with
+    q = 0 is refused, and a Surd equals no rational."""
+    for text, want in (("(3+0*sqrt(5))/2", Fraction(3, 2)), ("(4+0*sqrt(7))/2", 2),
+                       ("(1+0*sqrt(3))", True)):
+        got = parse_real(text)
+        assert type(got) is Fraction and got == want and hash(got) == hash(want)
+    for p, r, d in ((3, 2, 5), (4, 2, 7), (1, 1, 3), (0, 1, 2)):
+        with pytest.raises(ValueError, match="q = 0"):
+            Surd(p, 0, r, d)
     assert golden_fraction() != Fraction(-1, 2) and golden_fraction() != 0
+    assert golden_fraction() != True  # noqa: E712
     assert Surd(-1, 1, 2, 5) == Surd(-2, 1, 4, 20)  # g, with d = 20 split to 4 * 5
 
 
@@ -313,9 +323,14 @@ def test_cmp_and_sub_match_negated_sum():
                      a.d * 100003**2)
         old = a + (-b)
         new = a - b
-        assert (new.p, new.q, new.r, new.d) == (old.p, old.q, old.r, old.d)
-        sign = _sign(old.p, old.q, old.d)  # r > 0
-        assert a._cmp(b) == sign == reference_sign(old.p, old.q, old.d)
+        assert type(new) is type(old) and new == old
+        if isinstance(old, Surd):
+            assert (new.p, new.q, new.r, new.d) == (old.p, old.q, old.r, old.d)
+            p, q, d = old.p, old.q, old.d
+        else:  # b = a, or a plus a rational: a rational difference
+            p, q, d = old.numerator, 0, a.d
+        sign = _sign(p, q, d)  # r > 0
+        assert a._cmp(b) == sign == reference_sign(p, q, d)
         assert (b - a) == -old
         assert (a < b) == (sign < 0) and (a == b) == (sign == 0)
 
@@ -338,3 +353,111 @@ def test_sub_is_one_construction(monkeypatch):
     count = SurdCount(monkeypatch)
     x - y, x - 3, x - Fraction(1, 7), 2 - x
     assert count.n == 4
+
+
+# -- one type per exact value --------------------------------------------------
+
+
+def exact_pair(v, d):
+    """(u, w) with v = u + w sqrt(d), for d square-free: the reference
+    value of a Fraction, an int or a Surd of the field Q(sqrt d)."""
+    if isinstance(v, Surd):
+        assert v.d == d
+        return Fraction(v.p, v.r), Fraction(v.q, v.r)
+    assert type(v) in (int, Fraction)
+    return Fraction(v), Fraction(0)
+
+
+def pair_ops(x, y, d):
+    """Sum, differences, product and quotients of two reference pairs."""
+    (u1, w1), (u2, w2) = x, y
+    out = {"+": (u1 + u2, w1 + w2), "-": (u1 - u2, w1 - w2), "r-": (u2 - u1, w2 - w1),
+           "*": (u1 * u2 + w1 * w2 * d, u1 * w2 + w1 * u2)}
+    for key, (a, b) in (("/", (x, y)), ("r/", (y, x))):
+        n = b[0] ** 2 - b[1] ** 2 * d  # times the conjugate of the divisor
+        if n:
+            out[key] = ((a[0] * b[0] - a[1] * b[1] * d) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+    return out
+
+
+@st.composite
+def same_field_pair(draw):
+    """(d, a, b, ms): a surd a over the square-free d (written over d or
+    4d), b of its field, often one whose sum, difference, product or
+    quotient with a is rational (a itself, written over d or 4d, a plus
+    a Fraction, a Fraction minus a, a multiple of a's conjugate, an int
+    or a Fraction), and integer Moebius maps, one of determinant 0."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    a = Surd(draw(st.integers(-40, 40)), draw(_SURD_Q), draw(st.integers(1, 30)),
+             d * draw(st.sampled_from([1, 4])))
+    shift = draw(st.fractions(min_value=-5, max_value=5, max_denominator=30))
+    k = draw(st.integers(-3, 3).filter(bool))
+    b = draw(st.sampled_from([
+        Surd(draw(st.integers(-40, 40)), draw(_SURD_Q), draw(st.integers(1, 30)), d),
+        a, Surd(2 * a.p, a.q, 2 * a.r, 4 * a.d), a + shift, shift - a,
+        Surd(k * a.p, -k * a.q, a.r, a.d), draw(st.integers(-5, 5)), shift]))
+    entries = st.integers(-6, 6)
+    c, e = draw(entries), draw(entries)
+    ms = [draw(st.tuples(entries, entries, entries, entries)), (k * c, k * e, c, e),
+          (0, 1, 1, 0), (0, 0, 0, 1)]
+    return d, a, b, ms
+
+
+def assert_one_type(got, want, d):
+    """got has the exact value want = (u, w), and is a Fraction exactly
+    when w = 0 (a Surd otherwise)."""
+    assert type(got) is (Fraction if want[1] == 0 else Surd), (got, want)
+    assert exact_pair(got, d) == want
+
+
+@given(same_field_pair())
+@settings(max_examples=600, deadline=None)
+def test_field_arithmetic_gives_one_type_per_value(case):
+    """+, -, * and / of a surd with a value of its field give the exact
+    value, a Fraction exactly when it is rational; so does every integer
+    Moebius map (determinant 0 included) and `parse_real` of a surd
+    form (q = 0 included)."""
+    d, a, b, ms = case
+    ua, wa = exact_pair(a, d)
+    want = pair_ops((ua, wa), exact_pair(b, d), d)
+    got = {"+": a + b, "-": a - b, "r-": b - a, "*": a * b}
+    for key, op in (("/", lambda: a / b), ("r/", lambda: b / a)):
+        if key in want:
+            got[key] = op()
+        else:
+            with pytest.raises(ZeroDivisionError):
+                op()
+    assert set(got) == set(want)
+    for key in want:
+        assert_one_type(got[key], want[key], d)
+    assert_one_type(b + a, want["+"], d)
+    assert_one_type(b * a, want["*"], d)
+    for m in ms:
+        c0, c1, c2, c3 = m
+        image = pair_ops((c0 * ua + c1, c0 * wa), (c2 * ua + c3, c2 * wa), d).get("/")
+        if image is None:  # c2 = c3 = 0
+            with pytest.raises(ZeroDivisionError):
+                a.mobius(*m)
+        else:
+            assert_one_type(a.mobius(*m), image, d)
+    # parse_real of (p+q*sqrt(d))/r, q = 0 included
+    p, q, r = a.p, a.q if isinstance(b, Surd) else 0, a.r
+    text = f"({p}{'+' if q >= 0 else '-'}{abs(q)}*sqrt({d}))/{r}"
+    assert_one_type(parse_real(text), (Fraction(p, r), Fraction(q, r)), d)
+
+
+@pytest.mark.parametrize("text", ["[0;2,-1]", "[0;0,5]", "[0;3,0,2]", "[0;2,,3]", "[0;0]",
+                                  "[0;]", "[0;2,3", "[0;x]", "1/0", "-3/0", "sqrt(5)/0",
+                                  "(1+2*sqrt(5))/0"])
+def test_parse_real_refuses_malformed_continued_fractions_and_zero_denominators(text):
+    """After a0 a continued fraction takes integers >= 1 with no empty
+    entry, and no form may divide by 0: each is OutOfDomain naming the
+    text, not a value read past the bad entry or a ZeroDivisionError."""
+    with pytest.raises(OutOfDomain, match=re.escape(repr(text))):
+        parse_real(text)
+
+
+def test_parse_real_continued_fraction_forms():
+    assert parse_real("[0;2,3]") == Fraction(3, 7)
+    assert parse_real("[1;2]") == Fraction(3, 2) and parse_real("[-1;2]") == Fraction(-1, 2)
+    assert parse_real("[2]") == 2 and parse_real("[ 0 ; 1, 1 ]") == Fraction(1, 2)

@@ -416,10 +416,19 @@ def test_region_spec_unknown_builder():
      {"rects": [{"x": "1/3", "y": ["1/3", "1/2"]}]},
      {"rects": [{"x": ["g", "1"], "y": ["1/3", "1/2"]}]},
      {"builder": "s_expansion",
-      "params": {"rects": [{"x": ["1/2", "1", "7"], "y": ["0", "1/2"]}]}}],
+      "params": {"rects": [{"x": ["1/2", "1", "7"], "y": ["0", "1/2"]}]}},
+     "alpha:abc", "alpha:sqrt(x)", "alpha:1/0", "alpha:[0;0]", "alpha:[0;2,,3]"],
 )
 def test_region_spec_malformed(spec):
     with pytest.raises(BadRegionSpec):
+        region_from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["alpha:2", "alpha:0", "alpha:-1/2", "alpha:[1;1]"])
+def test_region_spec_alpha_outside_the_interval_is_out_of_domain(spec):
+    """An alpha that parses but lies outside (0, 1] is OutOfDomain, not a
+    malformed spec."""
+    with pytest.raises(OutOfDomain, match=r"outside \(0, 1\]"):
         region_from_spec(spec)
 
 

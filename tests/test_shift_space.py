@@ -67,6 +67,18 @@ def test_phi_roundtrip(rng):
         assert z2.x_val == x and z2.y_val == y
 
 
+@pytest.mark.parametrize("region, u", [(build_alpha_region(Fraction(1, 4)), 1), (region_h1(), 0)])
+def test_phi_inverse_round_trips_on_both_branches(region, u):
+    """phi_inverse(region, X, Y) gives back z's values and types on the
+    u = 1 branch (X < 0) and on the u = 0 branch (X > 0)."""
+    z = OmegaPoint.from_values(parse_real("sqrt(3)-1"), 1)
+    w = phi(region, z)
+    assert w.u == u and (w.X < 0) == (u == 1)
+    z2 = phi_inverse(region, w.X, w.Y)
+    for got, want in ((z2.x_val, z.x_val), (z2.y_val, z.y_val)):
+        assert type(got) is type(want) and got == want
+
+
 def test_phi_inverse_null_ray():
     with pytest.raises(NullSetPoint):
         phi_inverse(region_h1(), Fraction(0), Fraction(1, 3))
