@@ -302,7 +302,8 @@ def parse_real(text: str) -> RealRep:
 
     Accepted forms: "p/q", plain integers, "[0;a1,a2,...]", "sqrt(d)",
     "sqrt(d)-k", "(p+q*sqrt(d))/r", and the named constant "g" (alias
-    "phi-frac") for (sqrt(5)-1)/2; "(1+0*sqrt(5))/2" is the Fraction 1/2.
+    "phi-frac") for (sqrt(5)-1)/2; "(1+0*sqrt(5))/2" is the Fraction 1/2,
+    and a square d gives a Fraction too: "sqrt(4)" is 2.
     Continued-fraction digits after a0 other than ints >= 1, and a zero
     denominator, raise OutOfDomain.
     """
@@ -331,4 +332,7 @@ def parse_real(text: str) -> RealRep:
         return Fraction(int(t))
     if r == 0:
         raise OutOfDomain(f"cannot parse real {text!r}: zero denominator")
+    k = math.isqrt(d)
+    if k * k == d:  # a square d: the value is rational
+        return Fraction(p + q * k, r)
     return _surd(p, q, r, d)

@@ -35,6 +35,8 @@ Three families:
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
 import json
 import math
 from bisect import bisect_right
@@ -47,7 +49,6 @@ from .digits import (
     LazyDigits,
     Reader,
     SnapReader,
-    digits_fraction,
     fraction_digits,
     order,
 )
@@ -199,15 +200,10 @@ class _Pulled:
 # inside hi's cylinder, or to [.., max(lo, _FAR)] when hi is unbounded
 # or past _FAR
 _FAR = 10**6
-# y's first three digits and x's first two are classified, no more
-_Y_DEPTH, _X_DEPTH = 3, 2
-# a product of cylinder classes that its first run leaves undecided is
-# classified further only when it is at least 1/_SPAN in area, counted
-# over the members its leaves are copied to; smaller ones go through the
-# walker
-_SPAN = 2**14
-# and a class is split into its first _MEMBERS members at most
-_MEMBERS = 64
+# a cylinder table's work: its build stops after this many walker runs
+# and leaves written; a product under 1/_BUDGET**2 in area is not run,
+# and a leaf is copied only to members at least 1/_BUDGET as wide
+_BUDGET = 1000
 # (alpha_list, period, back_cap) -> cylinder table, the latest used last
 _TABLES = {}
 _TABLES_KEPT = 32
@@ -249,27 +245,10 @@ def _classes(crit, shift: int = 0):
     return out
 
 
-def _width(prefix: list, lo: int, hi):
-    """(n, m): the union of the cylinders [prefix..., d], d in [lo, hi],
-    is an interval n/m wide."""
-    _, _, q0, q1 = _continuant(prefix)
-    if hi is None:
-        return 1, q1 * (lo * q1 + q0)
-    return hi + 1 - lo, (lo * q1 + q0) * ((hi + 1) * q1 + q0)
-
-
-def _wide(width, other=(1, 1)) -> bool:
-    """Is a product of intervals these wide at least 1/_SPAN in area?"""
-    return _SPAN * width[0] * other[0] >= width[1] * other[1]
-
-
-def _members(prefix: list, lo: int, hi, other=(1, 1)):
-    """The digits d of the class [lo, hi], ascending, as long as the
-    cylinder [prefix..., d] times an interval `other` wide is `_wide`."""
-    d = lo
-    while (hi is None or d <= hi) and d < lo + _MEMBERS and _wide(_width(prefix, d, d), other):
-        yield d
-        d += 1
+def _width(q0: int, q1: int, lo: int, hi) -> float:
+    """The width of the cylinders [prefix..., d], d in [lo, hi], for a
+    prefix of continuant denominators q0, q1."""
+    return 1 / (q1 * (lo * q1 + q0)) if hi is None else (hi + 1 - lo) / ((lo * q1 + q0) * ((hi + 1) * q1 + q0))
 
 
 def _float_beside(p: int, q: int, up: bool) -> float:
@@ -282,15 +261,18 @@ def _float_beside(p: int, q: int, up: bool) -> float:
     return f
 
 
-def _leaf(prefix: list, lo: int, hi, answer):
-    """The leaf of the class [lo, hi] of digits after prefix: (near, far,
-    answer), two canonical digit lists beginning so whose closed interval
-    lies inside the union of the cylinders [prefix..., d], d in [lo, hi]:
-    [prefix..., lo] and [prefix..., hi, 1, _FAR], or [prefix..., max(lo,
-    _FAR)] for a class unbounded or past _FAR."""
-    # a last digit 1 is not canonical: that cylinder holds only longer lists
-    near = prefix + ([1, _FAR] if lo == 1 and prefix else [lo])
-    return near, prefix + ([hi, 1, _FAR] if hi is not None and hi < _FAR else [max(lo, _FAR)]), answer
+def _tails(q0: int, q1: int, lo: int, hi, prefixed: bool):
+    """What the ends of the leaf of the class [lo, hi] add to a prefix of
+    continuant denominators q0, q1 (`_FAR`; a last 1 is not canonical, so
+    [1, _FAR] after a prefix), or None when an end passes SNAP_DEN."""
+    tails = [1, _FAR] if lo == 1 and prefixed else [lo], [hi, 1, _FAR] if hi is not None and hi < _FAR else [max(lo, _FAR)]
+    for ds in tails:
+        a, b = q0, q1
+        for d in ds:
+            a, b = b, d * b + a
+        if b > SNAP_DEN:
+            return None
+    return tails
 
 
 def _float_table(leaves):
@@ -302,8 +284,9 @@ def _float_table(leaves):
     is dropped, and so is a leaf that holds no float."""
     spans = []
     for near, far, answer in leaves:
-        lesser, greater = sorted((digits_fraction(near), digits_fraction(far)))
-        (p, q), (r, s) = lesser.as_integer_ratio(), greater.as_integer_ratio()
+        (_, p, _, q), (_, r, _, s) = _continuant(near), _continuant(far)  # in lowest terms
+        if p * s > r * q:
+            p, q, r, s = r, s, p, q
         if max(q, s) <= SNAP_DEN:
             spans.append((_float_beside(p, q, True), _float_beside(r, s, False), answer))
     ends, answers = [], []
@@ -314,6 +297,74 @@ def _float_table(leaves):
     return ends, answers
 
 
+def _merged(a, b):
+    """The float table of the leaves of two disjoint float tables."""
+    spans = sorted(zip(a[0][::2] + b[0][::2], a[0][1::2] + b[0][1::2], a[1] + b[1]), key=lambda span: span[0])
+    return [t for span in spans for t in span[:2]], [span[2] for span in spans]
+
+
+def _carved(ends, sides):
+    """The float table of nested y leaves, given by `_float_table` with
+    their sides: a float gets the x list of the innermost that holds it."""
+    out, open_, at = ([], []), [], None
+    for lo, hi, side in sorted(zip(ends[::2], ends[1::2], sides), key=lambda s: (s[0], -s[1])) + [(math.inf,) * 3]:
+        while open_ and open_[-1][0] <= lo:
+            end, xs = open_.pop()
+            if at < end and xs[1]:
+                out[0].extend((at, end))
+                out[1].append(xs)
+            at = end
+        if open_ and at < lo and open_[-1][1][1]:
+            out[0].extend((at, lo))
+            out[1].append(open_[-1][1])
+        open_.append((hi, getattr(side, "xs", None)))
+        at = lo
+    return out
+
+
+class _Side:
+    """One side of a product [b1..bk] x [a1..am]: its digit classes, whose
+    least members are its digits and the others its copies, and its
+    share, its own cylinders' width, since each copy costs its own leaves.
+    A y side keeps its x leaves, leaf ends and kids, the side whose x
+    leaves it shares, and its parent's answer at its own point."""
+
+    __slots__ = ("path", "q0", "q1", "share", "xs", "ends", "kids", "up", "point")
+
+    def __init__(self, path: list, q0: int = 0, q1: int = 1):
+        self.path, self.q0, self.q1, self.share = path, q0, q1, _width(q0, q1, *path[-1])
+        self.xs = self.ends = self.kids = self.up = self.point = None
+
+    def kid(self, c):  # followed by the class c, an unbounded last class cut to its least
+        lo, hi = self.path[-1]
+        return _Side(self.path[:-1] + [(lo, hi or lo), c], self.q1, lo * self.q1 + self.q0)
+
+    def fits(self) -> bool:
+        return _tails(self.q0, self.q1, *self.path[-1], len(self.path) > 1) is not None
+
+    def copies(self):
+        """The ends (near, far) of the side's leaf per copy, least first,
+        while a copy is 1/_BUDGET as wide or more and its ends fit; none
+        for a last class past _FAR, whose leaf is one point."""
+        path, least = self.path, _BUDGET * self.q1 * (self.q1 + self.q0)
+
+        def walk(prefix, q0, q1):
+            if len(prefix) == len(path) - 1:
+                tails = q1 * (q1 + q0) <= least and _tails(q0, q1, *path[-1], bool(prefix))
+                if tails:
+                    yield prefix + tails[0], prefix + tails[1]
+                return
+            for d in range(path[len(prefix)][0], path[len(prefix)][1] + 1):
+                fits = False
+                for fits in walk(prefix + [d], q1, d * q1 + q0):
+                    yield fits
+                if not fits:  # a larger member has a narrower cylinder
+                    return
+
+        if path[-1][0] < _FAR:
+            yield from walk([], 0, 1)
+
+
 class _Cylinders:
     """Builds an alpha region's cylinder table by running its walker on
     `_Prefix` readers of product cylinders [b1..bk] x [a1..am].
@@ -322,27 +373,31 @@ class _Cylinders:
     and the fold d +- 1 = e), with 1 (`digits.ends_with`) and, for x's
     first digit a below the top strip, through c = a + b1 - 1 likewise.
     So the digits that no such comparison tells apart form one class
-    (`_classes`), and one run on its least member answers for all of
-    them: a y class that settles the walker is a leaf; one that needs x
-    gets an x list of its own leaves; one that needs more of y is split
-    into its members, each followed by the next digit's classes, and
-    since the members are alike, the leaves found under the least are
-    copied to the others.  b1 is split at once below the top strip,
-    where x's classes depend on it.  A member's own point, which none of
-    the longer cylinders holds, is a leaf when the walker answers it
-    from y alone.  Products too narrow to pay for more runs (`_SPAN`,
-    `_MEMBERS`) are left to the walker, and so is a run that raises
-    BackwardCapExceeded, which raises there as before."""
+    (`_classes`), and one run on the least members of a product of
+    classes answers for all of it; its leaves are copied to the others.
+
+    The undecided products wait in a heap, the widest first.  One that
+    needs y's next digit alone is split into y's classes, each run at
+    once, as x's first classes are once y needs x.  One that needs x's
+    next digit is split in x, and one that needs y's splits its y side,
+    whose kids share its x leaves and are y leaves nested in it once they
+    have their own (`_carved`).  A member's own point, which no longer
+    cylinder holds, is a leaf when the walker answers it from y alone.
+    The build stops after _BUDGET walker runs and leaves written; no
+    product whose leaf ends pass SNAP_DEN is queued, and a run that
+    raises BackwardCapExceeded leaves its product to the walker."""
 
     def __init__(self, region):
         self.region = region
         crit = {1} | {e + k for e in region.alpha_list for k in (-1, 0, 1)} - {0}
         self.classes = functools.cache(lambda shift: _classes(crit, shift))
+        self.work = 0
 
     def run(self, ys: list, xs: list, ended: bool = False):
         """The walker on the cylinder [ys...] x [xs...], or on the point
         y = [ys...] when ended: its answer, or "y" or "x" for the prefix
         it reads past, or None when it raises."""
+        self.work += 1
         y, x = Reader(list(ys)) if ended else _Prefix(list(ys)), _Prefix(list(xs))
         try:
             return self.region.contains_rational(x, y)
@@ -352,88 +407,85 @@ class _Cylinders:
             return None
 
     def table(self):
-        out = []
-        if self.region.slides:
-            # x's classes below the top strip depend on b1; past a1 + 1,
-            # where c > a1 whatever x is, the walker answers at once
-            for b1 in _members([], 1, self.region.alpha_list[0] + 1):
-                self.y_leaves([], b1, b1, out)
-        else:
-            self.y_leaves([], 1, 1, out)
-            self.y_leaves([], 2, None, out)
-        return _float_table(out)
+        self.heap, self.order, self.top, self.points, self.lists = [], itertools.count(), [], {}, []
+        self.y_run(_Side([(1, 1)]))
+        if not self.region.slides:
+            self.y_run(_Side([(2, None)]))
+        # below the top strip each b1 of a slide is a product of its own, to
+        # a1 + 1 (past it c > a1 whatever x is) and _BUDGET (past it too small)
+        for b1 in range(2, min(self.region.alpha_list[0] + 1, _BUDGET) + 1 if self.region.slides else 2):
+            self.push(_width(0, 1, b1, b1), self.y_run, _Side([(b1, b1)]))
+        while self.heap and self.work < _BUDGET:
+            _, _, step, args = heapq.heappop(self.heap)
+            step(*args)
+        for y in self.lists:  # each after its up
+            up = y.up.xs if y.up else ([], [])
+            y.xs = _merged(up, _float_table(y.xs)) if y.xs else up
+        top = _float_table(self.top + [(list(ys), list(ys), point) for ys, point in self.points.items()])
+        return _merged(top, _carved(*_float_table([(*ends, y) for y in self.lists if y.ends for ends in y.ends])))
 
-    def y_leaves(self, prefix: list, lo: int, hi, out: list, copies: int = 1):
-        """Adds the leaves of y's class [lo, hi] after prefix, which are
-        copied to as many members of the classes before it."""
-        ys = prefix + [lo]
-        n, m = _width(prefix, lo, hi)
-        wy = n * copies, m
-        # y alone settles the walker only in the top strip, b1 = 1; below
-        # it the first thing read is x's first digit
-        if not _wide(wy) and ys[0] > 1:
-            return
+    def push(self, share: float, step, *args):
+        heapq.heappush(self.heap, (-share, next(self.order), step, args))
+
+    def take(self, items) -> list:  # as many as the budget has left, spent
+        got = list(itertools.islice(items, max(0, _BUDGET - self.work)))
+        self.work += len(got)
+        return got
+
+    def y_run(self, y: _Side):
+        ys = [lo for lo, _ in y.path]
         got = self.run(ys, [])
-        if got in ("x", "y") and not _wide(wy):
+        if got == "x":
+            y.xs = []
+            self.lists.append(y)
+            for c in self.classes(ys[0] - 1):
+                if self.work < _BUDGET:
+                    self.x_run(y, _Side([c]), now=True)
+        elif got == "y":
+            self.push(y.share, self.y_split, y, ys)
+        elif got is not None:
+            ends = self.take(y.copies())
+            if ends and y.point == got and y.path[-1][1] is None:
+                # the leaf of y's last class reaches its members' points,
+                # which answer alike: the lists between are that class's
+                self.points.pop(tuple(ys[:-1]), None)
+                ends = [(near, near[:-1]) for near, _ in ends]
+            self.top += [(near, far, got) for near, far in ends]
+
+    def y_split(self, y: _Side, ys: list, up=None):
+        """Splits y into its kids, each run at once, or sharing up's x leaves."""
+        point = None
+        if not up and ys[0] == 1 and (ys[-1] > 1 or len(ys) == 1):  # a last digit 1 is not canonical
+            point = self.run(ys, [], ended=True)
+            if type(point) is bool and self.take([ys]):
+                self.points[tuple(ys)] = point
+        # a kid sharing x leaves is worth it only if a product on it can be
+        y.kids = [kid for kid in map(y.kid, self.classes(0)) if (not up or kid.share * _BUDGET**2 >= 1) and kid.fits()]
+        for kid in y.kids:
+            kid.point, kid.up, kid.xs = point, up, [] if up else None
+            if up:
+                self.lists.append(kid)
+            elif self.work < _BUDGET:
+                self.y_run(kid)
+        return y.kids
+
+    def x_run(self, y: _Side, xs: _Side, now: bool = False):
+        """Queues the product y x xs, or runs it now."""
+        if y.share * xs.share * _BUDGET**2 < 1 or not xs.fits():
             return
+        if not now:
+            return self.push(y.share * xs.share, self.x_run, y, xs, True)
+        got = self.run([lo for lo, _ in y.path], [lo for lo, _ in xs.path])
         if got == "x":
-            # below _Y_DEPTH, x's classes that need more of y are settled
-            # in the members' x lists
-            stop, xs = len(ys) < _Y_DEPTH, []
-            for x_lo, x_hi in self.classes(ys[0] - 1):
-                if self.x_leaves(ys, wy, [], x_lo, x_hi, xs, stop):
-                    break
-            else:
-                if xs:
-                    out.append(_leaf(prefix, lo, hi, _float_table(xs)))
-                return
-            got = "y"
-        if got == "y":
-            if len(ys) < _Y_DEPTH:
-                ds, first, k = list(_members(prefix, lo, hi, (copies, 1))), [], len(prefix)
-                self.member(ys, first, copies * len(ds))
-                for d in ds:
-                    out += [(near[:k] + [d] + near[k + 1:], far[:k] + [d] + far[k + 1:], answer)
-                            for near, far, answer in first]
+            for c in self.classes(0):
+                self.x_run(y, xs.kid(c))
+        elif got == "y":
+            for kid in y.kids or self.y_split(y, None, y):
+                self.x_run(kid, xs)
         elif got is not None:
-            out.append(_leaf(prefix, lo, hi, got))
-
-    def member(self, ys: list, out: list, copies: int):
-        """Adds the leaves of the cylinder [ys...] that needs y's next
-        digit, and of its own point [ys...] when the walker answers it
-        from y alone.  The leaf of the last, unbounded class then reaches
-        the point, if it answers alike: the lists between are that
-        class's."""
-        classes, start = self.classes(0), len(out)
-        for c_lo, c_hi in classes:
-            self.y_leaves(ys, c_lo, c_hi, out, copies)
-        # a last digit 1 is not canonical
-        point = self.run(ys, [], ended=True) if ys[0] == 1 and (ys[-1] > 1 or len(ys) == 1) else None
-        if type(point) is bool:
-            leaf = _leaf(ys, classes[-1][0], None, point)
-            try:
-                out[out.index(leaf, start)] = leaf[0], ys, point
-            except ValueError:
-                out.append((ys, ys, point))
-
-    def x_leaves(self, ys: list, wy, prefix: list, lo: int, hi, out: list, stop: bool) -> bool:
-        """Adds the x leaves of x's class [lo, hi] after prefix, under y's
-        cylinder [ys...], wy wide; with stop, it stops at the first run
-        that reads past ys and returns True."""
-        if not _wide(_width(prefix, lo, hi), wy):
-            return False
-        got = self.run(ys, prefix + [lo])
-        if got == "y":
-            return stop
-        if got == "x":
-            if len(prefix) + 1 < _X_DEPTH:
-                for d in _members(prefix, lo, hi, wy):
-                    for c_lo, c_hi in self.classes(0):
-                        if self.x_leaves(ys, wy, prefix + [d], c_lo, c_hi, out, stop):
-                            return True
-        elif got is not None:
-            out.append(_leaf(prefix, lo, hi, got))
-        return False
+            if y.ends is None:  # its first own x leaves: its own y leaf
+                y.ends = self.take(y.copies())
+            y.xs += self.take((near, far, got) for near, far in xs.copies())
 
 
 def _cylinder_table(region):
@@ -476,9 +528,9 @@ class AlphaRegion(Region):
 
     A Monte Carlo sample's floats are first looked up in a cylinder
     table that the walker builds itself (`_Cylinders`): it classifies
-    product cylinders [b1..bk] x [a1..am], k <= 3 and m <= 2, on prefix
-    readers that raise when read past, and keeps each one it decides as a
-    closed interval whose ends are canonical lists beginning so.  A snap
+    product cylinders [b1..bk] x [a1..am], widest first under a budget, on
+    prefix readers that raise when read past, and keeps each one it decides
+    as a closed interval whose ends are canonical lists beginning so.  A snap
     is monotone and fixes such ends when their denominators are at most
     `digits.SNAP_DEN` (`digits.SnapReader`), so a sample whose floats lie
     in one, between exact float bounds, is answered before any reader is

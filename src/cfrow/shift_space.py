@@ -41,6 +41,7 @@ from .induced import (
     induced_step,
 )
 from .natural_ext import OmegaPoint, _mobius
+from .reals import as_real
 
 
 def _require_unit_s(region: Region):
@@ -106,8 +107,10 @@ def phi(region: Region, z: OmegaPoint, cap: int = 100000) -> ShiftPoint:
 
 
 def phi_inverse(region: Region, X, Y) -> OmegaPoint:
-    """Inverse coordinate change, off the X = 0 ray."""
+    """Inverse coordinate change, off the X = 0 ray, exact for X and Y
+    of any exact type (int, Fraction, Surd)."""
     _require_unit_s(region)
+    X, Y = as_real(X), as_real(Y)
     if X == 0:
         raise NullSetPoint("X = 0 is outside the inverse's domain")
     if X > 0:

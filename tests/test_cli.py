@@ -27,6 +27,17 @@ def test_expand_rcf(capsys):
     assert json.loads(out)["digits"] == [2, 2, 2, 2, 2]
 
 
+def test_expand_reads_a_square_d_as_its_rational(capsys):
+    # sqrt(4) is 2, outside [0, 1] as 2 is; (sqrt(4)-1)/3 expands as 1/3
+    for x, same in (("sqrt(4)", "2"), ("(sqrt(4)-1)/3", "1/3")):
+        got, want = (run_cli(["expand", "--kind", "rcf", "--x", v, "--n", "3"], capsys) for v in (x, same))
+        assert got[0] == want[0] and got[2] == want[2], x
+        if got[0] == 0:
+            assert json.loads(got[1])["digits"] == json.loads(want[1])["digits"] == [3, "inf", "inf"]
+        else:
+            assert got[0] == 2 and "outside [0, 1]" in got[2]
+
+
 def test_expand_farey_golden(capsys):
     code, out, _ = run_cli(["expand", "--kind", "farey", "--x", "phi-frac", "--n", "4"], capsys)
     obj = json.loads(out)

@@ -88,6 +88,16 @@ def test_parse_real_forms():
         parse_real("sqrt(two)")
 
 
+def test_parse_real_square_d_is_its_rational():
+    # one type per exact value: a square d makes the value rational
+    for text, want in (("sqrt(4)", 2), ("(1+sqrt(9))/2", 2), ("3-sqrt(16)", -1), ("sqrt(0)", 0),
+                       ("(sqrt(4)-1)/3", Fraction(1, 3)), ("(1+0*sqrt(4))/2", Fraction(1, 2))):
+        got = parse_real(text)
+        assert type(got) is Fraction and got == want, text
+    with pytest.raises(OutOfDomain):
+        parse_real("sqrt(-4)")
+
+
 def test_stream_compare_handles_noncanonical_tails():
     assert compare(from_digits([1, 1]), from_digits([2])) == 0
     assert compare(from_digits([3, 1]), from_digits([4])) == 0

@@ -79,6 +79,28 @@ def test_phi_inverse_round_trips_on_both_branches(region, u):
         assert type(got) is type(want) and got == want
 
 
+def test_phi_inverse_is_exact_for_every_exact_argument_type():
+    # (X, Y) -> (X, 1/(Y+1)) for X > 0 and (X+1, 1-Y) for X < 0, with X and
+    # Y given as ints, Fractions or surds: no float enters, so an int Y on
+    # the first branch gives the exact 1/(Y+1)
+    s = parse_real("sqrt(2)-1")
+    cases = [
+        (Fraction(1, 2), 2, Fraction(1, 2), Fraction(1, 3)),
+        (1, 2, Fraction(1), Fraction(1, 3)),
+        (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(2, 3)),
+        (s, 1, s, Fraction(1, 2)),
+        (Fraction(1, 3), s, Fraction(1, 3), 1 / (s + 1)),
+        (Fraction(-1, 2), 0, Fraction(1, 2), Fraction(1)),
+        (-1, Fraction(1, 3), Fraction(0), Fraction(2, 3)),
+        (-s, s, 1 - s, 1 - s),
+        (Fraction(-1, 3), 1, Fraction(2, 3), Fraction(0)),
+    ]
+    for X, Y, x, y in cases:
+        w = phi_inverse(region_h1(), X, Y)
+        assert (w.x_val, w.y_val) == (x, y), (X, Y)
+        assert all(type(v) is not float for v in (w.x_val, w.y_val)), (X, Y)
+
+
 def test_phi_inverse_null_ray():
     with pytest.raises(NullSetPoint):
         phi_inverse(region_h1(), Fraction(0), Fraction(1, 3))
