@@ -165,6 +165,14 @@ def _write_csv(path, header, rows):
             fh.close()
 
 
+def _coordinate(k: int, name: str, v) -> float:
+    """float(v) of coordinate `name` in shift orbit row k; past the float range it is refused."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise CfrowError(f"shift orbit row {k}: {name} is outside the float range") from None
+
+
 def cmd_orbit(args) -> int:
     x = parse_real(args.x)
     y = parse_real(args.y)
@@ -174,9 +182,10 @@ def cmd_orbit(args) -> int:
             raise CfrowError("--space shift needs --region")
         region = region_from_spec(args.region)
         pts = tau_orbit(region, z, args.n - 1, args.cap)
-        rows = [
-            (k, float(p.X), float(p.X), float(p.Y), float(p.Y)) for k, p in enumerate(pts)
-        ]
+        rows = []
+        for k, p in enumerate(pts):
+            X, Y = _coordinate(k, "X", p.X), _coordinate(k, "Y", p.Y)
+            rows.append((k, X, X, Y, Y))
         _write_csv(args.csv, ["n", "X_lo", "X_hi", "Y_lo", "Y_hi"], rows)
         return 0
     if args.region:

@@ -19,12 +19,12 @@ k + 1 (Seidel/Perron; Jones & Thron 1980, section 2.4),
 so a'_{k+1} = det(M_k) a_p Q(M_{k-1}) Q(M_{k+1}) and b'_{k+1} is row 2
 of M_k B_p times column 2 of M_{k+1}, where Q(M) is M's bottom-right
 entry.  Output pair k + 1 walks block k + 1 alone and carries M_k's
-second row, det(M_k) and Q(M_{k-1}) on to the next pair.  Its plan
-index and pivot pair are read straight from the plan's and the source's
-buffers while those hold them, and through `ContractionPlan.index` and
-`Gcf.has_pair` past them; the block itself is walked by `gcf._block`
-through `Gcf._through`, the one checked slice.  An int result is
-yielded as it is, and only a Fraction one goes through `_num`.
+second row, det(M_k) and Q(M_{k-1}) on to the next pair.  A plan and
+an expansion are both `digits._Memo`s, so its plan index and pivot pair
+are read straight from their `buf`s while those hold them, and through
+`_Memo.at` and `_Memo.has` past them; the block itself is walked by
+`gcf._block` through `Gcf._through`, the one checked slice.  An int
+result is yielded as it is, and only a Fraction one goes through `_num`.
 """
 
 from __future__ import annotations
@@ -45,32 +45,30 @@ def _increasing(indices):
         prev = n
 
 
-class ContractionPlan:
+class ContractionPlan(_Memo):
     """Strictly increasing indices n_0 < n_1 < ... with n_0 >= 0.
 
     `source` is either a finite iterable of indices, read to its end at
     once, or a zero-argument callable returning an iterator of them,
     called once and read as far as a caller asks.  Either way the
-    indices come through `_increasing` into one memoised buffer, so
-    `index(k)` reads each at most once; it honours the n_k = k
-    convention for k < 0.
+    indices come through `_increasing` into the plan's own buffer (a
+    plan is a `digits._Memo` of its indices), so `index(k)` reads each
+    at most once; it honours the n_k = k convention for k < 0.
     """
 
+    __slots__ = ()
+
     def __init__(self, source):
-        if callable(source):
-            self._memo = _Memo(_increasing(source()))
-        else:
-            self._memo = _Memo(None)
-            self._memo.buf = list(_increasing(source))
-            if not self._memo.buf:
-                raise ValueError("empty contraction plan")
+        super().__init__(_increasing(source()) if callable(source) else list(_increasing(source)))
+        if self.src is None and not self.buf:
+            raise ValueError("empty contraction plan")
 
     def index(self, k: int) -> int:
         if k < 0:
             return k
-        n = self._memo.at(k)
+        n = self.at(k)
         if n is INF:
-            raise IndexError(f"plan has only {len(self._memo.buf)} indices")
+            raise IndexError(f"plan has only {len(self.buf)} indices")
         return n
 
 
@@ -123,7 +121,7 @@ def contract(g: Gcf, cplan) -> Gcf:
     def gen():
         # both buffers only grow, so an index they hold is read directly;
         # past them the plan and the expansion are read as far as asked
-        plan, buf = cplan._memo.buf, g._buf
+        plan, buf = cplan.buf, g.buf
         # what later pairs read of M_k and M_{k-1}; M_-1 and M_-2 are
         # empty blocks, the identity
         n_k = -1
@@ -134,11 +132,10 @@ def contract(g: Gcf, cplan) -> Gcf:
             if k + 1 < len(plan):
                 n_kp1 = plan[k + 1]
             else:
-                try:
-                    n_kp1 = cplan.index(k + 1)
-                except IndexError:
+                n_kp1 = cplan.at(k + 1)
+                if n_kp1 is INF:
                     return
-            if n_kp1 >= len(buf) and not g.has_pair(n_kp1):
+            if n_kp1 >= len(buf) and not g.has(n_kp1):
                 return
             p = n_k + 1
             a_p, b_p = buf[p]

@@ -142,19 +142,22 @@ class _Raising:
 
 
 class _Memo:
-    """Shared memoised buffer over a one-shot iterator: `at(i)` is item
-    i, read from the iterator at most once, or INF past its end.  It
-    holds the digits of `LazyDigits`, where INF is the padding, and the
-    pairs of `gcf.Gcf` and the indices of `contraction.ContractionPlan`,
-    which are never INF, so there INF means there is no item i.  A
-    source that raised has not ended: every read past the items it gave
-    raises its error again."""
+    """Shared memoised buffer over a sequence: a list is the whole
+    sequence, kept as `buf` itself, and any other iterable is `src`,
+    read only as far as a caller asks and None once it has ended.
+    `at(i)` is item i, or INF past the end; `has(i)` asks if there is
+    one.  `LazyDigits` views a `_Memo`, where INF is the padding;
+    `SurdDigits`, `gcf.Gcf` and `contraction.ContractionPlan` are
+    `_Memo`s, whose items are never INF.  A source that raised has not
+    ended: every read past the items it gave raises its error again."""
 
     __slots__ = ("buf", "src")
 
     def __init__(self, src):
-        self.buf = []
-        self.src = src
+        if type(src) is list:
+            self.buf, self.src = src, None
+        else:
+            self.buf, self.src = [], iter(src)
 
     def at(self, i: int):
         while len(self.buf) <= i:
@@ -171,17 +174,21 @@ class _Memo:
                 raise
         return self.buf[i]
 
+    def has(self, i: int) -> bool:
+        """Is there an item i, for i >= 0?"""
+        return i < len(self.buf) or self.at(i) is not INF
+
 
 class LazyDigits(DigitStream):
-    """View into a memoised digit source starting at index `start`.
-    `head` and `tail` read a digit the buffer holds directly; only a
-    read past the buffer goes through `_Memo.at`."""
+    """View into a memoised digit source (a `_Memo`, or an iterable of
+    digits) from its first digit.  `head` and `tail` read a digit the
+    buffer holds directly; only a read past it goes through `_Memo.at`."""
 
     __slots__ = ("_memo", "_start")
 
-    def __init__(self, source, start: int = 0, _memo=None):
-        self._memo = _memo if _memo is not None else _Memo(iter(source))
-        self._start = start
+    def __init__(self, source):
+        self._memo = source if isinstance(source, _Memo) else _Memo(source)
+        self._start = 0
 
     def head(self):
         i, memo = self._start, self._memo

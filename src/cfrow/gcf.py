@@ -11,8 +11,8 @@ preceding index.  Convergents P_n/Q_n follow
 
 and are not reduced automatically.
 
-Pairs are read once: every expansion holds one memoised buffer
-(`digits._Memo`), and a buffered pair is served straight from it.
+Pairs are read once: an expansion is a `digits._Memo` of its pairs,
+and a buffered pair is served straight from its `buf`.
 Pairs from outside the library (`Gcf(...)`, `Gcf.rcf`, `Gcf.from_json`,
 `singularise`, `digits_from_convergents`) enter through the generator
 `_pairs`, which normalises each digit, raises on a partial numerator 0
@@ -91,22 +91,19 @@ def _pairs(source):
         yield (a, b)
 
 
-class Gcf:
+class Gcf(_Memo):
     """Digit-pair sequence (a_n, b_n), n >= 0, finite or lazily generated.
 
     `source` is either a finite iterable of pairs, read to its end at
     once, or a zero-argument callable returning an iterator of pairs,
     called once and read as far as a caller asks.  Either way the pairs
-    come through `_pairs` into one memoised buffer.
+    come through `_pairs` into the expansion's own `_Memo` buffer.
     """
 
+    __slots__ = ()
+
     def __init__(self, source):
-        if callable(source):
-            self._memo = _Memo(_pairs(source()))
-        else:
-            self._memo = _Memo(None)
-            self._memo.buf = list(_pairs(source))
-        self._buf = self._memo.buf
+        super().__init__(_pairs(source()) if callable(source) else list(_pairs(source)))
 
     @classmethod
     def _of(cls, pairs) -> "Gcf":
@@ -116,12 +113,7 @@ class Gcf:
         `_pairs` would pass unchanged: digits as `_num` leaves them,
         a != 0, b not INF."""
         g = cls.__new__(cls)
-        if type(pairs) is list:
-            g._memo = _Memo(None)
-            g._memo.buf = pairs
-        else:
-            g._memo = _Memo(pairs)
-        g._buf = g._memo.buf
+        _Memo.__init__(g, pairs)
         return g
 
     @staticmethod
@@ -136,37 +128,35 @@ class Gcf:
         `pair` would reject."""
         if m < -1:
             raise IndexBeyondExpansion(f"no digit pair at index {m}")
-        buf = self._buf
-        if n >= len(buf) and self._memo.at(n) is INF:
+        buf = self.buf
+        if n >= len(buf) and not self.has(n):
             raise IndexBeyondExpansion(f"no digit pair at index {max(m, len(buf))}")
         return buf[max(m, 0):n + 1]
 
     def pair(self, n: int):
-        buf = self._buf
+        buf = self.buf
         if 0 <= n < len(buf):
             return buf[n]
         if n == -1:
             return (1, 0)
-        if n < -1 or self._memo.at(n) is INF:
+        if n < -1 or not self.has(n):
             raise IndexBeyondExpansion(f"no digit pair at index {n}")
         return buf[n]
 
     def has_pair(self, n: int) -> bool:
-        if 0 <= n < len(self._buf) or n == -1:
-            return True
-        return n >= 0 and self._memo.at(n) is not INF
+        return n == -1 or n >= 0 and self.has(n)
 
     def length(self):
         """Number of digit pairs once the source is read to its end, else
         None."""
-        return len(self._buf) if self._memo.src is None else None
+        return len(self.buf) if self.src is None else None
 
     def pairs(self, n: int):
         """Pairs for indices 0..n-1 (at most; stops at truncation)."""
         if n <= 0:
             return []
-        self._memo.at(n - 1)
-        return self._buf[:n]
+        self.at(n - 1)
+        return self.buf[:n]
 
     # -- serialization ----------------------------------------------------
 
@@ -208,12 +198,12 @@ def convergents(g: Gcf, n: int):
     out = [ConvergentPair(0, 1), ConvergentPair(1, 0)]
     if n < 0:
         return out
-    if not g.has_pair(n):
+    if not g.has(n):
         # the source has ended: its first missing index is the buffer's length
-        raise IndexBeyondExpansion(f"expansion ends before index {len(g._buf)}")
+        raise IndexBeyondExpansion(f"expansion ends before index {len(g.buf)}")
     P0, P1, Q0, Q1 = 0, 1, 1, 0
     pair = tuple.__new__
-    for a, b in g._buf[:n + 1]:
+    for a, b in g.buf[:n + 1]:
         P0, P1 = P1, b * P1 + a * P0
         Q0, Q1 = Q1, b * Q1 + a * Q0
         if type(P1) is int and type(Q1) is int:  # what _num would leave

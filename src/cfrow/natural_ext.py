@@ -46,20 +46,16 @@ _PENDING = object()  # value not yet computed from the base value
 
 
 def _mobius(m, v):
-    """(a*v + b)/(c*v + d), exact, with v a Fraction, int or Surd.
+    """(a*v + b)/(c*v + d), exact, with v a Fraction or Surd.
 
     The image is in its value's one type: a Surd's image is what
     `Surd.mobius` makes (a Fraction under a map of determinant 0), and
     a rational v's is a Fraction, built once from v's numerator and
     denominator."""
     a, b, c, d = m
-    if type(v) is Fraction:
-        n, k = v.numerator, v.denominator
-    elif isinstance(v, Surd):
+    if isinstance(v, Surd):
         return v.mobius(a, b, c, d)
-    else:
-        v = Fraction(v)
-        n, k = v.numerator, v.denominator
+    n, k = v.numerator, v.denominator
     return Fraction(a * n + b * k, c * n + d * k)
 
 

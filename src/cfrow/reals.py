@@ -269,7 +269,7 @@ def rcf_digits(x: RealRep) -> DigitStream:
         if not 0 <= xf <= 1:
             raise OutOfDomain(f"{xf} outside [0, 1]")
         return from_fraction(xf)
-    return LazyDigits(None, 0, _memo=surd_digits(x))
+    return LazyDigits(surd_digits(x))
 
 
 def surd_digits(x: Surd) -> SurdDigits:

@@ -139,12 +139,12 @@ class SExpansionRegion(Region):
     the area answers on readers of those digits, with no point built.
     """
 
+    name = "s-expansion"
     unit_s = True
     altered = True
 
-    def __init__(self, area: SingularisationArea, name="s-expansion"):
+    def __init__(self, area: SingularisationArea):
         self.area = area
-        self.name = name
 
     def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         if yd.head() != 1:
@@ -542,7 +542,7 @@ class AlphaRegion(Region):
     unit_s = True
     altered = True
 
-    def __init__(self, alpha: RealRep, back_cap: int = 2000, name=None):
+    def __init__(self, alpha: RealRep, back_cap: int = 2000):
         alpha = as_real(alpha)
         if not (0 < alpha <= 1):
             raise OutOfDomain(f"alpha = {alpha} outside (0, 1]")
@@ -558,11 +558,11 @@ class AlphaRegion(Region):
             else:
                 m, p = found
                 self.alpha_list, self.period = src.buf[:m + p], p
-            self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(None, 0, _memo=src))
+            self._alpha_reader = Reader(list(self.alpha_list), LazyDigits(src))
         self.slides = alpha <= Fraction(1, 2)
         self.back_cap = back_cap
         self._table = None  # the cylinder table, fetched on the first sample
-        self.name = name or f"alpha:{alpha}"
+        self.name = f"alpha:{alpha}"
 
     def _below(self, y, j: int, x) -> bool:
         """Is [0; b_{j+1}, ..., b2, x...] below alpha, with b2, ...,

@@ -95,11 +95,11 @@ def assert_as_checked(g, n: int, ints: bool = True):
     from cfrow.gcf import Gcf
 
     assert len(g.pairs(n)) == n
-    checked = Gcf(list(g._buf))._buf
-    assert checked == g._buf
-    assert [tuple(map(type, p)) for p in checked] == [tuple(map(type, p)) for p in g._buf]
+    checked = Gcf(list(g.buf)).buf
+    assert checked == g.buf
+    assert [tuple(map(type, p)) for p in checked] == [tuple(map(type, p)) for p in g.buf]
     if ints:
-        assert all(type(a) is int and type(b) is int for a, b in g._buf)
+        assert all(type(a) is int and type(b) is int for a, b in g.buf)
 
 
 def transpose(m):

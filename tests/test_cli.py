@@ -240,6 +240,17 @@ def test_malformed_input_subprocess_has_no_traceback():
         assert "Traceback" not in proc.stderr and "error: " in proc.stderr
 
 
+def test_shift_orbit_past_the_float_range_exits_2():
+    """A shift coordinate too large for a float is refused by its row and
+    name, with no traceback and no rows."""
+    args = ["orbit", "--space", "shift", "--region", "h1", "--x", "sqrt(2)-1",
+            "--y", f"1/{10**400}", "--n", "2"]
+    proc = subprocess.run([sys.executable, "-m", "cfrow.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: shift orbit row 0: Y is outside the float range\n"
+
+
 def test_rational_surd_form_reads_as_its_fraction(capsys):
     """"(1+0*sqrt(5))/2" is the Fraction 1/2 wherever a real is read."""
     for args in (["expand", "--kind", "rcf", "--x", "{}", "--n", "4"],

@@ -85,6 +85,11 @@ def test_plan_validation():
         ContractionPlan([-1, 2])
     p = ContractionPlan([0, 2, 5])
     assert p.index(-2) == -2 and p.index(1) == 2
+    with pytest.raises(ValueError, match="^empty contraction plan$"):
+        ContractionPlan([])
+    # a lazy plan is not read when it is made, so an empty one is no error
+    empty = ContractionPlan(lambda: iter([]))
+    assert contract(harmonic_gcf(), empty).pairs(3) == []
 
 
 def test_is_contractable():

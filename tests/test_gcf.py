@@ -364,6 +364,16 @@ def test_callable_source_is_called_once():
     assert not g.has_pair(3) and len(calls) == 1
 
 
+def test_library_pairs_list_is_kept_as_the_buffer():
+    """`Gcf._of` keeps a list as the whole expansion, not a copy of it;
+    an iterator is read only as far as a caller asks."""
+    pairs = [(1, 2), (1, 3)]
+    g = Gcf._of(pairs)
+    assert g.buf is pairs and g.length() == 2
+    lazy = Gcf._of(iter(pairs))
+    assert lazy.length() is None and lazy.pair(0) == (1, 2) and lazy.buf == [(1, 2)]
+
+
 # -- buffered digit access, against per-index references ---------------------
 
 

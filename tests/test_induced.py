@@ -399,6 +399,14 @@ def test_x_only_walk_on_the_x_zero_line_stops_at_once():
         assert time.perf_counter() - start < 0.5
 
 
+def test_x_only_watch_on_a_rational_x_leaves_the_walk_to_the_x_zero_line():
+    """An x-only walk past NEVER_ENTERS_AFTER steps on a rational x has
+    no x-state to watch: it walks on and stops at the x = 0 line."""
+    z = OmegaPoint.from_values(Fraction(1, 20001), Fraction(1))
+    with pytest.raises(NeverEnters, match="reached the x = 0 line after 20001 steps"):
+        induced_step(CellRegion([(2, 5)]), z, 10**6)
+
+
 @pytest.mark.parametrize("region", [
     build_alpha_region(Fraction(1, 4)),
     build_alpha_region(Fraction(1, 2)),
