@@ -28,6 +28,12 @@ OmegaPoint per record, the landing, which takes the start's values, if
 any, moved by A_R, exactly the walk's product.  A backward walk is the
 forward walk of the mirrored point (`backward_induced_step`).
 
+A walk also decides a run and its landing from the landing before,
+where its region can: from a record's landing, which alone is marked
+a visit (`OmegaPoint._visit`), by `Region.after_visit`, and after a
+missed landing, by `Region.visit_after_miss`.  Alpha and S-expansion
+regions can (`regions`); every other region, mirrored ones too, asks.
+
 A region whose visits a forward walk decides from x alone
 (`Region.x_only`: every `CellRegion`, and an empty `RectRegion`) is
 visited or not by x's digits only: past the start, a cell walk asks
@@ -76,11 +82,18 @@ class Region:
     unit_s: bool = False       # guarantees s_R(z) = 1 for z in R
     meets_x_zero: bool = True  # False: no point of the x = 0 line is a member
     x_only: bool = False       # forward walks decide visits from x alone
+    visit_after_miss: bool = False  # a walk's landing after a missed landing is a visit
     name: str = "region"
 
     def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         """Is the point with digit streams (xd, yd) in the region?"""
         raise NotImplementedError
+
+    def after_visit(self, xd: DigitStream, yd: DigitStream):
+        """(k, visit) for a walk at (xd, yd) whose run starts from a visit:
+        1 or None as `first_in_run` would say, and whether the run's
+        landing is a member; or None, as here, to ask them."""
+        return None
 
     def mirrored(self) -> "Region":
         """{(y, x) : (x, y) in the region}; by default a `_Mirrored`."""
@@ -149,6 +162,9 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
     """
     contains, first_in_run = region.contains, region.first_in_run
     xd, yd = z.xd, z.yd  # the walk carries the two streams, no point
+    # (k, visit), the run's first hit and its landing, known without asking
+    known = region.after_visit(xd, yd) if z._visit is region else None
+    after_miss = (None, True) if region.visit_after_miss else None
     a, b, c, d = 1, 0, 0, 1
     n = 0
     watch_from = NEVER_ENTERS_AFTER if region.x_only else cap
@@ -159,7 +175,7 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
             if a1 is INF and not region.meets_x_zero:  # x stays 0 off the region
                 raise NeverEnters(f"orbit never enters {region.name}: it has reached "
                                   f"the x = 0 line after {n} steps")
-            k = first_in_run(xd, yd, min(a1 - 1, cap - n))
+            k = first_in_run(xd, yd, min(a1 - 1, cap - n)) if known is None else known[0]
             if k is not None:  # A_R @ A0^k
                 n, a, c = n + k, a + k * b, c + k * d
                 xd, yd = run_move(xd, yd, a1, k)
@@ -171,8 +187,9 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
             raise _cap_exceeded(region, cap)
         a, b, c, d = b, a + a1 * b, d, c + a1 * d  # A_R @ A0^(a1-1) A1
         xd, yd = run_move(xd, yd, a1, a1)
-        if contains(xd, yd):
+        if (contains(xd, yd) if known is None else known[1]):
             break
+        known = after_miss
         if n >= watch_from:
             # a region that reads only x: the walk from a repeated x-state
             # repeats, so no visit in between means none ever
@@ -187,10 +204,10 @@ def induced_step(region: Region, z: OmegaPoint, cap: int) -> InducedRecord:
                                       f"repeats after {n} steps with no visit")
     else:
         raise _cap_exceeded(region, cap)
-    if z._x0 is None and z._y0 is None:
-        return InducedRecord._of(n, a, b, c, d, OmegaPoint(xd, yd))
-    # the landing takes z's values moved by A_R, the walk's product
-    return InducedRecord._of(n, a, b, c, d, z._moved(xd, yd, (a, b, c, d)))
+    # the landing takes z's values, if any, moved by A_R, the walk's product
+    w = OmegaPoint(xd, yd) if z._x0 is None and z._y0 is None else z._moved(xd, yd, (a, b, c, d))
+    w._visit = region
+    return InducedRecord._of(n, a, b, c, d, w)
 
 
 def _cap_exceeded(region: Region, cap: int) -> CapExceeded:

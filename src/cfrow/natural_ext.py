@@ -85,10 +85,12 @@ class OmegaPoint:
 
     `_orbit` keeps the induced records walked from the point, as
     (region, records) for the last region asked; `induced.induced_orbit`
-    alone reads and writes it.
+    alone reads and writes it.  `_visit` is the region whose induced
+    record landed on the point, set by `induced.induced_step` alone: a
+    walk from the point for that region starts from a visit.
     """
 
-    __slots__ = ("xd", "yd", "_x0", "_y0", "_p", "_x", "_y", "_orbit")
+    __slots__ = ("xd", "yd", "_x0", "_y0", "_p", "_x", "_y", "_orbit", "_visit")
 
     def __init__(self, xd: DigitStream, yd: DigitStream, x_val=None, y_val=None):
         self.xd = xd
@@ -96,7 +98,7 @@ class OmegaPoint:
         self._x0 = self._x = x_val
         self._y0 = self._y = y_val
         self._p = IDENTITY
-        self._orbit = None
+        self._orbit = self._visit = None
 
     @staticmethod
     def from_values(x: RealRep, y: RealRep) -> "OmegaPoint":
@@ -129,7 +131,7 @@ class OmegaPoint:
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd = xd
         w.yd = yd
-        w._orbit = None
+        w._orbit = w._visit = None
         x, y = self._x, self._y
         if x is _PENDING or y is _PENDING:
             w._x0, w._y0, w._p = self._x0, self._y0, _mul(self._p, c)
@@ -145,7 +147,7 @@ class OmegaPoint:
         w = OmegaPoint.__new__(OmegaPoint)
         w.xd, w.yd, w._x0, w._y0, w._x, w._y = self.yd, self.xd, self._y0, self._x0, self._y, self._x
         u, t, s, r = reversed_product(self._p)
-        w._p, w._orbit = (r, -t, -s, u), None
+        w._p, w._orbit, w._visit = (r, -t, -s, u), None, None
         return w
 
     def cell(self) -> CellIndex:

@@ -90,9 +90,10 @@ def region_cell(a: int, lam: int) -> Region:
 # -- singularisation-area regions -----------------------------------------
 
 
-def _interiors_meet(r, s) -> bool:
-    """Do closed rectangles r and s, each (x0, x1, y0, y1), share an interior point?"""
-    return max(r[0], s[0]) < min(r[1], s[1]) and max(r[2], s[2]) < min(r[3], s[3])
+def _overlap(r, s):
+    """The lesser side of the overlap of closed rectangles r and s, each
+    (x0, x1, y0, y1): >= 0 iff they meet, > 0 iff their interiors do."""
+    return min(min(r[1], s[1]) - max(r[0], s[0]), min(r[3], s[3]) - max(r[2], s[2]))
 
 
 def _fast_map_image(r):
@@ -107,10 +108,11 @@ class SingularisationArea(RectRegion):
     it is defined: a finite union of closed rational rectangles inside
     the right half strip t >= 1/2, no two sharing an interior point, and
     S disjoint from its fast-map image (condition (b), checked exactly on
-    the image's rational corners, `_fast_map_image`).  The area is the
-    `RectRegion` of its rectangles, so `rects` is its one list: membership
-    of (t, v) readers (`contains_rational`), the S-expansion region's
-    exclusion test and the region's mass in `measure` all read it."""
+    the image's rational corners, `_fast_map_image`; `meets_image` if the
+    closed ones still touch).  The area is the `RectRegion` of its
+    rectangles, so `rects` is its one list: membership of (t, v) readers
+    (`contains_rational`), the S-expansion region's exclusion test and
+    the region's mass in `measure` all read it."""
 
     def __init__(self, rects):
         rects = fraction_rects(rects)
@@ -121,11 +123,13 @@ class SingularisationArea(RectRegion):
                 raise InvalidSingularisationArea(
                     "a", f"rectangle [{x0},{x1}]x[{y0},{y1}] not within the right half"
                 )
-        if any(_interiors_meet(r, s) for i, r in enumerate(rects) for s in rects[i + 1:]):
+        if any(_overlap(r, s) > 0 for i, r in enumerate(rects) for s in rects[i + 1:]):
             raise InvalidSingularisationArea("a", "overlapping rectangles")
-        if any(_interiors_meet(_fast_map_image(r), s) for r in rects for s in rects):
+        image = max((_overlap(_fast_map_image(r), s) for r in rects for s in rects), default=-1)
+        if image > 0:
             raise InvalidSingularisationArea("b", "area overlaps its own image")
         super().__init__(rects, "S")
+        self.meets_image = image >= 0  # closed S and its closed image share a point
 
 
 class SExpansionRegion(Region):
@@ -137,6 +141,10 @@ class SExpansionRegion(Region):
     the strip isomorphism to the point ([0;b2,a1,a2,...], [0;b3,b4,...])
     in S's own coordinates, and z is excluded iff that point lies in S:
     the area answers on readers of those digits, with no point built.
+    The landing after z's run pulls back to the fast-map image of z's
+    pull-back, if that lies in S; so after a miss a walk takes the next
+    landing for a visit unasked, unless the closed area touches its
+    closed image, as {[1/2,1]x[0,1/2], [3/4,1]x[1/2,2/3]} does at v = 2/3.
     """
 
     name = "s-expansion"
@@ -145,6 +153,7 @@ class SExpansionRegion(Region):
 
     def __init__(self, area: SingularisationArea):
         self.area = area
+        self.visit_after_miss = not area.meets_image
 
     def contains(self, xd: DigitStream, yd: DigitStream) -> bool:
         if yd.head() != 1:
@@ -526,6 +535,14 @@ class AlphaRegion(Region):
     top-strip b2 past alpha's first digit is depth 1, a slid c past it
     no member, and a region that does not slide has no run member.
 
+    The landing after z's run has y = [0;1,a1,b2,...], so its depth-j
+    candidate is z's depth-(j-1) one: its least depth is 1 if z's x is
+    below alpha and one more than z's otherwise.  So after a missed
+    landing a walk's run has no member and its next landing is a visit,
+    and after a visit the walker's first test decides (`after_visit`).
+    Skipping the search, a walk may answer where `contains` would pass a
+    small back_cap and raise; each record it returns is the default's.
+
     A Monte Carlo sample's floats are first looked up in a cylinder
     table that the walker builds itself (`_Cylinders`): it classifies
     product cylinders [b1..bk] x [a1..am], widest first under a budget, on
@@ -541,6 +558,7 @@ class AlphaRegion(Region):
 
     unit_s = True
     altered = True
+    visit_after_miss = True
 
     def __init__(self, alpha: RealRep, back_cap: int = 2000):
         alpha = as_real(alpha)
@@ -628,6 +646,16 @@ class AlphaRegion(Region):
 
     def first_in_run(self, xd: DigitStream, yd: DigitStream, m: int):
         return 1 if self._run_member(xd, yd) else None
+
+    def after_visit(self, xd: DigitStream, yd: DigitStream):
+        """The walker's first test, on the slid x = [c, a2, ...], c = a1 +
+        b1 - 1, of a run from a visit: below alpha, the run has no member
+        and its landing is one; else its points are members (for alpha >
+        1/2 such an x has a1 = 1, no run) and its landing is not."""
+        a1 = self.alpha_list[0]
+        c = xd.head() + yd.head() - 1
+        below = c > a1 if c != a1 else self._below(None, 0, Reader([c], xd))
+        return (None if below else 1), below
 
     def _run_member(self, xd: DigitStream, yd: DigitStream) -> bool:
         """Membership of the points (a1-k, b1+k) of (xd, yd)'s run that lie

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import itertools
 import json
 import math
 import random
@@ -14,6 +16,7 @@ from cfrow.digits import (
     ZERO_STREAM,
     Cons,
     DigitStream,
+    LazyDigits,
     Reader,
     SnapReader,
     digits_fraction,
@@ -25,9 +28,9 @@ from cfrow.exact import INF, Mat2Z
 from cfrow.farey_maps import A0
 from cfrow.gcf import Gcf, convergents, singularise
 from cfrow import regions
-from cfrow.induced import CellRegion, OmegaRegion, induced_records, induced_step
+from cfrow.induced import CellRegion, OmegaRegion, Region, induced_orbit, induced_records, induced_step
 from cfrow.measure import _alpha_window, _strip_sampler
-from cfrow.natural_ext import OmegaPoint, ito_step
+from cfrow.natural_ext import OmegaPoint, ito_step, run_move
 from cfrow.regions import (
     AlphaRegion,
     SingularisationArea,
@@ -790,6 +793,170 @@ def test_alpha_walker_folds_and_reads_alpha_by_its_period():
             x = x.tail()
         for R in (R7, build_alpha_region(R7.alpha, back_cap=j + 3)):
             assert not R._below(Reader(y), j, Reader([], x))
+
+
+# -- walks that decide a landing from the landing before it --------------------
+
+# criterion 5's eight alphas, and 1/50
+LANDING_ALPHAS = [Fraction(1, 4), Fraction(3, 10), S2, Fraction(9, 20), Fraction(1, 2), G,
+                  Fraction(7, 10), Fraction(1), Fraction(1, 50)]
+README_AREA = [(Fraction(1, 2), 1, 0, Fraction(1, 2))]
+# valid, but the closed area meets its closed image on v = 2/3
+TOUCHING_AREA = README_AREA + [(Fraction(3, 4), 1, Fraction(1, 2), Fraction(2, 3))]
+
+
+class Asking(Region):
+    """A region's membership with nothing known between landings: a walk
+    asks `first_in_run` at every run and `contains` at every landing."""
+
+    def __init__(self, region):
+        self.region, self.name = region, region.name
+
+    def contains(self, xd, yd):
+        return self.region.contains(xd, yd)
+
+    def first_in_run(self, xd, yd, m):
+        return self.region.first_in_run(xd, yd, m)
+
+
+def walk_start(rng):
+    """A surd x under a rational y, whose parity searches end."""
+    y = rng.choice([Fraction(1), Fraction(2, 3), Fraction(3, 4), Fraction(rng.randint(1, 30), 31)])
+    return OmegaPoint.from_values(random_surd(rng), y)
+
+
+def same_record(rec, want):
+    assert (rec.N, rec.A) == (want.N, want.A)
+    assert rec.z_next.xd.prefix(6) == want.z_next.xd.prefix(6)
+    assert rec.z_next.yd.prefix(6) == want.z_next.yd.prefix(6)
+
+
+def check_known(R, xd, yd, counts):
+    """What a walk takes from a visit at (xd, yd), or from a missed
+    top-strip landing there, is what `first_in_run` and `contains` say."""
+    a1 = xd.head()
+    if a1 is INF:
+        return
+    member = R.contains(xd, yd)
+    known = R.after_visit(xd, yd) if member else (None, True) if R.visit_after_miss else None
+    if known is None:
+        return
+    counts[member] += 1
+    k, visit = known
+    if a1 > 1:
+        assert R.first_in_run(xd, yd, a1 - 1) == k
+    if k is None:
+        assert R.contains(*run_move(xd, yd, a1, a1)) == visit
+
+
+def test_walks_decide_landings_as_the_walker(rng):
+    """A walk from a record's landing, or past a missed landing, decides
+    runs and landings without asking: each answer is the region's own on
+    the same streams, at record landings and at every landing of runs in
+    turn, and each record is the asking walk's."""
+    counts = {True: 0, False: 0}
+    for R in ([build_alpha_region(a) for a in LANDING_ALPHAS]
+              + [build_s_expansion_region(rects) for rects in (README_AREA, TOUCHING_AREA)]):
+        asking = Asking(R)
+        for _ in range(6):
+            z = walk_start(rng)
+            cur = z
+            for rec in induced_records(R, z, 10, CAP):
+                same_record(rec, induced_step(asking, cur, CAP))
+                cur = rec.z_next
+                assert cur._visit is R
+                check_known(R, cur.xd, cur.yd, counts)
+            xd, yd = z.xd, z.yd
+            for _ in range(30):  # the top-strip landings of z's runs, member or not
+                if xd.head() is INF:
+                    break
+                xd, yd = run_move(xd, yd, xd.head(), xd.head())
+                check_known(R, xd, yd, counts)
+    assert counts[True] > 500 and counts[False] > 200, counts
+
+
+def test_only_a_records_landing_starts_from_a_visit(rng):
+    """The walk takes its start for a visit only where the library's own
+    record landed, for the region it walked: a point built from the same
+    streams, its mirror, a slow step on, and the same landing asked about
+    another region, walk as the asking walk does."""
+    R = build_alpha_region(Fraction(1, 4))
+    other = build_alpha_region(Fraction(1, 4))
+    for _ in range(10):
+        w = induced_step(R, walk_start(rng), CAP).z_next
+        assert w._visit is R
+        for v in (OmegaPoint(w.xd, w.yd), w.mirrored().mirrored(), ito_step(w)):
+            assert v._visit is None
+        same_record(induced_step(other, w, CAP), induced_step(Asking(other), w, CAP))
+
+
+def test_a_walk_from_an_alpha_visit_asks_nothing(rng, monkeypatch):
+    """From a record's landing an alpha walk's first test decides its
+    record: it asks neither `contains` nor `first_in_run`."""
+    regions_ = [build_alpha_region(a) for a in LANDING_ALPHAS]
+    landings = [(R, induced_step(R, walk_start(rng), CAP).z_next) for R in regions_ for _ in range(5)]
+
+    def unasked(*args):
+        raise AssertionError("the walk asked")
+
+    monkeypatch.setattr(AlphaRegion, "contains", unasked)
+    monkeypatch.setattr(AlphaRegion, "first_in_run", unasked)
+    for R, w in landings:
+        for _ in range(10):
+            w = induced_step(R, w, CAP).z_next
+
+
+def test_touching_area_records():
+    """Landings 2 and 3 of this walk both miss the region of an area that
+    touches its image: x = (19 + sqrt(13))/58 = [0; 2, 1, 1, 3, 3, ...],
+    from its value and from a digit stream alike."""
+    R = build_s_expansion_region(TOUCHING_AREA)
+    tail = LazyDigits(itertools.repeat(3))
+    for z in (OmegaPoint.from_values(parse_real("(19+sqrt(13))/58"), Fraction(1)),
+              OmegaPoint.from_streams(stream([2, 1, 1], tail), stream([1]))):
+        assert [rec.N for rec in induced_records(R, z, 4, CAP)] == [2, 5, 3, 3]
+
+
+def test_area_meets_its_closed_image():
+    """An S-expansion walk takes the landing after a miss for a visit only
+    where the closed area misses its closed image, which the interiors'
+    test (condition (b)) does not tell."""
+    assert not SingularisationArea(README_AREA).meets_image
+    assert build_s_expansion_region(README_AREA).visit_after_miss
+    for rects in GOOD_AREAS:
+        area = SingularisationArea(rects)
+        assert build_s_expansion_region(area).visit_after_miss == (not area.meets_image)
+    touching = SingularisationArea(TOUCHING_AREA)
+    assert touching.meets_image
+    assert not build_s_expansion_region(touching).visit_after_miss
+
+
+def test_small_back_cap_walks_return_the_default_records(rng):
+    """At back_cap 2 or 3 a walk decides some landings where `contains`
+    would search past the cap and raise BackwardCapExceeded; every record
+    it returns, up to the first question that raises, is the default
+    back_cap's."""
+    past_cap = 0
+    for alpha in LANDING_ALPHAS:
+        wide = build_alpha_region(alpha)
+        for back_cap in (2, 3):
+            R = build_alpha_region(alpha, back_cap=back_cap)
+            for _ in range(6):
+                z = walk_start(rng)
+                want = induced_records(wide, z, 12, CAP)
+                got = []
+                with contextlib.suppress(BackwardCapExceeded):
+                    for rec in itertools.islice(induced_orbit(R, z, CAP), 12):
+                        got.append(rec)
+                for rec, w in zip(got, want):
+                    same_record(rec, w)
+                for rec in got:
+                    w = rec.z_next
+                    try:
+                        R.contains(w.xd, w.yd)
+                    except BackwardCapExceeded:
+                        past_cap += 1
+    assert past_cap > 0
 
 
 def test_contains_rational_matches_oracle_on_sampler_points():
