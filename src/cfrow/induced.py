@@ -63,7 +63,7 @@ symbolic map produces make digit-based membership agree with the
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, starmap
 
 from .digits import DigitStream, Reader, SnapReader, fraction_digits, order, surd_steps, tail_state
 from .errors import BackwardCapExceeded, CapExceeded, NeverEnters
@@ -121,8 +121,10 @@ class InducedRecord:
     A_R = A_eps1 ... A_epsN with entries ((u, t), (s, r)), and the
     landing point.  The entries are kept as four ints, and `A` builds
     their `Mat2Z` when it is read.  Every construction checks s >= 1 and
-    0 <= u <= s (AssertionError).  Records compare by value, are not
-    hashable and are read-only by convention."""
+    0 <= u <= s (AssertionError).  Records compare N and A by value and
+    the landing by identity, as points compare (`OmegaPoint` has no
+    `__eq__`), so two walks from one point give unequal records.  They
+    are not hashable and are read-only by convention."""
 
     __slots__ = ("N", "u", "t", "s", "r", "z_next")
 
@@ -430,6 +432,11 @@ class RectRegion(Region):
         """Membership of a Monte Carlo sample: the point whose coordinates
         are the snaps of the floats x, y >= 0 (`digits.SnapReader`)."""
         return self.contains_rational(SnapReader._of(x), SnapReader._of(y))
+
+    def count_samples(self, samples) -> int:
+        """How many of the Monte Carlo samples, (x, y) pairs of floats,
+        are members (`contains_sample`)."""
+        return sum(starmap(self.contains_sample, samples))
 
     def contains_rational(self, x, y) -> bool:
         """Membership of the point whose coordinates the readers x and y

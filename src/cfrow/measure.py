@@ -16,18 +16,21 @@ rectangle of the area S, read in the fast-map coordinates where S is
 defined, takes off the log of its exact Gauss ratio
 (`gauss_rect_ratio`).
 A sample is two floats, and it stands for the point of rationals that
-`Fraction.limit_denominator(10**12)` snaps them to.  The sampler only
-draws; Monte Carlo asks the region's sample membership,
-`contains_sample(x, y)`, with no Fraction per sample.  An alpha region
-answers a sample whose two floats lie in a product of cylinders that
-its walker has classified from the floats alone (the snap is monotone
-and fixes the ends of the region's table intervals, so the estimate is
-the walker's, bit for bit), and builds readers of the snaps' canonical
-digits (`digits.SnapReader`: one resumable integer Euclid loop per
-coordinate, started on its first read) only for the other samples,
-for its walker `contains_rational`.  That walker reads y first and x
-only when it asks, so most of those samples never start x's loop.  A
-rectangle region reads every sample through the two readers.
+`Fraction.limit_denominator(10**12)` snaps them to.  The sampler
+(`_strip_samples`) is a generator that only draws, and a run hands all
+its samples to the region's counter, `count_samples`, which counts the
+members in one loop with no Fraction per sample; `contains_sample(x,
+y)` is that count over one sample.  An alpha region answers a sample
+whose two floats lie in a product of cylinders that its walker has
+classified from the floats alone (the snap is monotone and fixes the
+ends of the region's table intervals, so the estimate is the walker's,
+bit for bit), and builds readers of the snaps' canonical digits
+(`digits.SnapReader`: one resumable integer Euclid loop per coordinate,
+started on its first read) only for the other samples, for its walker
+`contains_rational`.  That walker reads y first and x only when it
+asks, so most of those samples never start x's loop.  A rectangle
+region reads every sample through the two readers.  The strip's mass
+is log(1/y_min), the log of its exact `rect_mass_ratio`.
 Cell and rectangle regions also take quadrature and Monte Carlo, as
 cross-checks of their closed form.  All three methods read one list of
 rectangles, clamped to the unit square (`induced.RectRegion.rects`, or
@@ -278,61 +281,62 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
             y_min = min(y0 for _, _, y0, _ in rects)
             if y_min == 0:
                 raise NonIntegrable("Monte Carlo path needs y bounded away from 0")
-            return _strip_monte_carlo(y_min, RectRegion(rects).contains_sample,
+            return _strip_monte_carlo(y_min, RectRegion(rects).count_samples,
                                       seed if seed is not None else 0, samples)
         return _quadrature(rects, tol)
     if isinstance(region, AlphaRegion):
         _require_method(region, method, ("monte-carlo",))
-        return _strip_monte_carlo(_alpha_window(region), region.contains_sample,
+        return _strip_monte_carlo(_alpha_window(region), region.count_samples,
                                   seed if seed is not None else 0, samples)
     raise NonIntegrable(f"no measure path for region {region.name}")
 
 
-def _strip_sampler(y_min: Fraction):
-    """The sampler of the invariant measure restricted to y > y_min:
-    `sample(rng)` draws one point by inverse CDF in x then in y and
-    returns its two coordinates as floats, x in [0, 1] and y clamped to
+def _strip_samples(y_min: Fraction, rng: random.Random, n: int):
+    """The sampler of the invariant measure restricted to y > y_min: a
+    generator of n points, each drawn by inverse CDF in x then in y and
+    given as its two coordinates as floats, x in [0, 1] and y clamped to
     [y_min, 1].  A sample stands for the rationals with denominator at
     most `digits.SNAP_DEN` that `limit_denominator` snaps the floats to;
-    the region reads the draw (`contains_sample`), so the sampler builds
+    the region reads the draws (`count_samples`), so the sampler builds
     nothing.  The float constants of the strip are computed once, here."""
     y0 = float(y_min)
     inv_y0 = 1.0 / y0
     one_minus_y0 = 1.0 - y0
-
-    def sample(rng: random.Random):
-        u = rng.random()
+    draw = rng.random
+    for _ in range(n):
         # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
-        x = y0 * (inv_y0 ** u - 1.0) / one_minus_y0
-        v = rng.random()
+        x = y0 * (inv_y0 ** draw() - 1.0) / one_minus_y0
+        v = draw()
         # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
         # at y = 1 the denominator x + (1-x) is 1
-        a = x + y0 * (1 - x)
-        inv_a = 1.0 / a
+        inv_a = 1.0 / (x + y0 * (1 - x))
         t = inv_a + v * (1.0 - inv_a)
         y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
         # both floats are finite and >= 0 by construction; y is clamped
         # to [y0, 1] (by comparisons: min(max(y, y0), 1.0) gives the same
         # float at several times the cost)
-        return x, y0 if y < y0 else 1.0 if y > 1.0 else y
+        yield x, y0 if y < y0 else 1.0 if y > 1.0 else y
+
+
+def _strip_sampler(y_min: Fraction):
+    """`sample(rng)`, one draw of `_strip_samples(y_min, rng, 1)`."""
+    def sample(rng: random.Random):
+        return next(_strip_samples(y_min, rng, 1))
 
     return sample
 
 
-def _strip_monte_carlo(y_min: Fraction, hit, seed: int, samples: int) -> MeasureEstimate:
+def _strip_monte_carlo(y_min: Fraction, count, seed: int, samples: int) -> MeasureEstimate:
     """Seeded Monte Carlo under the measure restricted to the strip
-    y > y_min: the strip's exact mass times the share of `samples`
-    points of `_strip_sampler(y_min)` whose float coordinates x, y
-    satisfy `hit(x, y)`, a region's `contains_sample`."""
+    y > y_min: the strip's exact mass times the share of the `samples`
+    points of `_strip_samples` that are members, as `count(points)`, a
+    region's `count_samples`, counts them in one pass.  The strip
+    [0, 1] x [y_min, 1] has exp(mass) `rect_mass_ratio(0, 1, y_min, 1)`
+    = 1/y_min, the same Fraction."""
     if type(samples) is not int or samples < 1:
         raise BadSampleCount(f"Monte Carlo samples {samples!r} is not an int >= 1")
-    rng = random.Random(seed)
-    sample = _strip_sampler(y_min)
-    w_mass = rect_mass_exact(0, 1, y_min, 1)
-    hits = 0
-    for _ in range(samples):
-        if hit(*sample(rng)):
-            hits += 1
+    w_mass = math.log(1 / y_min)
+    hits = count(_strip_samples(y_min, random.Random(seed), samples))
     p = hits / samples
     sigma = w_mass * math.sqrt(max(p * (1 - p), 1e-12) / samples)
     return MeasureEstimate(w_mass * p, 3 * sigma, "monte-carlo", seed=seed, samples=samples)

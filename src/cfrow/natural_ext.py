@@ -239,24 +239,49 @@ def nu_g_density(x, y) -> float:
     return 1.0 / (math.log(2) * float((1 + Fraction(x) * Fraction(y)) ** 2))
 
 
+def _float_enclosure(ds: DigitStream, depth: int):
+    """(lo, hi), the floats of the ends of `ds.enclosure(depth)`, read
+    digit by digit and without a Fraction.  After d digits the value
+    lies between p1/q1 and (p0+p1)/(q0+q1), and so do the ends at every
+    depth past d; int true division rounds correctly and rounding is
+    monotone, so once these two give one float, every deeper end does too,
+    and the first d at which they agree ends the reading (Gosper's rule
+    of emitting a digit once both ends agree on it).  A stream that ends
+    within the depth is its value, p1/q1."""
+    p0, p1, q0, q1 = 1, 0, 0, 1
+    for a in ds.prefix(depth):
+        if a is INF:
+            v = p1 / q1
+            return v, v
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if q1 >> 25:  # below 2**25 the ends are over 2**-51 apart: two floats
+            lo = p1 / q1
+            if lo == (p0 + p1) / (q0 + q1):
+                return lo, lo
+    lo, hi = p1 / q1, (p0 + p1) / (q0 + q1)
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
 def orbit_csv_rows(z: OmegaPoint, n: int, depth: int = 40, step=ito_step):
     """Rows (k, x_lo, x_hi, y_lo, y_hi, cell_a, cell_b) for k = 0..n-1
-    along the orbit of `step` (the slow map by default)."""
+    along the orbit of `step` (the slow map by default).  The bounds are
+    the floats of the ends of `x_enclosure(depth)` and
+    `y_enclosure(depth)`: a coordinate with a rational value is that
+    value's float, and any other is read from its stream only as deep as
+    its ends' floats need (`_float_enclosure`)."""
     rows = []
     cur = z
     for k in range(n):
-        xe, ye = cur.x_enclosure(depth), cur.y_enclosure(depth)
+        if cur._x is not None and is_rational(cur._x0):
+            x_lo = x_hi = float(cur.x_val)
+        else:
+            x_lo, x_hi = _float_enclosure(cur.xd, depth)
+        if cur._y is not None and is_rational(cur._y0):
+            y_lo = y_hi = float(cur.y_val)
+        else:
+            y_lo, y_hi = _float_enclosure(cur.yd, depth)
         c = cur.cell()
-        rows.append(
-            (
-                k,
-                float(xe.lo),
-                float(xe.hi),
-                float(ye.lo),
-                float(ye.hi),
-                "inf" if c.a is INF else c.a,
-                "inf" if c.b is INF else c.b,
-            )
-        )
+        rows.append((k, x_lo, x_hi, y_lo, y_hi, "inf" if c.a is INF else c.a, "inf" if c.b is INF else c.b))
         cur = step(cur)
     return rows

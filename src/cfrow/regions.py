@@ -28,7 +28,7 @@ Three families:
   period, and its tail compared with x's by their recurrence states.
   A Monte Carlo sample is two floats: one whose floats lie in a product
   of cylinders that the walker itself has classified is answered from
-  them (`contains_sample`), and only the others are read by the walker,
+  them (`count_samples`), and only the others are read by the walker,
   through snap readers built for it.
 """
 
@@ -551,7 +551,7 @@ class AlphaRegion(Region):
     is monotone and fixes such ends when their denominators are at most
     `digits.SNAP_DEN` (`digits.SnapReader`), so a sample whose floats lie
     in one, between exact float bounds, is answered before any reader is
-    built (`contains_sample`).  The table depends only on alpha's digits
+    built (`count_samples`).  The table depends only on alpha's digits
     and back_cap; it is built on the first sample, and kept in a bounded
     module cache shared by equal regions.
     """
@@ -676,22 +676,35 @@ class AlphaRegion(Region):
 
     def contains_sample(self, x: float, y: float) -> bool:
         """Membership of a Monte Carlo sample: the point whose coordinates
-        are the snaps of the floats x, y >= 0 (`digits.SnapReader`).  One
-        bisect of y in the region's cylinder table (`_Cylinders`) gives
-        the walker's answer, or a list of x-intervals that a bisect of x
-        may answer from; only a sample the table does not answer builds
-        readers, for `contains_rational`."""
+        are the snaps of the floats x, y >= 0 (`digits.SnapReader`), as
+        `count_samples` counts it."""
+        return self.count_samples(((x, y),)) == 1
+
+    def count_samples(self, samples) -> int:
+        """How many of the Monte Carlo samples, (x, y) pairs of floats
+        >= 0 each standing for the point of their snaps, are members.
+        One bisect of y in the region's cylinder table (`_Cylinders`)
+        gives the walker's answer, or a list of x-intervals that a bisect
+        of x may answer from; only a sample the table does not answer
+        builds readers, for the walker `contains_rational`."""
         ends, answers = self._table or self._cylinders()
-        i = bisect_right(ends, y)
-        if i & 1:
-            answer = answers[i >> 1]
-            if type(answer) is bool:
-                return answer
-            ends, answers = answer
-            i = bisect_right(ends, x)
+        walker = self.contains_rational
+        hits = 0
+        for x, y in samples:
+            i = bisect_right(ends, y)
             if i & 1:
-                return answers[i >> 1]
-        return self.contains_rational(SnapReader._of(x), SnapReader._of(y))
+                answer = answers[i >> 1]
+                if type(answer) is bool:
+                    hits += answer
+                    continue
+                x_ends, x_answers = answer
+                i = bisect_right(x_ends, x)
+                if i & 1:
+                    hits += x_answers[i >> 1]
+                    continue
+            if walker(SnapReader._of(x), SnapReader._of(y)):
+                hits += 1
+        return hits
 
     def _cylinders(self):
         self._table = _cylinder_table(self)

@@ -607,6 +607,17 @@ def test_walks_from_equal_points_give_equal_records(k):
             assert InducedRecord._of(*other) != rec
 
 
+def test_records_compare_n_and_a_by_value_and_the_landing_by_identity():
+    z = OmegaPoint.from_values(parse_real("sqrt(7)-2"), Fraction(1))
+    rec = induced_step(region_h1(), z, 10**4)
+    twin = OmegaPoint(rec.z_next.xd, rec.z_next.yd)  # the same streams, another point
+    assert InducedRecord(rec.N, Mat2Z(*rec.A), rec.z_next) == rec
+    assert InducedRecord._of(rec.N, rec.u, rec.t, rec.s, rec.r, twin) != rec
+    assert induced_step(region_h1(), z, 10**4) != rec  # a second walk lands on a new point
+    with pytest.raises(TypeError):
+        hash(rec)
+
+
 # -- partial-quotient runs against the slow map one step at a time --------
 
 

@@ -27,6 +27,7 @@ from cfrow.measure import (
     _region_rects,
     _strip_monte_carlo,
     _strip_sampler,
+    _strip_samples,
     empirical_denominator_growth,
     entropy_of,
     gauss_rect_mass,
@@ -38,6 +39,7 @@ from cfrow.measure import (
 )
 from cfrow.natural_ext import OmegaPoint
 from cfrow.regions import (
+    AlphaRegion,
     SingularisationArea,
     build_alpha_region,
     build_s_expansion_region,
@@ -389,6 +391,54 @@ def reference_mc(hit, y_min, seed, samples):
     return MeasureEstimate(w_mass * p, 3 * sigma, "monte-carlo", seed=seed, samples=samples)
 
 
+def counter(hit):
+    """The per-sample membership hit(x, y) as the count of a run's
+    samples that `_strip_monte_carlo` takes."""
+    def count(samples):
+        return sum(1 for x, y in samples if hit(x, y))
+
+    return count
+
+
+def test_sampler_draws_the_samples_of_the_generator():
+    for y_min in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 10**6 + 1)):
+        rng, gen = random.Random(3), random.Random(3)
+        sample = _strip_sampler(y_min)
+        drawn = [sample(rng) for _ in range(3000)]
+        assert drawn == list(_strip_samples(y_min, gen, 3000))
+        assert rng.random() == gen.random()  # both drew as many floats
+
+
+def test_strip_mass_is_the_exact_strip_rectangle_mass():
+    # a run whose count takes every sample estimates the strip's mass,
+    # which must be rect_mass_exact's bit for bit
+    def every(samples):
+        return sum(1 for _ in samples)
+
+    for a in list(range(1, 60)) + [10**3, 2 * 10**3, 10**6, 10**12]:
+        y_min = Fraction(1, a + 1)
+        est = _strip_monte_carlo(y_min, every, 0, 5)
+        assert est.value == rect_mass_exact(0, 1, y_min, 1), a
+
+
+COUNT_REGIONS = [build_alpha_region(alpha) for alpha in TABLE_ALPHAS + [Fraction(1, 10**6)]] + [
+    RectRegion([(0, Fraction(2, 5), Fraction(2, 3), 1),
+                (Fraction(1, 4), Fraction(3, 4), Fraction(1, 5), Fraction(1, 4))])]
+
+
+@pytest.mark.parametrize("R", COUNT_REGIONS, ids=lambda R: R.name)
+def test_count_samples_equals_the_sample_sum_and_the_started_walker(R):
+    y_min = _alpha_window(R) if isinstance(R, AlphaRegion) else Fraction(1, 5)
+    samples = list(_strip_samples(y_min, random.Random(11), 2000))
+    samples += [(u, v) for u in (0.0, 0.25, 0.5, 1.0) for v in (float(y_min), 0.5, 1.0)]
+    by_sample = [R.contains_sample(x, y) for x, y in samples]
+    by_walker = [R.contains_rational(started(x), started(y)) for x, y in samples]
+    assert by_sample == by_walker
+    assert R.count_samples(iter(samples)) == sum(by_walker)
+    assert R.count_samples(samples[:700]) == sum(by_walker[:700])
+    assert R.count_samples([]) == 0
+
+
 def test_sampler_draws_the_reference_samples():
     for y_min in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)):
         rng, ref = random.Random(12), random.Random(12)
@@ -440,7 +490,7 @@ def test_alpha_measure_equals_the_started_walker(alpha):
 
     for seed in (1, 4, 9, 331):
         est = measure_of(R, seed=seed, samples=2000)
-        assert est == _strip_monte_carlo(_alpha_window(R), hit, seed, 2000), seed
+        assert est == _strip_monte_carlo(_alpha_window(R), counter(hit), seed, 2000), seed
 
 
 def y_family_ends(a1: int):
@@ -555,7 +605,7 @@ def test_rect_monte_carlo_equals_the_fraction_oracle(name):
     y_min = min(y0 for _, _, y0, _ in rects)
     for seed in (2, 9):
         est = measure_of(region, method="monte-carlo", seed=seed, samples=3000)
-        assert est == _strip_monte_carlo(y_min, fraction_in_rects(rects), seed, 3000)
+        assert est == _strip_monte_carlo(y_min, counter(fraction_in_rects(rects)), seed, 3000)
 
 
 @pytest.mark.parametrize("method", ["auto", "exact", "quadrature", "monte-carlo"])

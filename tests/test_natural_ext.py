@@ -9,6 +9,7 @@ from cfrow.digits import ZERO_STREAM, Cons, from_digits, tail_state
 from cfrow.errors import OutOfDomain
 from cfrow.exact import INF
 from cfrow.gcf import classify_farey_index
+from cfrow.induced import induced_step
 from cfrow.measure import rect_mass_exact, rect_mass_ratio
 from cfrow.natural_ext import (
     OmegaPoint,
@@ -17,10 +18,12 @@ from cfrow.natural_ext import (
     ito_step,
     mu_bar_density,
     nu_g_density,
+    _float_enclosure,
     orbit_csv_rows,
     run_move,
 )
-from cfrow.reals import Surd, as_real, golden_fraction, parse_real, rcf_digits
+from cfrow.reals import Surd, as_real, golden_fraction, is_rational, parse_real, rcf_digits
+from cfrow.regions import build_alpha_region, region_h1
 
 from conftest import backstep_by_digits, random_surd
 
@@ -259,6 +262,92 @@ def test_orbit_csv_rows():
     assert len(rows) == 5
     assert rows[0][5] == 2 and rows[0][6] == 1
     assert all(r[1] <= r[2] and r[3] <= r[4] for r in rows)
+
+
+ROW_DEPTHS = (1, 2, 20, 40, 60)
+
+
+def enclosure_floats(ds, depth):
+    """The floats of the ends of the stream's enclosure, the oracle of
+    `_float_enclosure`."""
+    e = ds.enclosure(depth)
+    return float(e.lo), float(e.hi)
+
+
+def row_digit_lists(rng):
+    """Finite digit lists: ending inside the depth and just past it,
+    runs of 1s, small digits and digits up to 10**6."""
+    for depth in ROW_DEPTHS:
+        for _ in range(60):
+            n = rng.choice([0, 1, depth - 1, depth, depth + 1, rng.randint(1, depth + 5)])
+            top = rng.choice([1, 2, 3, 10, 10**6])
+            ds = [rng.randint(1, top) for _ in range(max(n, 0))]
+            if rng.random() < 0.3 and ds:  # a long run of 1s inside
+                i = rng.randrange(len(ds))
+                ds[i:] = [1] * (len(ds) - i)
+            yield depth, ds
+        yield depth, [1] * (depth + 3)
+        yield depth, [10**6] * (depth + 3)
+
+
+def test_float_enclosure_equals_the_enclosure_floats(rng):
+    late = swapped = 0
+    for depth, ds in row_digit_lists(rng):
+        stream = from_digits(ds)
+        got = _float_enclosure(stream, depth)
+        assert got == enclosure_floats(stream, depth), (depth, ds)
+        if got[0] < got[1]:  # read to the depth, the ends still apart
+            late += 1
+            swapped += depth % 2  # after an odd depth p1/q1 is the upper end
+    assert late > swapped > 0
+
+
+def test_float_enclosure_reads_runs_of_ones_to_the_depth():
+    # [0; 1, 1, ...] converges slowest: its ends are two floats still at
+    # depth 42, and one from depth 43 on
+    ones = from_digits([1] * 80)
+    for depth in (40, 42):
+        lo, hi = _float_enclosure(ones, depth)
+        assert lo < hi and (lo, hi) == enclosure_floats(ones, depth)
+    for depth in (43, 60):
+        lo, hi = _float_enclosure(ones, depth)
+        assert lo == hi and (lo, hi) == enclosure_floats(ones, depth)
+
+
+def rows_by_enclosures(z, n, depth, step):
+    """`orbit_csv_rows` as it read `x_enclosure` and `y_enclosure`, its oracle."""
+    rows, cur = [], z
+    for k in range(n):
+        xe, ye = cur.x_enclosure(depth), cur.y_enclosure(depth)
+        c = cur.cell()
+        rows.append((k, float(xe.lo), float(xe.hi), float(ye.lo), float(ye.hi),
+                     "inf" if c.a is INF else c.a, "inf" if c.b is INF else c.b))
+        cur = step(cur)
+    return rows
+
+
+def test_orbit_rows_equal_the_enclosure_rows(rng):
+    alpha = build_alpha_region(Fraction(1, 4))
+    steps = {"plane": ito_step,
+             "h1": lambda cur: induced_step(region_h1(), cur, 10**4).z_next,
+             "alpha": lambda cur: induced_step(alpha, cur, 10**4).z_next}
+    rational_y = 0
+    for _ in range(12):
+        x = random_surd(rng)
+        y = rng.choice([Fraction(1), Fraction(rng.randint(1, 9), 10), random_surd(rng)])
+        rational_y += is_rational(y)
+        for name, step in steps.items():
+            for depth in ROW_DEPTHS:
+                z = OmegaPoint.from_values(x, y)
+                got = orbit_csv_rows(z, 12, depth, step)
+                assert got == rows_by_enclosures(OmegaPoint.from_values(x, y), 12, depth, step), (
+                    x, y, name, depth)
+    assert 0 < rational_y < 12
+    # points of digit streams alone, ending inside the depth or past it
+    for depth, ds in row_digit_lists(rng):
+        ys = [rng.randint(1, 5) for _ in range(rng.randint(0, depth + 2))]
+        z = OmegaPoint.from_streams(from_digits(ds), from_digits(ys))
+        assert orbit_csv_rows(z, 6, depth) == rows_by_enclosures(z, 6, depth, ito_step), (depth, ds, ys)
 
 
 def _eager_move(move, z, x, y):
