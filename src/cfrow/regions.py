@@ -225,12 +225,14 @@ class _PastPrefix(Exception):
 class _Prefix:
     """Reader of a cylinder's first digits that raises _PastPrefix when
     read past them: a walker run on such readers that returns gives its
-    answer for every point whose digits begin so."""
+    answer for every point whose digits begin so.  Its src is only a mark
+    that more digits may follow, not the reader itself, which would make
+    each reader a cycle only the collector frees."""
 
     __slots__ = ("got", "src")
 
     def __init__(self, got: list):
-        self.got, self.src = got, self
+        self.got, self.src = got, True
 
     def more(self):
         raise _PastPrefix(self)
