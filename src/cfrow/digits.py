@@ -516,10 +516,23 @@ class Reader:
 
 
 def ends_with(r, i: int, tail: list) -> bool:
-    """Do the digits of reader r after index i read `tail`, then end?"""
-    while r.src is not None and len(r.got) <= i + 1 + len(tail):
+    """Do the digits of reader r after index i read `tail`, then end?
+    The digits already read after index i are compared with `tail` one
+    by one, and r is asked for more only while all of them match: a
+    digit that differs, or one past the end of `tail`, answers False with
+    no read past it, so a reader of a cylinder's first digits
+    (`regions._Prefix`) decides there.  A reader never rewrites a digit
+    it has exposed, so the answer is that of the complete list."""
+    n, j, k = len(tail), i + 1, 0  # tail[:k] matches the digits j, ..., j + k - 1
+    while True:
+        got = r.got
+        while j + k < len(got):
+            if k == n or got[j + k] != tail[k]:
+                return False
+            k += 1
+        if r.src is None:
+            return k == n
         r.more()
-    return r.src is None and r.got[i + 1:] == tail
 
 
 def order(x, y, test_at: int = 0, cap: int = 4000) -> int:
@@ -531,12 +544,15 @@ def order(x, y, test_at: int = 0, cap: int = 4000) -> int:
     infinite digit: at the first difference, index i, the bigger digit
     spells the smaller number when i is even.  The one pair of digit
     lists with one value, [..., b, 1] and [..., b + 1], is folded at that
-    difference.  A number is a target when it is a rational's complete
-    canonical list or a quadratic irrational read from its `SurdDigits`;
-    two matching quadratic tails never differ, so after `test_at` >= 1
-    equal digits (0: never) the two readers' tail states are compared
-    once, and equal states mean equal numbers.  A comparison that matches more
-    than `cap` digits without deciding raises BoundaryUndecidable."""
+    difference (`ends_with`), reading each side past i only while its
+    digits still match the fold, so a digit already read that differs
+    decides with no further read.  A number is a target when it is a
+    rational's complete canonical list or a quadratic irrational read
+    from its `SurdDigits`; two matching quadratic tails never differ, so
+    after `test_at` >= 1 equal digits (0: never) the two readers' tail
+    states are compared once, and equal states mean equal numbers.  A
+    comparison that matches more than `cap` digits without deciding
+    raises BoundaryUndecidable."""
     xs, ys = x.got, y.got
     i = 0
     while True:

@@ -17,20 +17,21 @@ defined, takes off the log of its exact Gauss ratio
 (`gauss_rect_ratio`).
 A sample is two floats, and it stands for the point of rationals that
 `Fraction.limit_denominator(10**12)` snaps them to.  The sampler
-(`_strip_samples`) is a generator that only draws, and a run hands all
-its samples to the region's counter, `count_samples`, which counts the
-members in one loop with no Fraction per sample; `contains_sample(x,
-y)` is that count over one sample.  An alpha region answers a sample
-whose two floats lie in a product of cylinders that its walker has
-classified from the floats alone (the snap is monotone and fixes the
-ends of the region's table intervals, so the estimate is the walker's,
-bit for bit), and builds readers of the snaps' canonical digits
-(`digits.SnapReader`: one resumable integer Euclid loop per coordinate,
-started on its first read) only for the other samples, for its walker
-`contains_rational`.  That walker reads y first and x only when it
-asks, so most of those samples never start x's loop.  A rectangle
-region reads every sample through the two readers.  The strip's mass
-is log(1/y_min), the log of its exact `rect_mass_ratio`.
+(`_strip_samples`) only draws: it fills a list of xs and one of ys per
+batch of up to 1 024 samples and hands each batch on as its `zip`.  A
+run hands all its samples to the region's counter, `count_samples`,
+which counts the members in one loop with no Fraction per sample;
+`contains_sample(x, y)` is that count over one sample.  An alpha region
+answers a sample whose two floats lie in a product of cylinders that
+its walker has classified from the floats alone (the snap is monotone
+and fixes the ends of the region's table intervals, so the estimate is
+the walker's, bit for bit), and builds readers of the snaps' canonical
+digits (`digits.SnapReader`: one resumable integer Euclid loop per
+coordinate, started on its first read) only for the other samples, for
+its walker `contains_rational`.  That walker reads y first and x only
+when it asks, so most of those samples never start x's loop.  A
+rectangle region reads every sample through the two readers.  The
+strip's mass is log(1/y_min), the log of its exact `rect_mass_ratio`.
 Cell and rectangle regions also take quadrature and Monte Carlo, as
 cross-checks of their closed form.  All three methods read one list of
 rectangles, clamped to the unit square (`induced.RectRegion.rects`, or
@@ -54,6 +55,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import BadSampleCount, BadTolerance, CapExceeded, CfrowError, NoMeasurePath, NonIntegrable
 from .induced import CellRegion, OmegaRegion, RectRegion, Region, induced_products
@@ -291,31 +293,48 @@ def measure_of(region: Region, tol: float = 1e-9, method: str = "auto",
     raise NonIntegrable(f"no measure path for region {region.name}")
 
 
+_BATCH = 1024  # samples drawn per batch by `_strip_samples`
+
+
 def _strip_samples(y_min: Fraction, rng: random.Random, n: int):
-    """The sampler of the invariant measure restricted to y > y_min: a
-    generator of n points, each drawn by inverse CDF in x then in y and
+    """The sampler of the invariant measure restricted to y > y_min: an
+    iterator of n points, each drawn by inverse CDF in x then in y and
     given as its two coordinates as floats, x in [0, 1] and y clamped to
     [y_min, 1].  A sample stands for the rationals with denominator at
     most `digits.SNAP_DEN` that `limit_denominator` snaps the floats to;
     the region reads the draws (`count_samples`), so the sampler builds
-    nothing.  The float constants of the strip are computed once, here."""
+    nothing.  The points are drawn in batches of up to `_BATCH`, into a
+    list of xs and one of ys, and handed out as each batch's `zip`, so no
+    generator frame resumes and no tuple is built per sample; a batch is
+    drawn only when the one before it has been read, and the draws are
+    taken in the same order as one sample at a time.  The float constants
+    of the strip are computed once, here."""
     y0 = float(y_min)
     inv_y0 = 1.0 / y0
     one_minus_y0 = 1.0 - y0
     draw = rng.random
-    for _ in range(n):
-        # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
-        x = y0 * (inv_y0 ** draw() - 1.0) / one_minus_y0
-        v = draw()
-        # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
-        # at y = 1 the denominator x + (1-x) is 1
-        inv_a = 1.0 / (x + y0 * (1 - x))
-        t = inv_a + v * (1.0 - inv_a)
-        y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
-        # both floats are finite and >= 0 by construction; y is clamped
-        # to [y0, 1] (by comparisons: min(max(y, y0), 1.0) gives the same
-        # float at several times the cost)
-        yield x, y0 if y < y0 else 1.0 if y > 1.0 else y
+
+    def batches():
+        for start in range(0, n, _BATCH):
+            xs, ys = [], []
+            add_x, add_y = xs.append, ys.append
+            for _ in range(min(_BATCH, n - start)):
+                # x-marginal: (1-y0)/(y0 + (1-y0)x); CDF ~ log((y0+(1-y0)x)/y0)
+                x = y0 * (inv_y0 ** draw() - 1.0) / one_minus_y0
+                v = draw()
+                # conditional CDF on [y0, 1]: (1/(x+y0(1-x)) - 1/(x+y(1-x))) normalised;
+                # at y = 1 the denominator x + (1-x) is 1
+                inv_a = 1.0 / (x + y0 * (1 - x))
+                t = inv_a + v * (1.0 - inv_a)
+                y = (1.0 / t - x) / (1.0 - x) if x != 1.0 else 1.0
+                # both floats are finite and >= 0 by construction; y is clamped
+                # to [y0, 1] (by comparisons: min(max(y, y0), 1.0) gives the same
+                # float at several times the cost)
+                add_x(x)
+                add_y(y0 if y < y0 else 1.0 if y > 1.0 else y)
+            yield zip(xs, ys)
+
+    return chain.from_iterable(batches())
 
 
 def _strip_sampler(y_min: Fraction):

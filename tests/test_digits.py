@@ -17,6 +17,7 @@ from cfrow.digits import (
     SnapReader,
     compare,
     digits_fraction,
+    ends_with,
     fraction_digits,
     from_digits,
     from_fraction,
@@ -28,6 +29,7 @@ from cfrow.digits import (
 from cfrow.errors import BoundaryUndecidable
 from cfrow.exact import INF, RationalInterval
 from cfrow.reals import golden_fraction, rcf_digits
+from cfrow.regions import _PastPrefix, _Prefix
 
 from conftest import random_surd
 
@@ -374,6 +376,64 @@ def test_compare_folds_noncanonical_tails():
         assert compare(cons(a), cons(b)) == 0 == compare(cons(b), cons(a))
         assert order(Reader(a), Reader(b)) == 0
     assert compare(cons([1]), cons([1, 1])) == 1  # 1 > 1/2
+
+
+def test_ends_with_decides_a_differing_digit_without_reading():
+    # a cylinder's prefix reader raises when read past its digits
+    for got in ([3, 2], [3, 2, 1], [3, 5, 1, 1], [1, 1, 2]):
+        assert ends_with(_Prefix(got), 0, [1]) is False
+        assert ends_with(_Prefix(got), 0, []) is False
+    assert ends_with(_Prefix([3, 1]), 0, []) is False
+    assert ends_with(_Prefix([3, 1, 1]), 0, [1]) is False  # a second digit follows
+    assert ends_with(_Prefix([2, 4, 1, 7]), 1, [1, 1]) is False
+    # a digit that matches is no answer yet: the reader is read on
+    for got, i, tail in (([3, 1], 0, [1]), ([3], 0, [1]), ([3], 0, []), ([2, 4, 1], 1, [1, 1])):
+        with pytest.raises(_PastPrefix):
+            ends_with(_Prefix(got), i, tail)
+    # the fold [..., b, 1] = [..., b + 1] is decided on the first digit
+    # after the difference: y = [1, 1, 2, 3, ...] and x = [1, 1, 3] differ
+    # at index 2, and y's next digit 3 is not the fold's 1
+    assert order(_Prefix([1, 1, 2, 3]), Reader([1, 1, 3])) == 1
+    assert order(Reader([1, 1, 3]), _Prefix([1, 1, 2, 3])) == -1
+    assert order(Reader([4]), _Prefix([3, 2])) == -1
+
+
+def partly_read(r, rng):
+    """r after 0 to 3 `more()` calls."""
+    for _ in range(rng.randint(0, 3)):
+        if r.src is not None:
+            r.more()
+    return r
+
+
+def fold_readers(rng):
+    """Pairs (make, digits): a maker of fresh readers and the complete
+    list they read.  Snap readers of floats, many of them small-denominator
+    rationals, whose canonical lists are short, and readers of finite
+    lists, some empty and some ending [..., b, 1]."""
+    for _ in range(4):
+        q = rng.randint(1, 40)
+        t = rng.choice([rng.random(), rng.randint(0, q) / q, 1.0, 0.0])
+        yield (lambda t=t: SnapReader(t)), SnapReader(t).read_all()
+        ds = finite_digits(rng)
+        yield (lambda ds=ds: Reader([], from_digits(ds))), ds
+        yield (lambda ds=ds: Reader(list(ds))), ds
+
+
+def test_ends_with_and_order_equal_full_reads(rng):
+    seen = set()
+    for _ in range(500):
+        pairs = list(fold_readers(rng))
+        for make, full in pairs:
+            for i in range(-1, len(full) + 2):
+                for tail in ([], [1], [1, 1], [2], [1, 2], full[i + 1:], full[i + 1:i + 2] + [1]):
+                    want = full[i + 1:] == tail
+                    assert ends_with(partly_read(make(), rng), i, tail) == want, (full, i, tail)
+                    seen.add(want)
+        (mx, fx), (my, fy) = rng.sample(pairs, 2)
+        vx, vy = digits_fraction(fx), digits_fraction(fy)
+        assert order(partly_read(mx(), rng), partly_read(my(), rng)) == (vx > vy) - (vx < vy), (fx, fy)
+    assert seen == {False, True}
 
 
 def surd_tail_streams(rng):

@@ -401,12 +401,19 @@ def counter(hit):
 
 
 def test_sampler_draws_the_samples_of_the_generator():
-    for y_min in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 10**6 + 1)):
-        rng, gen = random.Random(3), random.Random(3)
+    # `_strip_samples` draws in batches of 1024 samples, which end on and
+    # around these counts; its draws are those of n single samples, taken
+    # in the same order, and a single sample draws two floats
+    for s, y_min in enumerate((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 10**6 + 1))):
         sample = _strip_sampler(y_min)
-        drawn = [sample(rng) for _ in range(3000)]
-        assert drawn == list(_strip_samples(y_min, gen, 3000))
-        assert rng.random() == gen.random()  # both drew as many floats
+        for n in (0, 1, 1023, 1024, 1025, 3000):
+            rng, gen = random.Random(s), random.Random(s)
+            drawn = [sample(rng) for _ in range(n)]
+            assert drawn == list(_strip_samples(y_min, gen, n)), (y_min, n)
+            assert rng.random() == gen.random()  # both drew as many floats
+        one, ref = random.Random(s), random.Random(s)
+        sample(one), ref.random(), ref.random()
+        assert one.random() == ref.random()
 
 
 def test_strip_mass_is_the_exact_strip_rectangle_mass():

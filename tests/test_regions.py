@@ -1258,11 +1258,22 @@ def test_cylinder_table_work_is_within_its_budget():
         assert runs and len(runs) + sum(leaves) <= regions._BUDGET, (alpha, len(runs), sum(leaves))
 
 
+def test_fold_test_decides_products_at_a_differing_digit():
+    # at 2/5 = [0; 2, 2], y = [1, 1, 2, ...] pulls x back to [2, 1, a1, ...],
+    # which differs from alpha at index 1 by one: [2, 1, 1] would be
+    # [2, 2].  x's first digit a1 = 2 or 3 is not that 1, so the product
+    # is decided with no digit of x past a1; a1 = 1 needs x's next digit
+    C = _Cylinders(build_alpha_region(Fraction(2, 5)))
+    assert C.run([1, 1, 2], [2]) is False
+    assert C.run([1, 1, 2], [3]) is False
+    assert C.run([1, 1, 2], [1]) == "x"
+
+
 # the share of seed-1 samples (20 000) answered from their floats, in
-# percent, measured 95.7 (2/5), 100 (1/2), 100 (g) and 99.7 (7/10), and
-# 74.3, 85.5, 94.2 and 98.1 before the tables were refined best-first;
-# each floor leaves about two points of margin
-FLOAT_SHARE_FLOORS = [(Fraction(2, 5), 93.0), (Fraction(1, 2), 98.0), (G, 98.0), (Fraction(7, 10), 98.5)]
+# percent, measured 99.67 (2/5), 100 (1/2), 100 (g), 100 (7/10) and 99.98
+# (3/7); each floor leaves a margin of about two points or less
+FLOAT_SHARE_FLOORS = [(Fraction(2, 5), 97.5), (Fraction(1, 2), 98.0), (G, 98.0), (Fraction(7, 10), 99.5),
+                      (Fraction(3, 7), 99.0)]
 
 
 def test_cylinder_tables_answer_most_samples_from_floats():
